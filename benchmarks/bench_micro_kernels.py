@@ -6,6 +6,7 @@ table benches, which run whole experiments once):
 * population-mask evaluation — the filtering engine every f_M call rides on,
 * batch vs scalar population-size kernels (the batched-engine speedup),
 * LOF / Grubbs / Histogram scoring on a realistic population,
+* LOF's window kernel on metric-ordered populations vs the seed path,
 * Exponential-mechanism selection over a large candidate pool,
 * one full BFS release on a warmed verifier,
 * release_many vs fresh-instance releases (profile-store amortisation).
@@ -62,6 +63,85 @@ def test_detector_kernel(benchmark, bench_env, detector):
     values = workbench.dataset.metric  # the full-population metric column
     positions = benchmark(detector.outlier_positions, values)
     assert positions.dtype == np.int64
+
+
+def test_detector_kernels(emit):
+    """LOF's window kernel on metric-ordered populations vs the seed path.
+
+    Pinned setting (ignores ``PCOR_BENCH_SCALE``): k = 10 LOF over the
+    populations of 64 fixed random valid contexts of the 20k-record
+    ``salary_reduced`` dataset.  The seed path is ``lof_scores`` on each
+    population's values in record order; the new path is
+    ``LOFDetector.outlier_positions`` on the same values in metric order,
+    as the verifier delivers them.  Both run in this process, best of three
+    passes each, so their ratio does not drift with the host.  Outlier
+    records are asserted identical before any timing, and the document
+    counts the populations the window kernel handed to the exact path.
+    """
+    from repro.outliers.lof import lof_scores, lof_window_scores
+
+    dataset = salary_reduced(n_records=20_000, seed=7)
+    index = PredicateMaskIndex(dataset)
+    detector = LOFDetector(**DETECTOR_KWARGS["lof"])
+    k, threshold = detector.k, detector.threshold
+    space = ContextSpace(dataset.schema)
+    rng = np.random.default_rng(0)
+    order = dataset.metric_order()
+    metric, ids = dataset.metric, dataset.ids
+    record_order, metric_order = [], []
+    while len(record_order) < 64:
+        row = index.population_masks([space.random_valid_context(rng).bits])[0]
+        positions = index.positions_from_packed(row)
+        if positions.size < detector.min_population:
+            continue
+        ordered = index.positions_from_packed(row, order=order)
+        record_order.append((positions, metric[positions]))
+        metric_order.append((ordered, metric[ordered]))
+
+    exact_path = 0
+    for (positions, values), (ordered, sorted_values) in zip(record_order, metric_order):
+        seed = positions[np.flatnonzero(lof_scores(values, k) > threshold)]
+        new = ordered[detector.outlier_positions(sorted_values)]
+        assert np.array_equal(np.sort(ids[seed]), np.sort(ids[new]))
+        exact_path += lof_window_scores(sorted_values, k, threshold) is None
+
+    t_seed, _ = _best_of_three(
+        lambda: [lof_scores(values, k) > threshold for _, values in record_order]
+    )
+    t_window, _ = _best_of_three(
+        lambda: [detector.outlier_positions(values) for _, values in metric_order]
+    )
+    n_pops = len(record_order)
+    mean_size = float(np.mean([values.size for _, values in record_order]))
+    seed_ms, window_ms = t_seed * 1000.0 / n_pops, t_window * 1000.0 / n_pops
+    speedup = t_seed / t_window
+    harness = load_harness()
+    emit(
+        "bench_detector_kernels",
+        f"LOF k={k} per population (n=20000 records, {n_pops} populations, "
+        f"mean size {mean_size:.0f})\n"
+        f"  seed path (lof_scores, record order)      : {seed_ms:8.3f} ms\n"
+        f"  window kernel (outlier_positions, sorted) : {window_ms:8.3f} ms\n"
+        f"  speedup                                   : {speedup:8.2f}x\n"
+        f"  populations on the exact path             : {exact_path}",
+        metrics=[
+            harness.metric("seed_ms_per_population", seed_ms, "ms"),
+            harness.metric(
+                "window_ms_per_population", window_ms, "ms",
+                direction="lower", tolerance=0.5,
+            ),
+            harness.metric(
+                "lof_speedup", speedup, "x", direction="higher", tolerance=0.5
+            ),
+            # Deterministic: which populations decline the window kernel.
+            harness.metric(
+                "exact_path_populations", exact_path, "count",
+                direction="lower", tolerance=0.01,
+            ),
+            harness.metric("populations", n_pops, "count"),
+        ],
+    )
+    assert speedup >= 1.5, f"window kernel only {speedup:.2f}x faster than lof_scores"
 
 
 def test_population_sizes_batch_vs_scalar(benchmark, emit):

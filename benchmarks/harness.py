@@ -72,6 +72,7 @@ BENCHES: Dict[str, Dict[str, Any]] = {
             "release_many_amortisation",
             "native_kernels",
             "append_incremental",
+            "detector_kernels",
         ],
     },
     "server_throughput": {

@@ -13,11 +13,12 @@ The core entry point is batched: :meth:`OutlierVerifier.profiles` partitions
 a batch of contexts into cached and uncached, evaluates all uncached
 population masks in one word-wise pass through the bit-packed
 :class:`~repro.data.masks.PredicateMaskIndex`, then runs the detector once
-per distinct uncached context.  :meth:`is_matching_many` layers the paper's
-matching-context test on top, short-circuiting non-containing contexts with
-pure bit tests so they never touch the detector.  The scalar APIs
-(``context_profile``, ``is_matching`` ...) are thin wrappers over the batch
-kernels.
+per distinct uncached context — on the population's values in metric
+order when the detector is ``sorted_input``, so it never sorts them.
+:meth:`is_matching_many` layers the paper's matching-context test on top,
+short-circuiting non-containing contexts with pure bit tests so they never
+touch the detector.  The scalar APIs (``context_profile``, ``is_matching``
+...) are thin wrappers over the batch kernels.
 
 The profile also powers both utility functions for free: population size is
 the first profile component, and outlier-membership is a set lookup.
@@ -146,6 +147,9 @@ class OutlierVerifier:
         n_records = len(snap.dataset)
         ids = snap.dataset.ids
         metric = snap.dataset.metric
+        # Detectors that sort their input get each population already in
+        # metric order, so they never sort per population.
+        order = snap.dataset.metric_order() if self.detector.sorted_input else None
         computed: List[ContextProfile] = []
         for k in range(len(misses)):
             pop = int(pops[k])
@@ -153,7 +157,7 @@ class OutlierVerifier:
                 computed.append((0, frozenset()))
             else:
                 positions = self.masks.positions_from_packed(
-                    packed[k], n_records=n_records
+                    packed[k], n_records=n_records, order=order
                 )
                 outlier_pos = self.detector.outlier_positions(metric[positions])
                 computed.append(

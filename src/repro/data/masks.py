@@ -278,14 +278,22 @@ class PredicateMaskIndex:
         self,
         packed_row: np.ndarray,
         n_records: int | None = None,
+        order: np.ndarray | None = None,
     ) -> np.ndarray:
         """Row positions selected by one packed mask row.
 
         ``n_records`` pins the unpack length to the snapshot the row was
         evaluated against (defaults to the current dataset's length).
+        With ``order`` (a permutation of all row positions, typically
+        :meth:`Dataset.metric_order` of that snapshot's dataset) the
+        positions come back in that order instead of ascending, in O(n):
+        the unpacked mask is gathered through the order, no sort.
         """
         n = len(self._state.dataset) if n_records is None else int(n_records)
-        return np.flatnonzero(unpack_words(packed_row, n))
+        mask = unpack_words(packed_row, n)
+        if order is None:
+            return np.flatnonzero(mask)
+        return order[np.flatnonzero(mask[order])]
 
     # --------------------------------------------------------------- appends
 

@@ -111,8 +111,10 @@ class Dataset:
         # without_records/with_records so removed ids are never resurrected
         # (record identity must be stable across neighbouring datasets).
         self._id_ceiling = int(id_arr.max()) + 1 if n else 0
-        # Precompute per-record "exact context" bits lazily.
+        # Precompute per-record "exact context" bits and the metric order
+        # lazily.
         self._record_bits_cache: Optional[np.ndarray] = None
+        self._metric_order: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ constructors
 
@@ -261,6 +263,21 @@ class Dataset:
                 bits = bits | shifts[self._codes[attr.name]]
             self._record_bits_cache = bits
         return self._record_bits_cache
+
+    def metric_order(self) -> np.ndarray:
+        """Row positions in ascending metric order (stable: ties keep row
+        order), computed once per dataset object (read-only).
+
+        Restricted to any population, this is the stable sort of that
+        population's values in record order, so detectors that want sorted
+        input (``OutlierDetector.sorted_input``) can be handed their
+        populations already sorted, with no per-population sort.
+        """
+        if self._metric_order is None:
+            order = np.argsort(self._metric, kind="stable")
+            order.flags.writeable = False
+            self._metric_order = order
+        return self._metric_order
 
     # ------------------------------------------------------------- mutations
     # Datasets are immutable; "mutations" return new Dataset objects that
@@ -411,6 +428,8 @@ class Dataset:
             )
         else:
             out._record_bits_cache = None
+        # Appended values land anywhere in the order: recompute on demand.
+        out._metric_order = None
         return out
 
     # ------------------------------------------------------------------- misc

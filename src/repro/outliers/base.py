@@ -36,6 +36,12 @@ class OutlierDetector(ABC):
     #: Registry key; subclasses override.
     name: str = "abstract"
 
+    #: True when the detector is cheaper on values in ascending order: the
+    #: verifier then delivers every population in metric order (stable, so
+    #: equal values keep record order).  Detectors whose answer depends on
+    #: element order (floating-point ``mean``/``std``) must leave it False.
+    sorted_input: bool = False
+
     def __init__(self, min_population: int = 10):
         if min_population < 1:
             raise ValueError(f"min_population must be >= 1, got {min_population}")

@@ -10,18 +10,49 @@ Implemented from scratch for 1-d metric values.  For a point ``p`` with
 * ``LOF(p) = mean_{o in N_k(p)} lrd(o) / lrd(p)``.
 
 A point is an outlier when ``LOF(p) > threshold`` (default 1.5).
+Neighbour sets are exactly ``k`` points — the common implementation choice
+(e.g. scikit-learn) for the tie rule: candidates are ranked by distance,
+then by sorted position, so of two equally distant candidates the left one
+wins.  Duplicate-heavy data where ``k-dist = 0`` is handled by the standard
+convention ``lrd = inf`` and ``inf/inf = 1``.
 
-Because the metric is one-dimensional, the k nearest neighbours of a value
-lie within a window of +-k positions in sorted order; we evaluate distances
-on that window only, giving a fully vectorised O(n k) implementation with a
-deterministic tie-break (smaller distance first, then smaller sorted
-position).  Neighbour sets are exactly ``k`` points — the common
-implementation choice (e.g. scikit-learn) for the tie rule; duplicate-heavy
-data where ``k-dist = 0`` is handled by the standard convention
-``lrd = inf`` and ``inf/inf = 1``.
+Two kernels compute the scores:
+
+* :func:`lof_scores` is the exact path.  It sorts the values, lays the
+  ``2k`` sorted positions around each point out as an ``(n, 2k)`` window,
+  and picks each row's ``k`` nearest with a stable argsort.
+* :func:`lof_window_scores` is the window kernel, for values already in
+  ascending order (:class:`LOFDetector` is ``sorted_input``, so the
+  verifier hands it populations in metric order).  In 1-d the ``k``
+  nearest neighbours of a sorted value are a contiguous window.  With
+  ``L_j`` and ``R_j`` the distances to the j-th value on the left and on
+  the right, the window holds ``l = sum_{j<=k} [L_j <= R_{k+1-j}]`` left
+  neighbours (ties go left, as in the argsort) and ``k - l`` right ones.
+  k-dist, reach distances, lrd and the LOF ratios are then masked sums
+  over ``2k`` shifted slices of padded arrays: no index matrix, no
+  per-row sort, no gather beyond the window's two ends.
+
+The window kernel adds its terms in window order rather than (distance,
+position) order, which moves scores by a few ulps, and where two distinct
+left values round to the same distance it keeps the nearer one where the
+argsort keeps the further one.  So it declines — returns ``None``, and the
+population is re-scored with :func:`lof_scores` — whenever any of these
+holds:
+
+1. a finite score lies within ``1e-9 * threshold`` of the threshold;
+2. a nonzero mean reach distance lies outside ``[1e-150, 1e150]``, where
+   densities and their ratios could overflow or underflow;
+3. some point has two distinct values at one rounded distance among its
+   first ``k`` left neighbours.
+
+It also declines when the values' spread overflows.  Outlier positions are
+therefore exactly those of ``lof_scores(values, k) > threshold`` for every
+finite input, in any order.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -81,6 +112,101 @@ def lof_scores(values: np.ndarray, k: int) -> np.ndarray:
     return scores
 
 
+#: A window score this close to the threshold (relative to it) is re-scored
+#: exactly; the window kernel's own rounding error is near 1e-14.
+_THRESHOLD_MARGIN = 1e-9
+#: Nonzero mean reach distances outside this range are re-scored exactly.
+_REACH_MIN, _REACH_MAX = 1e-150, 1e150
+
+
+def _shifted(buf: np.ndarray, n_rows: int, n: int) -> np.ndarray:
+    """``(n_rows, n)`` view of a 1-d array whose row ``t`` is ``buf[t : t + n]``."""
+    step = buf.strides[0]
+    return np.ndarray((n_rows, n), dtype=buf.dtype, buffer=buf, strides=(step, step))
+
+
+def lof_window_scores(
+    sorted_values: np.ndarray, k: int, threshold: float
+) -> Optional[np.ndarray]:
+    """LOF scores of ascending values by the window kernel (see the module
+    docstring), or ``None`` where only :func:`lof_scores` can decide which
+    scores exceed ``threshold``."""
+    sv = np.asarray(sorted_values, dtype=np.float64)
+    n = sv.shape[0]
+    if n <= k:
+        raise ValueError(f"LOF needs more than k={k} points, got {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = sv[-1] - sv[0]
+    if not np.isfinite(span):
+        return None
+    pad = np.empty(n + 2 * k)
+    pad[:k] = -np.inf
+    pad[k : k + n] = sv
+    pad[k + n :] = np.inf
+    near = _shifted(pad, 2 * k + 1, n)  # row t: the values at offset t - k
+
+    # Row r < k holds L_{k-r}, row k + r holds R_{r+1}; out-of-range
+    # neighbours are infinitely far.
+    dist = np.empty((2 * k, n))
+    left, right = dist[:k], dist[k:]
+    np.subtract(sv, near[:k], out=left)
+    np.subtract(near[k + 1 :], sv, out=right)
+    # Row r of the comparison is [L_{k-r} <= R_{r+1}], true for exactly the
+    # window's left neighbours: it is the left rows' window mask, and its
+    # negation the right rows'.  The window is rows [k - l, 2k - l).
+    in_left = left <= right
+    in_right = ~in_left
+    n_left = in_left.sum(axis=0)
+    first = (k - n_left) * n + np.arange(n)
+    flat = dist.reshape(-1)
+    k_dist = np.maximum(flat[first], flat[first + (k - 1) * n])
+    # Two distinct left values at one rounded distance: the argsort keeps
+    # the further one, the window the nearer.
+    distinct = _shifted(pad[1:] != pad[:-1], k - 1, n)
+    if ((left[:-1] == left[1:]) & distinct).any():
+        return None
+
+    # Only the first and last k columns have out-of-range slots: cap their
+    # inf at the span (no in-range distance exceeds it) so that masking by
+    # multiplication stays finite.
+    np.minimum(dist[:, :k], span, out=dist[:, :k])
+    np.minimum(dist[:, -k:], span, out=dist[:, -k:])
+    kd_pad = np.zeros(n + 2 * k)
+    kd_pad[k : k + n] = k_dist
+    kd_near = _shifted(kd_pad, 2 * k + 1, n)
+    np.maximum(left, kd_near[:k], out=left)
+    np.maximum(right, kd_near[k + 1 :], out=right)
+    np.multiply(left, in_left, out=left)
+    np.multiply(right, in_right, out=right)
+    mean_reach = dist.sum(axis=0)
+    mean_reach /= k
+    positive = mean_reach[mean_reach > 0.0]
+    if positive.size and (positive.min() < _REACH_MIN or positive.max() > _REACH_MAX):
+        return None
+    dense = mean_reach == 0.0  # lrd = inf: a run of more than k duplicates
+
+    def window_sum(per_point: np.ndarray) -> np.ndarray:
+        # Reuses dist's buffer: the reach distances are summed by now.
+        padded = np.zeros(n + 2 * k)
+        padded[k : k + n] = per_point
+        shifted = _shifted(padded, 2 * k + 1, n)
+        np.multiply(shifted[:k], in_left, out=left)
+        np.multiply(shifted[k + 1 :], in_right, out=right)
+        return dist.sum(axis=0)
+
+    with np.errstate(divide="ignore"):
+        lrd = 1.0 / mean_reach
+    # The ratios' mean, as (sum of the neighbours' densities) / lrd / k.
+    scores = window_sum(np.where(dense, 0.0, lrd)) / lrd / k
+    if dense.any():
+        # inf / inf counts 1, finite / inf counts 0, inf / finite is inf.
+        n_dense = window_sum(dense)
+        scores = np.where(dense, n_dense / k, np.where(n_dense > 0, np.inf, scores))
+    if (np.abs(scores - threshold) <= _THRESHOLD_MARGIN * threshold).any():
+        return None
+    return scores
+
+
 class LOFDetector(OutlierDetector):
     """LOF with score threshold.
 
@@ -93,6 +219,7 @@ class LOFDetector(OutlierDetector):
     """
 
     name = "lof"
+    sorted_input = True
 
     def __init__(self, k: int = 10, threshold: float = 1.5, min_population: int | None = None):
         if k < 1:
@@ -108,8 +235,15 @@ class LOFDetector(OutlierDetector):
         self.threshold = float(threshold)
 
     def _outlier_positions(self, values: np.ndarray) -> np.ndarray:
-        scores = lof_scores(values, self.k)
-        return np.flatnonzero(scores > self.threshold).astype(np.int64)
+        order = None
+        if values.shape[0] > 1 and not (values[1:] >= values[:-1]).all():
+            order = np.argsort(values, kind="stable")
+            values = values[order]
+        scores = lof_window_scores(values, self.k, self.threshold)
+        if scores is None:
+            scores = lof_scores(values, self.k)
+        positions = np.flatnonzero(scores > self.threshold)
+        return positions if order is None else order[positions]
 
 
 register_detector("lof", LOFDetector)

@@ -690,6 +690,14 @@ class PCORServer:
             raise _BadRequest(
                 "release body needs a 'spec' object (a PipelineSpec mapping)"
             )
+        # A spec-level pool would be built, and kept alive, per distinct
+        # request: tenants must not allocate server processes or threads.
+        for field in ("backend", "workers"):
+            if field in spec_body:
+                raise _BadRequest(
+                    f"spec field {field!r} is not accepted over HTTP; the "
+                    "execution backend is set per dataset in the server config"
+                )
         spec = self._parse_spec(spec_body)
         seed = body.get("seed")
         if seed is not None and (

@@ -157,6 +157,13 @@ class TestRegistry:
         for name, doc in baselines.items():
             assert harness.validate_bench(doc) == [], name
 
+    def test_every_emitted_document_has_a_baseline(self):
+        """Without one, ``compare`` reports every metric as new and no
+        regression of that document can ever show."""
+        baselines = harness.load_results(harness.BASELINES_DIR)
+        emitted = {e for spec in harness.BENCHES.values() for e in spec["emits"]}
+        assert sorted(emitted - set(baselines)) == []
+
     def test_render_report_smoke(self):
         report = {
             "runs": [{"bench": "demo", "returncode": 0, "duration_s": 1.0}],

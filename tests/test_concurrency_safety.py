@@ -5,9 +5,12 @@ shared structures: the bounded-LRU :class:`ProfileStore` and the
 :class:`PrivacyAccountant` ledger.  These tests drive both from many
 threads and assert the invariants that unsynchronised code breaks: the
 store never exceeds its capacity and never loses counter updates; the
-accountant never overdraws and never double-charges.
+accountant never overdraws and never double-charges.  A dataset's lazily
+computed metric order is shared the same way (unlocked: racing first
+calls may each compute it, but every caller must get the whole order).
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,6 +24,30 @@ from repro.server.tenants import TenantBudgets
 
 N_THREADS = 8
 OPS_PER_THREAD = 400
+
+
+class TestMetricOrderUnderContention:
+    def test_racing_first_calls_all_get_the_whole_order(self):
+        from repro.data.generators import salary_reduced
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(4):
+                dataset = salary_reduced(n_records=2_000, seed=seed)
+                expected = np.argsort(dataset.metric, kind="stable")
+                barrier = threading.Barrier(N_THREADS)
+
+                def grab(_):
+                    barrier.wait(timeout=30)
+                    return dataset.metric_order()
+
+                with ThreadPoolExecutor(N_THREADS) as pool:
+                    orders = list(pool.map(grab, range(N_THREADS)))
+                for order in orders + [dataset.metric_order()]:
+                    assert np.array_equal(order, expected)
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestProfileStoreUnderContention:

@@ -146,6 +146,45 @@ class TestIndexAppend:
             )
             assert_datasets_identical(index.dataset, shadow)
 
+    @pytest.mark.parametrize("detector", ["zscore", "lof"])
+    def test_live_profiles_match_rebuild_at_every_version(self, detector):
+        """Profiles served through a live engine after each append equal a
+        from-scratch verifier's over the rebuilt dataset.  LOF gets its
+        populations in metric order, so this also pins that the order is
+        recomputed for every grown dataset, including rows whose values
+        land strictly inside an existing population's value range."""
+        from repro.core.verification import OutlierVerifier
+        from repro.outliers import make_detector
+
+        kwargs = {
+            "zscore": ZSCORE_KWARGS,
+            "lof": {"k": 4, "threshold": 1.3, "min_population": 8},
+        }[detector]
+        dataset = salary_reduced(n_records=300, seed=6)
+        engine = ReleaseEngine(dataset)
+        live = engine.verifier_for(make_detector(detector, **kwargs))
+        rng = np.random.default_rng(4)
+        probes = [int(b) for b in rng.integers(1, 1 << live.masks.t, size=96)]
+        probes += [int(dataset.record_bits(int(r))) for r in dataset.ids[:32]]
+        live.profiles(probes)  # warm the store and version 0's metric order
+        shadow = dataset
+        for version, batch in enumerate([3, 1, 7, 12], start=1):
+            rows = sample_rows(shadow, batch, start=7 * version)
+            for row in rows[::2]:
+                # Halfway to the next larger metric value in the row's own
+                # exact context: inside that population's range, no tie.
+                pop = live.masks.population(shadow.schema.record_bits(row))[2]
+                above = pop[pop > row["Salary"]]
+                if above.size:
+                    row["Salary"] = (row["Salary"] + above.min()) / 2.0
+            engine.append(rows)
+            shadow = shadow.with_records(rows)
+            fresh = OutlierVerifier(shadow, make_detector(detector, **kwargs))
+            assert engine.masks.dataset_version == version
+            assert live.profiles(probes) == fresh.profiles(probes)
+        assert any(profile[1] for profile in fresh.profiles(probes))
+        engine.close()
+
     def test_append_across_word_boundary(self):
         # 63 records fit one uint64 word; appending 2 forces a second.
         dataset = salary_reduced(n_records=63, seed=8)

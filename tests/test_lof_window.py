@@ -1,0 +1,199 @@
+"""LOF's window kernel, pinned to the exact path.
+
+:class:`LOFDetector` scores values in ascending order with
+:func:`lof_window_scores` and re-scores a population with
+:func:`lof_scores` whenever the window kernel declines.  Whatever order the
+values arrive in, its outlier positions must be exactly the seed
+definition, ``np.flatnonzero(lof_scores(values, k) > threshold)``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.outliers import IQRDetector, OutlierDetector, ZScoreDetector
+from repro.outliers.lof import LOFDetector, lof_scores, lof_window_scores
+
+THRESHOLDS = st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0])
+KS = st.integers(min_value=1, max_value=8)
+
+
+def seed_positions(values: np.ndarray, k: int, threshold: float) -> np.ndarray:
+    return np.flatnonzero(lof_scores(values, k) > threshold)
+
+
+def assert_matches_seed(values, k: int, threshold: float, data) -> None:
+    """Positions agree with the seed path on sorted and shuffled input, and
+    whenever the window kernel answers, its scores agree with
+    ``lof_scores`` to 1e-12 (relative)."""
+    values = np.asarray(values, dtype=np.float64)
+    detector = LOFDetector(k=k, threshold=threshold, min_population=k + 1)
+    ordered = np.sort(values, kind="stable")
+    shuffled = np.array(data.draw(st.permutations(values.tolist())), dtype=np.float64)
+    # Near the float limits, lof_scores' sums overflow to inf by design.
+    with np.errstate(over="ignore"):
+        for arr in (ordered, shuffled):
+            assert np.array_equal(
+                detector.outlier_positions(arr), seed_positions(arr, k, threshold)
+            )
+        window = lof_window_scores(ordered, k, threshold)
+        exact = lof_scores(ordered, k)
+    if window is not None:
+        finite = np.isfinite(exact)
+        assert np.array_equal(np.isfinite(window), finite)
+        assert np.array_equal(window[~finite], exact[~finite])
+        assert np.allclose(window[finite], exact[finite], rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def sized(draw, elements, max_size=60):
+    k = draw(KS)
+    values = draw(st.lists(elements, min_size=k + 1, max_size=max(k + 1, max_size)))
+    return values, k
+
+
+class TestMatchesSeedPath:
+    @given(
+        case=sized(st.floats(allow_nan=False, allow_infinity=False)),
+        threshold=THRESHOLDS,
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_finite_values(self, case, threshold, data):
+        values, k = case
+        assert_matches_seed(values, k, threshold, data)
+
+    @given(
+        runs=st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(1, 25)), min_size=1, max_size=6
+        ),
+        k=KS,
+        threshold=THRESHOLDS,
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_runs_and_zero_k_dist(self, runs, k, threshold, data):
+        """Runs longer than k give k-dist = 0 and infinite densities."""
+        values = [float(v) for v, count in runs for _ in range(count)]
+        if len(values) <= k:
+            values += [0.0] * (k + 1 - len(values))
+        assert_matches_seed(values, k, threshold, data)
+
+    @given(k=KS, extra=st.integers(0, 8), threshold=THRESHOLDS, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_small_populations(self, k, extra, threshold, data):
+        """n from k + 1 to 2k + 1: windows clipped on both sides."""
+        n = k + 1 + min(extra, k)
+        values = data.draw(
+            st.lists(
+                st.sampled_from([-3.0, -0.5, 0.0, 0.25, 1.0, 2.0, 7.5, 40.0]),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        assert_matches_seed(values, k, threshold, data)
+
+    @given(case=sized(st.integers(0, 5).map(float), max_size=30), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_scores_on_the_threshold(self, case, data):
+        """Small integer data often scores exactly 1, 1.25, 1.5 or 2."""
+        values, k = case
+        threshold = data.draw(st.sampled_from([1.0, 1.25, 1.5, 2.0]))
+        assert_matches_seed(values, k, threshold, data)
+
+    @given(
+        case=sized(
+            st.sampled_from(
+                [0.0, 5e-324, 1e-323, 3e-323, 1e-310, 1e-160, 2e-160, 1.0, 1e160, 1e300]
+            ),
+            max_size=12,
+        ),
+        threshold=THRESHOLDS,
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_extreme_magnitudes(self, case, threshold, data):
+        """Densities that overflow or underflow on the way to a score."""
+        values, k = case
+        assert_matches_seed(values, k, threshold, data)
+
+    @given(
+        exponent=st.integers(50, 60),
+        tiny=st.lists(st.integers(0, 64), min_size=1, max_size=20),
+        step=st.sampled_from([0.1, 0.125, 0.3]),
+        far=st.lists(st.sampled_from([0.5, 1.0, 1.0000001, 2.0]), max_size=10),
+        k=KS,
+        threshold=THRESHOLDS,
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_values_at_one_rounded_distance(
+        self, exponent, tiny, step, far, k, threshold, data
+    ):
+        """Seen from 2**50 and up, small distinct values are at the same
+        rounded distance; larger values put the window edge among them."""
+        big = 2.0**exponent
+        values = [t * step for t in tiny] + [big] + [big + big * f for f in far]
+        if len(values) <= k:
+            values += [big] * (k + 1 - len(values))
+        assert_matches_seed(values, k, threshold, data)
+
+
+class TestExactPath:
+    """Each condition that sends a population to ``lof_scores``."""
+
+    def test_scores_on_the_threshold(self):
+        grid = np.arange(10.0)  # interior scores are exactly 1
+        assert lof_window_scores(grid, 2, 1.0) is None
+        assert lof_window_scores(grid, 2, 1.5) is not None
+        detector = LOFDetector(k=2, threshold=1.0, min_population=3)
+        assert np.array_equal(
+            detector.outlier_positions(grid), seed_positions(grid, 2, 1.0)
+        )
+
+    def test_mean_reach_out_of_range(self):
+        # The last point's mean reach is subnormal, so its density
+        # overflows to inf although it is not a duplicate: lof_scores
+        # counts inf / inf as 1 there.
+        values = np.array([0.0, 0.0, 3e-323])
+        assert lof_window_scores(values, 1, 1.5) is None
+        detector = LOFDetector(k=1, threshold=1.5, min_population=2)
+        assert detector.outlier_positions(values).size == 0
+        assert np.array_equal(
+            detector.outlier_positions(values), seed_positions(values, 1, 1.5)
+        )
+
+    def test_distinct_left_values_at_one_distance(self):
+        # 2**53 - 0.25 rounds to 2**53: both left values are at distance
+        # 2**53 from the last point.
+        values = np.array([0.0, 0.25, 2.0**53])
+        assert lof_window_scores(values, 2, 1.5) is None
+        detector = LOFDetector(k=2, threshold=1.5, min_population=3)
+        assert np.array_equal(
+            detector.outlier_positions(values), seed_positions(values, 2, 1.5)
+        )
+
+    def test_overflowing_spread(self):
+        values = np.array([-1.7e308, 0.0, 1.0, 2.0, 1.7e308])
+        assert lof_window_scores(values, 2, 1.5) is None
+
+    def test_ordinary_population_stays_on_the_window(self, rng):
+        values = np.sort(np.concatenate([rng.normal(0.0, 1.0, 300), [9.0]]))
+        window = lof_window_scores(values, 10, 1.5)
+        assert window is not None
+        assert np.allclose(window, lof_scores(values, 10), rtol=1e-12, atol=0.0)
+        assert window[-1] > 1.5
+
+
+class TestSortedInput:
+    def test_only_lof_asks_for_metric_order(self):
+        assert LOFDetector.sorted_input
+        assert not OutlierDetector.sorted_input
+        # Order-dependent float reductions, or nothing to gain.
+        assert not ZScoreDetector.sorted_input
+        assert not IQRDetector.sorted_input
+
+    def test_rejects_too_few_values(self):
+        with pytest.raises(ValueError, match="more than k"):
+            lof_window_scores(np.arange(3.0), 3, 1.5)

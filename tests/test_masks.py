@@ -106,6 +106,21 @@ class TestPopulationMask:
             index.population_mask(-1)
 
 
+class TestOrderedPositions:
+    def test_positions_come_back_in_metric_order(self, index, dataset, schema):
+        space = ContextSpace(schema)
+        gen = np.random.default_rng(8)
+        order = dataset.metric_order()
+        for _ in range(40):
+            bits = space.random_context(gen).bits
+            row = index.population_masks([bits])[0]
+            plain = index.positions_from_packed(row)
+            ordered = index.positions_from_packed(row, order=order)
+            # The stable sort of the population's values in record order.
+            expected = plain[np.argsort(dataset.metric[plain], kind="stable")]
+            assert np.array_equal(ordered, expected)
+
+
 class TestContainsRecord:
     def test_agrees_with_population_membership(self, index, dataset, schema):
         space = ContextSpace(schema)

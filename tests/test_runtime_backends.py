@@ -26,6 +26,7 @@ from repro.runtime import (
 from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
 ZSCORE_KWARGS = {"z_threshold": 2.5, "min_population": 8}
+LOF_KWARGS = {"k": 5, "threshold": 1.3, "min_population": 8}
 SAMPLERS = ["uniform", "random_walk", "dfs", "bfs"]
 
 
@@ -41,13 +42,13 @@ def spec_for(sampler: str, **overrides) -> PipelineSpec:
     return PipelineSpec(**base)
 
 
-def release_batch(dataset, backend, record_id, sampler, seed):
+def release_batch(dataset, backend, record_id, sampler, seed, **overrides):
     """One 3-request batch on a fresh engine over ``backend``."""
     engine = ReleaseEngine(dataset, backend=backend)
     gen = np.random.default_rng(seed)
     results = engine.submit_many(
         [
-            ReleaseRequest(record_id, spec_for(sampler), seed=gen)
+            ReleaseRequest(record_id, spec_for(sampler, **overrides), seed=gen)
             for _ in range(3)
         ]
     )
@@ -107,6 +108,27 @@ class TestBitIdenticalReleases:
             mini_dataset, process_pools[workers], mini_outlier, sampler, 77
         )
         assert got == serial_releases[sampler]
+
+    def test_process_lof_matches_serial(self, mini_dataset, process_pools):
+        """LOF reads its populations in metric order: process workers
+        compute that order from their shared-memory dataset and must
+        release exactly what the serial backend releases."""
+        from repro.core.verification import OutlierVerifier
+        from repro.outliers import LOFDetector
+
+        verifier = OutlierVerifier(mini_dataset, LOFDetector(**LOF_KWARGS))
+        record = next(
+            rid
+            for rid in map(int, mini_dataset.ids)
+            if verifier.is_matching(mini_dataset.record_bits(rid), rid)
+        )
+        lof = dict(detector="lof", detector_kwargs=LOF_KWARGS)
+        serial = release_batch(
+            mini_dataset, SerialBackend(), record, "bfs", 77, **lof
+        )
+        assert serial == release_batch(
+            mini_dataset, process_pools[2], record, "bfs", 77, **lof
+        )
 
     def test_profile_fanout_does_not_change_matching(
         self, mini_dataset, mini_detector, mini_outlier

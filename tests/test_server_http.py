@@ -156,6 +156,45 @@ class TestTypedErrors:
             )
         assert client.budget(dataset="salary")["datasets"]["salary"]["spent"] == 0.0
 
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    def test_spec_backend_fields_are_400_and_build_no_pool(
+        self, outlier_record, max_batch
+    ):
+        """A tenant cannot pick an execution pool: ``backend``/``workers``
+        in a spec are refused before admission, on the direct and the
+        coalesced path alike, so nothing is charged and no pool is built."""
+        body = {
+            "server": {"port": 0},
+            "datasets": {
+                "salary": {
+                    "source": "salary_reduced",
+                    "records": RECORDS,
+                    "seed": SEED,
+                    "max_batch": max_batch,
+                }
+            },
+        }
+        with PCORServer(ServerConfig.from_dict(body)) as srv:
+            client = PCORClient(srv.url, tenant="pool-picker")
+            for extra, field in (
+                ({"backend": "thread", "workers": 2}, "backend"),
+                ({"backend": "thread", "workers": 3}, "backend"),
+                ({"workers": 2}, "workers"),
+            ):
+                with pytest.raises(SpecError, match=f"'{field}'"):
+                    client.release(
+                        "salary",
+                        record_id=outlier_record,
+                        spec={**SPEC, **extra},
+                        seed=1,
+                    )
+            spent = client.budget(dataset="salary")["datasets"]["salary"]["spent"]
+            assert spent == 0.0
+            # The same spec without the fields is served as usual.
+            client.release("salary", record_id=outlier_record, spec=SPEC, seed=1)
+            client.close()
+            assert srv.registry.get("salary").engine._spec_backends == {}
+
     def test_malformed_body_is_400(self, server):
         request = urllib.request.Request(
             server.url + "/v1/datasets/salary/release",

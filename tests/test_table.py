@@ -143,6 +143,27 @@ class TestRecordBits:
             assert int(bits).bit_count() == schema.m
 
 
+class TestMetricOrder:
+    def test_stable_cached_and_read_only(self, schema):
+        ds = Dataset(
+            schema,
+            columns={"Color": ["red", "blue", "red", "blue"], "Size": ["S"] * 4},
+            metric_values=[2.0, 1.0, 2.0, -1.0],
+        )
+        order = ds.metric_order()
+        assert order.tolist() == [3, 1, 0, 2]  # equal values keep row order
+        assert ds.metric_order() is order
+        with pytest.raises(ValueError):
+            order[0] = 1
+
+    def test_append_leaves_it_unset(self, dataset):
+        dataset.metric_order()
+        grown = dataset.append([{"Color": "green", "Size": "S", "Weight": 0.0}])
+        assert grown._metric_order is None
+        expected = np.argsort(grown.metric, kind="stable")
+        assert grown.metric_order().tolist() == expected.tolist()
+
+
 class TestImmutability:
     def test_without_records_drops_and_preserves_ids(self, dataset):
         smaller = dataset.without_records([1])

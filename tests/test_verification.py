@@ -39,6 +39,25 @@ class TestProfiles:
         )
 
 
+class TestMetricOrderedDelivery:
+    def test_lof_profiles_match_record_order_delivery(self, mini_dataset):
+        """LOF gets its populations in metric order; its profiles equal
+        those of the same detector fed in record order."""
+        from repro.outliers.lof import LOFDetector
+
+        class RecordOrderLOF(LOFDetector):
+            sorted_input = False
+
+        kwargs = {"k": 5, "threshold": 1.3, "min_population": 8}
+        rng = np.random.default_rng(3)
+        bits = [int(b) for b in rng.integers(1, 1 << mini_dataset.schema.t, 200)]
+        bits += [mini_dataset.record_bits(int(r)) for r in mini_dataset.ids[:40]]
+        ordered = OutlierVerifier(mini_dataset, LOFDetector(**kwargs)).profiles(bits)
+        plain = OutlierVerifier(mini_dataset, RecordOrderLOF(**kwargs)).profiles(bits)
+        assert ordered == plain
+        assert any(outliers for _, outliers in ordered)
+
+
 class TestCaching:
     def test_second_profile_is_cached(self, mini_dataset, mini_detector):
         verifier = OutlierVerifier(mini_dataset, mini_detector)
