@@ -206,76 +206,6 @@ def _best_of_three(fn):
     return min(times), out
 
 
-def test_native_vs_fallback_kernels(emit):
-    """Native (numba-JIT) fused mask kernels vs the numpy fallback.
-
-    Pinned to the acceptance setting (n = 20k records, a batch of 1024
-    contexts).  Bit-identity between the backends is asserted *before* any
-    timing, and the >= 2x speedup gate only arms when numba is importable —
-    the default numba-free environment still runs (and emits) this bench,
-    recording ``native_available = 0`` so telemetry shows which code path
-    was measured.
-    """
-    from repro.bitops import native_kernels_available, set_kernel_backend
-
-    dataset = salary_reduced(n_records=20_000, seed=7)
-    index = PredicateMaskIndex(dataset)
-    space = ContextSpace(dataset.schema)
-    rng = np.random.default_rng(0)
-    contexts = [space.random_valid_context(rng).bits for _ in range(1024)]
-
-    harness = load_harness()
-    native = native_kernels_available()
-    try:
-        set_kernel_backend("fallback")
-        t_fallback, sizes_fallback = _best_of_three(
-            lambda: index.population_sizes(contexts)
-        )
-        metrics = [
-            harness.metric("fallback_ms", t_fallback * 1000.0, "ms"),
-            harness.metric("native_available", 1.0 if native else 0.0, "bool"),
-        ]
-        if not native:
-            emit(
-                "bench_native_kernels",
-                "native vs fallback kernels (n=20000 records, batch=1024 contexts)\n"
-                f"  numpy fallback: {t_fallback * 1000:8.1f} ms\n"
-                "  native kernels: numba not installed — gate disarmed",
-                metrics=metrics,
-            )
-            return
-        set_kernel_backend("native")
-        # First call pays JIT compilation and doubles as the identity check.
-        sizes_native = index.population_sizes(contexts)
-        assert np.array_equal(np.asarray(sizes_native), np.asarray(sizes_fallback))
-        masks_native = index.population_masks(contexts[:64])
-        set_kernel_backend("fallback")
-        assert np.array_equal(masks_native, index.population_masks(contexts[:64]))
-        set_kernel_backend("native")
-        t_native, _ = _best_of_three(lambda: index.population_sizes(contexts))
-        speedup = t_fallback / t_native
-        metrics += [
-            harness.metric(
-                "native_ms", t_native * 1000.0, "ms",
-                direction="lower", tolerance=0.5,
-            ),
-            harness.metric(
-                "native_speedup", speedup, "x", direction="higher", tolerance=0.5
-            ),
-        ]
-        emit(
-            "bench_native_kernels",
-            "native vs fallback kernels (n=20000 records, batch=1024 contexts)\n"
-            f"  numpy fallback: {t_fallback * 1000:8.1f} ms\n"
-            f"  native kernels: {t_native * 1000:8.1f} ms\n"
-            f"  speedup       : {speedup:8.1f}x",
-            metrics=metrics,
-        )
-        assert speedup >= 2.0, f"native kernels only {speedup:.1f}x over fallback"
-    finally:
-        set_kernel_backend("auto")
-
-
 def test_append_vs_rebuild_index(emit):
     """Incremental mask-index append vs rebuilding the index from scratch.
 

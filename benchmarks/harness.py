@@ -70,7 +70,6 @@ BENCHES: Dict[str, Dict[str, Any]] = {
         "emits": [
             "batch_population_sizes",
             "release_many_amortisation",
-            "native_kernels",
             "append_incremental",
             "detector_kernels",
         ],
@@ -123,14 +122,11 @@ def metric(
 
 
 def _kernel_backend() -> str:
-    """Which mask-kernel backend the bench process resolves to.
+    """The mask-kernel implementation the bench process ran.
 
     Lazy and failure-proof: this module must stay importable without
     ``repro`` on the path, and a fingerprint is never worth crashing a
-    bench run over.  Recorded for comparability only — numbers measured
-    under ``native`` and ``fallback`` describe different code paths, so a
-    baseline diff across backends is an environment change, not a
-    regression.
+    bench run over.
     """
     try:
         from repro.bitops import kernel_backend_name

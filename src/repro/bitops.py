@@ -9,24 +9,16 @@ to and from boolean selection rows through the same little-endian bit
 layout: bit ``i`` lives in word ``i >> 6`` at position ``i & 63``.
 
 Everything here is pure NumPy and allocation-light; the hot batch kernels in
-:mod:`repro.data.masks` are thin loops over these primitives.
-
-A small *kernel registry* at the bottom of this module dispatches the three
-batch hot paths — AND-of-OR population evaluation, row popcounts, and
-packed-row intersection counts — to either these NumPy fallbacks or the
-optional numba-compiled kernels in :mod:`repro.data._kernels`.  Selection
-is automatic (native when numba imports, fallback otherwise) and can be
-pinned with ``PCOR_NATIVE=0`` (force fallback) / ``PCOR_NATIVE=1`` (require
-native; raises if numba is missing).
+:mod:`repro.data.masks` are thin loops over these primitives.  The batch
+kernels at the bottom of this module — AND-of-OR population evaluation and
+packed-row intersection counts — are pinned to a pure-Python oracle by the
+hypothesis suite in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import threading
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -178,16 +170,16 @@ def bool_matrix_to_ints(rows: np.ndarray) -> list[int]:
     ]
 
 
-# --------------------------------------------------------- kernel registry
+# ------------------------------------------------------------- batch kernels
 
 
-def batch_and_of_or_numpy(
+def batch_and_of_or(
     packed: np.ndarray,
     offsets: np.ndarray,
     sizes: np.ndarray,
     selection: np.ndarray,
 ) -> np.ndarray:
-    """NumPy AND-of-OR population masks (the always-available fallback).
+    """AND-of-OR population masks for a batch of contexts.
 
     ``packed`` is the ``(t, n_words)`` predicate matrix, ``offsets`` and
     ``sizes`` the per-attribute block layout, ``selection`` the ``(B, t)``
@@ -195,7 +187,7 @@ def batch_and_of_or_numpy(
     masks: per predicate one fancy-indexed OR into the block accumulator,
     per attribute one AND into the result.  A block with no selected value
     leaves its accumulator all-zero, zeroing the conjunction — the
-    empty-disjunction-is-unsatisfiable semantics every backend must match.
+    empty-disjunction-is-unsatisfiable semantics.
     """
     batch = selection.shape[0]
     n_words = packed.shape[1]
@@ -215,122 +207,22 @@ def batch_and_of_or_numpy(
     return result
 
 
-def _batch_and_of_or_counts_numpy(
+def batch_and_of_or_counts(
     packed: np.ndarray,
     offsets: np.ndarray,
     sizes: np.ndarray,
     selection: np.ndarray,
 ) -> np.ndarray:
-    return popcount_rows(batch_and_of_or_numpy(packed, offsets, sizes, selection))
+    """Population sizes of :func:`batch_and_of_or`'s masks (int64)."""
+    return popcount_rows(batch_and_of_or(packed, offsets, sizes, selection))
 
 
-def _intersect_counts_numpy(matrix: np.ndarray, row: np.ndarray) -> np.ndarray:
+def intersect_counts(matrix: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``popcount(matrix[k] & row)`` for every packed row ``k`` (int64)."""
     return popcount_rows(matrix & row)
 
 
-@dataclass(frozen=True)
-class KernelBackend:
-    """One resolved implementation of the three batch hot paths."""
-
-    name: str
-    batch_and_of_or: Callable[..., np.ndarray]
-    batch_and_of_or_counts: Callable[..., np.ndarray]
-    popcount_rows: Callable[[np.ndarray], np.ndarray]
-    intersect_counts: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-_FALLBACK_BACKEND = KernelBackend(
-    name="fallback",
-    batch_and_of_or=batch_and_of_or_numpy,
-    batch_and_of_or_counts=_batch_and_of_or_counts_numpy,
-    popcount_rows=popcount_rows,
-    intersect_counts=_intersect_counts_numpy,
-)
-
-_kernel_lock = threading.Lock()
-_active_backend: Optional[KernelBackend] = None
-
-
-def native_kernels_available() -> bool:
-    """Can the numba-compiled backend be used in this environment?"""
-    from repro.data import _kernels
-
-    return _kernels.NATIVE_AVAILABLE
-
-
-def _native_backend() -> KernelBackend:
-    from repro.data import _kernels
-
-    if not _kernels.NATIVE_AVAILABLE:
-        raise RuntimeError(
-            "native kernels requested (PCOR_NATIVE=1 or "
-            "set_kernel_backend('native')) but numba is not importable"
-        )
-    return KernelBackend(
-        name="native",
-        batch_and_of_or=_kernels.and_of_or,
-        batch_and_of_or_counts=_kernels.and_of_or_counts,
-        popcount_rows=_kernels.popcount_rows,
-        intersect_counts=_kernels.intersect_counts,
-    )
-
-
-def set_kernel_backend(name: str) -> str:
-    """Pin the kernel backend: ``"native"``, ``"fallback"`` or ``"auto"``.
-
-    ``"auto"`` re-runs detection (``PCOR_NATIVE`` override, else native when
-    numba imports, else fallback).  Returns the name of the backend now
-    active.  Requesting ``"native"`` without numba raises ``RuntimeError``.
-    Benches and the equivalence tests use this to time/compare both
-    implementations in one process.
-    """
-    global _active_backend
-    with _kernel_lock:
-        if name == "fallback":
-            _active_backend = _FALLBACK_BACKEND
-        elif name == "native":
-            _active_backend = _native_backend()
-        elif name == "auto":
-            _active_backend = _detect_backend()
-        else:
-            raise ValueError(
-                f"unknown kernel backend {name!r}; "
-                "expected 'native', 'fallback' or 'auto'"
-            )
-        return _active_backend.name
-
-
-def _detect_backend() -> KernelBackend:
-    override = os.environ.get("PCOR_NATIVE")
-    if override is not None and override.strip() != "":
-        if override.strip() == "0":
-            return _FALLBACK_BACKEND
-        if override.strip() == "1":
-            return _native_backend()
-        raise RuntimeError(
-            f"PCOR_NATIVE={override!r} not understood; use 0 (force the "
-            "NumPy fallback) or 1 (require the numba-compiled kernels)"
-        )
-    return _native_backend() if native_kernels_available() else _FALLBACK_BACKEND
-
-
-def active_kernels() -> KernelBackend:
-    """The currently selected :class:`KernelBackend` (detecting lazily).
-
-    Detection is deferred to first use so importing :mod:`repro.bitops`
-    never imports (or requires) numba, and so ``PCOR_NATIVE`` is read after
-    test harnesses have had a chance to set it.
-    """
-    global _active_backend
-    backend = _active_backend
-    if backend is None:
-        with _kernel_lock:
-            if _active_backend is None:
-                _active_backend = _detect_backend()
-            backend = _active_backend
-    return backend
-
-
 def kernel_backend_name() -> str:
-    """Name of the active kernel backend (``"native"`` or ``"fallback"``)."""
-    return active_kernels().name
+    """Name of the mask-kernel implementation, recorded in bench
+    fingerprints: always ``"numpy"``."""
+    return "numpy"

@@ -115,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=available_backends(),
         default=None,
-        help="execution backend (default: PCOR_BACKEND env or serial; "
-        "releases are bit-identical across backends for a given seed)",
+        help="execution backend (default: PCOR_BACKEND env, else process "
+        "when --workers N>1, else serial; releases are bit-identical across "
+        "backends for a given seed)",
     )
     p_rel.add_argument(
         "--workers",
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker count for the execution backend; N>1 without "
-        "--backend implies --backend process",
+        "--backend implies --backend process unless PCOR_BACKEND is set",
     )
 
     p_srv = sub.add_parser(
@@ -341,15 +342,6 @@ def _emit_result(args: argparse.Namespace, result) -> None:
         print(result.describe())
 
 
-def _release_backend(args: argparse.Namespace):
-    """(backend, workers) for the release engine; ``--workers N`` with N>1
-    and no ``--backend`` implies the process backend."""
-    backend = args.backend
-    if backend is None and args.workers is not None and args.workers > 1:
-        backend = "process"
-    return backend, args.workers
-
-
 def _run_release(args: argparse.Namespace) -> int:
     spec = _release_spec(args)
     dataset = DATASET_FACTORIES[args.dataset](n_records=args.records, seed=args.seed)
@@ -369,8 +361,7 @@ def _run_release(args: argparse.Namespace) -> int:
         record_id = bench.pick_outliers(1, args.seed)[0]
         print(f"auto-picked outlier record {record_id}")
     starting = starting_context_from_reference(bench.reference, record_id, args.seed)
-    backend, workers = _release_backend(args)
-    engine = ReleaseEngine(bench.dataset, backend=backend, workers=workers)
+    engine = ReleaseEngine(bench.dataset, backend=args.backend, workers=args.workers)
     engine.adopt_verifier(bench.fresh_verifier())
     result = engine.submit(
         ReleaseRequest(
@@ -388,8 +379,7 @@ def _run_release_without_reference(args, dataset, spec: PipelineSpec) -> int:
     """Release against a context space too large to enumerate (paper scale)."""
     import numpy as np
 
-    backend, workers = _release_backend(args)
-    engine = ReleaseEngine(dataset, backend=backend, workers=workers)
+    engine = ReleaseEngine(dataset, backend=args.backend, workers=args.workers)
     verifier = engine.verifier_for(spec.build_detector())
     rng = np.random.default_rng(args.seed)
     print(

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.bitops import active_kernels
+from repro.bitops import intersect_counts
 from repro.core.memo import gather_batched
 from repro.core.verification import OutlierVerifier
 from repro.exceptions import ContextError
@@ -138,9 +138,7 @@ class OverlapUtility(UtilityFunction):
                 # starting snapshot cannot be in the starting population, so
                 # the extra words contribute nothing to the intersection.
                 packed = np.ascontiguousarray(packed[:, :w])
-            counts = active_kernels().intersect_counts(
-                packed, self._starting_packed
-            )
+            counts = intersect_counts(packed, self._starting_packed)
             return [int(c) for c in counts]
 
         sizes = gather_batched(

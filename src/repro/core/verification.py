@@ -31,7 +31,7 @@ from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bitops import active_kernels
+from repro.bitops import popcount_rows
 from repro.core.memo import gather_batched
 from repro.core.profiles import ContextProfile, ProfileStore
 from repro.data.masks import PredicateMaskIndex
@@ -143,7 +143,7 @@ class OutlierVerifier:
         commits mid-chunk."""
         snap = self.masks.snapshot()
         packed = self.masks.population_masks(misses, snapshot=snap)
-        pops = active_kernels().popcount_rows(packed)
+        pops = popcount_rows(packed)
         n_records = len(snap.dataset)
         ids = snap.dataset.ids
         metric = snap.dataset.metric

@@ -10,10 +10,9 @@ The masks are stored *bit-packed*: a ``t x ceil(n/64)`` ``uint64`` matrix
 where row ``b`` holds predicate ``b``'s record mask, 64 records per word.
 The batch kernels :meth:`PredicateMaskIndex.population_masks` and
 :meth:`PredicateMaskIndex.population_sizes` evaluate the AND-of-OR filter
-for a whole array of context bitmasks through the kernel registry in
-:mod:`repro.bitops` — the NumPy fallback makes ``t`` word-wise passes, the
-optional numba backend fuses the whole evaluation into one pass — with no
-per-record boolean arrays on the hot path.  The scalar APIs are thin
+for a whole array of context bitmasks through the NumPy kernels in
+:mod:`repro.bitops` — ``t`` word-wise passes — with no per-record boolean
+arrays on the hot path.  The scalar APIs are thin
 wrappers over the batch kernels, so every caller exercises the same engine.
 
 The index is *append-only live*: :meth:`PredicateMaskIndex.append` grows
@@ -36,7 +35,8 @@ from typing import Any, List, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.bitops import (
-    active_kernels,
+    batch_and_of_or,
+    batch_and_of_or_counts,
     bool_matrix_to_ints,
     ints_to_bool_matrix,
     pack_bool_matrix,
@@ -223,16 +223,12 @@ class PredicateMaskIndex:
         if batch == 0:
             return np.zeros((0, snap.packed.shape[1]), dtype=np.uint64)
         selection = ints_to_bool_matrix(bits_list, self.t)  # (B, t)
-        return active_kernels().batch_and_of_or(
+        return batch_and_of_or(
             snap.packed, self._offsets_arr, self._sizes_arr, selection
         )
 
     def population_sizes(self, bits_seq: Sequence[int]) -> np.ndarray:
-        """Population size of every context in ``bits_seq`` (int64 array).
-
-        Under the native backend the masks are never materialised: the
-        fused kernel popcounts the conjunction straight out of a register.
-        """
+        """Population size of every context in ``bits_seq`` (int64 array)."""
         snap = self._state
         bits_list = [int(b) for b in bits_seq]
         for b in bits_list:
@@ -246,7 +242,7 @@ class PredicateMaskIndex:
         if batch == 0:
             return np.zeros(0, dtype=np.int64)
         selection = ints_to_bool_matrix(bits_list, self.t)
-        return active_kernels().batch_and_of_or_counts(
+        return batch_and_of_or_counts(
             snap.packed, self._offsets_arr, self._sizes_arr, selection
         )
 

@@ -1,7 +1,8 @@
 """Parallel execution runtime: pluggable worker backends for PCOR.
 
 Three registered backends execute the engine's fan-out points
-(``submit_many`` request batches and uncached context-profile batches):
+(``submit_many``/``execute_many`` request batches and uncached
+context-profile batches):
 
 * ``serial`` — :class:`SerialBackend`, inline execution (the default and
   the determinism reference);
@@ -15,10 +16,13 @@ worker count: randomness is planned as per-task substreams
 (:func:`plan_task_rngs`) keyed by request order, and results are always
 reduced in that canonical order.
 
-Select a backend with ``ReleaseEngine(backend=...)``/``PCOR(backend=...)``,
-per-spec via ``PipelineSpec.backend``, from the CLI via
-``pcor release --backend process --workers 4``, or globally through the
-``PCOR_BACKEND`` / ``PCOR_WORKERS`` environment variables.
+Each engine runs every batch on one backend, picked once by
+:func:`resolve_backend` — the only place a name, a worker count and the
+environment become a backend: ``ReleaseEngine(backend=...)`` /
+``PCOR(backend=...)`` (``pcor release --backend/--workers`` passes straight
+through), else the ``PCOR_BACKEND`` environment variable, else process when
+more than one worker is asked for, else serial.  ``PCOR_WORKERS`` sets the
+default worker count.
 """
 
 from repro.runtime.base import (

@@ -7,7 +7,8 @@ profiles inside one release.  An :class:`ExecutionBackend` executes both
 task shapes:
 
 * :meth:`ExecutionBackend.run_releases` — one task per release request,
-  fanned out across workers, reduced in request order.
+  fanned out across workers, reduced in request order to one outcome per
+  task: the result, or the ``ReproError`` that task raised.
 * :meth:`ExecutionBackend.run_profiles` — one task per contiguous chunk of
   uncached context bitmasks, reduced in input order.  Every caller of
   ``OutlierVerifier.is_matching_many`` / ``UtilityFunction.scores`` — the
@@ -161,12 +162,19 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:
-        """Execute one release per request, reduced in request order.
+        """Execute one release per request; one outcome per task, in
+        request order.
+
+        An outcome is the task's :class:`~repro.core.result.PCORResult` or
+        the :class:`~repro.exceptions.ReproError` raised inside it, so one
+        failed request never discards its co-batched results.  Failures of
+        the pool itself (a dead worker, an unshippable spec) still raise
+        for the whole batch.
 
         ``engine`` is the :class:`~repro.service.engine.ReleaseEngine` the
         batch was submitted to; in-process backends call its release core
-        directly, the process backend ships self-contained task payloads to
-        its worker pool instead.
+        (``engine._outcome``) directly, the process backend ships
+        self-contained task payloads to workers that call their own.
         """
 
     @abstractmethod

@@ -16,11 +16,13 @@ workers re-attach lazily on their next task instead of paying a respawn.
 The initargs segment stays alive for late-spawning workers; superseded
 intermediate segments are unlinked immediately.
 
-Failure semantics: a worker dying mid-task surfaces as a clear
+Failure semantics: a release task's ``ReproError`` (``SamplingError``
+etc.) is captured in the worker and comes back as that task's outcome,
+carrying the task's trace spans like a result does.  A worker dying
+mid-task fails the whole batch with a clear
 :class:`~repro.exceptions.ExecutionError` naming this backend (never a raw
 ``BrokenProcessPool``), and the pool plus shared memory are torn down
-immediately so nothing leaks even on a crash.  Ordinary task exceptions
-(``SamplingError`` etc.) propagate unchanged.
+immediately so nothing leaks even on a crash.
 """
 
 from __future__ import annotations
@@ -375,13 +377,13 @@ class ProcessBackend(ExecutionBackend):
                     "shm": shm_ref,
                 }
             )
-        results = self._map(pool, worker_mod.run_release_task, payloads)
-        for request, result in zip(requests, results):
+        outcomes = self._map(pool, worker_mod.run_release_task, payloads)
+        for request, outcome in zip(requests, outcomes):
             trace = getattr(request, "trace", None)
             if trace is not None:
-                trace.extend(getattr(result, "trace_spans", None))
-        self._count(releases=len(results), wall=time.perf_counter() - t0)
-        return results
+                trace.extend(getattr(outcome, "trace_spans", None))
+        self._count(releases=len(outcomes), wall=time.perf_counter() - t0)
+        return outcomes
 
     def run_profiles(self, verifier, misses: List[int]) -> List:
         t0 = time.perf_counter()

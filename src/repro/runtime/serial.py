@@ -27,12 +27,12 @@ class SerialBackend(ExecutionBackend):
 
     def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:
         t0 = time.perf_counter()
-        results = [
-            engine._execute(request, rng_from_token(token))
+        outcomes = [
+            engine._outcome(request, rng_from_token(token))
             for request, token in zip(requests, tokens)
         ]
-        self._count(releases=len(results), wall=time.perf_counter() - t0)
-        return results
+        self._count(releases=len(outcomes), wall=time.perf_counter() - t0)
+        return outcomes
 
     def run_profiles(self, verifier, misses: List[int]) -> List:
         t0 = time.perf_counter()

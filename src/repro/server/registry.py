@@ -45,6 +45,13 @@ class DatasetEntry:
         return self._engine is not None
 
     @property
+    def dataset_version(self) -> int:
+        """The served dataset's version, without building the engine (an
+        engine that does not exist yet has committed no append)."""
+        engine = self._engine
+        return engine.dataset_version if engine is not None else 0
+
+    @property
     def engine(self) -> ReleaseEngine:
         """The entry's release engine, constructed on first access."""
         with self._lock:

@@ -50,7 +50,6 @@ from repro.core.verification import OutlierVerifier
 from repro.data.masks import PredicateMaskIndex
 from repro.data.table import Dataset
 from repro.exceptions import (
-    ExecutionError,
     PrivacyBudgetError,
     ReproError,
     SamplingError,
@@ -62,7 +61,6 @@ from repro.obs.profiler import set_engine_phase
 from repro.rng import RngLike, ensure_rng
 from repro.runtime import (
     ExecutionBackend,
-    make_backend,
     plan_task_rngs,
     resolve_backend,
     rng_from_token,
@@ -142,9 +140,7 @@ class EngineMetrics:
     field                      kind      notes
     ========================== ========= =======================================
     ``requests_submitted``     counter   accepted for execution
-    ``releases_completed``     counter   can double-count a replayed
-                                         failure group (``execute_many``
-                                         with ``return_exceptions=True``)
+    ``releases_completed``     counter   successful releases
     ``requests_rejected``      counter   budget-rejected admissions
     ``epsilon_spent``          counter   budget never un-spends
     ``epsilon_budget``         gauge     configured; constant per process
@@ -250,13 +246,14 @@ class ReleaseEngine:
         Optional pre-built predicate bitmap index (must belong to
         ``dataset``); shared by every verifier the engine creates.
     backend:
-        Execution backend for batch fan-out and large profile batches: an
-        :class:`~repro.runtime.base.ExecutionBackend` instance, a registry
-        name (``serial`` / ``thread`` / ``process``), or ``None`` — which
-        honours a request spec's ``backend`` field, then the
-        ``PCOR_BACKEND`` environment variable, then falls back to serial.
-        Any backend at any worker count releases bit-identical contexts to
-        serial for the same seed.
+        Execution backend for every batch and large profile batch this
+        engine runs: an :class:`~repro.runtime.base.ExecutionBackend`
+        instance, a registry name (``serial`` / ``thread`` / ``process``),
+        or ``None`` — resolved once by
+        :func:`~repro.runtime.base.resolve_backend` (the ``PCOR_BACKEND``
+        environment variable, else process when ``workers > 1``, else
+        serial).  Any backend at any worker count releases bit-identical
+        contexts to serial for the same seed.
     workers:
         Worker count for a backend named here (``None`` reads
         ``PCOR_WORKERS``, then ``min(4, cpu_count)``).
@@ -294,12 +291,8 @@ class ReleaseEngine:
         self._appends = 0
         self.profile_capacity = int(profile_capacity)
         self._verifiers: Dict[Tuple, OutlierVerifier] = {}
-        # An explicitly named backend wins over request specs; a spec-named
-        # backend wins over the PCOR_BACKEND environment default.
-        self._explicit_backend = backend is not None
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = resolve_backend(backend, workers)
-        self._spec_backends: Dict[Tuple[str, Optional[int]], ExecutionBackend] = {}
         self._lock = threading.RLock()
         self._append_lock = threading.Lock()  # serialises dataset appends
         self._phase_wall: Dict[str, float] = {}
@@ -460,7 +453,6 @@ class ReleaseEngine:
                 m.epsilon_remaining = self.accountant.remaining
                 m.ledger_charges = len(self.accountant.ledger())
             verifiers = list(self._verifiers.values())
-            backends = [self.backend, *self._spec_backends.values()]
         for verifier in verifiers:
             store = verifier.profile_store
             stats = store.stats()
@@ -471,10 +463,9 @@ class ReleaseEngine:
             m.profiles_invalidated += stats["invalidations"]
             m.fm_evaluations += verifier.fm_evaluations
             m.fm_queries += verifier.fm_queries
-        for backend in backends:
-            stats = backend.stats()
-            m.release_tasks += stats["release_tasks"]
-            m.profile_tasks += stats["profile_tasks"]
+        stats = self.backend.stats()
+        m.release_tasks = stats["release_tasks"]
+        m.profile_tasks = stats["profile_tasks"]
         return m
 
     def _phase(self, name: str, wall: float, tasks: int = 0) -> None:
@@ -486,19 +477,13 @@ class ReleaseEngine:
     def close(self) -> None:
         """Release execution resources (worker pools, shared memory).
 
-        Closes every backend the engine created itself — including
-        spec-resolved ones — but not a backend *instance* the caller passed
-        in (the caller owns its lifecycle).  Safe to call more than once;
-        the engine remains usable afterwards (backends respawn pools
-        lazily).
+        Closes the backend if the engine created it, but not a backend
+        *instance* the caller passed in (the caller owns its lifecycle).
+        Safe to call more than once; the engine remains usable afterwards
+        (backends respawn pools lazily).
         """
         if self._owns_backend:
             self.backend.close()
-        with self._lock:
-            spec_backends = list(self._spec_backends.values())
-            self._spec_backends.clear()
-        for backend in spec_backends:
-            backend.close()
 
     def __enter__(self) -> "ReleaseEngine":
         return self
@@ -550,26 +535,16 @@ class ReleaseEngine:
 
         All requests are charged up front in one atomic ledger transaction —
         if any would overdraw the budget, the whole batch is rejected before
-        a single ``f_M`` evaluation and nothing is charged.  The batch then
-        executes on the engine's execution backend: one task per request,
-        each drawing from its own RNG substream spawned from the request
-        seeds in request order, with results reduced in that same order —
-        so serial, thread and process backends release bit-identical
-        contexts for the same seeds at any worker count.
-
-        On the serial path, records whose starting-context search will run
-        are first pre-profiled through one batched mask pass per verifier
-        (the first probe of every search); parallel backends skip the warm
-        pass — thread workers share the store anyway and process workers
-        warm their own caches as they go.
+        a single ``f_M`` evaluation and nothing is charged.  The admitted
+        batch then runs exactly as :meth:`execute_many` runs it, and the
+        first failed request's error (in request order) is raised once
+        every request has run.
 
         Privacy accounting is per-request, identical to :meth:`submit`; see
         :meth:`repro.core.pcor.PCOR.release_many` for the worst-case
         sequential-composition caveat across records.
         """
-        reqs = [self._coerce(r) for r in requests]
-        with self._lock:
-            self.requests_submitted += len(reqs)
+        reqs = self._accept(requests)
         if not reqs:
             return []
         t0 = time.perf_counter()
@@ -591,10 +566,7 @@ class ReleaseEngine:
                     f"{self.accountant.budget:g} remains"
                 ) from None
         self._phase("admission", time.perf_counter() - t0)
-
-        backend = self._backend_for(reqs)
-        tokens = plan_task_rngs([r.seed for r in reqs])
-        return self._execute_batch(backend, reqs, tokens)
+        return self._raise_first_failure(self._execute_batch(reqs))
 
     def execute_many(
         self,
@@ -611,128 +583,82 @@ class ReleaseEngine:
         admitted set here).  Calling this without external admission runs
         the batch unaccounted — don't.
 
-        Unlike :meth:`submit_many`, a batch mixing execution backends is
-        *grouped*, not rejected: requests are partitioned by the backend
-        their spec resolves to (the coalescer cannot choose what analysts
-        co-submit) and each group runs through the normal batch path.  RNG
-        substreams are planned once for the whole batch in request order —
-        before any grouping — and results are reduced back into request
-        order, so the grouping (and any batching boundary a coalescer
-        picks) can never change a release: every request releases
-        bit-identically to a lone :meth:`submit`/:meth:`execute` with the
-        same seed.
+        The batch runs on the engine's execution backend: one task per
+        request, each drawing from its own RNG substream spawned from the
+        request seeds in request order, with outcomes reduced in that same
+        order — so serial, thread and process backends release
+        bit-identical contexts at any worker count, and no batching
+        boundary a coalescer picks can change a release: every request
+        releases bit-identically to a lone :meth:`submit`/:meth:`execute`
+        with the same seed.
 
-        With ``return_exceptions=True`` a request that fails mid-release
-        (no matching context, record outside the dataset, ...) yields its
-        :class:`~repro.exceptions.ReproError` *in place* instead of
-        poisoning its co-batched requests; the caller dispatches on
-        ``isinstance(outcome, ReproError)``.  On this path a parallel
-        group that fails wholesale is replayed per-request (substreams are
-        planned up front, so the replay is bit-identical), which can double
-        some metrics counters (``releases_completed``, ``fm_evaluations``)
-        for the group — a failure-path-only distortion.
+        On the serial path, records whose starting-context search will run
+        are first pre-profiled through one batched mask pass per verifier
+        (the first probe of every search); parallel backends skip the warm
+        pass — thread workers share the store anyway and process workers
+        warm their own caches as they go.
+
+        Every request runs, even after an earlier one failed (each was
+        already charged).  With ``return_exceptions=True`` a request that
+        fails mid-release (no matching context, record outside the
+        dataset, ...) yields its :class:`~repro.exceptions.ReproError` *in
+        place*; the caller dispatches on ``isinstance(outcome,
+        ReproError)``.  Otherwise the first failed request's error, in
+        request order, is raised.  A failure of the pool itself (a dead
+        process worker, a spec that cannot be shipped) raises for the whole
+        batch either way.
         """
+        outcomes = self._execute_batch(self._accept(requests))
+        return outcomes if return_exceptions else self._raise_first_failure(outcomes)
+
+    def _accept(
+        self, requests: Sequence[Union[ReleaseRequest, Mapping]]
+    ) -> List[ReleaseRequest]:
         reqs = [self._coerce(r) for r in requests]
         with self._lock:
             self.requests_submitted += len(reqs)
+        return reqs
+
+    @staticmethod
+    def _raise_first_failure(outcomes: List) -> List[PCORResult]:
+        for outcome in outcomes:
+            if isinstance(outcome, ReproError):
+                raise outcome
+        return outcomes
+
+    def _execute_batch(self, reqs: Sequence[ReleaseRequest]) -> List:
+        """Run admitted requests on the engine's backend: one outcome per
+        request, in request order (see :meth:`execute_many`)."""
         if not reqs:
             return []
         tokens = plan_task_rngs([r.seed for r in reqs])
-        outcomes: List = [None] * len(reqs)
-        for backend, indices in self._partition_by_backend(reqs):
-            group = [reqs[i] for i in indices]
-            group_tokens = [tokens[i] for i in indices]
-            results = self._execute_batch(
-                backend, group, group_tokens, capture=return_exceptions
-            )
-            for index, result in zip(indices, results):
-                outcomes[index] = result
-        return outcomes
-
-    def _partition_by_backend(
-        self, requests: Sequence[ReleaseRequest]
-    ) -> List[Tuple[ExecutionBackend, List[int]]]:
-        """Group request indices by the execution backend their spec names.
-
-        The backend fingerprint is ``(backend, workers)`` exactly as
-        :meth:`_backend_for` resolves it for a uniform batch (spec name,
-        worker-count promotion, engine default); groups preserve first-seen
-        order and each index appears exactly once.
-        """
-        if self._explicit_backend:
-            return [(self.backend, list(range(len(requests))))]
-        groups: Dict[Optional[Tuple[str, Optional[int]]], List[int]] = {}
-        for i, request in enumerate(requests):
-            name = request.spec.backend
-            if name is None and (request.spec.workers or 0) > 1:
-                name = "process"
-            key = None if name is None else (name, request.spec.workers)
-            groups.setdefault(key, []).append(i)
-        out: List[Tuple[ExecutionBackend, List[int]]] = []
-        for key, indices in groups.items():
-            if key is None:
-                out.append((self.backend, indices))
-                continue
-            with self._lock:
-                backend = self._spec_backends.get(key)
-                if backend is None:
-                    backend = make_backend(key[0], workers=key[1])
-                    self._spec_backends[key] = backend
-            out.append((backend, indices))
-        return out
-
-    def _execute_batch(
-        self,
-        backend: ExecutionBackend,
-        reqs: Sequence[ReleaseRequest],
-        tokens: Sequence,
-        capture: bool = False,
-    ) -> List:
-        """Execute admitted requests on ``backend``, reduced in request
-        order.  With ``capture`` a failed release yields its
-        :class:`~repro.exceptions.ReproError` in place of a result."""
+        backend = self.backend
         if backend.parallel and len(reqs) > 1:
             t0 = time.perf_counter()
-            if capture and not backend.remote:
-                # In-process backends call engine._execute per task: a
-                # capturing view turns each failure into an in-place
-                # outcome without disturbing its co-batched tasks.
-                results = backend.run_releases(_CapturingEngine(self), reqs, tokens)
-            elif capture:
-                try:
-                    results = backend.run_releases(self, reqs, tokens)
-                except ReproError:
-                    # A remote pool surfaces only the first task failure and
-                    # discards the rest of the batch.  The parent-side
-                    # tokens were never consumed (workers got pickled
-                    # copies), so replaying each request inline is
-                    # bit-identical — and isolates exactly which requests
-                    # actually fail.
-                    results = []
-                    for request, token in zip(reqs, tokens):
-                        try:
-                            results.append(
-                                self._execute(request, rng_from_token(token))
-                            )
-                        except ReproError as exc:
-                            results.append(exc)
-            else:
-                results = backend.run_releases(self, reqs, tokens)
+            outcomes = backend.run_releases(self, reqs, tokens)
             self._phase("release", time.perf_counter() - t0, tasks=len(reqs))
             if backend.remote:
                 # Remote tasks never pass through this process's _execute;
                 # fold their outcomes into the engine's counters here.
-                completed = [r for r in results if isinstance(r, PCORResult)]
+                completed = [o for o in outcomes if isinstance(o, PCORResult)]
                 with self._lock:
                     self.releases_completed += len(completed)
                     self.wall_time_s += sum(r.wall_time_s for r in completed)
-            return results
+        else:
+            self._warm_starting_profiles(reqs)
+            t0 = time.perf_counter()
+            outcomes = [
+                self._outcome(request, rng_from_token(token))
+                for request, token in zip(reqs, tokens)
+            ]
+            self._phase("release", time.perf_counter() - t0, tasks=len(reqs))
+        return outcomes
 
-        # Serial path: warm the stores with the exact context of every
-        # record whose starting-context search will run, grouped per
-        # verifier.  Requests with an explicit start — or a spec that never
-        # searches — skip the search, so pre-profiling them could only
-        # waste detector runs.
+    def _warm_starting_profiles(self, reqs: Sequence[ReleaseRequest]) -> None:
+        """Warm the stores with the exact context of every record whose
+        starting-context search will run, grouped per verifier.  Requests
+        with an explicit start — or a spec that never searches — skip the
+        search, so pre-profiling them could only waste detector runs."""
         t0 = time.perf_counter()
         warm: Dict[int, Tuple[OutlierVerifier, List[int]]] = {}
         for request in reqs:
@@ -751,54 +677,6 @@ class ReleaseEngine:
             warmed += len(bits)
         if warm:
             self._phase("warm_profiles", time.perf_counter() - t0, tasks=warmed)
-
-        t0 = time.perf_counter()
-        results = []
-        for request, token in zip(reqs, tokens):
-            try:
-                results.append(self._execute(request, rng_from_token(token)))
-            except ReproError as exc:
-                if not capture:
-                    raise
-                results.append(exc)
-        self._phase("release", time.perf_counter() - t0, tasks=len(reqs))
-        return results
-
-    def _backend_for(self, requests: Sequence[ReleaseRequest]) -> ExecutionBackend:
-        """The backend a batch runs on.
-
-        An engine constructed with an explicit backend always uses it.
-        Otherwise a backend named by the request specs wins (all specs in
-        the batch must agree), falling back to the engine's environment
-        default.  Spec-resolved backends are cached per (name, workers) so
-        repeated batches reuse one pool.
-        """
-        if self._explicit_backend:
-            return self.backend
-        named = set()
-        for r in requests:
-            name = r.spec.backend
-            if name is None and (r.spec.workers or 0) > 1:
-                # Same promotion as resolve_backend/the CLI: asking for
-                # workers must never silently run serial.
-                name = "process"
-            if name is not None:
-                named.add((name, r.spec.workers))
-        if not named:
-            return self.backend
-        if len(named) > 1:
-            raise ExecutionError(
-                f"batch mixes execution backends {sorted(named)}; submit "
-                "uniform batches or construct the engine with an explicit "
-                "backend"
-            )
-        key = named.pop()
-        with self._lock:
-            backend = self._spec_backends.get(key)
-            if backend is None:
-                backend = make_backend(key[0], workers=key[1])
-                self._spec_backends[key] = backend
-            return backend
 
     # ------------------------------------------------------------- internals
 
@@ -835,6 +713,18 @@ class ReleaseEngine:
             with self._lock:
                 self.requests_rejected += 1
             raise
+
+    def _outcome(
+        self, request: ReleaseRequest, gen: np.random.Generator
+    ) -> Union[PCORResult, ReproError]:
+        """One batch task: the release, or the
+        :class:`~repro.exceptions.ReproError` it raised.  Every backend runs
+        its tasks through this, so one failed request never discards the
+        releases batched alongside it."""
+        try:
+            return self._execute(request, gen)
+        except ReproError as exc:
+            return exc
 
     def _execute(
         self, request: ReleaseRequest, gen: Optional[np.random.Generator] = None
@@ -989,26 +879,3 @@ class ReleaseEngine:
             f"releases={self.releases_completed})"
         )
 
-
-class _CapturingEngine:
-    """An engine view whose ``_execute`` returns a failed release's
-    :class:`~repro.exceptions.ReproError` instead of raising it.
-
-    In-process backends (serial/thread) run tasks by calling
-    ``engine._execute`` directly; handing them this view makes every task
-    outcome land in the reduced result list — so one bad request in a
-    coalesced batch cannot poison the releases queued alongside it.
-    Everything else delegates to the real engine.
-    """
-
-    def __init__(self, engine: ReleaseEngine) -> None:
-        self._engine = engine
-
-    def _execute(self, request: ReleaseRequest, gen=None):
-        try:
-            return self._engine._execute(request, gen)
-        except ReproError as exc:
-            return exc
-
-    def __getattr__(self, name: str):
-        return getattr(self._engine, name)

@@ -119,14 +119,6 @@ class PipelineSpec:
         the escape hatch for callable utilities the registry knows nothing
         about (``None`` defers to registry metadata / the callable's
         ``needs_starting_context`` attribute).
-    backend / workers:
-        Execution backend for requests carrying this spec (registry name:
-        ``serial`` / ``thread`` / ``process``) and its worker count.  The
-        engine honours these for *request-batch fan-out* in ``submit_many``
-        when it was built without an explicit backend (the inner
-        profile-batch fan-out always follows the engine-level backend);
-        execution never changes released contexts — any backend at any
-        worker count is bit-identical to serial for the same seed.
     """
 
     detector: Union[str, OutlierDetector]
@@ -139,8 +131,6 @@ class PipelineSpec:
     sampler_kwargs: Mapping[str, Any] = field(default_factory=dict)
     utility_kwargs: Mapping[str, Any] = field(default_factory=dict)
     utility_needs_start: Optional[bool] = None
-    backend: Optional[str] = None
-    workers: Optional[int] = None
 
     # ----------------------------------------------------------- validation
 
@@ -159,7 +149,6 @@ class PipelineSpec:
         self._validate_detector()
         self._validate_sampler()
         self._validate_utility()
-        self._validate_backend()
 
         if int(self.n_samples) < 1:
             raise SpecError(f"n_samples must be >= 1, got {self.n_samples}")
@@ -208,25 +197,6 @@ class PipelineSpec:
                 f"sampler must be a registry name or a Sampler instance, "
                 f"got {type(self.sampler).__name__}"
             )
-
-    def _validate_backend(self) -> None:
-        if self.backend is not None:
-            # Lazy import: the runtime package registers its backends on
-            # import and never imports this module eagerly.
-            from repro.runtime import available_backends
-
-            key = str(self.backend).lower()
-            if key not in available_backends():
-                raise SpecError(
-                    f"unknown backend {self.backend!r}; "
-                    f"available: {available_backends()}"
-                )
-            object.__setattr__(self, "backend", key)
-        if self.workers is not None:
-            workers = int(self.workers)
-            if workers < 1:
-                raise SpecError(f"workers must be >= 1, got {self.workers}")
-            object.__setattr__(self, "workers", workers)
 
     def _validate_utility(self) -> None:
         if isinstance(self.utility, str):
@@ -324,10 +294,6 @@ class PipelineSpec:
         }
         if self.utility_needs_start is not None:
             out["utility_needs_start"] = self.utility_needs_start
-        if self.backend is not None:
-            out["backend"] = self.backend
-        if self.workers is not None:
-            out["workers"] = self.workers
         return out
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -1,42 +1,32 @@
-"""Kernel-registry equivalence: native, fallback and a pure-Python oracle.
+"""Mask-kernel equivalence against a pure-Python oracle.
 
-The kernel registry in :mod:`repro.bitops` promises that every backend is
-bit-identical: the numpy fallback and the optional numba-compiled backend
-must produce exactly the same population masks, counts and intersections
-for every packed matrix, block layout and selection batch.  Hypothesis
-drives both through a deliberately slow pure-Python reference (so the
-fallback is tested against something other than itself even in numba-free
-environments), across the edge shapes that bit-packing gets wrong first:
-record counts at and around the 64-bit word boundary, empty attribute
-blocks, empty batches, and predicate counts past one word.
+The NumPy batch kernels in :mod:`repro.bitops` must produce exactly the
+population masks, counts and intersections of a deliberately slow
+pure-Python reference for every packed matrix, block layout and selection
+batch.  Hypothesis drives them across the edge shapes that bit-packing gets
+wrong first: record counts at and around the 64-bit word boundary, empty
+attribute blocks, empty batches, and predicate counts past one word.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitops import (
     WORD_BITS,
-    batch_and_of_or_numpy,
+    batch_and_of_or,
+    batch_and_of_or_counts,
     bool_matrix_to_ints,
+    intersect_counts,
     ints_to_bool_matrix,
-    kernel_backend_name,
-    native_kernels_available,
     pack_bool_matrix,
     popcount_rows,
-    set_kernel_backend,
     words_for,
 )
-from repro.bitops import _batch_and_of_or_counts_numpy, _intersect_counts_numpy
 
 ALL_ONES = (1 << 64) - 1
-
-needs_native = pytest.mark.skipif(
-    not native_kernels_available(), reason="numba not installed"
-)
 
 
 # ------------------------------------------------------------------ oracle
@@ -101,7 +91,7 @@ def kernel_instance(draw):
     return packed, np.asarray(offsets), np.asarray(sizes, dtype=np.int64), selection
 
 
-# ------------------------------------------------------- fallback vs oracle
+# --------------------------------------------------------- kernels vs oracle
 
 
 class TestFallbackMatchesOracle:
@@ -110,10 +100,10 @@ class TestFallbackMatchesOracle:
     def test_masks_counts_popcounts(self, instance):
         packed, offsets, sizes, selection = instance
         expected = reference_and_of_or(packed, offsets, sizes, selection)
-        masks = batch_and_of_or_numpy(packed, offsets, sizes, selection)
+        masks = batch_and_of_or(packed, offsets, sizes, selection)
         assert masks.dtype == np.uint64
         assert np.array_equal(masks, expected)
-        counts = _batch_and_of_or_counts_numpy(packed, offsets, sizes, selection)
+        counts = batch_and_of_or_counts(packed, offsets, sizes, selection)
         assert np.array_equal(counts, reference_popcounts(expected))
         assert np.array_equal(popcount_rows(packed), reference_popcounts(packed))
 
@@ -121,12 +111,12 @@ class TestFallbackMatchesOracle:
     @given(kernel_instance())
     def test_intersect_counts(self, instance):
         packed, offsets, sizes, selection = instance
-        masks = batch_and_of_or_numpy(packed, offsets, sizes, selection)
+        masks = batch_and_of_or(packed, offsets, sizes, selection)
         if packed.shape[0]:
             row = packed[0]
         else:
             row = np.zeros(packed.shape[1], dtype=np.uint64)
-        got = _intersect_counts_numpy(masks, row)
+        got = intersect_counts(masks, row)
         expected = np.array(
             [
                 sum((int(a) & int(b)).bit_count() for a, b in zip(m, row))
@@ -135,54 +125,6 @@ class TestFallbackMatchesOracle:
             dtype=np.int64,
         )
         assert np.array_equal(got, expected)
-
-
-# ------------------------------------------------------- native vs fallback
-
-
-@needs_native
-class TestNativeMatchesFallback:
-    @settings(max_examples=60, deadline=None)
-    @given(kernel_instance())
-    def test_all_kernels_bit_identical(self, instance):
-        from repro.data import _kernels
-
-        packed, offsets, sizes, selection = instance
-        sel = np.ascontiguousarray(selection, dtype=bool)
-        expected_masks = batch_and_of_or_numpy(packed, offsets, sizes, sel)
-        assert np.array_equal(
-            _kernels.and_of_or(packed, offsets, sizes, sel), expected_masks
-        )
-        assert np.array_equal(
-            _kernels.and_of_or_counts(packed, offsets, sizes, sel),
-            _batch_and_of_or_counts_numpy(packed, offsets, sizes, sel),
-        )
-        assert np.array_equal(
-            _kernels.popcount_rows(packed), popcount_rows(packed)
-        )
-        if packed.shape[0]:
-            row = np.ascontiguousarray(packed[0])
-            assert np.array_equal(
-                _kernels.intersect_counts(expected_masks, row),
-                _intersect_counts_numpy(expected_masks, row),
-            )
-
-    def test_index_level_identity(self, mini_dataset):
-        """Whole-index population queries agree across backends."""
-        from repro.data.masks import PredicateMaskIndex
-
-        index = PredicateMaskIndex(mini_dataset)
-        rng = np.random.default_rng(9)
-        bits = [int(b) for b in rng.integers(0, 1 << index.t, size=256)]
-        try:
-            set_kernel_backend("fallback")
-            masks_fb = index.population_masks(bits)
-            sizes_fb = index.population_sizes(bits)
-            set_kernel_backend("native")
-            assert np.array_equal(index.population_masks(bits), masks_fb)
-            assert np.array_equal(index.population_sizes(bits), sizes_fb)
-        finally:
-            set_kernel_backend("auto")
 
 
 # ------------------------------------------------------------- conversions
@@ -220,53 +162,6 @@ class TestVectorisedConversions:
         bits = [(1 << 64) - 1, 1 << 63, 0]
         matrix = ints_to_bool_matrix(bits, WORD_BITS)
         assert bool_matrix_to_ints(matrix) == bits
-
-
-# ---------------------------------------------------------------- registry
-
-
-class TestBackendSelection:
-    def test_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("PCOR_NATIVE", "0")
-        try:
-            assert set_kernel_backend("auto") == "fallback"
-            assert kernel_backend_name() == "fallback"
-        finally:
-            monkeypatch.delenv("PCOR_NATIVE")
-            set_kernel_backend("auto")
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("PCOR_NATIVE", "yes please")
-        try:
-            with pytest.raises(RuntimeError, match="PCOR_NATIVE"):
-                set_kernel_backend("auto")
-        finally:
-            monkeypatch.delenv("PCOR_NATIVE")
-            set_kernel_backend("auto")
-
-    def test_unknown_backend_name(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_kernel_backend("simd")
-
-    def test_explicit_fallback_always_works(self):
-        try:
-            assert set_kernel_backend("fallback") == "fallback"
-        finally:
-            set_kernel_backend("auto")
-
-    @pytest.mark.skipif(
-        native_kernels_available(), reason="numba present: native must work"
-    )
-    def test_native_without_numba_raises(self):
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            set_kernel_backend("native")
-
-    @needs_native
-    def test_native_with_numba_selected(self):
-        try:
-            assert set_kernel_backend("native") == "native"
-        finally:
-            set_kernel_backend("auto")
 
     def test_words_for(self):
         assert [words_for(n) for n in (0, 1, 63, 64, 65, 128, 129)] == [

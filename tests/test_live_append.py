@@ -9,6 +9,7 @@ engine built on the extended dataset, the HTTP append route, and the
 process backend's live shared-memory rebind.
 """
 
+import json
 from collections import ChainMap
 
 import numpy as np
@@ -372,6 +373,50 @@ class TestServerAppend:
                 "/v1/datasets/salary/append",
                 {"records": [good], "rows": [good]},
             )
+
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    def test_served_ledger_charges_carry_dataset_version(self, tmp_path, max_batch):
+        """Direct and coalesced releases stamp their WAL charge with the
+        dataset version they were admitted against."""
+        from repro.server import PCORClient, PCORServer, ServerConfig
+
+        dataset = salary_reduced(n_records=self.RECORDS, seed=self.SEED)
+        config = ServerConfig.from_dict(
+            {
+                "server": {
+                    "port": 0,
+                    "ledger": "jsonl",
+                    "ledger_dir": str(tmp_path),
+                },
+                "datasets": {
+                    "salary": {
+                        "source": "salary_reduced",
+                        "records": self.RECORDS,
+                        "seed": self.SEED,
+                        "max_batch": max_batch,
+                    }
+                },
+            }
+        )
+        spec = {
+            "detector": "zscore",
+            "detector_kwargs": ZSCORE_KWARGS,
+            "sampler": "uniform",
+            "epsilon": 0.1,
+            "n_samples": 3,
+        }
+        outlier = self._outlier(dataset)
+        with PCORServer(config) as srv:
+            client = PCORClient(srv.url, tenant="auditor")
+            client.release("salary", record_id=outlier, spec=spec, seed=1)
+            client.append("salary", sample_rows(dataset, 2))
+            client.release("salary", record_id=outlier, spec=spec, seed=2)
+            client.close()
+        wal = (tmp_path / "salary.ledger.jsonl").read_text().splitlines()
+        labels = [json.loads(line)["label"] for line in wal]
+        assert len(labels) == 2
+        assert labels[0].endswith(", dataset_v0)")
+        assert labels[1].endswith(", dataset_v1)")
 
     @staticmethod
     def _outlier(dataset) -> int:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ExecutionError, SpecError
+from repro.exceptions import DatasetError, ExecutionError
 from repro.runtime import (
     ProcessBackend,
     SerialBackend,
@@ -42,6 +42,21 @@ def spec_for(sampler: str, **overrides) -> PipelineSpec:
     return PipelineSpec(**base)
 
 
+def release_key(r):
+    """Everything a release decided, minus cache-dependent counters."""
+    return (
+        r.context.bits,
+        r.utility_value,
+        r.n_candidates,
+        r.algorithm,
+        None if r.starting_context is None else r.starting_context.bits,
+        r.stats.candidates_collected,
+        r.stats.contexts_examined,
+        r.stats.mechanism_invocations,
+        r.stats.steps,
+    )
+
+
 def release_batch(dataset, backend, record_id, sampler, seed, **overrides):
     """One 3-request batch on a fresh engine over ``backend``."""
     engine = ReleaseEngine(dataset, backend=backend)
@@ -52,20 +67,7 @@ def release_batch(dataset, backend, record_id, sampler, seed, **overrides):
             for _ in range(3)
         ]
     )
-    return [
-        (
-            r.context.bits,
-            r.utility_value,
-            r.n_candidates,
-            r.algorithm,
-            None if r.starting_context is None else r.starting_context.bits,
-            r.stats.candidates_collected,
-            r.stats.contexts_examined,
-            r.stats.mechanism_invocations,
-            r.stats.steps,
-        )
-        for r in results
-    ]
+    return [release_key(r) for r in results]
 
 
 @pytest.fixture(scope="module")
@@ -276,88 +278,42 @@ class TestRegistry:
         assert chunk_evenly([1, 2], 8) == [[1], [2]]
 
 
-class TestSpecBackendSelection:
-    def test_spec_backend_field_validated(self):
-        with pytest.raises(SpecError, match="unknown backend"):
-            spec_for("bfs", backend="gpu")
-        with pytest.raises(SpecError, match="workers must be"):
-            spec_for("bfs", backend="thread", workers=0)
+class TestBatchOutcomes:
+    def test_process_task_failure_is_returned_in_place(self):
+        """A release failing inside a process worker comes back as that
+        task's outcome: the other tasks' results are kept, not re-run in
+        the parent, and each counter moves once per task."""
+        from repro.core.verification import OutlierVerifier
+        from repro.data.generators import salary_reduced
 
-    def test_spec_backend_round_trips(self):
-        spec = spec_for("bfs", backend="thread", workers=2)
-        rehydrated = PipelineSpec.from_dict(spec.to_dict())
-        assert rehydrated.backend == "thread" and rehydrated.workers == 2
-
-    def test_spec_backend_drives_batch(self, mini_dataset, mini_outlier):
-        spec = spec_for("bfs", backend="thread", workers=2)
-        engine = ReleaseEngine(mini_dataset)
-        try:
-            gen = np.random.default_rng(4)
-            results = engine.submit_many(
-                [ReleaseRequest(mini_outlier, spec, seed=gen) for _ in range(3)]
-            )
-            assert len(results) == 3
-            metrics = engine.metrics()
-            assert metrics.release_tasks == 3  # ran on the spec's backend
-        finally:
-            engine.close()
-
-    def test_spec_backend_identical_to_serial(self, mini_dataset, mini_outlier):
-        def run(**spec_overrides):
-            engine = ReleaseEngine(mini_dataset)
-            try:
-                gen = np.random.default_rng(21)
-                return [
-                    r.context.bits
-                    for r in engine.submit_many(
-                        [
-                            ReleaseRequest(
-                                mini_outlier,
-                                spec_for("dfs", **spec_overrides),
-                                seed=gen,
-                            )
-                            for _ in range(3)
-                        ]
-                    )
-                ]
-            finally:
-                engine.close()
-
-        assert run(backend="thread", workers=4) == run()
-
-    def test_spec_workers_alone_implies_process(self, mini_dataset, mini_outlier):
-        """A spec asking for workers must never silently run serial."""
-        engine = ReleaseEngine(mini_dataset)
-        try:
-            backend = engine._backend_for(
-                [ReleaseRequest(mini_outlier, spec_for("bfs", workers=2), seed=1)]
-            )
-            assert backend.name == "process" and backend.workers == 2
-        finally:
-            engine.close()
-
-    def test_mixed_spec_backends_rejected(self, mini_dataset, mini_outlier):
-        engine = ReleaseEngine(mini_dataset)
-        requests = [
-            ReleaseRequest(mini_outlier, spec_for("bfs", backend="thread"), seed=1),
-            ReleaseRequest(mini_outlier, spec_for("bfs", backend="serial"), seed=2),
-        ]
-        with pytest.raises(ExecutionError, match="mixes execution backends"):
-            engine.submit_many(requests)
-
-    def test_explicit_engine_backend_wins(self, mini_dataset, mini_outlier):
-        engine = ReleaseEngine(mini_dataset, backend="serial")
-        gen = np.random.default_rng(4)
-        results = engine.submit_many(
-            [
-                ReleaseRequest(
-                    mini_outlier, spec_for("bfs", backend="thread"), seed=gen
-                )
-                for _ in range(2)
-            ]
+        dataset = salary_reduced(n_records=2000, seed=3)
+        spec = spec_for("bfs", n_samples=20)
+        verifier = OutlierVerifier(dataset, spec.build_detector())
+        record = next(
+            rid
+            for rid in map(int, dataset.ids)
+            if verifier.is_matching(dataset.record_bits(rid), rid)
         )
-        assert len(results) == 2
-        assert engine.metrics().backend == "serial"
+        requests = [ReleaseRequest(record, spec, seed=s) for s in range(4)]
+        doomed = ReleaseRequest(10**9, spec, seed=99)
+        backend = ProcessBackend(workers=2)
+        engine = ReleaseEngine(dataset, backend=backend)
+        try:
+            clean = engine.execute_many(requests)
+            before = engine.metrics()
+            outcomes = engine.execute_many(
+                [*requests[:2], doomed, *requests[2:]], return_exceptions=True
+            )
+            after = engine.metrics()
+        finally:
+            engine.close()
+            backend.close()
+        assert isinstance(outcomes[2], DatasetError)
+        kept = [*outcomes[:2], *outcomes[3:]]
+        assert [release_key(r) for r in kept] == [release_key(r) for r in clean]
+        assert after.releases_completed - before.releases_completed == 4
+        assert after.release_tasks - before.release_tasks == 5
+        assert after.fm_evaluations == before.fm_evaluations
 
 
 class TestEngineMetricsPhases:

@@ -14,7 +14,12 @@ import pytest
 
 from repro.core.verification import OutlierVerifier
 from repro.data.generators import salary_reduced
-from repro.exceptions import ContextError, PrivacyBudgetError, ReproError
+from repro.exceptions import (
+    ContextError,
+    ExecutionError,
+    PrivacyBudgetError,
+    ReproError,
+)
 from repro.outliers.zscore import ZScoreDetector
 from repro.server import (
     CoalescerClosed,
@@ -26,6 +31,8 @@ from repro.server import (
     ServerConfig,
     TenantBudgets,
 )
+from repro.runtime import SerialBackend
+from repro.server.http import status_for
 from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
 RECORDS = 300
@@ -130,49 +137,70 @@ class TestGroupingIndependence:
         engine.close()
         assert got == expected
 
+    @pytest.mark.parametrize(
+        "backend, workers",
+        [("serial", None), ("thread", 2), ("process", 2)],
+        ids=["serial", "thread:2", "process:2"],
+    )
     def test_execute_many_isolates_per_request_failures(
-        self, dataset, outlier_record
+        self, dataset, outlier_record, backend, workers
     ):
-        """One doomed request in a batch fails alone; its neighbours
-        release exactly what they would have without it."""
+        """One doomed request in a batch fails alone, the same way on every
+        backend: its neighbours release exactly what they would have
+        without it, and the raising entry points raise its own error."""
         requests = make_requests(outlier_record, 3)
         expected = direct_baseline(dataset, requests)
         doomed = ReleaseRequest(
             record_id=10**9, spec=PipelineSpec.from_dict(SPEC), seed=1
         )
-        engine = ReleaseEngine(dataset)
         batch = [requests[0], doomed, requests[1], requests[2]]
-        outcomes = engine.execute_many(batch, return_exceptions=True)
-        engine.close()
+        with ReleaseEngine(dataset, backend=backend, workers=workers) as engine:
+            outcomes = engine.execute_many(batch, return_exceptions=True)
+            for run in (engine.submit_many, engine.execute_many):
+                with pytest.raises(ContextError):
+                    run(batch)
+            # Every run released all three neighbours of the doomed request.
+            assert engine.metrics().releases_completed == 3 * 3
         assert isinstance(outcomes[1], ContextError)
         got = [strip_timing(o.to_dict()) for o in (outcomes[0], *outcomes[2:])]
         assert got == expected
 
-    def test_execute_many_groups_mixed_backend_specs(
-        self, dataset, outlier_record
-    ):
-        """A batch whose specs name different backends (which submit_many
-        rejects) is partitioned per backend and scattered back into
-        request order — each release identical to a lone submit."""
-        serial_spec = PipelineSpec.from_dict({**SPEC, "backend": "serial"})
-        thread_spec = PipelineSpec.from_dict(
-            {**SPEC, "backend": "thread", "workers": 2}
-        )
-        batch = [
-            ReleaseRequest(record_id=outlier_record, spec=serial_spec, seed=100),
-            ReleaseRequest(record_id=outlier_record, spec=thread_spec, seed=101),
-            ReleaseRequest(record_id=outlier_record, spec=serial_spec, seed=102),
-        ]
-        engine = ReleaseEngine(dataset)
-        got = [r.context.bits for r in engine.execute_many(batch)]
-        engine.close()
+    def test_pool_failure_fails_the_whole_flush(self, dataset, outlier_record):
+        """A pool that dies under a coalesced flush fails every request in
+        it with the pool's ExecutionError (HTTP 422); the server process
+        never re-runs the flush itself."""
 
-        expected = []
-        for request in batch:
-            lone = ReleaseEngine(dataset)
-            expected.append(lone.submit(request).context.bits)
-            lone.close()
-        assert got == expected
+        class DeadPool(SerialBackend):
+            remote = True
+
+            @property
+            def parallel(self):
+                return True
+
+            def run_releases(self, engine, requests, tokens):
+                raise ExecutionError("lost a worker process mid-task")
+
+        engine = ReleaseEngine(dataset, backend=DeadPool())
+        coalescer = ReleaseCoalescer(
+            tenants=TenantBudgets(),
+            engine_for=lambda: engine,
+            max_batch=4,
+            name="salary",
+            autostart=False,
+        )
+        futures = [
+            coalescer.submit(f"t{i}", f"req-{i}", r)
+            for i, r in enumerate(make_requests(outlier_record, 3))
+        ]
+        with pytest.raises(ExecutionError):
+            coalescer.flush_now()
+        for future in futures:
+            with pytest.raises(ExecutionError, match="lost a worker") as excinfo:
+                future.result(timeout=0)
+            assert status_for(excinfo.value) == 422
+        assert engine.metrics().releases_completed == 0
+        coalescer.close()
+        engine.close()
 
     def test_execute_many_raises_without_return_exceptions(
         self, dataset

@@ -193,7 +193,6 @@ class TestTypedErrors:
             # The same spec without the fields is served as usual.
             client.release("salary", record_id=outlier_record, spec=SPEC, seed=1)
             client.close()
-            assert srv.registry.get("salary").engine._spec_backends == {}
 
     def test_malformed_body_is_400(self, server):
         request = urllib.request.Request(
