@@ -7,6 +7,9 @@ table benches, which run whole experiments once):
 * batch vs scalar population-size kernels (the batched-engine speedup),
 * LOF / Grubbs / Histogram scoring on a realistic population,
 * LOF's window kernel on metric-ordered populations vs the seed path,
+* record-scoped LOF verdicts (a record's metric-order window) vs full
+  profiles over the populations of one cold release, plus a stream of
+  lone releases on one long-lived engine,
 * Exponential-mechanism selection over a large candidate pool,
 * one full BFS release on a warmed verifier,
 * release_many vs fresh-instance releases (profile-store amortisation).
@@ -142,6 +145,166 @@ def test_detector_kernels(emit):
         ],
     )
     assert speedup >= 1.5, f"window kernel only {speedup:.2f}x faster than lof_scores"
+
+
+def test_record_scoped_verdicts(emit, monkeypatch):
+    """Record-scoped LOF verdicts vs full profiles over one cold release.
+
+    Pinned setting (ignores ``PCOR_BENCH_SCALE``): k = 10 LOF on the
+    20k-record ``salary_reduced`` dataset, over the distinct containing
+    contexts one full-quota BFS release (50 samples, epsilon 0.2) asks
+    ``f_M`` about — the first exact-context outlier in id order whose
+    release fills its quota.  A cold verifier answers every context twice:
+    the full path scores the whole population (``profiles(bits)``), the
+    record-scoped path the record's window (``profiles(bits,
+    record_id=...)``).  Verdicts are asserted identical before any timing.
+    The values the verifier hands the detector on each path are recorded;
+    their sizes are deterministic counts, and the gated detector-only
+    ratio times the detector on exactly those inputs.  Per-context times
+    are best of three cold passes.
+
+    A long-lived engine then releases 20 distinct exact-context outliers
+    one request at a time: lone releases store record-scoped verdicts, so
+    no release reads another's.  Its per-release time and ``f_M`` runs
+    track that side of the trade-off.
+    """
+    from repro.core.verification import OutlierVerifier
+    from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
+
+    dataset = salary_reduced(n_records=20_000, seed=7)
+    index = PredicateMaskIndex(dataset)
+    detector = LOFDetector(**DETECTOR_KWARGS["lof"])
+    spec = PipelineSpec(
+        detector=detector, sampler="bfs", n_samples=50, epsilon=0.2,
+        utility="population_size",
+    )
+    probe = OutlierVerifier(dataset, detector, mask_index=index)
+    outliers = [
+        rid for rid in map(int, dataset.ids)
+        if probe.is_matching(dataset.record_bits(rid), rid)
+    ]
+    contexts: list = []
+    for rid in outliers:
+        rbits = dataset.record_bits(rid)
+        with ReleaseEngine(dataset, mask_index=index, backend="serial") as engine:
+            verifier = engine.verifier_for(detector)
+            asked: dict = {}
+            many, one = verifier.is_matching_many, verifier.is_matching
+
+            def record_many(bits_seq, record_id, many=many, asked=asked, rbits=rbits):
+                bits_seq = list(bits_seq)
+                asked.update((b, None) for b in bits_seq if (rbits & b) == rbits)
+                return many(bits_seq, record_id)
+
+            def record_one(bits, record_id, one=one, asked=asked, rbits=rbits):
+                if (rbits & bits) == rbits:
+                    asked[bits] = None
+                return one(bits, record_id)
+
+            verifier.is_matching_many, verifier.is_matching = record_many, record_one
+            result = engine.submit(ReleaseRequest(record_id=rid, spec=spec, seed=0))
+        if result.n_candidates == 50:
+            contexts = list(asked)
+            break
+    assert contexts, "no exact-context outlier fills a 50-sample BFS quota"
+
+    # One cold pass per path, recording what the verifier hands the detector.
+    handed: list = []
+    original = LOFDetector.outlier_positions
+
+    def recording(self, values):
+        handed.append(np.array(values))
+        return original(self, values)
+
+    monkeypatch.setattr(LOFDetector, "outlier_positions", recording)
+    full_profiles = OutlierVerifier(dataset, detector, mask_index=index).profiles(
+        contexts
+    )
+    populations, handed[:] = handed[:], []
+    scoped = OutlierVerifier(dataset, detector, mask_index=index).profiles(
+        contexts, record_id=rid
+    )
+    windows = handed[:]
+    monkeypatch.undo()
+    assert [rid in p[1] for p in scoped] == [rid in p[1] for p in full_profiles]
+    assert [p[0] for p in scoped] == [p[0] for p in full_profiles]
+    scanned_full = int(sum(v.size for v in populations))
+    scanned_scoped = int(sum(v.size for v in windows))
+
+    def cold_pass(record_id):
+        def run():
+            verifier = OutlierVerifier(dataset, detector, mask_index=index)
+            return verifier.profiles(contexts, record_id=record_id)
+
+        return run
+
+    t_full, _ = _best_of_three(cold_pass(None))
+    t_scoped, _ = _best_of_three(cold_pass(rid))
+    t_det_full, _ = _best_of_three(
+        lambda: [detector.outlier_positions(v) for v in populations]
+    )
+    t_det_window, _ = _best_of_three(
+        lambda: [detector.outlier_positions(v) for v in windows]
+    )
+    n = len(contexts)
+    full_ms, scoped_ms = t_full * 1000.0 / n, t_scoped * 1000.0 / n
+    det_full_ms, det_window_ms = t_det_full * 1000.0 / n, t_det_window * 1000.0 / n
+    speedup = t_det_full / t_det_window
+
+    stream = outliers[:20]
+    assert len(stream) == 20, "too few exact-context outliers for the stream"
+    with ReleaseEngine(dataset, mask_index=index, backend="serial") as engine:
+        t0 = time.perf_counter()
+        for i, stream_rid in enumerate(stream):
+            engine.submit(ReleaseRequest(record_id=stream_rid, spec=spec, seed=i))
+        long_lived_ms = (time.perf_counter() - t0) * 1000.0 / len(stream)
+        long_lived_runs = engine.metrics().fm_evaluations
+
+    harness = load_harness()
+    emit(
+        "bench_record_scoped_verdicts",
+        f"LOF k={detector.k} verdicts per context (n=20000 records, record {rid}, "
+        f"{n} contexts of one cold release)\n"
+        f"  full profile    : {full_ms:8.3f} ms  (detector {det_full_ms:8.3f} ms, "
+        f"{scanned_full} values)\n"
+        f"  record-scoped   : {scoped_ms:8.3f} ms  (detector {det_window_ms:8.3f} ms, "
+        f"{scanned_scoped} values)\n"
+        f"  detector speedup: {speedup:8.2f}x\n"
+        f"  long-lived engine, {len(stream)} lone releases of distinct records: "
+        f"{long_lived_ms:8.1f} ms/release, {long_lived_runs} f_M runs",
+        metrics=[
+            harness.metric("full_verdict_ms", full_ms, "ms"),
+            harness.metric(
+                "record_scoped_verdict_ms", scoped_ms, "ms",
+                direction="lower", tolerance=0.5,
+            ),
+            harness.metric("detector_full_ms", det_full_ms, "ms"),
+            harness.metric("detector_window_ms", det_window_ms, "ms"),
+            harness.metric(
+                "detector_speedup", speedup, "x", direction="higher", tolerance=0.5
+            ),
+            # Deterministic: the values the verifier handed the detector.
+            harness.metric(
+                "records_scanned_full", scanned_full, "count",
+                direction="lower", tolerance=0.01,
+            ),
+            harness.metric(
+                "records_scanned_record_scoped", scanned_scoped, "count",
+                direction="lower", tolerance=0.01,
+            ),
+            harness.metric("contexts", n, "count"),
+            harness.metric(
+                "long_lived_release_ms", long_lived_ms, "ms",
+                direction="lower", tolerance=0.5,
+            ),
+            # Deterministic: fixed records, seeds and serial execution.
+            harness.metric(
+                "long_lived_fm_runs", long_lived_runs, "count",
+                direction="lower", tolerance=0.01,
+            ),
+        ],
+    )
+    assert speedup >= 2.0, f"window detector only {speedup:.2f}x faster than full"
 
 
 def test_population_sizes_batch_vs_scalar(benchmark, emit):

@@ -72,6 +72,7 @@ BENCHES: Dict[str, Dict[str, Any]] = {
             "release_many_amortisation",
             "append_incremental",
             "detector_kernels",
+            "record_scoped_verdicts",
         ],
     },
     "server_throughput": {

@@ -1,11 +1,11 @@
-"""Batched read-through memoisation shared by the engine's cache layers.
+"""Batched read-through memoisation for the engine's cache layers.
 
-Both the verifier (context profiles in a :class:`ProfileStore`) and the
-overlap utility (intersection sizes in a plain dict) answer batches of keyed
-queries the same way: serve cached keys, deduplicate the distinct misses,
+The overlap utility (intersection sizes in a plain dict) answers batches of
+keyed queries this way: serve cached keys, deduplicate the distinct misses,
 compute those in one batched pass, then fan the results back out to every
-slot that asked.  :func:`gather_batched` is that coordination loop, written
-once.
+slot that asked.  :func:`gather_batched` is that coordination loop.  The
+verifier follows the same steps but reads its :class:`ProfileStore` in one
+locked batch (:meth:`ProfileStore.get_many`) instead of key by key.
 """
 
 from __future__ import annotations

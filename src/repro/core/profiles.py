@@ -5,15 +5,30 @@ ids — is the unit of work the verifier memoises: computing one costs a
 population-mask pass plus an uncached detector run, the dominant cost of the
 whole pipeline (the paper's ``f_M`` query).  This module provides
 
-* :class:`ProfileStore` — a bounded LRU map ``context bits -> profile`` with
-  hit/miss/eviction counters for the experiment harness, and
+* :class:`ProfileStore` — a bounded LRU map with hit/miss/eviction counters
+  for the experiment harness, and
 * :func:`shared_profile_store` — a process-wide registry handing out one
   store per ``(dataset, detector)`` pair, so any number of ``PCOR``
   instances (and their verifiers) built over the same data share detector
   work instead of each rebuilding the cache from scratch.
 
-Sharing is read-or-extend only — profiles are immutable values keyed by the
-context bitmask — so cross-instance sharing cannot change any computed
+A store holds two kinds of entry, in one LRU order and under one capacity:
+
+* **full profiles**, keyed by the context bitmask ``bits``: every outlier
+  of the population, so they answer any record's question and every
+  record-free read;
+* **record-scoped profiles**, keyed ``(bits, record_id)``: the population
+  size plus ``{record_id}`` if that record is an outlier there, else the
+  empty set.  The verifier writes them for detectors with a finite
+  ``locality`` (see :mod:`repro.core.verification`); they answer only
+  their own record, through :meth:`ProfileStore.get_for_record` and
+  :meth:`ProfileStore.get_many` with a ``record_id``, which also read a
+  full profile of the same context.  Record-free reads
+  (:meth:`ProfileStore.get`, ``get_many`` without a record, ``in``,
+  :meth:`ProfileStore.peek`) never see them.
+
+Sharing is read-or-extend only — profiles are immutable values keyed by
+context (and record) — so cross-instance sharing cannot change any computed
 answer, only skip recomputation.  Registry entries are dropped automatically
 when their dataset is garbage-collected.
 """
@@ -23,7 +38,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +47,8 @@ from repro.outliers.base import OutlierDetector
 
 #: (population size, frozenset of outlier record ids)
 ContextProfile = Tuple[int, FrozenSet[int]]
+#: ``bits`` for a full profile, ``(bits, record_id)`` for a record-scoped one.
+ProfileKey = Union[int, Tuple[int, int]]
 
 #: Default bound on profiles kept per store.  A profile is a couple of
 #: machine words plus a (usually tiny) frozenset, so the default allows
@@ -41,7 +58,7 @@ DEFAULT_CAPACITY = 1_000_000
 
 
 class ProfileStore:
-    """Bounded LRU map from context bitmask to :data:`ContextProfile`.
+    """Bounded LRU map from :data:`ProfileKey` to :data:`ContextProfile`.
 
     Thread-safe: every operation holds the store's lock, so concurrent
     engine callers (the thread execution backend in particular) can never
@@ -55,7 +72,7 @@ class ProfileStore:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._profiles: "OrderedDict[int, ContextProfile]" = OrderedDict()
+        self._profiles: "OrderedDict[ProfileKey, ContextProfile]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -67,7 +84,7 @@ class ProfileStore:
     # ------------------------------------------------------------------ core
 
     def get(self, bits: int) -> Optional[ContextProfile]:
-        """Cached profile of ``bits`` or ``None``; counts the hit/miss."""
+        """Cached full profile of ``bits`` or ``None``; counts the hit/miss."""
         with self._lock:
             profile = self._profiles.get(bits)
             if profile is None:
@@ -76,6 +93,52 @@ class ProfileStore:
             self.hits += 1
             self._profiles.move_to_end(bits)
             return profile
+
+    def get_for_record(self, bits: int, record_id: int) -> Optional[ContextProfile]:
+        """A profile answering whether ``record_id`` is an outlier in
+        ``bits``: the full profile if cached, else the record-scoped one,
+        else ``None``.  Counts one hit or one miss."""
+        with self._lock:
+            key: ProfileKey = bits
+            profile = self._profiles.get(key)
+            if profile is None:
+                key = (bits, record_id)
+                profile = self._profiles.get(key)
+                if profile is None:
+                    self.misses += 1
+                    return None
+            self.hits += 1
+            self._profiles.move_to_end(key)
+            return profile
+
+    def get_many(
+        self, keys: Sequence[int], record_id: Optional[int] = None
+    ) -> List[Optional[ContextProfile]]:
+        """:meth:`get` of every key of a batch under one lock acquisition,
+        or :meth:`get_for_record` of every key with ``record_id``; ``None``
+        marks a miss.  Counts one hit per key answered and one miss per
+        *distinct* key missed, so a key repeated in the batch costs one
+        miss however often it repeats."""
+        out: List[Optional[ContextProfile]] = []
+        missed = set()
+        hits = 0
+        with self._lock:
+            profiles = self._profiles
+            for bits in keys:
+                key: ProfileKey = bits
+                profile = profiles.get(key)
+                if profile is None and record_id is not None:
+                    key = (bits, record_id)
+                    profile = profiles.get(key)
+                if profile is None:
+                    missed.add(bits)
+                else:
+                    hits += 1
+                    profiles.move_to_end(key)
+                out.append(profile)
+            self.hits += hits
+            self.misses += len(missed)
+        return out
 
     def peek(self, bits: int) -> Optional[ContextProfile]:
         """Like :meth:`get` but without touching counters or LRU order."""
@@ -87,8 +150,13 @@ class ProfileStore:
         bits: int,
         profile: ContextProfile,
         version: Optional[int] = None,
+        record_id: Optional[int] = None,
     ) -> None:
         """Insert (or refresh) a profile, evicting the LRU entry if full.
+
+        With ``record_id`` the profile is record-scoped: stored under
+        ``(bits, record_id)`` and readable only by that record's reads
+        (:meth:`get_for_record`, :meth:`get_many` with ``record_id``).
 
         ``version`` is the dataset version the profile was computed against
         (see :meth:`invalidate_matching`); a put stamped with a version
@@ -102,8 +170,9 @@ class ProfileStore:
             if version is not None and version != self._version:
                 self.stale_puts += 1
                 return
-            self._profiles[bits] = profile
-            self._profiles.move_to_end(bits)
+            key: ProfileKey = bits if record_id is None else (bits, record_id)
+            self._profiles[key] = profile
+            self._profiles.move_to_end(key)
             while len(self._profiles) > self.capacity:
                 self._profiles.popitem(last=False)
                 self.evictions += 1
@@ -122,7 +191,8 @@ class ProfileStore:
         ``record_bits_seq`` holds the exact-context bitmasks of the
         appended records.  A cached profile is stale iff its context's
         population could have changed — iff the context *contains* some
-        appended record, i.e. ``(record_bits & key) == record_bits``.
+        appended record, i.e. ``(record_bits & bits) == record_bits`` for
+        the context ``bits`` of its key (full or record-scoped alike).
         Every other profile (and there are typically vastly more) survives
         the append untouched, which is the point of incremental updates.
 
@@ -133,11 +203,11 @@ class ProfileStore:
         bits_list = [int(b) for b in record_bits_seq]
         with self._lock:
             self._version = max(self._version, int(version))
-            stale = [
-                key
-                for key in self._profiles
-                if any((rbits & key) == rbits for rbits in bits_list)
-            ]
+            stale = []
+            for key in self._profiles:
+                bits = key[0] if key.__class__ is tuple else key
+                if any((rbits & bits) == rbits for rbits in bits_list):
+                    stale.append(key)
             for key in stale:
                 del self._profiles[key]
             self.invalidations += len(stale)

@@ -102,8 +102,9 @@ class PopulationSizeUtility(UtilityFunction):
 
     def _raw_scores(self, bits_list: List[int]) -> np.ndarray:
         # Matching contexts were just profiled by the matching pass, so this
-        # is pure cache reads.
-        profiles = self.verifier.profiles(bits_list)
+        # is pure cache reads — record-bound, like that pass, so they also
+        # hit record-scoped profiles.
+        profiles = self.verifier.profiles(bits_list, record_id=self.record_id)
         return np.array([p[0] for p in profiles], dtype=np.float64)
 
 

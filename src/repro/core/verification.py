@@ -2,23 +2,48 @@
 
 ``f_M`` answers "is record V an outlier in the population selected by
 context C?".  Every sampler, the enumerator and both utility functions ask
-this question about overlapping sets of contexts, so the verifier computes a
-*context profile* — population size plus the full set of outlier record ids
-— once per context bitmask and memoises it in a :class:`ProfileStore`.
-This mirrors the paper's reference-file trick (Section 6.2) at the
-granularity of a run (private store) or a whole process (shared store, see
-:func:`repro.core.profiles.shared_profile_store`).
+this question about overlapping sets of contexts, so the verifier memoises
+its answers in a :class:`ProfileStore`, in one of two forms:
+
+* a **full profile** — population size plus the full set of outlier record
+  ids — computed once per context bitmask.  It answers any record's
+  question and every record-free read (:meth:`OutlierVerifier.context_profile`,
+  :meth:`~OutlierVerifier.outlier_ids`, the reference file).  This mirrors
+  the paper's reference-file trick (Section 6.2) at the granularity of a
+  run (private store) or a whole process (shared store, see
+  :func:`repro.core.profiles.shared_profile_store`).
+* a **record-scoped profile** — population size plus ``{V}`` or nothing —
+  for detectors that declare a finite
+  :attr:`~repro.outliers.base.OutlierDetector.locality` ``s``.  A
+  record-bound read (:meth:`~OutlierVerifier.is_matching`,
+  :meth:`~OutlierVerifier.is_matching_many`, ``profiles(...,
+  record_id=V)``) that misses the store runs the detector only on V's
+  window of the population in metric order, the ``max(s,
+  min_population)`` members on each side of V, so it costs O(s) detector
+  work instead of O(population).  The verdict is the full profile's, bit
+  for bit (see :mod:`repro.outliers.lof`).
+
+A record-scoped profile cannot answer a second record, so a record-bound
+miss is computed as a full profile instead whenever another record could
+read it: while the running release is one of a batch of several records'
+releases.  The release engine sets that (:attr:`OutlierVerifier.in_batch`)
+in the verifier's thread-local state for the duration of a release; a lone
+release is never in a batch.  The flag can change which path computes a
+verdict, never the verdict.  The trade-off: on a long-lived store, separate
+releases of different records no longer share verdicts on contexts they
+both ask about, and the store holds one entry per (context, record) asked.
 
 The core entry point is batched: :meth:`OutlierVerifier.profiles` partitions
 a batch of contexts into cached and uncached, evaluates all uncached
 population masks in one word-wise pass through the bit-packed
 :class:`~repro.data.masks.PredicateMaskIndex`, then runs the detector once
-per distinct uncached context — on the population's values in metric
-order when the detector is ``sorted_input``, so it never sorts them.
-:meth:`is_matching_many` layers the paper's matching-context test on top,
-short-circuiting non-containing contexts with pure bit tests so they never
-touch the detector.  The scalar APIs (``context_profile``, ``is_matching``
-...) are thin wrappers over the batch kernels.
+per distinct uncached context — on the population's values (or V's
+window of them) in metric order when the detector is ``sorted_input``, so
+it never sorts them.  :meth:`is_matching_many` layers the paper's
+matching-context test on top, short-circuiting non-containing contexts with
+pure bit tests so they never touch the detector.  The scalar APIs
+(``context_profile``, ``is_matching`` ...) are thin wrappers over the batch
+kernels.
 
 The profile also powers both utility functions for free: population size is
 the first profile component, and outlier-membership is a set lookup.
@@ -32,7 +57,6 @@ from typing import FrozenSet, List, Optional, Sequence
 import numpy as np
 
 from repro.bitops import popcount_rows
-from repro.core.memo import gather_batched
 from repro.core.profiles import ContextProfile, ProfileStore
 from repro.data.masks import PredicateMaskIndex
 from repro.data.table import Dataset
@@ -84,17 +108,42 @@ class OutlierVerifier:
         return getattr(self._local, "fm_evaluations", 0)
 
     @property
+    def in_batch(self) -> bool:
+        """Whether the release running on this thread is one of a batch of
+        several records' releases.
+
+        Thread-local like :attr:`local_fm_evaluations`: the release engine
+        sets it around each release and clears it afterwards.  In a batch,
+        a record-bound miss is computed as a full profile, which the other
+        records of the batch can read; outside one it is record-scoped.
+        """
+        return getattr(self._local, "in_batch", False)
+
+    @in_batch.setter
+    def in_batch(self, value: bool) -> None:
+        self._local.in_batch = bool(value)
+
+    @property
     def schema(self):
         return self.dataset.schema
 
     # ------------------------------------------------------------------ core
 
-    def profiles(self, bits_seq: Sequence[int]) -> List[ContextProfile]:
+    def profiles(
+        self, bits_seq: Sequence[int], record_id: Optional[int] = None
+    ) -> List[ContextProfile]:
         """Profiles of a whole batch of contexts (one entry per input).
 
-        Cached contexts are answered from the store; the distinct uncached
-        ones share a single batched population-mask pass, then get one
-        detector run each over their population's metric values.
+        Cached contexts are answered from the store in one locked batch
+        read; the distinct uncached ones share a single batched
+        population-mask pass, then get one detector run each over their
+        population's metric values.
+
+        With ``record_id`` the read is record-bound: the caller only asks
+        whether that record is an outlier, so an entry may be a cached full
+        profile or a record-scoped one (its outlier set is ``{record_id}``
+        or empty; see the module docstring).  Without it every entry is a
+        full profile.
 
         Every store write is stamped with the dataset version captured at
         batch entry: if an append lands mid-batch, the computed profiles
@@ -103,13 +152,19 @@ class OutlierVerifier:
         profile for a dataset that no longer exists.
         """
         version = self.masks.dataset_version
-        store = self.profile_store
-        return gather_batched(
-            [int(b) for b in bits_seq],
-            store.get,
-            lambda bits, profile: store.put(bits, profile, version=version),
-            self._compute_profiles,
-        )
+        keys = [int(b) for b in bits_seq]
+        rid = None if record_id is None else int(record_id)
+        out = self.profile_store.get_many(keys, rid)
+        misses = list(dict.fromkeys(b for b, p in zip(keys, out) if p is None))
+        if not misses:
+            return out
+        found = dict(zip(misses, self._answer_misses(misses, rid, version)))
+        return [found[b] if p is None else p for b, p in zip(keys, out)]
+
+    def _count_runs(self, n: int) -> None:
+        with self._counter_lock:
+            self.fm_evaluations += n
+        self._local.fm_evaluations = self.local_fm_evaluations + n
 
     def _compute_profiles(self, misses: List[int]) -> List[ContextProfile]:
         """Profile the distinct uncached contexts of one batch.
@@ -119,9 +174,7 @@ class OutlierVerifier:
         else — and any batch arriving from inside a backend worker task —
         computes inline via :meth:`_profile_chunk`.
         """
-        with self._counter_lock:
-            self.fm_evaluations += len(misses)
-        self._local.fm_evaluations = self.local_fm_evaluations + len(misses)
+        self._count_runs(len(misses))
         backend = self.backend
         if (
             backend is not None
@@ -131,6 +184,36 @@ class OutlierVerifier:
         ):
             return backend.run_profiles(self, misses)
         return self._profile_chunk(misses)
+
+    def _answer_misses(
+        self, misses: List[int], record_id: Optional[int], version: int
+    ) -> List[ContextProfile]:
+        """Compute and store the distinct uncached contexts of one read.
+
+        A record-bound read (``record_id`` set) of a detector with a
+        ``locality``, outside a batch (:attr:`in_batch`), gets
+        record-scoped profiles, computed inline by :meth:`_record_chunk`
+        and stored under ``(bits, record_id)``.  Everything else gets full
+        profiles (fanned out by :meth:`_compute_profiles`), stored under
+        ``bits``, where any record can read them.  Each miss counts one
+        ``f_M`` run either way.
+        """
+        scoped = (
+            record_id is not None
+            and self.detector.locality is not None
+            and not self.in_batch
+        )
+        if scoped:
+            self._count_runs(len(misses))
+            computed = self._record_chunk(misses, record_id)
+        else:
+            computed = self._compute_profiles(misses)
+        store = self.profile_store
+        for bits, profile in zip(misses, computed):
+            store.put(
+                bits, profile, version=version, record_id=record_id if scoped else None
+            )
+        return computed
 
     def _profile_chunk(self, misses: List[int]) -> List[ContextProfile]:
         """Profile one chunk of uncached contexts.
@@ -142,27 +225,75 @@ class OutlierVerifier:
         metric values all describe the same dataset even if an append
         commits mid-chunk."""
         snap = self.masks.snapshot()
-        packed = self.masks.population_masks(misses, snapshot=snap)
-        pops = popcount_rows(packed)
-        n_records = len(snap.dataset)
         ids = snap.dataset.ids
         metric = snap.dataset.metric
         # Detectors that sort their input get each population already in
         # metric order, so they never sort per population.
         order = snap.dataset.metric_order() if self.detector.sorted_input else None
         computed: List[ContextProfile] = []
-        for k in range(len(misses)):
-            pop = int(pops[k])
+        for pop, positions in self._populations(misses, snap, order):
             if pop == 0:
                 computed.append((0, frozenset()))
             else:
-                positions = self.masks.positions_from_packed(
-                    packed[k], n_records=n_records, order=order
-                )
                 outlier_pos = self.detector.outlier_positions(metric[positions])
                 computed.append(
                     (pop, frozenset(int(ids[positions[p]]) for p in outlier_pos))
                 )
+        return computed
+
+    def _populations(self, misses: List[int], snap, order):
+        """``(population size, row positions)`` per context, from one
+        batched mask pass against ``snap``; positions come in ``order``
+        (see :meth:`PredicateMaskIndex.positions_from_packed`) and are
+        ``None`` for an empty population."""
+        packed = self.masks.population_masks(misses, snapshot=snap)
+        n_records = len(snap.dataset)
+        for row, pop in zip(packed, popcount_rows(packed)):
+            pop = int(pop)
+            positions = (
+                self.masks.positions_from_packed(row, n_records=n_records, order=order)
+                if pop
+                else None
+            )
+            yield pop, positions
+
+    def _record_chunk(
+        self, misses: List[int], record_id: int
+    ) -> List[ContextProfile]:
+        """Record-scoped profiles of uncached contexts (a locality detector).
+
+        The mask pass and the metric-ordered positions are shared with
+        :meth:`_profile_chunk` (:meth:`_populations`); the detector then
+        runs only on the record's window, the ``s = max(locality,
+        min_population)`` population members on each side of it (fewer
+        where the population ends).  The window holds at least
+        ``min_population`` values whenever the population does, so the
+        detector's verdict on the record is its verdict over the whole
+        population.  Like :meth:`_profile_chunk`, no counters and no cache
+        writes, and one snapshot for the whole chunk.
+        """
+        detector = self.detector
+        reach = max(detector.locality, detector.min_population)
+        snap = self.masks.snapshot()
+        dataset = snap.dataset
+        if not dataset.has_record(record_id):
+            raise VerificationError(f"record {record_id} not in dataset")
+        metric = dataset.metric
+        slot = dataset.position_of(record_id)
+        flagged = frozenset((record_id,))
+        computed: List[ContextProfile] = []
+        for pop, positions in self._populations(misses, snap, dataset.metric_order()):
+            verdict: FrozenSet[int] = frozenset()
+            if pop:
+                at = np.flatnonzero(positions == slot)
+                if at.size:
+                    i = int(at[0])
+                    lo = max(0, i - reach)
+                    window = positions[lo : i + reach + 1]
+                    found = detector.outlier_positions(metric[window])
+                    if (found == i - lo).any():
+                        verdict = flagged
+            computed.append((pop, verdict))
         return computed
 
     def context_profile(self, bits: int) -> ContextProfile:
@@ -176,9 +307,7 @@ class OutlierVerifier:
         if cached is not None:
             return cached
         version = self.masks.dataset_version
-        profile = self._compute_profiles([bits])[0]
-        self.profile_store.put(bits, profile, version=version)
-        return profile
+        return self._answer_misses([bits], None, version)[0]
 
     def population_size(self, bits: int) -> int:
         return self.context_profile(bits)[0]
@@ -207,8 +336,10 @@ class OutlierVerifier:
         ]
         out = np.zeros(len(bits_list), dtype=bool)
         if containing:
-            profiles = self.profiles([bits_list[i] for i in containing])
             rid = int(record_id)
+            profiles = self.profiles(
+                [bits_list[i] for i in containing], record_id=rid
+            )
             for i, profile in zip(containing, profiles):
                 out[i] = rid in profile[1]
         return out
@@ -228,7 +359,12 @@ class OutlierVerifier:
         record_bits = self.dataset.record_bits(record_id)
         if (record_bits & bits) != record_bits:
             return False
-        return int(record_id) in self.context_profile(bits)[1]
+        bits, rid = int(bits), int(record_id)
+        profile = self.profile_store.get_for_record(bits, rid)
+        if profile is None:
+            version = self.masks.dataset_version
+            profile = self._answer_misses([bits], rid, version)[0]
+        return rid in profile[1]
 
     # --------------------------------------------------------------- plumbing
 

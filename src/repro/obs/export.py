@@ -48,7 +48,7 @@ _DATASET_COUNTERS = (
     ("fm_evaluations", "pcor_fm_evaluations_total",
      "Detector (f_M) evaluations performed."),
     ("fm_queries", "pcor_fm_queries_total",
-     "Detector query batches issued."),
+     "f_M questions asked, cached or not."),
     ("release_tasks", "pcor_release_tasks_total",
      "Release tasks dispatched to the runtime backend."),
     ("profile_tasks", "pcor_profile_tasks_total",

@@ -9,12 +9,18 @@ detectors therefore implement a single method,
 Determinism matters: the privacy analysis conditions on
 ``COE_M(D1, V) = COE_M(D2, V)``, which is only meaningful when the detector
 itself has no randomness.  Detectors must not read any RNG.
+
+A detector may also declare a finite :attr:`OutlierDetector.locality`: the
+verdict on one value then depends only on the ``locality`` values on each
+side of it in metric order.  The verifier uses that to answer a
+record-bound question ("is V an outlier here?") from V's window of the
+population instead of the whole population.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -41,6 +47,14 @@ class OutlierDetector(ABC):
     #: equal values keep record order).  Detectors whose answer depends on
     #: element order (floating-point ``mean``/``std``) must leave it False.
     sorted_input: bool = False
+
+    #: ``s`` when whether a value is an outlier depends only on the ``s``
+    #: nearest population members on each side of it in metric order, so
+    #: that ``outlier_positions`` over a population's ascending values and
+    #: over the slice reaching ``max(s, min_population)`` positions either
+    #: side of a value agree on that value.  ``None`` (the default): the
+    #: verdict may depend on the whole population.
+    locality: Optional[int] = None
 
     def __init__(self, min_population: int = 10):
         if min_population < 1:

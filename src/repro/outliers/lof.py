@@ -48,6 +48,25 @@ holds:
 It also declines when the values' spread overflows.  Outlier positions are
 therefore exactly those of ``lof_scores(values, k) > threshold`` for every
 finite input, in any order.
+
+**Locality.**  :class:`LOFDetector` declares ``locality = 3 * k``: in
+ascending order, whether a value is an outlier depends only on the ``3k``
+values on each side of it.
+
+* ``N_k(p)`` lies within ``k`` sorted positions of ``p``: the ``k``
+  nearest values of a sorted point are a contiguous run around it.
+* ``lrd(o)`` for ``o`` in ``N_k(p)`` needs ``N_k(o)`` and the k-distances
+  of its members: the members lie within ``2k`` of ``p``, and their
+  k-distances read values out to ``3k``.
+* ``LOF(p)`` reads those densities plus ``lrd(p)``, so ``3k`` positions
+  either side are all it needs.
+
+On the slice of ascending values reaching ``3k`` positions either side of
+``p`` (clipped where the population ends), ``lof_scores`` compares the
+same floats under the same positional tie rule as on the whole
+population, so it gives ``p`` the bit-identical score.  The verifier
+exploits this for record-bound questions (see
+:mod:`repro.core.verification`).
 """
 
 from __future__ import annotations
@@ -233,6 +252,11 @@ class LOFDetector(OutlierDetector):
         super().__init__(min_population=max(min_population, floor))
         self.k = int(k)
         self.threshold = float(threshold)
+
+    @property
+    def locality(self) -> int:
+        """``3 * k`` sorted positions either side (see the module docstring)."""
+        return 3 * self.k
 
     def _outlier_positions(self, values: np.ndarray) -> np.ndarray:
         order = None

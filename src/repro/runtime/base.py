@@ -174,7 +174,10 @@ class ExecutionBackend(ABC):
         ``engine`` is the :class:`~repro.service.engine.ReleaseEngine` the
         batch was submitted to; in-process backends call its release core
         (``engine._outcome``) directly, the process backend ships
-        self-contained task payloads to workers that call their own.
+        self-contained task payloads to workers that call their own.  Every
+        task gets the batch's flag, ``engine._in_batch(requests)`` (see
+        :meth:`ReleaseEngine.execute_many
+        <repro.service.engine.ReleaseEngine.execute_many>`).
         """
 
     @abstractmethod

@@ -353,6 +353,7 @@ class ProcessBackend(ExecutionBackend):
         pool, shm_ref = self._ensure_bound(
             engine.dataset, engine.masks, engine.profile_capacity
         )
+        in_batch = engine._in_batch(requests)
         payloads = []
         for request, token in zip(requests, tokens):
             start = request.starting_context
@@ -366,6 +367,7 @@ class ProcessBackend(ExecutionBackend):
                     "spec": self._shippable_spec(request.spec),
                     "starting_bits": starting_bits,
                     "seed": token,
+                    "in_batch": in_batch,
                     # Sampled traces ship id + clock origin so worker spans
                     # land on the parent's timeline (CLOCK_MONOTONIC is
                     # system-wide); unsampled requests ship nothing.

@@ -27,8 +27,9 @@ class SerialBackend(ExecutionBackend):
 
     def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:
         t0 = time.perf_counter()
+        in_batch = engine._in_batch(requests)
         outcomes = [
-            engine._outcome(request, rng_from_token(token))
+            engine._outcome(request, rng_from_token(token), in_batch)
             for request, token in zip(requests, tokens)
         ]
         self._count(releases=len(outcomes), wall=time.perf_counter() - t0)

@@ -65,8 +65,11 @@ class ThreadBackend(ExecutionBackend):
 
     def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:
         t0 = time.perf_counter()
+        in_batch = engine._in_batch(requests)
         futures = [
-            self.pool.submit(self._guarded, engine._outcome, request, rng_from_token(token))
+            self.pool.submit(
+                self._guarded, engine._outcome, request, rng_from_token(token), in_batch
+            )
             for request, token in zip(requests, tokens)
         ]
         outcomes = [future.result() for future in futures]

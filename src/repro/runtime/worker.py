@@ -251,6 +251,10 @@ def run_release_task(payload: Dict[str, Any]):
     is frozen, but instance attributes set via ``object.__setattr__``
     live in ``__dict__``, survive pickling (an exception's ``__dict__``
     pickles too), and leave ``to_dict()`` and equality untouched.
+
+    The batch's ``in_batch`` flag rides along, so the worker's verifier
+    computes full profiles, which the batch's other records can read,
+    exactly as an in-process task would.
     """
     from repro.service.engine import ReleaseRequest
 
@@ -268,7 +272,9 @@ def run_release_task(payload: Dict[str, Any]):
         starting_context=payload["starting_bits"],
         trace=trace,
     )
-    outcome = engine._outcome(request, rng_from_token(payload["seed"]))
+    outcome = engine._outcome(
+        request, rng_from_token(payload["seed"]), payload["in_batch"]
+    )
     if trace is not None:
         object.__setattr__(outcome, "trace_spans", trace.spans())
     return outcome

@@ -153,9 +153,12 @@ class EngineMetrics:
     ``profile_misses``         counter
     ``profile_evictions``      counter
     ``profiles_cached``        gauge     LRU occupancy
-    ``fm_evaluations``         counter   detector runs (the paper's cost
-                                         unit)
-    ``fm_queries``             counter   batched detector calls
+    ``fm_evaluations``         counter   uncached ``f_M`` runs (the
+                                         paper's cost unit); a
+                                         record-scoped run scores only
+                                         the record's window
+    ``fm_queries``             counter   ``f_M`` questions asked,
+                                         cached or not
     ``n_verifiers``            gauge     distinct detector configs alive
     ``wall_time_s``            counter   seconds; exported as
                                          ``pcor_engine_wall_seconds_total``
@@ -598,6 +601,16 @@ class ReleaseEngine:
         pass — thread workers share the store anyway and process workers
         warm their own caches as they go.
 
+        Every task of a batch of several records also runs *in a batch*
+        (:attr:`OutlierVerifier.in_batch
+        <repro.core.verification.OutlierVerifier.in_batch>`): for
+        detectors with a finite ``locality`` the verifier then computes a
+        record-bound miss as a full profile, which the batch's other records
+        can read, instead of answering it from the record's window only (a
+        record-scoped profile, what a lone release computes); see
+        :mod:`repro.core.verification`.  The flag decides which path
+        computes a verdict, never the verdict.
+
         Every request runs, even after an earlier one failed (each was
         already charged).  With ``return_exceptions=True`` a request that
         fails mid-release (no matching context, record outside the
@@ -647,12 +660,20 @@ class ReleaseEngine:
         else:
             self._warm_starting_profiles(reqs)
             t0 = time.perf_counter()
+            in_batch = self._in_batch(reqs)
             outcomes = [
-                self._outcome(request, rng_from_token(token))
+                self._outcome(request, rng_from_token(token), in_batch)
                 for request, token in zip(reqs, tokens)
             ]
             self._phase("release", time.perf_counter() - t0, tasks=len(reqs))
         return outcomes
+
+    @staticmethod
+    def _in_batch(reqs: Sequence[ReleaseRequest]) -> bool:
+        """Whether a batch's releases run ``in_batch``: it holds more than
+        one distinct record, so a full profile one release computes can
+        answer another's question (see :meth:`execute_many`)."""
+        return len({r.record_id for r in reqs}) > 1
 
     def _warm_starting_profiles(self, reqs: Sequence[ReleaseRequest]) -> None:
         """Warm the stores with the exact context of every record whose
@@ -715,25 +736,33 @@ class ReleaseEngine:
             raise
 
     def _outcome(
-        self, request: ReleaseRequest, gen: np.random.Generator
+        self,
+        request: ReleaseRequest,
+        gen: np.random.Generator,
+        in_batch: bool = False,
     ) -> Union[PCORResult, ReproError]:
         """One batch task: the release, or the
         :class:`~repro.exceptions.ReproError` it raised.  Every backend runs
         its tasks through this, so one failed request never discards the
         releases batched alongside it."""
         try:
-            return self._execute(request, gen)
+            return self._execute(request, gen, in_batch)
         except ReproError as exc:
             return exc
 
     def _execute(
-        self, request: ReleaseRequest, gen: Optional[np.random.Generator] = None
+        self,
+        request: ReleaseRequest,
+        gen: Optional[np.random.Generator] = None,
+        in_batch: bool = False,
     ) -> PCORResult:
         """The release core (Definition 3.2 end to end) — shared by every
         entry point, so identical seeds release identical contexts whether
         they arrive via ``submit``, ``PCOR.release``, a ``ReleaseSession``
         or an execution-backend task.  ``gen`` overrides the request seed
-        with a pre-planned per-task substream (the batch fan-out path)."""
+        with a pre-planned per-task substream (the batch fan-out path), and
+        ``in_batch`` says the release is one of a batch of several records
+        (see :meth:`execute_many`); a lone release is not."""
         spec = request.spec
         record_id = request.record_id
         if gen is None:
@@ -751,13 +780,16 @@ class ReleaseEngine:
         # sampling profiler is live (GET /v1/debug/profile), stacks from
         # this thread carry the current phase as a synthetic frame.  Like
         # tracing, this draws no randomness; idle cost is one global read.
+        verifier = None
         try:
             set_engine_phase("engine.starting_context")
             verifier = self.verifier_for(spec.build_detector())
             sampler = spec.build_sampler()
             # Thread-local so concurrent releases on one verifier (thread
-            # backend) don't attribute each other's detector runs.
+            # backend) don't attribute each other's detector runs, nor see
+            # each other's batch flag.
             fm_before = verifier.local_fm_evaluations
+            verifier.in_batch = in_batch
 
             starting_bits = self._resolve_starting_bits(
                 verifier, sampler, spec, record_id, request.starting_context, gen
@@ -819,6 +851,8 @@ class ReleaseEngine:
             )
         finally:
             set_engine_phase(None)
+            if verifier is not None:
+                verifier.in_batch = False
         if tracing:
             now = time.monotonic()
             trace.add_span("engine.select", mark, now)

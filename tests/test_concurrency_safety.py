@@ -72,6 +72,51 @@ class TestProfileStoreUnderContention:
         # Every operation was either a hit or a miss — none lost to races.
         assert stats["hits"] + stats["misses"] == N_THREADS * OPS_PER_THREAD
 
+    def test_record_scoped_reads_and_invalidation(self):
+        """Full and record-scoped entries share one LRU and one lock: under
+        racing reads, puts and invalidations a record-bound read returns a
+        profile of its own context that is full or its own record's, the
+        bound holds, and every read counts one hit or one miss."""
+        store = ProfileStore(capacity=48)
+        barrier = threading.Barrier(N_THREADS)
+        wrong = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def hammer(worker: int) -> int:
+            rng = np.random.default_rng(worker)
+            rid = worker % 3
+            reads = 0
+            barrier.wait(timeout=30)
+            for i in range(OPS_PER_THREAD):
+                bits = int(rng.integers(0, 256))
+                if i % 50 == 49:
+                    store.invalidate_matching([1 << int(rng.integers(0, 8))], version=0)
+                    continue
+                reads += 1
+                profile = store.get_for_record(bits, rid)
+                if profile is None:
+                    full = rng.random() < 0.3
+                    owner = -1 if full else rid
+                    store.put(
+                        bits, (bits, frozenset({owner})),
+                        record_id=None if full else rid,
+                    )
+                elif profile[0] != bits or not profile[1] <= {-1, rid}:
+                    wrong.append((bits, rid, profile))
+                assert len(store) <= 48
+            return reads
+
+        try:
+            with ThreadPoolExecutor(N_THREADS) as pool:
+                reads = sum(pool.map(hammer, range(N_THREADS)))
+        finally:
+            sys.setswitchinterval(previous)
+        stats = store.stats()
+        assert not wrong
+        assert stats["size"] <= 48
+        assert stats["hits"] + stats["misses"] == reads
+
     def test_values_never_torn(self):
         """Concurrent put/get of immutable profiles returns whole values."""
         store = ProfileStore(capacity=16)

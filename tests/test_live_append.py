@@ -153,7 +153,12 @@ class TestIndexAppend:
         from-scratch verifier's over the rebuilt dataset.  LOF gets its
         populations in metric order, so this also pins that the order is
         recomputed for every grown dataset, including rows whose values
-        land strictly inside an existing population's value range."""
+        land strictly inside an existing population's value range.
+
+        Record-bound reads (record-scoped verdicts for LOF) are checked at
+        every version too, for base and appended records alike: stored
+        before an append, they must be dropped wherever it grew their
+        context's population."""
         from repro.core.verification import OutlierVerifier
         from repro.outliers import make_detector
 
@@ -168,6 +173,17 @@ class TestIndexAppend:
         probes = [int(b) for b in rng.integers(1, 1 << live.masks.t, size=96)]
         probes += [int(dataset.record_bits(int(r))) for r in dataset.ids[:32]]
         live.profiles(probes)  # warm the store and version 0's metric order
+        records = [int(r) for r in dataset.ids[:12]]
+
+        def check_record_bound(fresh):
+            for rid in records:
+                rbits = fresh.dataset.record_bits(rid)
+                asked = [b for b in probes if (rbits & b) == rbits] + [rbits]
+                want = [rid in fresh.profiles([b])[0][1] for b in asked]
+                assert live.is_matching_many(asked, rid).tolist() == want
+                assert [live.is_matching(b, rid) for b in asked] == want
+
+        check_record_bound(OutlierVerifier(dataset, make_detector(detector, **kwargs)))
         shadow = dataset
         for version, batch in enumerate([3, 1, 7, 12], start=1):
             rows = sample_rows(shadow, batch, start=7 * version)
@@ -178,10 +194,11 @@ class TestIndexAppend:
                 above = pop[pop > row["Salary"]]
                 if above.size:
                     row["Salary"] = (row["Salary"] + above.min()) / 2.0
-            engine.append(rows)
+            records += engine.append(rows)["record_ids"]
             shadow = shadow.with_records(rows)
             fresh = OutlierVerifier(shadow, make_detector(detector, **kwargs))
             assert engine.masks.dataset_version == version
+            check_record_bound(fresh)
             assert live.profiles(probes) == fresh.profiles(probes)
         assert any(profile[1] for profile in fresh.profiles(probes))
         engine.close()

@@ -197,3 +197,80 @@ class TestSortedInput:
     def test_rejects_too_few_values(self):
         with pytest.raises(ValueError, match="more than k"):
             lof_window_scores(np.arange(3.0), 3, 1.5)
+
+
+# ------------------------------------------------------------------ locality
+
+
+@st.composite
+def ordered_populations(draw):
+    """Ascending values, ``k`` from 1 to 15 and a centre index: duplicate
+    runs, bimodal clusters or arbitrary floats, at any size from ``k + 1``
+    (windows covering the whole population) to well past ``6k + 1``."""
+    k = draw(st.integers(1, 15))
+    n = draw(st.integers(k + 1, 8 * k + 12))
+    kind = draw(st.sampled_from(["runs", "bimodal", "floats"]))
+    if kind == "runs":
+        values = draw(
+            st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)
+        )
+    elif kind == "bimodal":
+        values = draw(
+            st.lists(
+                st.one_of(
+                    st.floats(0.0, 1.0), st.floats(100.0, 101.0), st.just(50.0)
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    else:
+        values = draw(
+            st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    centre = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
+    return np.sort(np.array(values, dtype=np.float64), kind="stable"), k, centre
+
+
+class TestLocality:
+    """``LOFDetector.locality``: the ``3k`` values either side of a sorted
+    point decide its score, bit for bit."""
+
+    def test_locality_is_three_k(self):
+        assert LOFDetector(k=7).locality == 21
+        assert OutlierDetector.locality is None
+        assert ZScoreDetector().locality is None
+
+    @given(case=ordered_populations())
+    @settings(max_examples=200, deadline=None)
+    def test_window_centre_score_is_bit_identical(self, case):
+        values, k, centre = case
+        lo = max(0, centre - 3 * k)
+        window = values[lo : centre + 3 * k + 1]
+        full = lof_scores(values, k)[centre]
+        local = lof_scores(window, k)[centre - lo]
+        assert np.float64(local).tobytes() == np.float64(full).tobytes()
+
+    @given(
+        case=ordered_populations(),
+        threshold=THRESHOLDS,
+        extra_floor=st.sampled_from([None, 1, 2, 6]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_verdict_matches_population(self, case, threshold, extra_floor):
+        """The verifier's window, ``max(locality, min_population)`` either
+        side, gives the record the population's verdict — including
+        ``min_population > 3k`` and populations below ``min_population``."""
+        values, k, centre = case
+        floor = None if extra_floor is None else 3 * k + extra_floor
+        detector = LOFDetector(k=k, threshold=threshold, min_population=floor)
+        reach = max(detector.locality, detector.min_population)
+        lo = max(0, centre - reach)
+        window = values[lo : centre + reach + 1]
+        assert (centre - lo in detector.outlier_positions(window)) == (
+            centre in detector.outlier_positions(values)
+        )

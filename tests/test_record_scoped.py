@@ -1,0 +1,245 @@
+"""Record-scoped verdicts: ``f_M`` for one record from its metric-order window.
+
+For a detector with a finite ``locality`` (LOF), a record-bound read that
+misses the store scores only the record's window of the population.  Its
+verdict must be the full profile's for every finite input, whichever path
+computes it: record-scoped, or a full profile because the release runs in
+a batch of several records.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.profiles import ProfileStore
+from repro.core.verification import OutlierVerifier
+from repro.data.generators import SALARY_EMPLOYERS, SALARY_JOB_TITLES, SALARY_YEARS
+from repro.data.table import Dataset
+from repro.outliers import LOFDetector, ZScoreDetector
+from repro.schema import CategoricalAttribute, MetricAttribute, Schema
+
+#: The micro schema of ``conftest.py``: three attributes of three values.
+SCHEMA = Schema(
+    attributes=[
+        CategoricalAttribute("Jobtitle", SALARY_JOB_TITLES[:3]),
+        CategoricalAttribute("Employer", SALARY_EMPLOYERS[:3]),
+        CategoricalAttribute("Year", SALARY_YEARS[:3]),
+    ],
+    metric=MetricAttribute("Salary"),
+)
+ALL_CONTEXTS = range(1 << SCHEMA.t)
+
+
+@st.composite
+def lof_cases(draw):
+    """A mini-schema dataset with duplicate-heavy, bimodal or arbitrary
+    metric values, plus an LOF detector with k from 1 to 15."""
+    n = draw(st.integers(12, 140))
+    codes = {
+        attr.name: np.array(
+            draw(st.lists(st.integers(0, len(attr) - 1), min_size=n, max_size=n))
+        )
+        for attr in SCHEMA.attributes
+    }
+    kind = draw(st.sampled_from(["runs", "bimodal", "floats"]))
+    if kind == "runs":
+        element = st.integers(0, 4).map(float)
+    elif kind == "bimodal":
+        element = st.one_of(st.floats(0.0, 1.0), st.floats(100.0, 100.5))
+    else:
+        element = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    metric = draw(st.lists(element, min_size=n, max_size=n))
+    k = draw(st.integers(1, 15))
+    floor = draw(st.sampled_from([None, k + 1, 3 * k + 1, 3 * k + 7]))
+    threshold = draw(st.sampled_from([1.1, 1.3, 1.5]))
+    dataset = Dataset.from_codes(SCHEMA, codes, metric)
+    return dataset, LOFDetector(k=k, threshold=threshold, min_population=floor)
+
+
+def probe_records(dataset, data):
+    """The records at either end of the metric order plus two drawn ones."""
+    order = dataset.metric_order()
+    ids = dataset.ids
+    picks = [int(ids[order[0]]), int(ids[order[-1]])]
+    picks += data.draw(
+        st.lists(st.sampled_from(ids.tolist()), min_size=2, max_size=2)
+    )
+    return list(dict.fromkeys(int(r) for r in picks))
+
+
+def truth(full: OutlierVerifier, bits, rid) -> bool:
+    return rid in full.profiles([bits])[0][1]
+
+
+class TestRecordScopedVerdicts:
+    @given(case=lof_cases(), in_batch=st.booleans(), data=st.data())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_equal_full_profile_membership(self, case, in_batch, data):
+        dataset, detector = case
+        full = OutlierVerifier(dataset, detector)
+        records = probe_records(dataset, data)
+        batched = OutlierVerifier(dataset, detector, mask_index=full.masks)
+        scalar = OutlierVerifier(dataset, detector, mask_index=full.masks)
+        for verifier in (batched, scalar):
+            verifier.in_batch = in_batch
+        for rid in records:
+            want = np.array([truth(full, bits, rid) for bits in ALL_CONTEXTS])
+            got = batched.is_matching_many(ALL_CONTEXTS, rid)
+            assert np.array_equal(got, want)
+            assert [scalar.is_matching(bits, rid) for bits in ALL_CONTEXTS] == list(
+                want
+            )
+            # Record-bound reads of any context agree on membership, and
+            # population sizes are exact.
+            got_profiles = batched.profiles(ALL_CONTEXTS, record_id=rid)
+            full_profiles = full.profiles(ALL_CONTEXTS)
+            assert [p[0] for p in got_profiles] == [p[0] for p in full_profiles]
+            assert [rid in p[1] for p in got_profiles] == [
+                rid in p[1] for p in full_profiles
+            ]
+
+    @pytest.mark.parametrize("in_batch", [False, True])
+    def test_batch_flag_decides_the_key_kind(self, mini_dataset, in_batch):
+        """In a batch every record-bound miss is a full profile, stored
+        under its bits; outside one every miss is record-scoped.  Either
+        way each counts one run, and the flag is per thread."""
+        detector = LOFDetector(k=4, threshold=1.3, min_population=8)
+        verifier = OutlierVerifier(mini_dataset, detector)
+        verifier.in_batch = in_batch
+        seen = []
+        other = threading.Thread(target=lambda: seen.append(verifier.in_batch))
+        other.start()
+        other.join()
+        assert seen == [False]
+        rid = int(mini_dataset.ids[2])
+        rbits = mini_dataset.record_bits(rid)
+        containing = [b for b in ALL_CONTEXTS if (rbits & b) == rbits]
+        verifier.is_matching_many(containing[1:], rid)
+        verifier.is_matching(containing[0], rid)
+        store = verifier.profile_store
+        assert all((bits in store) == in_batch for bits in containing)
+        assert len(store) == len(containing)
+        assert verifier.fm_evaluations == len(containing)
+
+
+class TestStore:
+    def test_record_free_reads_never_see_scoped_entries(self, mini_dataset):
+        detector = LOFDetector(k=4, threshold=1.3, min_population=8)
+        verifier = OutlierVerifier(mini_dataset, detector)
+        rid = int(mini_dataset.ids[0])
+        bits = mini_dataset.record_bits(rid)
+        verifier.is_matching(bits, rid)
+        store = verifier.profile_store
+        assert len(store) == 1 and bits not in store and store.peek(bits) is None
+        store.reset_counters()
+        # A record-free read computes the full profile; a record-bound read
+        # then prefers it.  One logical read counts one hit or one miss.
+        full = verifier.context_profile(bits)
+        assert (store.hits, store.misses) == (0, 1)
+        assert store.get_for_record(bits, rid) is full
+        assert store.get_for_record(bits, rid + 1) is full
+        assert (store.hits, store.misses) == (2, 1)
+        assert store.get_for_record(bits ^ 1, rid) is None
+        assert (store.hits, store.misses) == (2, 2)
+
+    def test_batched_reads_count_like_per_key_reads(self):
+        """``get_many`` counts one hit per answered key and one miss per
+        distinct missing key; record-free batches never see scoped
+        entries."""
+        store = ProfileStore()
+        store.put(0b001, (3, frozenset()))
+        store.put(0b011, (2, frozenset({5})), record_id=5)
+        got = store.get_many([0b001, 0b011, 0b111, 0b001, 0b111], record_id=5)
+        assert got == [(3, frozenset()), (2, frozenset({5})), None, (3, frozenset()), None]
+        assert (store.hits, store.misses) == (3, 1)
+        assert store.get_many([0b011, 0b001]) == [None, (3, frozenset())]
+        assert store.get_many([0b011], record_id=6) == [None]
+        assert (store.hits, store.misses) == (4, 3)
+
+    def test_scoped_entry_answers_only_its_record(self):
+        store = ProfileStore()
+        store.put(0b101, (4, frozenset({7})), record_id=7)
+        assert store.get_for_record(0b101, 7) == (4, frozenset({7}))
+        assert store.get_for_record(0b101, 8) is None
+        assert store.get(0b101) is None and 0b101 not in store
+
+    def test_invalidation_reads_the_bits_of_scoped_keys(self):
+        store = ProfileStore()
+        store.put(0b011, (4, frozenset()), record_id=1)
+        store.put(0b110, (4, frozenset({2})), record_id=2)
+        store.put(0b011, (9, frozenset()))
+        assert store.invalidate_matching([0b001], version=1) == 2
+        assert store.get_for_record(0b110, 2) == (4, frozenset({2}))
+        assert store.get_for_record(0b011, 1) is None
+        # The version fence applies to scoped puts too.
+        store.put(0b011, (4, frozenset()), version=0, record_id=1)
+        assert store.get_for_record(0b011, 1) is None and store.stale_puts == 1
+
+    def test_detectors_without_locality_store_full_profiles(self, mini_dataset):
+        verifier = OutlierVerifier(mini_dataset, ZScoreDetector(z_threshold=2.5))
+        rid = int(mini_dataset.ids[0])
+        bits = mini_dataset.record_bits(rid)
+        verifier.is_matching(bits, rid)
+        assert bits in verifier.profile_store
+
+    def test_unknown_record_raises_on_a_miss(self, mini_dataset):
+        from repro.exceptions import VerificationError
+
+        verifier = OutlierVerifier(mini_dataset, LOFDetector(k=3))
+        with pytest.raises(VerificationError, match="not in dataset"):
+            verifier.profiles([0b111111111], record_id=10**9)
+
+
+class TestCounting:
+    def test_one_run_per_uncached_question(self, mini_dataset):
+        detector = LOFDetector(k=4, threshold=1.3, min_population=8)
+        verifier = OutlierVerifier(mini_dataset, detector)
+        rid = int(mini_dataset.ids[3])
+        rbits = mini_dataset.record_bits(rid)
+        containing = [b for b in ALL_CONTEXTS if (rbits & b) == rbits]
+        verifier.is_matching_many(containing + containing[:5], rid)
+        assert verifier.fm_evaluations == len(containing)
+        assert verifier.fm_queries == len(containing) + 5
+        verifier.is_matching_many(containing, rid)
+        assert verifier.fm_evaluations == len(containing)
+
+    @pytest.mark.parametrize("k, floor", [(2, 8), (4, 5), (3, 15)])
+    def test_detector_sees_exactly_the_records_window(
+        self, mini_dataset, monkeypatch, k, floor
+    ):
+        """Each record-scoped run hands the detector the
+        ``max(locality, min_population)`` population members either side of
+        the record in metric order, clipped where the population ends."""
+        detector = LOFDetector(k=k, threshold=1.3, min_population=floor)
+        seen = []
+        original = LOFDetector.outlier_positions
+
+        def recording(self, values):
+            seen.append(np.array(values))
+            return original(self, values)
+
+        monkeypatch.setattr(LOFDetector, "outlier_positions", recording)
+        verifier = OutlierVerifier(mini_dataset, detector)
+        rid = int(mini_dataset.ids[5])
+        rbits = mini_dataset.record_bits(rid)
+        containing = [b for b in ALL_CONTEXTS if (rbits & b) == rbits]
+        verifier.is_matching_many(containing, rid)
+
+        reach = max(3 * k, floor)
+        order = mini_dataset.metric_order()
+        slot = mini_dataset.position_of(rid)
+        expected = []
+        for row in verifier.masks.population_masks(containing):
+            positions = verifier.masks.positions_from_packed(row, order=order)
+            i = int(np.flatnonzero(positions == slot)[0])
+            window = positions[max(0, i - reach) : i + reach + 1]
+            expected.append(mini_dataset.metric[window])
+        assert len(seen) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))

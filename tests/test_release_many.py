@@ -7,6 +7,9 @@ from repro.core.pcor import PCOR
 from repro.core.profiles import ProfileStore
 from repro.core.sampling import BFSSampler
 from repro.exceptions import SamplingError
+from repro.outliers import LOFDetector
+
+LOF_KWARGS = {"k": 5, "threshold": 1.3, "min_population": 8}
 
 
 def make_pcor(dataset, detector, n_samples=8, **kwargs):
@@ -24,6 +27,27 @@ def outlier_ids(mini_reference):
     ids = mini_reference.outlier_records()
     assert len(ids) >= 2
     return ids[:6]
+
+
+@pytest.fixture(scope="module")
+def lof_outlier_ids(mini_dataset):
+    """Six LOF exact-context outliers with pairwise distinct exact contexts,
+    so only the batch's full profiles (not the warm pass) can share
+    verdicts."""
+    probe = make_pcor(mini_dataset, LOFDetector(**LOF_KWARGS))
+    ids, seen = [], set()
+    for rid in map(int, mini_dataset.ids):
+        bits = mini_dataset.record_bits(rid)
+        if bits not in seen and probe.verifier.is_matching(bits, rid):
+            ids.append(rid)
+            seen.add(bits)
+        if len(ids) == 6:
+            return ids
+    pytest.fail("micro dataset produced too few LOF exact-context outliers")
+
+
+def release_key(r):
+    return (r.record_id, r.context.bits, r.utility_value, r.n_candidates, r.stats)
 
 
 class TestReleaseMany:
@@ -70,21 +94,59 @@ class TestReleaseMany:
         with pytest.raises(SamplingError, match="entries for"):
             pcor.release_many(outlier_ids, starting_contexts=[None], seed=3)
 
+    @pytest.mark.parametrize("case", ["zscore", "lof"])
     def test_amortises_detector_runs_vs_fresh_instances(
-        self, mini_dataset, mini_detector, outlier_ids
+        self, request, mini_dataset, mini_detector, case
     ):
         """The acceptance property: one release_many does strictly fewer
-        uncached detector runs than the same releases on fresh instances."""
-        batched = make_pcor(mini_dataset, mini_detector)
-        batched.release_many(outlier_ids, seed=7)
+        uncached detector runs than the same releases on fresh instances.
+
+        For LOF (a ``locality`` detector) a lone release stores
+        record-scoped verdicts no other record can read; the batch shares
+        only because its releases run ``in_batch``, where the verifier
+        computes full profiles the other records can read."""
+        if case == "zscore":
+            detector, ids = mini_detector, request.getfixturevalue("outlier_ids")
+        else:
+            detector = LOFDetector(**LOF_KWARGS)
+            ids = request.getfixturevalue("lof_outlier_ids")
+        batched = make_pcor(mini_dataset, detector)
+        batched.release_many(ids, seed=7)
         amortised = batched.verifier.fm_evaluations
 
         fresh_total = 0
-        for rid in outlier_ids:
-            fresh = make_pcor(mini_dataset, mini_detector)
+        for rid in ids:
+            fresh = make_pcor(mini_dataset, detector)
             fresh.release(rid, seed=7)
             fresh_total += fresh.verifier.fm_evaluations
         assert amortised < fresh_total
+
+    def test_process_workers_receive_the_batch_flag(
+        self, mini_dataset, lof_outlier_ids, monkeypatch
+    ):
+        """LOF release_many on two process workers equals the serial batch,
+        and every release task ships the batch's ``in_batch`` flag."""
+        detector = LOFDetector(**LOF_KWARGS)
+        serial = make_pcor(mini_dataset, detector, backend="serial")
+        expected = serial.release_many(lof_outlier_ids, seed=7)
+        pcor = make_pcor(mini_dataset, detector, backend="process", workers=2)
+        backend = pcor.engine.backend
+        shipped = []
+        ship = backend._map
+
+        def capture(pool, fn, payloads):
+            shipped.extend(payloads)
+            return ship(pool, fn, payloads)
+
+        monkeypatch.setattr(backend, "_map", capture)
+        try:
+            results = pcor.release_many(lof_outlier_ids, seed=7)
+        finally:
+            pcor.close()
+        assert [release_key(r) for r in results] == [release_key(r) for r in expected]
+        tasks = [p for p in shipped if "record_id" in p]
+        assert [p["record_id"] for p in tasks] == list(lof_outlier_ids)
+        assert all(p["in_batch"] is True for p in tasks)
 
     def test_share_profiles_spans_instances(self, mini_dataset, mini_detector):
         """Two share_profiles instances use one store; the second benefits."""
