@@ -5,10 +5,12 @@ must run **>= 2x faster** than serial.  The pool is spawned (and the
 dataset exported to shared memory) *before* the timed region — in
 production the engine is long-lived and pays that cost once at service
 start — but profile caches are cold on both sides: the parallelism exists
-precisely to hide cold detector runs.  The gate only arms on machines with
-at least 4 CPU cores; on smaller boxes the bench still runs, verifies
-bit-identical results, and reports the (necessarily <= 1x) ratio for the
-record.
+precisely to hide cold detector runs.  That spawn is reported on its own
+as ``pool_bind_ms`` (``ProcessBackend.bind``: shared-memory export, worker
+start-up including ``import repro``, one ping per worker).  The gate only
+arms on machines with at least 4 CPU cores; on smaller boxes the bench
+still runs, verifies bit-identical results, and reports the (necessarily
+<= 1x) ratio for the record.
 
 Scale via ``PCOR_BENCH_SCALE``: smoke | small (default) | medium | paper.
 """
@@ -84,7 +86,7 @@ def test_release_many_parallel_scaling(emit):
         return elapsed, [r.context.bits for r in results]
 
     ROUNDS = 2  # best-of, every round fully cold (fresh stores, fresh pool)
-    serial_times, process_times = [], []
+    serial_times, process_times, bind_times = [], [], []
     bits_serial = bits_process = None
     for _ in range(ROUNDS):
         t, bits_serial = run(SerialBackend())
@@ -92,7 +94,11 @@ def test_release_many_parallel_scaling(emit):
         process = ProcessBackend(workers=WORKERS)
         # Spawn the pool and export the dataset outside the timed region (a
         # long-lived engine pays this once); worker profile caches are cold.
+        # The bind is timed on its own: each spawned worker pays
+        # `import repro` before it answers.
+        t0 = time.perf_counter()
         process.bind(dataset, masks)
+        bind_times.append(time.perf_counter() - t0)
         t, bits_process = run(process)
         process.close()
         process_times.append(t)
@@ -101,6 +107,7 @@ def test_release_many_parallel_scaling(emit):
 
     t_serial = min(serial_times)
     t_process = min(process_times)
+    t_bind = min(bind_times)
     speedup = t_serial / t_process
     cores = os.cpu_count() or 1
     gated = cores >= WORKERS
@@ -112,6 +119,7 @@ def test_release_many_parallel_scaling(emit):
         "cold caches, pool pre-spawned)\n"
         f"  serial backend       : {t_serial * 1000:8.1f} ms\n"
         f"  process backend (x{WORKERS}) : {t_process * 1000:8.1f} ms\n"
+        f"  pool bind            : {t_bind * 1000:8.1f} ms\n"
         f"  speedup              : {speedup:8.2f}x "
         f"(gate: >= {SPEEDUP_GATE:.1f}x on >= {WORKERS} cores; "
         f"this machine: {cores} core{'s' if cores != 1 else ''}, "
@@ -123,6 +131,10 @@ def test_release_many_parallel_scaling(emit):
                 direction="lower", tolerance=0.5,
             ),
             harness.metric("process_ms", t_process * 1000.0, "ms"),
+            harness.metric(
+                "pool_bind_ms", t_bind * 1000.0, "ms",
+                direction="lower", tolerance=0.5,
+            ),
             # Speedup on a small box is cores-bound, not code-bound; the
             # env fingerprint (cpus) is what makes this row comparable.
             harness.metric("parallel_speedup", speedup, "x"),

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.reference import ReferenceFile
@@ -67,16 +66,35 @@ class COEStructure:
         return self.expected_reachable_max / self.max_population
 
 
-def _matching_subgraph(t: int, matching: Sequence[int]) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(matching)
-    matching_set = set(matching)
-    for bits in matching:
-        for b in range(t):
-            nb = bits ^ (1 << b)
-            if nb > bits and nb in matching_set:
-                graph.add_edge(bits, nb)
-    return graph
+def _components(t: int, matching: Sequence[int]) -> List[List[int]]:
+    """Connected components of the subgraph of ``Q_t`` induced by ``matching``.
+
+    Neighbours are one-bit flips.  A component starts at each unseen context
+    in ``matching`` order and is sorted; the list is then stable-sorted by
+    size, descending.  That is the order networkx's ``connected_components``
+    yields over the same graph, and the float sums in :func:`analyze_coe`
+    follow it.
+    """
+    unseen = set(matching)
+    components = []
+    for start in matching:
+        if start not in unseen:
+            continue
+        unseen.remove(start)
+        component = [start]
+        frontier = [start]
+        while frontier:
+            bits = frontier.pop()
+            for b in range(t):
+                nb = bits ^ (1 << b)
+                if nb in unseen:
+                    unseen.remove(nb)
+                    component.append(nb)
+                    frontier.append(nb)
+        component.sort()
+        components.append(component)
+    components.sort(key=len, reverse=True)
+    return components
 
 
 def analyze_coe(
@@ -91,13 +109,7 @@ def analyze_coe(
             f"COE of record {record_id} has {len(matching)} contexts "
             f"(> {max_contexts}); analysis refused"
         )
-    t = reference.schema.t
-    graph = _matching_subgraph(t, matching)
-    components = sorted(
-        (sorted(c) for c in nx.connected_components(graph)),
-        key=len,
-        reverse=True,
-    )
+    components = _components(reference.schema.t, matching)
 
     pops = {bits: reference.population_size(bits) for bits in matching}
     max_population = max(pops.values())

@@ -5,18 +5,20 @@ Hamming distance 1, so the graph is the ``t``-dimensional hypercube
 ``Q_t`` (every vertex has degree exactly ``t``).  The graph is *implicit* —
 samplers only ever expand neighbourhoods on demand — but an explicit
 :mod:`networkx` export is provided for analysis and for the locality
-experiments, restricted to small ``t``.
+experiments, restricted to small ``t``.  networkx is imported only by those
+two exports, so releases never load it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from repro.context.context import Context
 from repro.exceptions import EnumerationError
 from repro.schema import Schema
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 # Above this many vertices we refuse to materialise the hypercube.
 MATERIALIZE_LIMIT = 1 << 16
@@ -120,6 +122,8 @@ class ContextGraph:
             raise EnumerationError(
                 f"context graph has {self.n_vertices} vertices (> limit {limit})"
             )
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n_vertices))
         for bits in range(self.n_vertices):
@@ -141,6 +145,8 @@ class ContextGraph:
             raise EnumerationError(
                 f"context graph has {self.n_vertices} vertices (> limit {limit})"
             )
+        import networkx as nx
+
         graph = nx.Graph()
         matching = [bits for bits in range(self.n_vertices) if matcher(bits)]
         graph.add_nodes_from(matching)

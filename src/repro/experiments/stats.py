@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,10 @@ def summarize_utilities(
     mean = float(arr.mean())
     if arr.size == 1:
         return UtilitySummary(mean, mean, mean, 1, confidence)
+    # Imported here, not at module load: `repro.cli` imports this module, and
+    # every CLI, server and worker process starts there.
+    from scipy import stats as scipy_stats
+
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     tq = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, arr.size - 1))
     half = tq * sem

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.outliers.base import OutlierDetector, register_detector
 
@@ -30,6 +29,8 @@ def grubbs_critical_value(n: int, alpha: float) -> float:
     """Two-sided Grubbs critical value for sample size ``n``."""
     if n < 3:
         return math.inf  # the test is undefined; reject nothing
+    from scipy import stats  # imported here so `import repro` does not load scipy
+
     tq = stats.t.ppf(1.0 - alpha / (2.0 * n), n - 2)
     return ((n - 1) / math.sqrt(n)) * math.sqrt(tq * tq / (n - 2 + tq * tq))
 

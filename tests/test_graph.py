@@ -1,8 +1,14 @@
 """Unit tests for the context graph (hypercube structure, search helpers)."""
 
-import networkx as nx
-import pytest
+from types import SimpleNamespace
 
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.coe_structure import COEStructure, analyze_coe
 from repro.context import Context, ContextGraph
 from repro.exceptions import EnumerationError
 from repro.schema import CategoricalAttribute, MetricAttribute, Schema
@@ -124,3 +130,97 @@ class TestMaterialisation:
         g = graph.induced_subgraph(lambda b: b.bit_count() <= 1)
         assert set(g.nodes) == {0b0000, 0b0001, 0b0010, 0b0100, 0b1000}
         assert g.number_of_edges() == 4  # star around 0
+
+
+def networkx_analyze_coe(reference, record_id: int) -> COEStructure:
+    """The networkx implementation ``analyze_coe`` replaced, kept as an oracle."""
+    matching = reference.matching_contexts(record_id)
+    t = reference.schema.t
+    graph = nx.Graph()
+    graph.add_nodes_from(matching)
+    matching_set = set(matching)
+    for bits in matching:
+        for b in range(t):
+            nb = bits ^ (1 << b)
+            if nb > bits and nb in matching_set:
+                graph.add_edge(bits, nb)
+    components = sorted(
+        (sorted(c) for c in nx.connected_components(graph)),
+        key=len,
+        reverse=True,
+    )
+
+    pops = {bits: reference.population_size(bits) for bits in matching}
+    max_population = max(pops.values())
+    best_overall = max(matching, key=lambda b: pops[b])
+    max_component = next(c for c in components if best_overall in c)
+    expected_reachable = 0.0
+    distances = []
+    for comp in components:
+        comp_best = max(comp, key=lambda b: pops[b])
+        expected_reachable += (len(comp) / len(matching)) * pops[comp_best]
+        for bits in comp:
+            distances.append((bits ^ comp_best).bit_count())
+    return COEStructure(
+        record_id=record_id,
+        n_matching=len(matching),
+        n_components=len(components),
+        component_sizes=tuple(len(c) for c in components),
+        max_component_coverage=len(max_component) / len(matching),
+        max_population=max_population,
+        expected_reachable_max=expected_reachable,
+        mean_distance_to_best=float(np.mean(distances)),
+    )
+
+
+class DrawnReference:
+    """The part of a ReferenceFile ``analyze_coe`` reads, over one drawn COE."""
+
+    def __init__(self, t: int, populations: dict):
+        self.schema = SimpleNamespace(t=t)
+        self._populations = populations
+
+    def matching_contexts(self, record_id: int) -> list:
+        return list(self._populations)
+
+    def population_size(self, bits: int) -> int:
+        return self._populations[bits]
+
+
+@st.composite
+def drawn_coes(draw):
+    """A matching set in ``Q_t`` (t <= 14) in drawn order, with tied populations."""
+    t = draw(st.integers(min_value=1, max_value=14))
+    matching = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << t) - 1),
+            min_size=1,
+            max_size=min(1 << t, 300),
+            unique=True,
+        )
+    )
+    pops = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=6),
+            min_size=len(matching),
+            max_size=len(matching),
+        )
+    )
+    return DrawnReference(t, dict(zip(matching, pops)))
+
+
+class TestAnalyzeCOEOracle:
+    """``analyze_coe`` equals the networkx version, float for float."""
+
+    def test_mini_reference_records(self, mini_reference):
+        records = mini_reference.outlier_records()
+        assert records
+        for rid in records:
+            assert analyze_coe(mini_reference, rid) == networkx_analyze_coe(
+                mini_reference, rid
+            )
+
+    @given(drawn_coes())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_matching_sets(self, reference):
+        assert analyze_coe(reference, 0) == networkx_analyze_coe(reference, 0)
