@@ -7,9 +7,9 @@ table benches, which run whole experiments once):
 * batch vs scalar population-size kernels (the batched-engine speedup),
 * LOF / Grubbs / Histogram scoring on a realistic population,
 * LOF's window kernel on metric-ordered populations vs the seed path,
-* record-scoped LOF verdicts (a record's metric-order window) vs full
-  profiles over the populations of one cold release, plus a stream of
-  lone releases on one long-lived engine,
+* record-scoped LOF verdicts (a record's metric-order windows, scored in
+  one batched call) vs full profiles over the populations of one cold
+  release, plus a stream of lone releases on one long-lived engine,
 * Exponential-mechanism selection over a large candidate pool,
 * one full BFS release on a warmed verifier,
 * release_many vs fresh-instance releases (profile-store amortisation).
@@ -76,7 +76,8 @@ def test_detector_kernels(emit):
     ``salary_reduced`` dataset.  The seed path is ``lof_scores`` on each
     population's values in record order; the new path is
     ``LOFDetector.outlier_positions`` on the same values in metric order,
-    as the verifier delivers them.  Both run in this process, best of three
+    as the verifier delivers them (from the index's metric-ordered mask
+    layout).  Both run in this process, best of three
     passes each, so their ratio does not drift with the host.  Outlier
     records are asserted identical before any timing, and the document
     counts the populations the window kernel handed to the exact path.
@@ -93,11 +94,12 @@ def test_detector_kernels(emit):
     metric, ids = dataset.metric, dataset.ids
     record_order, metric_order = [], []
     while len(record_order) < 64:
-        row = index.population_masks([space.random_valid_context(rng).bits])[0]
-        positions = index.positions_from_packed(row)
+        bits = space.random_valid_context(rng).bits
+        positions = index.positions_from_packed(index.population_masks([bits])[0])
         if positions.size < detector.min_population:
             continue
-        ordered = index.positions_from_packed(row, order=order)
+        ranked = index.population_masks([bits], metric_order=True)[0]
+        ordered = order[index.positions_from_packed(ranked)]
         record_order.append((positions, metric[positions]))
         metric_order.append((ordered, metric[ordered]))
 
@@ -158,10 +160,12 @@ def test_record_scoped_verdicts(emit, monkeypatch):
     the full path scores the whole population (``profiles(bits)``), the
     record-scoped path the record's window (``profiles(bits,
     record_id=...)``).  Verdicts are asserted identical before any timing.
-    The values the verifier hands the detector on each path are recorded;
-    their sizes are deterministic counts, and the gated detector-only
-    ratio times the detector on exactly those inputs.  Per-context times
-    are best of three cold passes.
+    The values the verifier hands the detector on each path are recorded:
+    populations at ``outlier_positions`` on the full path, window matrices
+    at ``outlier_centres`` on the record-scoped one.  Their sizes (finite
+    values, for the windows) are deterministic counts, and the gated
+    detector-only ratio times the detector's calls on exactly those inputs.
+    Per-context times are best of three cold passes.
 
     A long-lived engine then releases 20 distinct exact-context outliers
     one request at a time: lone releases store record-scoped verdicts, so
@@ -209,27 +213,31 @@ def test_record_scoped_verdicts(emit, monkeypatch):
     assert contexts, "no exact-context outlier fills a 50-sample BFS quota"
 
     # One cold pass per path, recording what the verifier hands the detector.
-    handed: list = []
-    original = LOFDetector.outlier_positions
+    populations: list = []
+    windows: list = []
+    positions_of, centres_of = LOFDetector.outlier_positions, LOFDetector.outlier_centres
 
-    def recording(self, values):
-        handed.append(np.array(values))
-        return original(self, values)
+    def record_positions(self, values):
+        populations.append(np.array(values))
+        return positions_of(self, values)
 
-    monkeypatch.setattr(LOFDetector, "outlier_positions", recording)
+    def record_centres(self, rows):
+        windows.append(np.array(rows))
+        return centres_of(self, rows)
+
+    monkeypatch.setattr(LOFDetector, "outlier_positions", record_positions)
+    monkeypatch.setattr(LOFDetector, "outlier_centres", record_centres)
     full_profiles = OutlierVerifier(dataset, detector, mask_index=index).profiles(
         contexts
     )
-    populations, handed[:] = handed[:], []
     scoped = OutlierVerifier(dataset, detector, mask_index=index).profiles(
         contexts, record_id=rid
     )
-    windows = handed[:]
     monkeypatch.undo()
     assert [rid in p[1] for p in scoped] == [rid in p[1] for p in full_profiles]
     assert [p[0] for p in scoped] == [p[0] for p in full_profiles]
     scanned_full = int(sum(v.size for v in populations))
-    scanned_scoped = int(sum(v.size for v in windows))
+    scanned_scoped = int(sum(np.isfinite(w).sum() for w in windows))
 
     def cold_pass(record_id):
         def run():
@@ -244,7 +252,7 @@ def test_record_scoped_verdicts(emit, monkeypatch):
         lambda: [detector.outlier_positions(v) for v in populations]
     )
     t_det_window, _ = _best_of_three(
-        lambda: [detector.outlier_positions(v) for v in windows]
+        lambda: [detector.outlier_centres(w) for w in windows]
     )
     n = len(contexts)
     full_ms, scoped_ms = t_full * 1000.0 / n, t_scoped * 1000.0 / n

@@ -21,7 +21,12 @@ its answers in a :class:`ProfileStore`, in one of two forms:
   window of the population in metric order, the ``max(s,
   min_population)`` members on each side of V, so it costs O(s) detector
   work instead of O(population).  The verdict is the full profile's, bit
-  for bit (see :mod:`repro.outliers.lof`).
+  for bit (see :mod:`repro.outliers.lof`).  All misses of one read are
+  answered in one vectorised pass: the population masks come in the
+  index's metric-ordered layout, per-word popcounts around V's rank locate
+  each window so only the words holding it are unpacked, and the windows
+  go to the detector as one ``(B, 2s + 1)`` matrix centred on V
+  (:meth:`~repro.outliers.base.OutlierDetector.outlier_centres`).
 
 A record-scoped profile cannot answer a second record, so a record-bound
 miss is computed as a full profile instead whenever another record could
@@ -37,9 +42,10 @@ The core entry point is batched: :meth:`OutlierVerifier.profiles` partitions
 a batch of contexts into cached and uncached, evaluates all uncached
 population masks in one word-wise pass through the bit-packed
 :class:`~repro.data.masks.PredicateMaskIndex`, then runs the detector once
-per distinct uncached context — on the population's values (or V's
-window of them) in metric order when the detector is ``sorted_input``, so
-it never sorts them.  :meth:`is_matching_many` layers the paper's
+per distinct uncached full profile — on the population's values in metric
+order, read off the metric-ordered mask layout, when the detector is
+``sorted_input``, so it never sorts them — or once per read for
+record-scoped ones.  :meth:`is_matching_many` layers the paper's
 matching-context test on top, short-circuiting non-containing contexts with
 pure bit tests so they never touch the detector.  The scalar APIs
 (``context_profile``, ``is_matching`` ...) are thin wrappers over the batch
@@ -56,9 +62,9 @@ from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bitops import popcount_rows
+from repro.bitops import popcount_rows, popcount_words
 from repro.core.profiles import ContextProfile, ProfileStore
-from repro.data.masks import PredicateMaskIndex
+from repro.data.masks import IndexSnapshot, PredicateMaskIndex
 from repro.data.table import Dataset
 from repro.exceptions import VerificationError
 from repro.outliers.base import OutlierDetector
@@ -204,8 +210,12 @@ class OutlierVerifier:
             and not self.in_batch
         )
         if scoped:
+            snap = self.masks.snapshot()
+            # Checked before counting: an unknown record runs no detector.
+            if not snap.dataset.has_record(record_id):
+                raise VerificationError(f"record {record_id} not in dataset")
             self._count_runs(len(misses))
-            computed = self._record_chunk(misses, record_id)
+            computed = self._record_chunk(misses, record_id, snap)
         else:
             computed = self._compute_profiles(misses)
         store = self.profile_store
@@ -227,74 +237,66 @@ class OutlierVerifier:
         snap = self.masks.snapshot()
         ids = snap.dataset.ids
         metric = snap.dataset.metric
+        n_records = len(snap.dataset)
         # Detectors that sort their input get each population already in
-        # metric order, so they never sort per population.
-        order = snap.dataset.metric_order() if self.detector.sorted_input else None
+        # metric order, from the metric-ordered mask layout: its set bits
+        # are ranks, ascending, so they never sort per population.
+        ordered = self.detector.sorted_input
+        order = snap.dataset.metric_order() if ordered else None
+        packed = self.masks.population_masks(misses, snapshot=snap, metric_order=ordered)
         computed: List[ContextProfile] = []
-        for pop, positions in self._populations(misses, snap, order):
+        for row, pop in zip(packed, popcount_rows(packed)):
             if pop == 0:
                 computed.append((0, frozenset()))
-            else:
-                outlier_pos = self.detector.outlier_positions(metric[positions])
-                computed.append(
-                    (pop, frozenset(int(ids[positions[p]]) for p in outlier_pos))
-                )
+                continue
+            positions = self.masks.positions_from_packed(row, n_records=n_records)
+            if order is not None:
+                positions = order[positions]
+            outlier_pos = self.detector.outlier_positions(metric[positions])
+            computed.append(
+                (int(pop), frozenset(int(ids[positions[p]]) for p in outlier_pos))
+            )
         return computed
 
-    def _populations(self, misses: List[int], snap, order):
-        """``(population size, row positions)`` per context, from one
-        batched mask pass against ``snap``; positions come in ``order``
-        (see :meth:`PredicateMaskIndex.positions_from_packed`) and are
-        ``None`` for an empty population."""
-        packed = self.masks.population_masks(misses, snapshot=snap)
-        n_records = len(snap.dataset)
-        for row, pop in zip(packed, popcount_rows(packed)):
-            pop = int(pop)
-            positions = (
-                self.masks.positions_from_packed(row, n_records=n_records, order=order)
-                if pop
-                else None
-            )
-            yield pop, positions
-
     def _record_chunk(
-        self, misses: List[int], record_id: int
+        self, misses: List[int], record_id: int, snap: IndexSnapshot
     ) -> List[ContextProfile]:
         """Record-scoped profiles of uncached contexts (a locality detector).
 
-        The mask pass and the metric-ordered positions are shared with
-        :meth:`_profile_chunk` (:meth:`_populations`); the detector then
-        runs only on the record's window, the ``s = max(locality,
-        min_population)`` population members on each side of it (fewer
-        where the population ends).  The window holds at least
-        ``min_population`` values whenever the population does, so the
-        detector's verdict on the record is its verdict over the whole
-        population.  Like :meth:`_profile_chunk`, no counters and no cache
-        writes, and one snapshot for the whole chunk.
+        One batched mask pass in the metric-ordered layout, then one
+        detector call for the whole chunk: the record V's window in each
+        population that holds it, the ``s = max(locality, min_population)``
+        members on each side of V in metric order, as one row of a
+        ``(B, 2s + 1)`` matrix centred on V (:func:`_centred_windows`).  A
+        window holds at least ``min_population`` values whenever its
+        population does, so the detector's verdict on V is its verdict over
+        the whole population.  Like :meth:`_profile_chunk`, no counters and
+        no cache writes; ``snap`` is the one snapshot for the whole chunk.
         """
         detector = self.detector
-        reach = max(detector.locality, detector.min_population)
-        snap = self.masks.snapshot()
         dataset = snap.dataset
-        if not dataset.has_record(record_id):
-            raise VerificationError(f"record {record_id} not in dataset")
-        metric = dataset.metric
-        slot = dataset.position_of(record_id)
+        rank = dataset.metric_rank(record_id)
+        packed = self.masks.population_masks(misses, snapshot=snap, metric_order=True)
+        # cum[b, w]: members of population b in words 0..w.
+        cum = np.cumsum(popcount_words(packed), axis=1, dtype=np.int64)
+        pops = cum[:, -1]
+        held = ((packed[:, rank >> 6] >> np.uint64(rank & 63)) & np.uint64(1)) == 1
+        verdicts = np.zeros(len(misses), dtype=bool)
+        if held.any():
+            windows = _centred_windows(
+                packed[held],
+                cum[held],
+                rank,
+                max(detector.locality, detector.min_population),
+                dataset.metric,
+                dataset.metric_order(),
+            )
+            verdicts[held] = detector.outlier_centres(windows)
         flagged = frozenset((record_id,))
-        computed: List[ContextProfile] = []
-        for pop, positions in self._populations(misses, snap, dataset.metric_order()):
-            verdict: FrozenSet[int] = frozenset()
-            if pop:
-                at = np.flatnonzero(positions == slot)
-                if at.size:
-                    i = int(at[0])
-                    lo = max(0, i - reach)
-                    window = positions[lo : i + reach + 1]
-                    found = detector.outlier_positions(metric[window])
-                    if (found == i - lo).any():
-                        verdict = flagged
-            computed.append((pop, verdict))
-        return computed
+        return [
+            (int(pop), flagged if verdict else frozenset())
+            for pop, verdict in zip(pops, verdicts)
+        ]
 
     def context_profile(self, bits: int) -> ContextProfile:
         """Population size and outlier record ids of context ``bits`` (cached).
@@ -407,3 +409,50 @@ class OutlierVerifier:
         measurement runs that clear between repetitions.
         """
         self.profile_store.clear()
+
+
+def _centred_windows(
+    packed: np.ndarray,
+    cum: np.ndarray,
+    rank: int,
+    reach: int,
+    metric: np.ndarray,
+    order: np.ndarray,
+) -> np.ndarray:
+    """The windows of the record at metric rank ``rank`` in populations that
+    all hold it.
+
+    ``packed`` holds the populations' masks in the metric-ordered layout
+    and ``cum`` their cumulative per-word popcounts.  Row ``b`` of the
+    result is centred on the record (column ``reach``) and holds, in metric
+    order, the metric values of the ``reach`` members of population ``b``
+    on each side of it, padded with ``-inf`` on the left and ``+inf`` on
+    the right where the population ends.  Metric values are finite, so a
+    pad is never data.  The popcounts locate those members; only the words
+    holding them are unpacked.
+    """
+    rows = np.arange(packed.shape[0])
+    word, bit = rank >> 6, rank & 63
+    below = popcount_words(packed[:, word] & np.uint64((1 << bit) - 1))
+    # The record's index in its population, and the window's first and last.
+    before = below.astype(np.int64) + (cum[:, word - 1] if word else 0)
+    lo = np.maximum(before - reach, 0)
+    hi = np.minimum(before + reach, cum[:, -1] - 1)
+    # The words holding members lo and hi, laid end to end row after row.
+    first = (cum <= lo[:, None]).sum(axis=1)
+    last = (cum <= hi[:, None]).sum(axis=1)
+    width = last - first + 1
+    shift = first - (np.cumsum(width) - width)  # row word = slab word + shift
+    slab = packed[
+        np.repeat(rows, width), np.arange(int(width.sum())) + np.repeat(shift, width)
+    ]
+    bits = np.flatnonzero(np.unpackbits(slab.view(np.uint8), bitorder="little"))
+    # Member j of row b is set bit ``j - skipped`` of its row's run in ``bits``.
+    skipped = np.where(first > 0, cum[rows, first - 1], 0)
+    in_slab = cum[rows, last] - skipped
+    zero = np.cumsum(in_slab) - in_slab - skipped
+    member = before[:, None] + np.arange(-reach, reach + 1)
+    inside = (member >= lo[:, None]) & (member <= hi[:, None])
+    ranks = bits[np.where(inside, zero[:, None] + member, 0)] + 64 * shift[:, None]
+    values = metric[order[np.where(inside, ranks, 0)]]
+    return np.where(inside, values, np.where(member < 0, -np.inf, np.inf))

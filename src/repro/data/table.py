@@ -115,6 +115,7 @@ class Dataset:
         # lazily.
         self._record_bits_cache: Optional[np.ndarray] = None
         self._metric_order: Optional[np.ndarray] = None
+        self._metric_ranks: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ constructors
 
@@ -279,6 +280,16 @@ class Dataset:
             self._metric_order = order
         return self._metric_order
 
+    def metric_rank(self, record_id: int) -> int:
+        """The record's index in :meth:`metric_order` (O(1) after the
+        inverse order is computed, once per dataset object)."""
+        ranks = self._metric_ranks
+        if ranks is None:
+            ranks = np.empty(len(self), dtype=np.int64)
+            ranks[self.metric_order()] = np.arange(len(self))
+            self._metric_ranks = ranks
+        return int(ranks[self.position_of(record_id)])
+
     # ------------------------------------------------------------- mutations
     # Datasets are immutable; "mutations" return new Dataset objects that
     # preserve stable ids. These back the neighbouring-dataset machinery.
@@ -430,6 +441,7 @@ class Dataset:
             out._record_bits_cache = None
         # Appended values land anywhere in the order: recompute on demand.
         out._metric_order = None
+        out._metric_ranks = None
         return out
 
     # ------------------------------------------------------------------- misc

@@ -14,7 +14,8 @@ A detector may also declare a finite :attr:`OutlierDetector.locality`: the
 verdict on one value then depends only on the ``locality`` values on each
 side of it in metric order.  The verifier uses that to answer a
 record-bound question ("is V an outlier here?") from V's window of the
-population instead of the whole population.
+population instead of the whole population, batching the windows of many
+populations into one :meth:`OutlierDetector.outlier_centres` call.
 """
 
 from __future__ import annotations
@@ -76,6 +77,35 @@ class OutlierDetector(ABC):
             return np.empty(0, dtype=np.int64)
         out = np.asarray(self._outlier_positions(arr), dtype=np.int64)
         out.sort()
+        return out
+
+    def outlier_centres(self, windows: np.ndarray) -> np.ndarray:
+        """Is the centre value of each row an outlier in its row?
+
+        ``windows`` is a ``(B, 2s + 1)`` matrix.  Row ``b`` holds one
+        population's values in ascending order around the value asked about,
+        which sits in column ``s``, padded with ``-inf`` on the left and
+        ``+inf`` on the right where the population ends; its finite values
+        are the population (or, for a detector with a :attr:`locality`, the
+        population's slice reaching ``max(locality, min_population)``
+        positions either side of the centre).  Returns a boolean per row:
+        whether :meth:`outlier_positions` of the row's finite values holds
+        the centre.
+        """
+        rows = np.asarray(windows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] % 2 == 0:
+            raise ReproError("windows must be a 2-d array of odd width")
+        return self._outlier_centres(rows)
+
+    def _outlier_centres(self, rows: np.ndarray) -> np.ndarray:
+        """Row by row through :meth:`outlier_positions`; detectors with a
+        batched kernel override this."""
+        centre = rows.shape[1] // 2
+        out = np.zeros(rows.shape[0], dtype=bool)
+        for i, row in enumerate(rows):
+            finite = np.isfinite(row)
+            at = centre - int(np.count_nonzero(~finite[:centre]))
+            out[i] = bool((self.outlier_positions(row[finite]) == at).any())
         return out
 
     def detect(self, values: np.ndarray) -> np.ndarray:

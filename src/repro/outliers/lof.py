@@ -30,7 +30,15 @@ Two kernels compute the scores:
   neighbours (ties go left, as in the argsort) and ``k - l`` right ones.
   k-dist, reach distances, lrd and the LOF ratios are then masked sums
   over ``2k`` shifted slices of padded arrays: no index matrix, no
-  per-row sort, no gather beyond the window's two ends.
+  per-row sort, no gather beyond the window's two ends.  It also takes a
+  ``(B, m)`` batch of rows, each one population's ascending values padded
+  with ``-inf`` before and ``+inf`` after them.  A pad is an infinitely
+  far neighbour, exactly like the slots beyond a 1-d population's ends,
+  and pads contribute zeros to every masked sum, so each row scores as its
+  finite values alone, bit for bit; a 1-d call is the one-row case.  Rows
+  run in sub-batches under a fixed element budget (or one row at a time
+  where a row exceeds it), so at a large ``k`` a batch allocates no more
+  than one of its windows does alone.
 
 The window kernel adds its terms in window order rather than (distance,
 position) order, which moves scores by a few ulps, and where two distinct
@@ -45,9 +53,10 @@ holds:
 3. some point has two distinct values at one rounded distance among its
    first ``k`` left neighbours.
 
-It also declines when the values' spread overflows.  Outlier positions are
-therefore exactly those of ``lof_scores(values, k) > threshold`` for every
-finite input, in any order.
+It also declines when the values' spread overflows.  In a batch it
+declines row by row, on exactly the conditions it would on the row's
+finite values alone.  Outlier positions are therefore exactly those of
+``lof_scores(values, k) > threshold`` for every finite input, in any order.
 
 **Locality.**  :class:`LOFDetector` declares ``locality = 3 * k``: in
 ascending order, whether a value is an outlier depends only on the ``3k``
@@ -66,7 +75,10 @@ On the slice of ascending values reaching ``3k`` positions either side of
 same floats under the same positional tie rule as on the whole
 population, so it gives ``p`` the bit-identical score.  The verifier
 exploits this for record-bound questions (see
-:mod:`repro.core.verification`).
+:mod:`repro.core.verification`): it hands all of one read's windows to
+:meth:`LOFDetector.outlier_centres` as one padded batch, scored by one
+:func:`lof_window_scores` call, and any row the kernel declines is
+re-scored with :func:`lof_scores` on its finite values.
 """
 
 from __future__ import annotations
@@ -138,10 +150,20 @@ _THRESHOLD_MARGIN = 1e-9
 _REACH_MIN, _REACH_MAX = 1e-150, 1e150
 
 
+#: Rows of a batch are scored in sub-batches of at most this many
+#: ``(2k, width)`` kernel elements (one row at least), so a batch's
+#: temporaries stay within one large window's however many rows it has.
+_ELEMENT_BUDGET = 1 << 20
+
+
 def _shifted(buf: np.ndarray, n_rows: int, n: int) -> np.ndarray:
-    """``(n_rows, n)`` view of a 1-d array whose row ``t`` is ``buf[t : t + n]``."""
-    step = buf.strides[0]
-    return np.ndarray((n_rows, n), dtype=buf.dtype, buffer=buf, strides=(step, step))
+    """``(n_rows, B, n)`` view of a ``(B, w)`` array whose slice ``t`` is
+    ``buf[:, t : t + n]``."""
+    row, step = buf.strides
+    return np.ndarray(
+        (n_rows, buf.shape[0], n), dtype=buf.dtype, buffer=buf,
+        strides=(step, row, step),
+    )
 
 
 def lof_window_scores(
@@ -149,80 +171,111 @@ def lof_window_scores(
 ) -> Optional[np.ndarray]:
     """LOF scores of ascending values by the window kernel (see the module
     docstring), or ``None`` where only :func:`lof_scores` can decide which
-    scores exceed ``threshold``."""
-    sv = np.asarray(sorted_values, dtype=np.float64)
-    n = sv.shape[0]
-    if n <= k:
-        raise ValueError(f"LOF needs more than k={k} points, got {n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = sv[-1] - sv[0]
-    if not np.isfinite(span):
-        return None
-    pad = np.empty(n + 2 * k)
-    pad[:k] = -np.inf
-    pad[k : k + n] = sv
-    pad[k + n :] = np.inf
-    near = _shifted(pad, 2 * k + 1, n)  # row t: the values at offset t - k
+    scores exceed ``threshold``.
 
-    # Row r < k holds L_{k-r}, row k + r holds R_{r+1}; out-of-range
-    # neighbours are infinitely far.
-    dist = np.empty((2 * k, n))
-    left, right = dist[:k], dist[k:]
-    np.subtract(sv, near[:k], out=left)
-    np.subtract(near[k + 1 :], sv, out=right)
-    # Row r of the comparison is [L_{k-r} <= R_{r+1}], true for exactly the
-    # window's left neighbours: it is the left rows' window mask, and its
-    # negation the right rows'.  The window is rows [k - l, 2k - l).
-    in_left = left <= right
-    in_right = ~in_left
-    n_left = in_left.sum(axis=0)
-    first = (k - n_left) * n + np.arange(n)
-    flat = dist.reshape(-1)
-    k_dist = np.maximum(flat[first], flat[first + (k - 1) * n])
-    # Two distinct left values at one rounded distance: the argsort keeps
-    # the further one, the window the nearer.
-    distinct = _shifted(pad[1:] != pad[:-1], k - 1, n)
-    if ((left[:-1] == left[1:]) & distinct).any():
-        return None
+    ``sorted_values`` may also be a ``(B, m)`` batch of rows, each holding
+    one population's values in ascending order, padded with ``-inf`` before
+    them and ``+inf`` after them (any number of each).  A row is scored as
+    its finite values alone, bit for bit; the result is ``(B, m)``, with
+    NaN in the pad slots and in every slot of a row the kernel declines.
+    A 1-d call is the one-row case.
+    """
+    rows = np.asarray(sorted_values, dtype=np.float64)
+    if rows.ndim == 1:
+        scores = _window_rows(rows[None], k, threshold)[0]
+        return None if np.isnan(scores[0]) else scores
+    scores = np.empty_like(rows)
+    step = max(1, _ELEMENT_BUDGET // (2 * k * (rows.shape[1] + 2 * k)))
+    for lo in range(0, rows.shape[0], step):
+        scores[lo : lo + step] = _window_rows(rows[lo : lo + step], k, threshold)
+    return scores
 
-    # Only the first and last k columns have out-of-range slots: cap their
-    # inf at the span (no in-range distance exceeds it) so that masking by
-    # multiplication stays finite.
-    np.minimum(dist[:, :k], span, out=dist[:, :k])
-    np.minimum(dist[:, -k:], span, out=dist[:, -k:])
-    kd_pad = np.zeros(n + 2 * k)
-    kd_pad[k : k + n] = k_dist
-    kd_near = _shifted(kd_pad, 2 * k + 1, n)
-    np.maximum(left, kd_near[:k], out=left)
-    np.maximum(right, kd_near[k + 1 :], out=right)
-    np.multiply(left, in_left, out=left)
-    np.multiply(right, in_right, out=right)
-    mean_reach = dist.sum(axis=0)
-    mean_reach /= k
-    positive = mean_reach[mean_reach > 0.0]
-    if positive.size and (positive.min() < _REACH_MIN or positive.max() > _REACH_MAX):
-        return None
-    dense = mean_reach == 0.0  # lrd = inf: a run of more than k duplicates
 
-    def window_sum(per_point: np.ndarray) -> np.ndarray:
-        # Reuses dist's buffer: the reach distances are summed by now.
-        padded = np.zeros(n + 2 * k)
-        padded[k : k + n] = per_point
-        shifted = _shifted(padded, 2 * k + 1, n)
-        np.multiply(shifted[:k], in_left, out=left)
-        np.multiply(shifted[k + 1 :], in_right, out=right)
-        return dist.sum(axis=0)
+def _window_rows(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
+    """:func:`lof_window_scores` of one sub-batch of padded rows."""
+    b, m = rows.shape
+    finite = np.isfinite(rows)
+    n_finite = finite.sum(axis=1)
+    if b and n_finite.min() <= k:
+        raise ValueError(f"LOF needs more than k={k} points, got {n_finite.min()}")
+    at = np.arange(b)
+    first_value = finite.argmax(axis=1)  # rows ascend, so -inf pads lead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        span = rows[at, first_value + n_finite - 1] - rows[at, first_value]
+        pad = np.empty((b, m + 2 * k))
+        pad[:, :k] = -np.inf
+        pad[:, k : k + m] = rows
+        pad[:, k + m :] = np.inf
+        near = _shifted(pad, 2 * k + 1, m)  # slice t: the values at offset t - k
 
-    with np.errstate(divide="ignore"):
+        # Slice r < k holds L_{k-r}, slice k + r holds R_{r+1}; pads and
+        # out-of-range neighbours are infinitely far.
+        dist = np.empty((2 * k, b, m))
+        left, right = dist[:k], dist[k:]
+        np.subtract(rows, near[:k], out=left)
+        np.subtract(near[k + 1 :], rows, out=right)
+        # Slice r of the comparison is [L_{k-r} <= R_{r+1}], true for exactly
+        # the window's left neighbours: it is the left slices' window mask,
+        # and its negation the right slices'.  The window is slices
+        # [k - l, 2k - l).
+        in_left = left <= right
+        in_right = ~in_left
+        n_left = in_left.sum(axis=0)
+        plane = b * m
+        first = (k - n_left) * plane + np.arange(plane).reshape(b, m)
+        flat = dist.reshape(-1)
+        k_dist = np.maximum(flat[first], flat[first + (k - 1) * plane])
+        # Two distinct left values at one rounded distance: the argsort keeps
+        # the further one, the window the nearer.
+        distinct = _shifted(pad[:, 1:] != pad[:, :-1], k - 1, m)
+        bad = ((left[:-1] == left[1:]) & distinct).any(axis=0) & finite
+
+        # Only the first and last k finite slots of a row have out-of-range
+        # neighbours: cap their inf at the row's span (no in-range distance
+        # exceeds it) so that masking by multiplication stays finite.  Pad
+        # slots count as zero in their neighbours' per-point arrays.
+        head = int(first_value.max()) + k
+        tail = int((first_value + n_finite).min()) - k
+        edges = [slice(None)] if head >= tail else [slice(head), slice(tail, None)]
+        for edge in edges:
+            np.minimum(dist[:, :, edge], span[:, None], out=dist[:, :, edge])
+        kd_pad = np.zeros((b, m + 2 * k))
+        kd_pad[:, k : k + m] = np.where(finite, k_dist, 0.0)
+        kd_near = _shifted(kd_pad, 2 * k + 1, m)
+        np.maximum(left, kd_near[:k], out=left)
+        np.maximum(right, kd_near[k + 1 :], out=right)
+        np.multiply(left, in_left, out=left)
+        np.multiply(right, in_right, out=right)
+        # A pad slot's own first neighbour is a pad at the same infinity,
+        # so its mean reach, density and score are NaN: no check below
+        # fires on a pad.
+        mean_reach = dist.sum(axis=0)
+        mean_reach /= k
+        bad |= (mean_reach > 0.0) & (
+            (mean_reach < _REACH_MIN) | (mean_reach > _REACH_MAX)
+        )
+        dense = mean_reach == 0.0  # lrd = inf: a run of more than k duplicates
+
+        def window_sum(per_point: np.ndarray) -> np.ndarray:
+            # Reuses dist's buffer: the reach distances are summed by now.
+            padded = np.zeros((b, m + 2 * k))
+            padded[:, k : k + m] = per_point
+            shifted = _shifted(padded, 2 * k + 1, m)
+            np.multiply(shifted[:k], in_left, out=left)
+            np.multiply(shifted[k + 1 :], in_right, out=right)
+            return dist.sum(axis=0)
+
         lrd = 1.0 / mean_reach
-    # The ratios' mean, as (sum of the neighbours' densities) / lrd / k.
-    scores = window_sum(np.where(dense, 0.0, lrd)) / lrd / k
-    if dense.any():
-        # inf / inf counts 1, finite / inf counts 0, inf / finite is inf.
-        n_dense = window_sum(dense)
-        scores = np.where(dense, n_dense / k, np.where(n_dense > 0, np.inf, scores))
-    if (np.abs(scores - threshold) <= _THRESHOLD_MARGIN * threshold).any():
-        return None
+        # The ratios' mean, as (sum of the neighbours' densities) / lrd / k;
+        # dense points and pads add nothing to the sum.
+        scores = window_sum(np.where(mean_reach > 0.0, lrd, 0.0)) / lrd / k
+        if dense.any():
+            # inf / inf counts 1, finite / inf counts 0, inf / finite is inf.
+            n_dense = window_sum(dense)
+            scores = np.where(dense, n_dense / k, np.where(n_dense > 0, np.inf, scores))
+        bad |= np.abs(scores - threshold) <= _THRESHOLD_MARGIN * threshold
+        declined = bad.any(axis=1) | ~np.isfinite(span)
+    scores[~finite | declined[:, None]] = np.nan
     return scores
 
 
@@ -257,6 +310,23 @@ class LOFDetector(OutlierDetector):
     def locality(self) -> int:
         """``3 * k`` sorted positions either side (see the module docstring)."""
         return 3 * self.k
+
+    def _outlier_centres(self, rows: np.ndarray) -> np.ndarray:
+        """All rows through one :func:`lof_window_scores` call; a row it
+        declines is re-scored with :func:`lof_scores` on its finite values."""
+        centre = rows.shape[1] // 2
+        finite = np.isfinite(rows)
+        sized = finite.sum(axis=1) >= self.min_population
+        out = np.zeros(rows.shape[0], dtype=bool)
+        if not sized.any():
+            return out
+        rows, finite = rows[sized], finite[sized]
+        scores = lof_window_scores(rows, self.k, self.threshold)[:, centre]
+        for i in np.flatnonzero(np.isnan(scores)):
+            at = centre - int(np.count_nonzero(~finite[i, :centre]))
+            scores[i] = lof_scores(rows[i][finite[i]], self.k)[at]
+        out[sized] = scores > self.threshold
+        return out
 
     def _outlier_positions(self, values: np.ndarray) -> np.ndarray:
         order = None

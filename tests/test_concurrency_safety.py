@@ -7,7 +7,9 @@ threads and assert the invariants that unsynchronised code breaks: the
 store never exceeds its capacity and never loses counter updates; the
 accountant never overdraws and never double-charges.  A dataset's lazily
 computed metric order is shared the same way (unlocked: racing first
-calls may each compute it, but every caller must get the whole order).
+calls may each compute it, but every caller must get the whole order), and
+so are the metric ranks and an index snapshot's metric-ordered mask copy
+behind record-scoped reads.
 """
 
 import sys
@@ -46,6 +48,54 @@ class TestMetricOrderUnderContention:
                     orders = list(pool.map(grab, range(N_THREADS)))
                 for order in orders + [dataset.metric_order()]:
                     assert np.array_equal(order, expected)
+        finally:
+            sys.setswitchinterval(previous)
+
+
+class TestRecordScopedFirstReadsUnderContention:
+    def test_racing_first_reads_get_full_profile_verdicts(self):
+        """Eight threads make the first record-scoped reads on a fresh
+        dataset and index, so they race to build the metric order, the
+        metric ranks and the metric-ordered mask copy; every thread must
+        get the verdicts of full profiles."""
+        from repro.context import ContextSpace
+        from repro.core.verification import OutlierVerifier
+        from repro.data.generators import salary_reduced
+        from repro.data.masks import PredicateMaskIndex
+        from repro.outliers import LOFDetector
+
+        detector = LOFDetector(k=5, threshold=1.3)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                dataset = salary_reduced(n_records=2_000, seed=seed)
+                space = ContextSpace(dataset.schema)
+                records = [int(r) for r in dataset.ids[:: 250][:N_THREADS]]
+                asked = {
+                    rid: [
+                        c.bits
+                        for c in space.enumerate_containing(dataset.record_bits(rid))
+                    ][::8]
+                    for rid in records
+                }
+                full = OutlierVerifier(dataset, detector)
+                want = {
+                    rid: [rid in p[1] for p in full.profiles(bits)]
+                    for rid, bits in asked.items()
+                }
+                fresh = dataset.without_positions([])
+                shared = OutlierVerifier(fresh, detector, mask_index=PredicateMaskIndex(fresh))
+                barrier = threading.Barrier(N_THREADS)
+
+                def read(rid):
+                    barrier.wait(timeout=30)
+                    return list(shared.is_matching_many(asked[rid], rid))
+
+                with ThreadPoolExecutor(N_THREADS) as pool:
+                    got = dict(zip(records, pool.map(read, records)))
+                assert got == want
+                assert shared.fm_evaluations == sum(len(b) for b in asked.values())
         finally:
             sys.setswitchinterval(previous)
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.outliers import IQRDetector, OutlierDetector, ZScoreDetector
+from repro.outliers import lof
 from repro.outliers.lof import LOFDetector, lof_scores, lof_window_scores
 
 THRESHOLDS = st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0])
@@ -274,3 +275,95 @@ class TestLocality:
         assert (centre - lo in detector.outlier_positions(window)) == (
             centre in detector.outlier_positions(values)
         )
+
+
+# -------------------------------------------------------------- row batches
+
+
+@st.composite
+def centred_rows(draw):
+    """A batch of rows as the verifier builds them, plus an LOF detector
+    with k from 1 to 15 and one of the ``min_population`` floors of
+    ``test_record_scoped.lof_cases``.
+
+    Each row is one population's window: the ``max(locality,
+    min_population)`` values on each side of a centre in ascending order,
+    padded with -inf / +inf where the population ends.  Populations are
+    duplicate runs, bimodal clusters or arbitrary floats, from a few values
+    below ``min_population`` to well past the window, with the centre at
+    either end or anywhere."""
+    k = draw(st.integers(1, 15))
+    floor = draw(st.sampled_from([None, k + 1, 3 * k + 1, 3 * k + 7]))
+    detector = LOFDetector(
+        k=k, threshold=draw(st.sampled_from([1.1, 1.3, 1.5])), min_population=floor
+    )
+    reach = max(detector.locality, detector.min_population)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(max(1, detector.min_population - 3), 2 * reach + 12))
+        kind = draw(st.sampled_from(["runs", "bimodal", "floats"]))
+        if kind == "runs":
+            element = st.integers(0, 4).map(float)
+        elif kind == "bimodal":
+            element = st.one_of(st.floats(0.0, 1.0), st.floats(100.0, 100.5))
+        else:
+            element = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+        values = np.sort(draw(st.lists(element, min_size=n, max_size=n)), kind="stable")
+        centre = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
+        lo = max(0, centre - reach)
+        window = values[lo : centre + reach + 1]
+        left = reach - (centre - lo)
+        row = np.full(2 * reach + 1, np.inf)
+        row[:left] = -np.inf
+        row[left : left + window.size] = window
+        rows.append(row)
+    return detector, np.array(rows)
+
+
+class TestRowBatches:
+    """``lof_window_scores`` on a ``(B, m)`` batch scores each row as its
+    finite values alone, and ``LOFDetector.outlier_centres`` answers each
+    row as ``outlier_positions`` on those values does."""
+
+    @given(case=centred_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_score_as_their_finite_values(self, case):
+        detector, rows = case
+        k, threshold = detector.k, detector.threshold
+        rows = rows[np.isfinite(rows).sum(axis=1) > k]
+        scores = lof_window_scores(rows, k, threshold)
+        assert scores.shape == rows.shape
+        for row, got in zip(rows, scores):
+            finite = np.isfinite(row)
+            assert np.isnan(got[~finite]).all()
+            alone = lof_window_scores(row[finite], k, threshold)
+            if alone is None:
+                assert np.isnan(got).all()
+            else:
+                assert np.array_equal(got[finite], alone)
+
+    @given(case=centred_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_centre_verdicts_match_row_by_row(self, case):
+        """The batched override against the base class's row-by-row
+        answer; rows the kernel declines go to ``lof_scores``."""
+        detector, rows = case
+        assert np.array_equal(
+            detector.outlier_centres(rows),
+            OutlierDetector._outlier_centres(detector, rows),
+        )
+
+    def test_sub_batches_change_nothing(self, monkeypatch, rng):
+        values = np.sort(rng.normal(0.0, 1.0, 400))
+        rows = np.stack([values[i : i + 61] for i in range(0, 330, 11)])
+        rows[3, :20] = -np.inf
+        rows[7, 45:] = np.inf
+        whole = lof_window_scores(rows, 10, 1.5)
+        monkeypatch.setattr(lof, "_ELEMENT_BUDGET", 1)
+        assert np.array_equal(lof_window_scores(rows, 10, 1.5), whole, equal_nan=True)
+
+    def test_rejects_rows_of_k_or_fewer_values(self):
+        rows = np.array([[-np.inf, 0.0, 1.0, 2.0, np.inf]])
+        with pytest.raises(ValueError, match="more than k"):
+            lof_window_scores(rows, 3, 1.5)
+        assert not LOFDetector(k=3).outlier_centres(rows).any()

@@ -115,10 +115,33 @@ class TestOrderedPositions:
             bits = space.random_context(gen).bits
             row = index.population_masks([bits])[0]
             plain = index.positions_from_packed(row)
-            ordered = index.positions_from_packed(row, order=order)
+            ranked = index.population_masks([bits], metric_order=True)[0]
+            ordered = order[index.positions_from_packed(ranked)]
             # The stable sort of the population's values in record order.
             expected = plain[np.argsort(dataset.metric[plain], kind="stable")]
             assert np.array_equal(ordered, expected)
+
+    def test_metric_layout_is_built_once_per_snapshot(self, dataset):
+        """The metric-ordered copy belongs to one index snapshot: built on
+        first use, kept for that snapshot, rebuilt for an append's."""
+        index = PredicateMaskIndex(dataset)
+        snap = index.snapshot()
+        layout = snap.metric_packed()
+        assert snap.metric_packed() is layout and not layout.flags.writeable
+        order = dataset.metric_order()
+        for bit in range(index.t):
+            bits = np.unpackbits(
+                layout[bit].view(np.uint8), count=len(dataset), bitorder="little"
+            )
+            assert np.array_equal(bits.astype(bool), index.predicate_mask(bit)[order])
+        row = {a.name: a.domain[0] for a in dataset.schema.attributes}
+        row[dataset.schema.metric.name] = float(dataset.metric.min()) - 1.0
+        grown = index.append([row])
+        fresh = PredicateMaskIndex(grown)
+        assert index.snapshot().metric_packed() is not layout
+        assert np.array_equal(
+            index.snapshot().metric_packed(), fresh.snapshot().metric_packed()
+        )
 
 
 class TestContainsRecord:

@@ -8,15 +8,23 @@ a batch of several records.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.context import ContextSpace
 from repro.core.profiles import ProfileStore
 from repro.core.verification import OutlierVerifier
-from repro.data.generators import SALARY_EMPLOYERS, SALARY_JOB_TITLES, SALARY_YEARS
+from repro.data.generators import (
+    SALARY_EMPLOYERS,
+    SALARY_JOB_TITLES,
+    SALARY_YEARS,
+    salary_reduced,
+)
+from repro.data.masks import PredicateMaskIndex
 from repro.data.table import Dataset
 from repro.outliers import LOFDetector, ZScoreDetector
 from repro.schema import CategoricalAttribute, MetricAttribute, Schema
@@ -195,6 +203,9 @@ class TestStore:
         verifier = OutlierVerifier(mini_dataset, LOFDetector(k=3))
         with pytest.raises(VerificationError, match="not in dataset"):
             verifier.profiles([0b111111111], record_id=10**9)
+        # No detector ran, so no f_M run is counted.
+        assert verifier.fm_evaluations == 0
+        assert verifier.local_fm_evaluations == 0
 
 
 class TestCounting:
@@ -214,18 +225,19 @@ class TestCounting:
     def test_detector_sees_exactly_the_records_window(
         self, mini_dataset, monkeypatch, k, floor
     ):
-        """Each record-scoped run hands the detector the
-        ``max(locality, min_population)`` population members either side of
-        the record in metric order, clipped where the population ends."""
+        """Each record-scoped run hands the detector one row centred on the
+        record whose finite values are the ``max(locality, min_population)``
+        population members either side of it in metric order, clipped
+        where the population ends."""
         detector = LOFDetector(k=k, threshold=1.3, min_population=floor)
         seen = []
-        original = LOFDetector.outlier_positions
+        original = LOFDetector.outlier_centres
 
-        def recording(self, values):
-            seen.append(np.array(values))
-            return original(self, values)
+        def recording(self, windows):
+            seen.extend(np.array(windows))
+            return original(self, windows)
 
-        monkeypatch.setattr(LOFDetector, "outlier_positions", recording)
+        monkeypatch.setattr(LOFDetector, "outlier_centres", recording)
         verifier = OutlierVerifier(mini_dataset, detector)
         rid = int(mini_dataset.ids[5])
         rbits = mini_dataset.record_bits(rid)
@@ -233,13 +245,66 @@ class TestCounting:
         verifier.is_matching_many(containing, rid)
 
         reach = max(3 * k, floor)
-        order = mini_dataset.metric_order()
         slot = mini_dataset.position_of(rid)
         expected = []
-        for row in verifier.masks.population_masks(containing):
-            positions = verifier.masks.positions_from_packed(row, order=order)
+        for bits in containing:
+            plain = np.flatnonzero(verifier.masks.population_mask(bits))
+            positions = plain[np.argsort(mini_dataset.metric[plain], kind="stable")]
             i = int(np.flatnonzero(positions == slot)[0])
-            window = positions[max(0, i - reach) : i + reach + 1]
-            expected.append(mini_dataset.metric[window])
+            lo = max(0, i - reach)
+            window = positions[lo : i + reach + 1]
+            expected.append((reach - (i - lo), mini_dataset.metric[window]))
         assert len(seen) == len(expected)
-        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+        for row, (left, want) in zip(seen, expected):
+            assert row.shape == (2 * reach + 1,)
+            assert np.array_equal(row[left : left + want.size], want)
+            assert (row[:left] == -np.inf).all()
+            assert (row[left + want.size :] == np.inf).all()
+
+
+class TestLargeK:
+    def test_batch_peaks_like_one_window(self):
+        """At k=400 a window holds 2,401 values and the window kernel's
+        temporaries ~18 MB.  A cold ``is_matching_many`` over eight large
+        populations holding a mid-order record scores all eight windows in
+        one detector call, but in sub-batches, so its traced peak stays
+        within 1.5x that of scoring one of those windows alone (without
+        sub-batches it was ~8x)."""
+        dataset = salary_reduced(n_records=20_000, seed=7)
+        detector = LOFDetector(k=400)
+        reach = max(detector.locality, detector.min_population)
+        order = dataset.metric_order()
+        rid = int(dataset.ids[order[len(order) // 2]])
+        index = PredicateMaskIndex(dataset)
+        containing = [
+            c.bits
+            for c in ContextSpace(dataset.schema).enumerate_containing(
+                dataset.record_bits(rid)
+            )
+        ]
+        sizes = index.population_sizes(containing)
+        contexts = [containing[i] for i in np.argsort(-sizes, kind="stable")[:8]]
+        slot = dataset.position_of(rid)
+        windows = []
+        for bits in contexts:
+            plain = np.flatnonzero(index.population_mask(bits))
+            positions = plain[np.argsort(dataset.metric[plain], kind="stable")]
+            i = int(np.flatnonzero(positions == slot)[0])
+            windows.append(dataset.metric[positions[max(0, i - reach) : i + reach + 1]])
+        assert all(w.size == 2 * reach + 1 for w in windows)
+        want = [reach in detector.outlier_positions(w) for w in windows]
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = traced_peak(lambda: detector.outlier_positions(windows[0]))
+        verifier = OutlierVerifier(dataset, detector)
+        got = []
+        batch = traced_peak(lambda: got.append(verifier.is_matching_many(contexts, rid)))
+        assert list(got[0]) == want
+        assert batch <= 1.5 * one, f"{batch / 1e6:.1f} MB vs {one / 1e6:.1f} MB"
