@@ -6,31 +6,67 @@ mechanism once over all of them.  This is the gold standard for utility
 is compared against, but its cost is exponential in ``t``
 (Theorem 4.2) — the paper's three-day reference computation.
 
-``enumerate_mode``:
-  * ``"containing"`` (default) — loop only over supersets of ``V``'s own
-    bits (``2^(t-m)`` contexts).  Identical output distribution, since a
-    context that does not contain ``V`` can never match.
-  * ``"all"`` — the literal paper loop over all ``2^t`` bitmasks, kept for
-    cost demonstrations.
+Algorithm 1 is a :class:`DirectSampler`, whose candidate pool is all of
+``COE_M(D, V)`` (:class:`~repro.core.enumeration.COEEnumerator`, which
+enumerates only the ``2^(t-m)`` supersets of ``V``'s own bits).
+:class:`DirectPCOR` submits it to a private
+:class:`~repro.service.engine.ReleaseEngine` that adopts the caller's
+verifier, so one budget split, select step and result assembly serve all
+five algorithms.  The sampler is not registered by name, so that no spec
+can make a server enumerate up to ``DEFAULT_ENUMERATION_LIMIT`` contexts.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
-from repro.context.context import Context
-from repro.context.space import DEFAULT_ENUMERATION_LIMIT, ContextSpace
+from repro.context.space import DEFAULT_ENUMERATION_LIMIT
+from repro.core.enumeration import COEEnumerator
 from repro.core.result import PCORResult
-from repro.core.sampling.base import SamplingStats
+from repro.core.sampling.base import Sampler, SamplingRun, SamplingStats
 from repro.core.utility import UtilityFunction
 from repro.core.verification import OutlierVerifier
 from repro.exceptions import SamplingError
-from repro.mechanisms.accounting import epsilon_one_for
 from repro.mechanisms.exponential import ExponentialMechanism
-from repro.rng import RngLike, ensure_rng
+from repro.rng import RngLike
+from repro.service.engine import ReleaseEngine, ReleaseRequest
+from repro.service.spec import PipelineSpec
+
+
+class DirectSampler(Sampler):
+    """Algorithm 1's candidate pool: every matching context of the record."""
+
+    name = "direct"
+    accounting_name = "direct"
+    requires_starting_context = False
+
+    def __init__(self, limit: Optional[int] = DEFAULT_ENUMERATION_LIMIT):
+        super().__init__()
+        self.limit = limit
+
+    def sample(
+        self,
+        verifier: OutlierVerifier,
+        utility: UtilityFunction,
+        record_id: int,
+        starting_bits: int | None,
+        mechanism: ExponentialMechanism,
+        rng: np.random.Generator,
+    ) -> SamplingRun:
+        candidates = list(COEEnumerator(verifier).iter_matching(record_id, self.limit))
+        if not candidates:
+            raise SamplingError(
+                f"record {record_id} has no matching context; COE_M is empty"
+            )
+        # The enumeration examined every containing context: 2^(t - m).
+        record_bits = verifier.dataset.record_bits(record_id)
+        stats = SamplingStats(
+            candidates_collected=len(candidates),
+            contexts_examined=1 << (verifier.schema.t - record_bits.bit_count()),
+        )
+        return SamplingRun(candidates, stats)
 
 
 class DirectPCOR:
@@ -42,19 +78,19 @@ class DirectPCOR:
         self,
         verifier: OutlierVerifier,
         epsilon: float = 0.2,
-        enumerate_mode: str = "containing",
         limit: Optional[int] = DEFAULT_ENUMERATION_LIMIT,
         half_sensitivity: bool = False,
     ):
-        if enumerate_mode not in ("containing", "all"):
-            raise SamplingError(
-                f"enumerate_mode must be 'containing' or 'all', got {enumerate_mode!r}"
-            )
         self.verifier = verifier
         self.epsilon = float(epsilon)
-        self.enumerate_mode = enumerate_mode
         self.limit = limit
         self.half_sensitivity = bool(half_sensitivity)
+        self.engine = ReleaseEngine(verifier.dataset, mask_index=verifier.masks)
+        self.engine.adopt_verifier(verifier)
+
+    def close(self) -> None:
+        """Release the engine's execution resources (pools, shared memory)."""
+        self.engine.close()
 
     def release(
         self,
@@ -63,50 +99,12 @@ class DirectPCOR:
         rng: RngLike = None,
     ) -> PCORResult:
         """Run Algorithm 1 for ``record_id`` with the given utility."""
-        gen = ensure_rng(rng)
-        t0 = time.perf_counter()
-        fm_before = self.verifier.fm_evaluations
-        space = ContextSpace(self.verifier.schema)
-        stats = SamplingStats()
-
-        candidates: list[int] = []
-        if self.enumerate_mode == "containing":
-            record_bits = self.verifier.dataset.record_bits(record_id)
-            iterator = space.enumerate_containing(record_bits, limit=self.limit)
-        else:
-            iterator = space.enumerate_all(limit=self.limit)
-        for ctx in iterator:
-            stats.contexts_examined += 1
-            if self.verifier.is_matching(ctx.bits, record_id):
-                candidates.append(ctx.bits)
-        stats.candidates_collected = len(candidates)
-
-        if not candidates:
-            raise SamplingError(
-                f"record {record_id} has no matching context; COE_M is empty"
-            )
-
-        eps1 = epsilon_one_for("direct", self.epsilon)
-        mechanism = ExponentialMechanism(
-            eps1,
-            sensitivity=utility.sensitivity or 1.0,
+        spec = PipelineSpec(
+            detector=self.verifier.detector,
+            sampler=DirectSampler(self.limit),
+            utility=lambda verifier, record_id, starting_bits: utility,
+            epsilon=self.epsilon,
             half_sensitivity=self.half_sensitivity,
+            utility_needs_start=False,
         )
-        scores = utility.scores(candidates)
-        stats.mechanism_invocations += 1
-        chosen, _ = mechanism.select(candidates, scores, gen)
-
-        return PCORResult(
-            context=Context(self.verifier.schema, chosen),
-            record_id=record_id,
-            utility_value=float(utility.score(chosen)),
-            utility_name=utility.name,
-            epsilon_total=self.epsilon,
-            epsilon_one=eps1,
-            algorithm=self.name,
-            n_candidates=len(candidates),
-            starting_context=None,
-            stats=stats,
-            fm_evaluations=self.verifier.fm_evaluations - fm_before,
-            wall_time_s=time.perf_counter() - t0,
-        )
+        return self.engine.submit(ReleaseRequest(record_id, spec, seed=rng))

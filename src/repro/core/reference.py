@@ -7,6 +7,10 @@ of outliers for each context".  Building it is exactly the cost of the
 direct approach (three days at the paper's scale), so this module guards
 enumeration size and supports JSON round-tripping so a build can be reused
 across experiments.
+
+A build profiles the valid contexts with one batched ``profiles`` call per
+chunk (:mod:`repro.core.enumeration`), and ``max_utility`` scores a
+record's matching contexts with one ``scores`` call.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.context.space import DEFAULT_ENUMERATION_LIMIT, ContextSpace
+from repro.core.enumeration import chunked
 from repro.core.utility import UtilityFunction
 from repro.core.verification import OutlierVerifier
 from repro.exceptions import EnumerationError
@@ -49,24 +54,19 @@ class ReferenceFile:
         cls,
         verifier: OutlierVerifier,
         limit: Optional[int] = DEFAULT_ENUMERATION_LIMIT,
-        progress_every: int = 0,
     ) -> "ReferenceFile":
-        """Enumerate every structurally valid context and profile it.
-
-        ``progress_every > 0`` prints a line every that-many contexts, since
-        a full build is the most expensive operation in the library.
-        """
+        """Enumerate every structurally valid context and profile it, one
+        :meth:`OutlierVerifier.profiles` call per chunk of contexts
+        (:func:`~repro.core.enumeration.chunked`), in enumeration order."""
         space = ContextSpace(verifier.schema)
         entries: Dict[int, ContextEntry] = {}
-        for i, ctx in enumerate(space.enumerate_valid(limit=limit)):
-            pop, outliers = verifier.context_profile(ctx.bits)
-            entries[ctx.bits] = ContextEntry(
-                bits=ctx.bits,
-                population_size=pop,
-                outlier_ids=tuple(sorted(outliers)),
-            )
-            if progress_every and (i + 1) % progress_every == 0:
-                print(f"reference build: {i + 1} contexts profiled")
+        for chunk in chunked(space.enumerate_valid(limit=limit)):
+            for bits, (pop, outliers) in zip(chunk, verifier.profiles(chunk)):
+                entries[bits] = ContextEntry(
+                    bits=bits,
+                    population_size=pop,
+                    outlier_ids=tuple(sorted(outliers)),
+                )
         return cls(verifier.schema, entries)
 
     # ------------------------------------------------------------------ query
@@ -124,7 +124,7 @@ class ReferenceFile:
         matching = self.matching_contexts(record_id)
         if not matching:
             return float("-inf")
-        return float(max(utility.score(bits) for bits in matching))
+        return float(utility.scores(matching).max())
 
     # ------------------------------------------------------------------- I/O
 

@@ -350,9 +350,10 @@ class OutlierVerifier:
         """The paper's matching-context test: ``V in D_C`` and ``f_M = true``.
 
         Same semantics as a batch-of-one :meth:`is_matching_many`, minus the
-        batch allocations — the tight scalar loops in the direct approach,
-        the enumerator and the starting-context search call this once per
-        context, so cache hits must stay a couple of dict lookups.
+        batch allocations — the starting-context search, the one scalar loop
+        left (enumerations of the context space go through
+        :meth:`is_matching_many` in chunks), calls this once per context, so
+        cache hits must stay a couple of dict lookups.
         """
         with self._counter_lock:
             self.fm_queries += 1

@@ -100,6 +100,51 @@ class TestRecordScopedFirstReadsUnderContention:
             sys.setswitchinterval(previous)
 
 
+class TestDirectReleasesUnderContention:
+    def test_each_release_counts_only_its_own_detector_runs(self, mini_dataset):
+        """Eight threads release distinct records through one DirectPCOR on
+        one fresh LOF verifier.  LOF reads are record-scoped, so records
+        share no profiles: every release must report the detector runs of
+        the same release run alone, however the threads interleave."""
+        from repro.core.direct import DirectPCOR
+        from repro.core.reference import ReferenceFile
+        from repro.core.utility import PopulationSizeUtility
+        from repro.core.verification import OutlierVerifier
+        from repro.outliers import LOFDetector
+
+        detector = LOFDetector(k=5, threshold=1.5)
+        reference = ReferenceFile.build(OutlierVerifier(mini_dataset, detector))
+        records = reference.outlier_records()[::20][:N_THREADS]
+        assert len(records) == N_THREADS
+
+        def release(direct, rid):
+            utility = PopulationSizeUtility(direct.verifier, rid)
+            return direct.release(utility, rid, rid).fm_evaluations
+
+        solo = {
+            rid: release(DirectPCOR(OutlierVerifier(mini_dataset, detector)), rid)
+            for rid in records
+        }
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared = OutlierVerifier(mini_dataset, detector)
+                direct = DirectPCOR(shared)
+                barrier = threading.Barrier(N_THREADS)
+
+                def run(rid):
+                    barrier.wait(timeout=30)
+                    return release(direct, rid)
+
+                with ThreadPoolExecutor(N_THREADS) as pool:
+                    got = dict(zip(records, pool.map(run, records)))
+                assert got == solo
+                assert shared.fm_evaluations == sum(solo.values())
+        finally:
+            sys.setswitchinterval(previous)
+
+
 class TestProfileStoreUnderContention:
     def test_capacity_and_counters_hold(self):
         store = ProfileStore(capacity=64)

@@ -29,16 +29,6 @@ class TestRelease:
         assert result.epsilon_total == 0.4
         assert result.epsilon_one == pytest.approx(epsilon_one_for("direct", 0.4))
 
-    def test_enumerate_all_same_candidates(self, mini_verifier, mini_outlier):
-        containing = DirectPCOR(mini_verifier, epsilon=0.2, enumerate_mode="containing")
-        everything = DirectPCOR(mini_verifier, epsilon=0.2, enumerate_mode="all")
-        util = PopulationSizeUtility(mini_verifier, mini_outlier)
-        r1 = containing.release(util, mini_outlier, np.random.default_rng(5))
-        r2 = everything.release(util, mini_outlier, np.random.default_rng(5))
-        assert r1.n_candidates == r2.n_candidates
-        # "all" examines the whole 2^t space; "containing" only 2^(t-m).
-        assert r2.stats.contexts_examined > r1.stats.contexts_examined
-
     def test_no_matching_contexts_raises(self, mini_verifier, mini_reference, mini_dataset, rng):
         outliers = set(mini_reference.outlier_records())
         normal = next(int(r) for r in mini_dataset.ids if int(r) not in outliers)
@@ -46,10 +36,6 @@ class TestRelease:
         util = PopulationSizeUtility(mini_verifier, normal)
         with pytest.raises(SamplingError, match="no matching context"):
             direct.release(util, normal, rng)
-
-    def test_bad_enumerate_mode(self, mini_verifier):
-        with pytest.raises(SamplingError, match="enumerate_mode"):
-            DirectPCOR(mini_verifier, enumerate_mode="fast")
 
     def test_favors_large_populations(self, mini_verifier, mini_reference, mini_outlier):
         """With a decisive epsilon the direct mechanism picks near-max contexts."""
