@@ -22,11 +22,14 @@ its answers in a :class:`ProfileStore`, in one of two forms:
   min_population)`` members on each side of V, so it costs O(s) detector
   work instead of O(population).  The verdict is the full profile's, bit
   for bit (see :mod:`repro.outliers.lof`).  All misses of one read are
-  answered in one vectorised pass: the population masks come in the
-  index's metric-ordered layout, per-word popcounts around V's rank locate
-  each window so only the words holding it are unpacked, and the windows
-  go to the detector as one ``(B, 2s + 1)`` matrix centred on V
-  (:meth:`~repro.outliers.base.OutlierDetector.outlier_centres`).
+  answered in one vectorised pass: the population masks come from the
+  index's OR table over its metric-ordered layout, one gather per
+  predicate group, per-word popcounts around V's rank locate each window
+  so only the words holding it are unpacked, and the windows go to the
+  detector as one ``(B, 2s + 1)`` matrix centred on V
+  (:meth:`~repro.outliers.base.OutlierDetector.outlier_centres`).  LOF
+  scores only each row's centre from the ``6k + 1`` values its score
+  reads, not the ``2s + 1`` scores of the whole row.
 
 A record-scoped profile cannot answer a second record, so a record-bound
 miss is computed as a full profile instead whenever another record could
@@ -40,7 +43,7 @@ both ask about, and the store holds one entry per (context, record) asked.
 
 The core entry point is batched: :meth:`OutlierVerifier.profiles` partitions
 a batch of contexts into cached and uncached, evaluates all uncached
-population masks in one word-wise pass through the bit-packed
+population masks in one table-driven pass through the bit-packed
 :class:`~repro.data.masks.PredicateMaskIndex`, then runs the detector once
 per distinct uncached full profile — on the population's values in metric
 order, read off the metric-ordered mask layout, when the detector is
@@ -254,7 +257,7 @@ class OutlierVerifier:
                 positions = order[positions]
             outlier_pos = self.detector.outlier_positions(metric[positions])
             computed.append(
-                (int(pop), frozenset(int(ids[positions[p]]) for p in outlier_pos))
+                (int(pop), frozenset(ids[positions[outlier_pos]].tolist()))
             )
         return computed
 

@@ -10,10 +10,19 @@ The masks are stored *bit-packed*: a ``t x ceil(n/64)`` ``uint64`` matrix
 where row ``b`` holds predicate ``b``'s record mask, 64 records per word.
 The batch kernels :meth:`PredicateMaskIndex.population_masks` and
 :meth:`PredicateMaskIndex.population_sizes` evaluate the AND-of-OR filter
-for a whole array of context bitmasks through the NumPy kernels in
-:mod:`repro.bitops` — ``t`` word-wise passes — with no per-record boolean
-arrays on the hot path.  The scalar APIs are thin
-wrappers over the batch kernels, so every caller exercises the same engine.
+for a whole array of context bitmasks through one table kernel,
+:class:`repro.bitops.OrTable`, with no per-record boolean arrays on the hot
+path.  The table splits each attribute's predicates into groups of at most
+four and holds the OR of every subset of each group, so a batch costs one
+word-wise gather per group (4 at t=14, whose blocks of 6, 4 and 4
+predicates split into groups of 4 + 2, 4 and 4), one OR per extra group of
+an attribute and one AND per further attribute, however many predicates
+each context selects.  A group of ``w`` predicates keeps ``2**w`` rows, so
+a table is at most four times the packed matrix: 52 rows against 14 at
+t=14, ~130 KB at n=20k.  Each index snapshot builds the table of each
+layout it is asked for on first use and keeps it.  The scalar APIs are
+thin wrappers over the batch kernels, so every caller exercises the same
+engine.
 
 Populations wanted in metric order (full profiles of ``sorted_input``
 detectors, and every record-scoped verdict) come from the same filter over
@@ -44,11 +53,11 @@ from typing import Any, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.bitops import (
-    batch_and_of_or,
-    batch_and_of_or_counts,
+    OrTable,
     bool_matrix_to_ints,
     ints_to_bool_matrix,
     pack_bool_matrix,
+    popcount_rows,
     unpack_words,
     words_for,
 )
@@ -62,15 +71,18 @@ class IndexSnapshot:
     Everything derived from a population evaluation (row positions, record
     ids, metric values) must come from the *same* snapshot the masks were
     evaluated against, or a concurrent append could tear the result.
+    Derived layouts (:meth:`metric_packed`, :meth:`or_table`) are built
+    from the snapshot's own matrix, so they see every append it holds.
     """
 
-    __slots__ = ("dataset", "packed", "version", "_metric_packed")
+    __slots__ = ("dataset", "packed", "version", "_metric_packed", "_tables")
 
     def __init__(self, dataset: Dataset, packed: np.ndarray, version: int):
         self.dataset = dataset
         self.packed = packed
         self.version = version
         self._metric_packed: np.ndarray | None = None
+        self._tables: list[OrTable | None] = [None, None]
 
     def metric_packed(self) -> np.ndarray:
         """The packed matrix with records in metric order (read-only): bit
@@ -91,6 +103,24 @@ class IndexSnapshot:
             packed.flags.writeable = False
             self._metric_packed = packed
         return packed
+
+    def or_table(self, metric_order: bool = False) -> OrTable:
+        """The :class:`~repro.bitops.OrTable` of :attr:`packed`, or of
+        :meth:`metric_packed` with ``metric_order``.
+
+        Built on first call per layout and kept for the snapshot's lifetime;
+        unlocked like :meth:`metric_packed`.
+        """
+        table = self._tables[metric_order]
+        if table is None:
+            schema = self.dataset.schema
+            table = OrTable(
+                self.metric_packed() if metric_order else self.packed,
+                schema.offsets,
+                [len(a) for a in schema.attributes],
+            )
+            self._tables[metric_order] = table
+        return table
 
 
 class _PendingAppend(NamedTuple):
@@ -118,16 +148,13 @@ class PredicateMaskIndex:
         schema = dataset.schema
         self.t = schema.t
         self._offsets = schema.offsets
-        self._block_sizes = tuple(len(a) for a in schema.attributes)
-        self._offsets_arr = np.asarray(self._offsets, dtype=np.int64)
-        self._sizes_arr = np.asarray(self._block_sizes, dtype=np.int64)
         n = len(dataset)
         n_words = words_for(n)
         # Pack one attribute block at a time into the final matrix: peak
         # construction memory is one (max_block, n) boolean scratch, not the
         # full (t, n) temporary — ~8x less at realistic schemas.
         packed = np.zeros((self.t, n_words), dtype=np.uint64)
-        max_block = max(self._block_sizes, default=0)
+        max_block = max((len(a) for a in schema.attributes), default=0)
         scratch = np.empty((max_block, n), dtype=bool)
         row = 0
         for attr in schema.attributes:
@@ -163,9 +190,6 @@ class PredicateMaskIndex:
         schema = dataset.schema
         obj.t = schema.t
         obj._offsets = schema.offsets
-        obj._block_sizes = tuple(len(a) for a in schema.attributes)
-        obj._offsets_arr = np.asarray(obj._offsets, dtype=np.int64)
-        obj._sizes_arr = np.asarray(obj._block_sizes, dtype=np.int64)
         n_words = words_for(len(dataset))
         arr = np.asarray(packed)
         if arr.dtype != np.uint64 or arr.shape != (obj.t, n_words):
@@ -246,42 +270,30 @@ class PredicateMaskIndex:
         default the current state is captured once at entry.
         """
         snap = self._state if snapshot is None else snapshot
+        return self._evaluate(bits_seq, snap, metric_order)
+
+    def population_sizes(self, bits_seq: Sequence[int]) -> np.ndarray:
+        """Population size of every context in ``bits_seq`` (int64 array)."""
+        return popcount_rows(self._evaluate(bits_seq, self._state, False))
+
+    def _evaluate(
+        self, bits_seq: Sequence[int], snap: IndexSnapshot, metric_order: bool
+    ) -> np.ndarray:
+        """Range check, count and evaluate a batch against ``snap``'s table
+        of the asked layout."""
         bits_list = [int(b) for b in bits_seq]
         for b in bits_list:
             if b < 0 or b >> self.t:
                 raise ContextError(
                     f"context bits {b:#x} out of range for t={self.t}"
                 )
-        batch = len(bits_list)
         # The index is shared by every verifier (and, under the thread
         # backend, by concurrent profile chunks): the counter update must
         # not lose increments.
         with self._counter_lock:
-            self.population_evaluations += batch
-        if batch == 0:
-            return np.zeros((0, snap.packed.shape[1]), dtype=np.uint64)
+            self.population_evaluations += len(bits_list)
         selection = ints_to_bool_matrix(bits_list, self.t)  # (B, t)
-        packed = snap.metric_packed() if metric_order else snap.packed
-        return batch_and_of_or(packed, self._offsets_arr, self._sizes_arr, selection)
-
-    def population_sizes(self, bits_seq: Sequence[int]) -> np.ndarray:
-        """Population size of every context in ``bits_seq`` (int64 array)."""
-        snap = self._state
-        bits_list = [int(b) for b in bits_seq]
-        for b in bits_list:
-            if b < 0 or b >> self.t:
-                raise ContextError(
-                    f"context bits {b:#x} out of range for t={self.t}"
-                )
-        batch = len(bits_list)
-        with self._counter_lock:
-            self.population_evaluations += batch
-        if batch == 0:
-            return np.zeros(0, dtype=np.int64)
-        selection = ints_to_bool_matrix(bits_list, self.t)
-        return batch_and_of_or_counts(
-            snap.packed, self._offsets_arr, self._sizes_arr, selection
-        )
+        return snap.or_table(metric_order).and_of_or(selection)
 
     def population_mask(self, bits: int) -> np.ndarray:
         """Boolean record mask of the population selected by context ``bits``.

@@ -222,6 +222,12 @@ class PrivacyAccountant:
         with self._lock:
             return list(self._ledger)
 
+    @property
+    def charge_count(self) -> int:
+        """``len(ledger())`` without copying the ledger."""
+        with self._lock:
+            return len(self._ledger)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PrivacyAccountant(spent={self.spent:.6g}, budget={self.budget:.6g}, "

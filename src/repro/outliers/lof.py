@@ -16,7 +16,7 @@ then by sorted position, so of two equally distant candidates the left one
 wins.  Duplicate-heavy data where ``k-dist = 0`` is handled by the standard
 convention ``lrd = inf`` and ``inf/inf = 1``.
 
-Two kernels compute the scores:
+Three kernels compute the scores:
 
 * :func:`lof_scores` is the exact path.  It sorts the values, lays the
   ``2k`` sorted positions around each point out as an ``(n, 2k)`` window,
@@ -35,10 +35,17 @@ Two kernels compute the scores:
   with ``-inf`` before and ``+inf`` after them.  A pad is an infinitely
   far neighbour, exactly like the slots beyond a 1-d population's ends,
   and pads contribute zeros to every masked sum, so each row scores as its
-  finite values alone, bit for bit; a 1-d call is the one-row case.  Rows
-  run in sub-batches under a fixed element budget (or one row at a time
-  where a row exceeds it), so at a large ``k`` a batch allocates no more
-  than one of its windows does alone.
+  finite values alone, bit for bit; a 1-d call is the one-row case.
+* :func:`lof_centre_scores` scores only the centre value of each row of
+  such a batch: the one question a record-scoped verdict asks.  It runs
+  the window kernel's neighbour-window stage (:func:`_neighbours`) on the
+  ``4k + 1`` positions within ``2k`` of the centre, for their k-distances,
+  sums reach distances for the ``2k + 1`` positions within ``k``, for their
+  densities, and forms one score, instead of scoring all ``m`` positions.
+
+Both batch kernels run rows in sub-batches under a fixed element budget
+(or one row at a time where a row exceeds it), so at a large ``k`` a batch
+allocates no more than one of its windows does alone.
 
 The window kernel adds its terms in window order rather than (distance,
 position) order, which moves scores by a few ulps, and where two distinct
@@ -57,6 +64,10 @@ It also declines when the values' spread overflows.  In a batch it
 declines row by row, on exactly the conditions it would on the row's
 finite values alone.  Outlier positions are therefore exactly those of
 ``lof_scores(values, k) > threshold`` for every finite input, in any order.
+The centre kernel declines a row on the same conditions, checked only at
+the positions its score reads: (1) at the centre, (2) at the ``2k + 1``
+positions within ``k`` of it, (3) at the ``4k + 1`` within ``2k``, and the
+spread of the ``6k + 1`` values within ``3k``.
 
 **Locality.**  :class:`LOFDetector` declares ``locality = 3 * k``: in
 ascending order, whether a value is an outlier depends only on the ``3k``
@@ -76,9 +87,9 @@ same floats under the same positional tie rule as on the whole
 population, so it gives ``p`` the bit-identical score.  The verifier
 exploits this for record-bound questions (see
 :mod:`repro.core.verification`): it hands all of one read's windows to
-:meth:`LOFDetector.outlier_centres` as one padded batch, scored by one
-:func:`lof_window_scores` call, and any row the kernel declines is
-re-scored with :func:`lof_scores` on its finite values.
+:meth:`LOFDetector.outlier_centres` as one padded batch, whose centres are
+scored by one :func:`lof_centre_scores` call, and any row the kernel
+declines is re-scored with :func:`lof_scores` on its finite values.
 """
 
 from __future__ import annotations
@@ -166,6 +177,13 @@ def _shifted(buf: np.ndarray, n_rows: int, n: int) -> np.ndarray:
     )
 
 
+def _sub_batches(n_rows: int, per_row: int):
+    """Slices of rows holding at most :data:`_ELEMENT_BUDGET` kernel
+    elements at ``per_row`` each (one row at least)."""
+    step = max(1, _ELEMENT_BUDGET // per_row)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
 def lof_window_scores(
     sorted_values: np.ndarray, k: int, threshold: float
 ) -> Optional[np.ndarray]:
@@ -185,10 +203,70 @@ def lof_window_scores(
         scores = _window_rows(rows[None], k, threshold)[0]
         return None if np.isnan(scores[0]) else scores
     scores = np.empty_like(rows)
-    step = max(1, _ELEMENT_BUDGET // (2 * k * (rows.shape[1] + 2 * k)))
-    for lo in range(0, rows.shape[0], step):
-        scores[lo : lo + step] = _window_rows(rows[lo : lo + step], k, threshold)
+    for part in _sub_batches(rows.shape[0], 2 * k * (rows.shape[1] + 2 * k)):
+        scores[part] = _window_rows(rows[part], k, threshold)
     return scores
+
+
+def lof_centre_scores(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
+    """LOF score of the centre value of each row of a ``(B, m)`` batch, ``m``
+    odd, laid out as for :func:`lof_window_scores`; each row must hold more
+    than ``k`` finite values.
+
+    Entry ``b`` is the score of ``rows[b, m // 2]`` among row ``b``'s finite
+    values, or NaN where the kernel declines and only :func:`lof_scores`
+    can decide whether it exceeds ``threshold`` (see the module docstring).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    scores = np.empty(rows.shape[0])
+    # Per row, the window kernel's measure at the 4k + 1 positions scored.
+    for part in _sub_batches(rows.shape[0], 2 * k * (4 * k + 1 + 2 * k)):
+        scores[part] = _centre_rows(rows[part], k, threshold)
+    return scores
+
+
+def _span(rows: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """Largest minus smallest finite value of each ascending row."""
+    n_finite = finite.sum(axis=1)
+    first = finite.argmax(axis=1)  # rows ascend, so -inf pads lead
+    at = np.arange(rows.shape[0])
+    return rows[at, first + n_finite - 1] - rows[at, first]
+
+
+def _neighbours(pad: np.ndarray, k: int, width: int):
+    """The neighbour-window stage of both batch kernels.
+
+    ``pad`` is a ``(b, width + 2k)`` batch of ascending rows; the positions
+    are its columns ``k .. k + width - 1``, whose ``k`` nearest columns on
+    each side all lie inside it.  Returns, per position:
+
+    * ``dist``, ``(2k, b, width)``: slice ``r < k`` holds ``L_{k-r}``,
+      slice ``k + r`` holds ``R_{r+1}``; pads are infinitely far.
+    * ``in_left``, ``(k, b, width)``: slice ``r`` is ``[L_{k-r} <=
+      R_{r+1}]``, true for exactly the window's left neighbours (ties go
+      left): it is the left slices' window mask, and its negation the right
+      slices'.  The window is slices ``[k - l, 2k - l)``.
+    * ``k_dist``, ``(b, width)``: the distance to the k-th nearest, the
+      larger of the window's two ends.
+    * ``tied``, ``(b, width)``: two distinct left values at one rounded
+      distance, where the argsort keeps the further one and the window the
+      nearer.
+    """
+    b = pad.shape[0]
+    values = pad[:, k : k + width]
+    near = _shifted(pad, 2 * k + 1, width)  # slice t: the values at offset t - k
+    dist = np.empty((2 * k, b, width))
+    left, right = dist[:k], dist[k:]
+    np.subtract(values, near[:k], out=left)
+    np.subtract(near[k + 1 :], values, out=right)
+    in_left = left <= right
+    plane = b * width
+    first = (k - in_left.sum(axis=0)) * plane + np.arange(plane).reshape(b, width)
+    flat = dist.reshape(-1)
+    k_dist = np.maximum(flat[first], flat[first + (k - 1) * plane])
+    distinct = _shifted(pad[:, 1:] != pad[:, :-1], k - 1, width)
+    tied = ((left[:-1] == left[1:]) & distinct).any(axis=0)
+    return dist, in_left, k_dist, tied
 
 
 def _window_rows(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
@@ -198,37 +276,17 @@ def _window_rows(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
     n_finite = finite.sum(axis=1)
     if b and n_finite.min() <= k:
         raise ValueError(f"LOF needs more than k={k} points, got {n_finite.min()}")
-    at = np.arange(b)
     first_value = finite.argmax(axis=1)  # rows ascend, so -inf pads lead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        span = rows[at, first_value + n_finite - 1] - rows[at, first_value]
+        span = _span(rows, finite)
         pad = np.empty((b, m + 2 * k))
         pad[:, :k] = -np.inf
         pad[:, k : k + m] = rows
         pad[:, k + m :] = np.inf
-        near = _shifted(pad, 2 * k + 1, m)  # slice t: the values at offset t - k
-
-        # Slice r < k holds L_{k-r}, slice k + r holds R_{r+1}; pads and
-        # out-of-range neighbours are infinitely far.
-        dist = np.empty((2 * k, b, m))
+        dist, in_left, k_dist, tied = _neighbours(pad, k, m)
         left, right = dist[:k], dist[k:]
-        np.subtract(rows, near[:k], out=left)
-        np.subtract(near[k + 1 :], rows, out=right)
-        # Slice r of the comparison is [L_{k-r} <= R_{r+1}], true for exactly
-        # the window's left neighbours: it is the left slices' window mask,
-        # and its negation the right slices'.  The window is slices
-        # [k - l, 2k - l).
-        in_left = left <= right
         in_right = ~in_left
-        n_left = in_left.sum(axis=0)
-        plane = b * m
-        first = (k - n_left) * plane + np.arange(plane).reshape(b, m)
-        flat = dist.reshape(-1)
-        k_dist = np.maximum(flat[first], flat[first + (k - 1) * plane])
-        # Two distinct left values at one rounded distance: the argsort keeps
-        # the further one, the window the nearer.
-        distinct = _shifted(pad[:, 1:] != pad[:, :-1], k - 1, m)
-        bad = ((left[:-1] == left[1:]) & distinct).any(axis=0) & finite
+        bad = tied & finite
 
         # Only the first and last k finite slots of a row have out-of-range
         # neighbours: cap their inf at the row's span (no in-range distance
@@ -279,6 +337,65 @@ def _window_rows(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
     return scores
 
 
+def _centre_rows(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
+    """:func:`lof_centre_scores` of one sub-batch of padded rows."""
+    b, m = rows.shape
+    centre, reach = m // 2, 3 * k
+    # The 6k + 1 values the centre's score reads: the positions within 2k of
+    # it (slab columns k .. 5k) and their k neighbours on each side.
+    if centre >= reach:
+        slab = np.ascontiguousarray(rows[:, centre - reach : centre + reach + 1])
+    else:  # a row narrower than that: pad it out
+        short = reach - centre
+        slab = np.full((b, 2 * reach + 1), np.inf)
+        slab[:, :short] = -np.inf
+        slab[:, short : short + m] = rows
+    inner = slice(k, 3 * k + 1)  # the positions within k of the centre
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        finite = np.isfinite(slab)
+        span = _span(slab, finite)
+        finite = finite[:, k : 5 * k + 1]
+        dist, in_left, k_dist, tied = _neighbours(slab, k, 4 * k + 1)
+        bad = (tied & finite).any(axis=1) | ~np.isfinite(span)
+        # Out-of-range neighbours are inf: cap them at the span (no in-range
+        # distance exceeds it) so that masking by multiplication stays
+        # finite.  A pad's own first neighbour is a pad at the same
+        # infinity, so its mean reach is NaN: no check below fires on it.
+        reach_dist = dist[:, :, inner]
+        np.minimum(reach_dist, span[:, None], out=reach_dist)
+        kd_near = _shifted(np.where(finite, k_dist, 0.0), 2 * k + 1, 2 * k + 1)
+        left, right = reach_dist[:k], reach_dist[k:]
+        np.maximum(left, kd_near[:k], out=left)
+        np.maximum(right, kd_near[k + 1 :], out=right)
+        np.multiply(left, in_left[:, :, inner], out=left)
+        np.multiply(right, ~in_left[:, :, inner], out=right)
+        mean_reach = reach_dist.sum(axis=0)
+        mean_reach /= k
+        bad |= (
+            (mean_reach > 0.0)
+            & ((mean_reach < _REACH_MIN) | (mean_reach > _REACH_MAX))
+        ).any(axis=1)
+
+        # The centre's window over the inner positions: left slice r is
+        # inner column r, right slice r inner column k + 1 + r.
+        window = np.zeros((b, 2 * k + 1), dtype=bool)
+        window[:, :k] = in_left[:, :, 2 * k].T
+        np.logical_not(window[:, :k], out=window[:, k + 1 :])
+        lrd = 1.0 / mean_reach
+        dense = mean_reach == 0.0  # lrd = inf: a run of more than k duplicates
+        total = (np.where(mean_reach > 0.0, lrd, 0.0) * window).sum(axis=1)
+        scores = total / lrd[:, k] / k
+        if dense.any():
+            # inf / inf counts 1, finite / inf counts 0, inf / finite is inf.
+            n_dense = (dense & window).sum(axis=1)
+            scores = np.where(
+                dense[:, k], n_dense / k, np.where(n_dense > 0, np.inf, scores)
+            )
+        bad |= np.abs(scores - threshold) <= _THRESHOLD_MARGIN * threshold
+    scores[bad] = np.nan
+    return scores
+
+
 class LOFDetector(OutlierDetector):
     """LOF with score threshold.
 
@@ -312,7 +429,7 @@ class LOFDetector(OutlierDetector):
         return 3 * self.k
 
     def _outlier_centres(self, rows: np.ndarray) -> np.ndarray:
-        """All rows through one :func:`lof_window_scores` call; a row it
+        """All centres through one :func:`lof_centre_scores` call; a row it
         declines is re-scored with :func:`lof_scores` on its finite values."""
         centre = rows.shape[1] // 2
         finite = np.isfinite(rows)
@@ -321,7 +438,7 @@ class LOFDetector(OutlierDetector):
         if not sized.any():
             return out
         rows, finite = rows[sized], finite[sized]
-        scores = lof_window_scores(rows, self.k, self.threshold)[:, centre]
+        scores = lof_centre_scores(rows, self.k, self.threshold)
         for i in np.flatnonzero(np.isnan(scores)):
             at = centre - int(np.count_nonzero(~finite[i, :centre]))
             scores[i] = lof_scores(rows[i][finite[i]], self.k)[at]

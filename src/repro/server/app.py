@@ -421,7 +421,7 @@ class PCORServer:
                         accountant.remaining if accountant is not None else None
                     ),
                     "ledger_charges": (
-                        len(accountant.ledger()) if accountant is not None else 0
+                        accountant.charge_count if accountant is not None else 0
                     ),
                     "spend_by_tenant": entry.tenants.spend_by_tenant(),
                 }

@@ -454,7 +454,7 @@ class ReleaseEngine:
             if self.accountant is not None:
                 m.epsilon_budget = self.accountant.budget
                 m.epsilon_remaining = self.accountant.remaining
-                m.ledger_charges = len(self.accountant.ledger())
+                m.ledger_charges = self.accountant.charge_count
             verifiers = list(self._verifiers.values())
         for verifier in verifiers:
             store = verifier.profile_store

@@ -90,6 +90,21 @@ class TestAccountant:
         ledger.append(("tamper", 99.0))
         assert acc.spent == pytest.approx(0.1)
 
+    def test_charge_count_tracks_the_ledger(self):
+        acc = PrivacyAccountant(budget=1.0)
+        assert acc.charge_count == len(acc.ledger()) == 0
+        acc.charge("a", 0.1)
+        assert acc.charge_count == len(acc.ledger()) == 1
+        acc.charge_many([("b", 0.1), ("c", 0.1)])
+        assert acc.charge_count == len(acc.ledger()) == 3
+        acc.restore([("replayed", 0.5), ("replayed", 0.1)])
+        assert acc.charge_count == len(acc.ledger()) == 5
+        with pytest.raises(PrivacyBudgetError):
+            acc.charge("over", 0.5)
+        with pytest.raises(PrivacyBudgetError):
+            acc.charge_many([("d", 0.05), ("over", 0.5)])
+        assert acc.charge_count == len(acc.ledger()) == 5
+
     def test_negative_charge_rejected(self):
         with pytest.raises(PrivacyBudgetError):
             PrivacyAccountant(budget=1.0).charge("a", -0.1)

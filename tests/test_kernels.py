@@ -5,19 +5,23 @@ population masks, counts and intersections of a deliberately slow
 pure-Python reference for every packed matrix, block layout and selection
 batch.  Hypothesis drives them across the edge shapes that bit-packing gets
 wrong first: record counts at and around the 64-bit word boundary, empty
-attribute blocks, empty batches, and predicate counts past one word.
+attribute blocks, empty batches, blocks split into many table groups, and
+predicate counts past one word.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import bitops
 from repro.bitops import (
+    GROUP_BITS,
     WORD_BITS,
-    batch_and_of_or,
-    batch_and_of_or_counts,
+    OrTable,
     bool_matrix_to_ints,
     intersect_counts,
     ints_to_bool_matrix,
@@ -94,24 +98,23 @@ def kernel_instance(draw):
 # --------------------------------------------------------- kernels vs oracle
 
 
-class TestFallbackMatchesOracle:
+class TestTableKernelMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(kernel_instance())
     def test_masks_counts_popcounts(self, instance):
         packed, offsets, sizes, selection = instance
         expected = reference_and_of_or(packed, offsets, sizes, selection)
-        masks = batch_and_of_or(packed, offsets, sizes, selection)
+        masks = OrTable(packed, offsets, sizes).and_of_or(selection)
         assert masks.dtype == np.uint64
         assert np.array_equal(masks, expected)
-        counts = batch_and_of_or_counts(packed, offsets, sizes, selection)
-        assert np.array_equal(counts, reference_popcounts(expected))
+        assert np.array_equal(popcount_rows(masks), reference_popcounts(expected))
         assert np.array_equal(popcount_rows(packed), reference_popcounts(packed))
 
     @settings(max_examples=30, deadline=None)
     @given(kernel_instance())
     def test_intersect_counts(self, instance):
         packed, offsets, sizes, selection = instance
-        masks = batch_and_of_or(packed, offsets, sizes, selection)
+        masks = OrTable(packed, offsets, sizes).and_of_or(selection)
         if packed.shape[0]:
             row = packed[0]
         else:
@@ -125,6 +128,33 @@ class TestFallbackMatchesOracle:
             dtype=np.int64,
         )
         assert np.array_equal(got, expected)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(kernel_instance(), st.integers(min_value=1, max_value=4))
+    def test_chunks_change_nothing(self, instance, chunk_words):
+        """Chunks of one context and up cross every batch's row boundaries."""
+        packed, offsets, sizes, selection = instance
+        expected = reference_and_of_or(packed, offsets, sizes, selection)
+        with mock.patch.object(bitops, "CHUNK_WORDS", chunk_words):
+            masks = OrTable(packed, offsets, sizes).and_of_or(selection)
+        assert np.array_equal(masks, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kernel_instance())
+    def test_table_stays_within_four_times_the_matrix(self, instance):
+        """A group of ``w <= GROUP_BITS`` predicates keeps ``2**w`` rows; an
+        attribute without predicates keeps one all-zero row."""
+        packed, offsets, sizes, _ = instance
+        rows = OrTable(packed, offsets, sizes).rows
+        widths = [
+            min(GROUP_BITS, size - j)
+            for size in sizes
+            for j in range(0, max(size, 1), GROUP_BITS)
+        ]
+        assert rows.shape == (sum(1 << w for w in widths), packed.shape[1])
+        assert rows.shape[0] <= 4 * packed.shape[0] + list(sizes).count(0)
+        assert not rows.flags.writeable
 
 
 # ------------------------------------------------------------- conversions

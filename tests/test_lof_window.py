@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from repro.outliers import IQRDetector, OutlierDetector, ZScoreDetector
 from repro.outliers import lof
-from repro.outliers.lof import LOFDetector, lof_scores, lof_window_scores
+from repro.outliers.lof import (
+    LOFDetector,
+    lof_centre_scores,
+    lof_scores,
+    lof_window_scores,
+)
 
 THRESHOLDS = st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0])
 KS = st.integers(min_value=1, max_value=8)
@@ -361,6 +366,85 @@ class TestRowBatches:
         whole = lof_window_scores(rows, 10, 1.5)
         monkeypatch.setattr(lof, "_ELEMENT_BUDGET", 1)
         assert np.array_equal(lof_window_scores(rows, 10, 1.5), whole, equal_nan=True)
+
+    def test_centre_sub_batches_change_no_verdict(self, monkeypatch, rng):
+        """Under a one-element budget the centre kernel scores one row per
+        call, with the same scores and verdicts as one call for all."""
+        detector = LOFDetector(k=10)
+        reach = max(detector.locality, detector.min_population)
+        values = np.sort(np.concatenate([rng.normal(0.0, 1.0, 300), [-6.0, 7.0, 9.0]]))
+        rows = []
+        for centre in [*range(0, values.size, 9), values.size - 2, values.size - 1]:
+            row = np.full(2 * reach + 1, np.inf)
+            lo = max(0, centre - reach)
+            window = values[lo : centre + reach + 1]
+            row[: reach - (centre - lo)] = -np.inf
+            row[reach - (centre - lo) : reach - (centre - lo) + window.size] = window
+            rows.append(row)
+        rows = np.array(rows)
+        scores = lof_centre_scores(rows, 10, 1.5)
+        verdicts = detector.outlier_centres(rows)
+        assert verdicts.any() and not verdicts.all()
+        sizes = []
+        centre_rows = lof._centre_rows
+
+        def one_batch(batch, k, threshold):
+            sizes.append(batch.shape[0])
+            return centre_rows(batch, k, threshold)
+
+        monkeypatch.setattr(lof, "_centre_rows", one_batch)
+        monkeypatch.setattr(lof, "_ELEMENT_BUDGET", 1)
+        assert np.array_equal(lof_centre_scores(rows, 10, 1.5), scores, equal_nan=True)
+        assert np.array_equal(detector.outlier_centres(rows), verdicts)
+        assert sizes == [1] * (2 * len(rows))
+
+    def test_rows_narrower_than_the_centre_reads(self, rng):
+        """Rows of 2s + 1 < 6k + 1 values: the centre kernel pads them out
+        and answers as row by row."""
+        detector = LOFDetector(k=4, threshold=1.5, min_population=5)
+        reach = 7
+        rows = []
+        for centre in (10, 9, 0, 5, 3, 7, 1):
+            values = np.sort(np.concatenate([rng.normal(0.0, 1.0, 10), [9.0]]))
+            row = np.full(2 * reach + 1, np.inf)
+            lo = max(0, centre - reach)
+            window = values[lo : centre + reach + 1]
+            row[: reach - (centre - lo)] = -np.inf
+            row[reach - (centre - lo) : reach - (centre - lo) + window.size] = window
+            rows.append(row)
+        rows = np.array(rows)
+        verdicts = detector.outlier_centres(rows)
+        assert verdicts[0] and not verdicts.all()
+        assert np.array_equal(
+            verdicts, OutlierDetector._outlier_centres(detector, rows)
+        )
+
+    def test_centre_declines_on_a_left_distance_tie(self, monkeypatch):
+        """2**53 - 0.25 rounds to 2**53: the centre's left neighbour 2**53
+        sees 0.0 and 0.25 at one distance.  The centre kernel declines the
+        row, and lof_scores gives the exact verdict."""
+        values = np.array([0.0, 0.25, 2.0**53, 2.0**53 + 2, 2.0**53 + 4])
+        detector = LOFDetector(k=2, threshold=1.25, min_population=3)
+        reach = max(detector.locality, detector.min_population)
+        row = np.full(2 * reach + 1, np.inf)
+        row[: reach - 3] = -np.inf
+        row[reach - 3 : reach + 2] = values
+        rows = row[None]
+        assert np.isnan(lof_centre_scores(rows, 2, 1.25)).all()
+        calls = []
+
+        def counted(values, k):
+            calls.append(values.size)
+            return lof_scores(values, k)
+
+        monkeypatch.setattr(lof, "lof_scores", counted)
+        assert detector.outlier_centres(rows).tolist() == [True]
+        assert calls == [5]
+        assert lof_scores(values, 2)[3] > 1.25
+        assert np.array_equal(
+            detector.outlier_centres(rows),
+            OutlierDetector._outlier_centres(detector, rows),
+        )
 
     def test_rejects_rows_of_k_or_fewer_values(self):
         rows = np.array([[-np.inf, 0.0, 1.0, 2.0, np.inf]])

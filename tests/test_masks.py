@@ -5,6 +5,7 @@ import pytest
 
 from repro.context import Context, ContextSpace
 from repro.data import Dataset, PredicateMaskIndex
+from repro.data.generators import salary_reduced
 from repro.exceptions import ContextError
 from repro.schema import CategoricalAttribute, MetricAttribute, Schema
 
@@ -142,6 +143,42 @@ class TestOrderedPositions:
         assert np.array_equal(
             index.snapshot().metric_packed(), fresh.snapshot().metric_packed()
         )
+
+
+class TestOrTables:
+    def test_tables_are_built_once_per_snapshot_and_layout(self, dataset):
+        index = PredicateMaskIndex(dataset)
+        snap = index.snapshot()
+        plain, ordered = snap.or_table(), snap.or_table(metric_order=True)
+        assert snap.or_table() is plain and snap.or_table(True) is ordered
+        # Blocks of 2 and 3 predicates: one group each, 4 + 8 rows.
+        assert plain.rows.shape == ordered.rows.shape == (12, index.n_words)
+        assert not plain.rows.flags.writeable
+
+    def test_append_matches_a_fresh_index(self):
+        """Tables built before an append belong to the old snapshot: after
+        it, both layouts and the sizes equal a freshly built index's.  The
+        6-predicate block spans two table groups, and the appended rows
+        cross a word boundary."""
+        dataset = salary_reduced(n_records=120, seed=4)
+        index = PredicateMaskIndex(dataset)
+        contexts = list(range(1 << dataset.schema.t))
+        before = index.snapshot()
+        for layout in (False, True):
+            index.population_masks(contexts, metric_order=layout)
+        rows = [row for _, row in salary_reduced(n_records=12, seed=5).iter_records()]
+        grown = index.append(rows)
+        fresh = PredicateMaskIndex(grown)
+        assert index.snapshot().or_table() is not before.or_table()
+        for layout in (False, True):
+            got = index.population_masks(contexts, metric_order=layout)
+            want = fresh.population_masks(contexts, metric_order=layout)
+            assert got.shape == (len(contexts), 3)
+            assert np.array_equal(got, want)
+        assert np.array_equal(
+            index.population_sizes(contexts), fresh.population_sizes(contexts)
+        )
+        assert index.population_sizes([dataset.schema.full_bits])[0] == 132
 
 
 class TestContainsRecord:
