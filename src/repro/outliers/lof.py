@@ -37,11 +37,14 @@ Three kernels compute the scores:
   and pads contribute zeros to every masked sum, so each row scores as its
   finite values alone, bit for bit; a 1-d call is the one-row case.
 * :func:`lof_centre_scores` scores only the centre value of each row of
-  such a batch: the one question a record-scoped verdict asks.  It runs
-  the window kernel's neighbour-window stage (:func:`_neighbours`) on the
-  ``4k + 1`` positions within ``2k`` of the centre, for their k-distances,
-  sums reach distances for the ``2k + 1`` positions within ``k``, for their
-  densities, and forms one score, instead of scoring all ``m`` positions.
+  such a batch: the one question a record-scoped verdict asks.  It lays
+  out the ``2k + 1`` distances of each of the ``4k + 1`` positions within
+  ``2k`` of the centre, once, and reads their k-distances off them: a
+  sorted value and its ``k`` nearest are ``k + 1`` consecutive values, so
+  its k-distance is the least, over the ``k + 1`` such runs holding it, of
+  the run's larger end distance.  It forms windows (with the window
+  kernel's rule) and mean reach distances for the ``2k + 1`` positions
+  within ``k``, and one score, instead of scoring all ``m`` positions.
 
 Both batch kernels run rows in sub-batches under a fixed element budget
 (or one row at a time where a row exceeds it), so at a large ``k`` a batch
@@ -64,10 +67,17 @@ It also declines when the values' spread overflows.  In a batch it
 declines row by row, on exactly the conditions it would on the row's
 finite values alone.  Outlier positions are therefore exactly those of
 ``lof_scores(values, k) > threshold`` for every finite input, in any order.
-The centre kernel declines a row on the same conditions, checked only at
-the positions its score reads: (1) at the centre, (2) at the ``2k + 1``
-positions within ``k`` of it, (3) at the ``4k + 1`` within ``2k``, and the
-spread of the ``6k + 1`` values within ``3k``.
+
+The centre kernel declines a row (NaN, then :func:`lof_scores` on the
+row's finite values) on the same three conditions, checked where its score
+reads them: (1) at the centre, (2) and (3) at the ``2k + 1`` positions
+within ``k`` of it, whose windows and densities the score uses; the
+positions further out contribute only their k-distances, which no tie
+changes.  An overflowing spread needs no condition of its own there: a
+distance the score reads that overflows, or a k-distance that does, puts a
+mean reach distance it reads at ``1.7e308 / k`` or more, and (2) declines
+the row.  Each condition is one test over a whole sub-batch (on ordinary
+data none fires), and rows are told apart only where it fires.
 
 **Locality.**  :class:`LOFDetector` declares ``locality = 3 * k``: in
 ascending order, whether a value is an outlier depends only on the ``3k``
@@ -122,7 +132,10 @@ def lof_scores(values: np.ndarray, k: int) -> np.ndarray:
     valid = (idx >= 0) & (idx < n)
     np.clip(idx, 0, n - 1, out=idx)
 
-    dist = np.abs(sv[idx] - sv[:, None])
+    # over=ignore: values further apart than the largest float are at an
+    # infinite distance, which sorts last, as the true distance would.
+    with np.errstate(over="ignore"):
+        dist = np.abs(sv[idx] - sv[:, None])
     dist[~valid] = np.inf
     # Deterministic k smallest per row: candidates are laid out in ascending
     # sorted position, so a stable sort on distance breaks ties by position.
@@ -132,22 +145,24 @@ def lof_scores(values: np.ndarray, k: int) -> np.ndarray:
 
     k_dist = nbr_dist[:, -1]  # distance to the k-th nearest
     reach = np.maximum(k_dist[nbr], nbr_dist)
-    mean_reach = reach.mean(axis=1)
     # over=ignore: a denormal-small mean reach distance overflows 1/x to
-    # inf, which is the intended "infinitely dense" limit anyway.
+    # inf, which is the intended "infinitely dense" limit anyway, and huge
+    # reach distances sum to inf, the "infinitely sparse" one.
     with np.errstate(divide="ignore", over="ignore"):
+        mean_reach = reach.mean(axis=1)
         lrd = np.where(mean_reach > 0.0, 1.0 / mean_reach, np.inf)
 
     lrd_nbr = lrd[nbr]
     # over=ignore: a finite-but-huge neighbour density over a tiny one may
-    # overflow to inf, which is the right answer (the point is infinitely
-    # less dense than its neighbourhood).
+    # overflow to inf, and so may a sum of huge ratios, which is the right
+    # answer (the point is infinitely less dense than its neighbourhood).
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         ratios = lrd_nbr / lrd[:, None]
-    # inf / inf -> nan -> both densities are "infinite" (duplicate cluster):
-    # the point is exactly as dense as its neighbours, LOF contribution 1.
-    ratios = np.where(np.isnan(ratios), 1.0, ratios)
-    scores_sorted = ratios.mean(axis=1)
+        # inf / inf -> nan -> both densities are "infinite" (duplicate
+        # cluster): the point is exactly as dense as its neighbours, LOF
+        # contribution 1.
+        ratios = np.where(np.isnan(ratios), 1.0, ratios)
+        scores_sorted = ratios.mean(axis=1)
 
     scores = np.empty(n, dtype=np.float64)
     scores[order] = scores_sorted
@@ -163,8 +178,13 @@ _REACH_MIN, _REACH_MAX = 1e-150, 1e150
 
 #: Rows of a batch are scored in sub-batches of at most this many
 #: ``(2k, width)`` kernel elements (one row at least), so a batch's
-#: temporaries stay within one large window's however many rows it has.
-_ELEMENT_BUDGET = 1 << 20
+#: temporaries stay within one large window's however many rows it has, and
+#: a sub-batch's float temporaries (512 KB each) near the CPU's caches: at
+#: 1 << 20 the centre kernel took 1.2x (388 rows) and 2.1x (1,024 rows) as
+#: long per row as on 64 rows, at k = 10.
+_ELEMENT_BUDGET = 1 << 16
+#: The centre kernel caps distances here before masking by multiplication.
+_FAR = np.finfo(np.float64).max
 
 
 def _shifted(buf: np.ndarray, n_rows: int, n: int) -> np.ndarray:
@@ -210,17 +230,17 @@ def lof_window_scores(
 
 def lof_centre_scores(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
     """LOF score of the centre value of each row of a ``(B, m)`` batch, ``m``
-    odd, laid out as for :func:`lof_window_scores`; each row must hold more
-    than ``k`` finite values.
+    odd, laid out as for :func:`lof_window_scores`.
 
     Entry ``b`` is the score of ``rows[b, m // 2]`` among row ``b``'s finite
     values, or NaN where the kernel declines and only :func:`lof_scores`
     can decide whether it exceeds ``threshold`` (see the module docstring).
+    A row holding ``k`` or fewer finite values gets an arbitrary entry.
     """
     rows = np.asarray(rows, dtype=np.float64)
     scores = np.empty(rows.shape[0])
-    # Per row, the window kernel's measure at the 4k + 1 positions scored.
-    for part in _sub_batches(rows.shape[0], 2 * k * (4 * k + 1 + 2 * k)):
+    # Per row, the distances of the 4k + 1 positions scored.
+    for part in _sub_batches(rows.shape[0], (2 * k + 1) * (4 * k + 1)):
         scores[part] = _centre_rows(rows[part], k, threshold)
     return scores
 
@@ -234,7 +254,7 @@ def _span(rows: np.ndarray, finite: np.ndarray) -> np.ndarray:
 
 
 def _neighbours(pad: np.ndarray, k: int, width: int):
-    """The neighbour-window stage of both batch kernels.
+    """The neighbour-window stage of the window kernel.
 
     ``pad`` is a ``(b, width + 2k)`` batch of ascending rows; the positions
     are its columns ``k .. k + width - 1``, whose ``k`` nearest columns on
@@ -350,49 +370,69 @@ def _centre_rows(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
         slab = np.full((b, 2 * reach + 1), np.inf)
         slab[:, :short] = -np.inf
         slab[:, short : short + m] = rows
-    inner = slice(k, 3 * k + 1)  # the positions within k of the centre
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        finite = np.isfinite(slab)
-        span = _span(slab, finite)
-        finite = finite[:, k : 5 * k + 1]
-        dist, in_left, k_dist, tied = _neighbours(slab, k, 4 * k + 1)
-        bad = (tied & finite).any(axis=1) | ~np.isfinite(span)
-        # Out-of-range neighbours are inf: cap them at the span (no in-range
-        # distance exceeds it) so that masking by multiplication stays
-        # finite.  A pad's own first neighbour is a pad at the same
-        # infinity, so its mean reach is NaN: no check below fires on it.
-        reach_dist = dist[:, :, inner]
-        np.minimum(reach_dist, span[:, None], out=reach_dist)
-        kd_near = _shifted(np.where(finite, k_dist, 0.0), 2 * k + 1, 2 * k + 1)
-        left, right = reach_dist[:k], reach_dist[k:]
-        np.maximum(left, kd_near[:k], out=left)
-        np.maximum(right, kd_near[k + 1 :], out=right)
-        np.multiply(left, in_left[:, :, inner], out=left)
-        np.multiply(right, ~in_left[:, :, inner], out=right)
-        mean_reach = reach_dist.sum(axis=0)
-        mean_reach /= k
-        bad |= (
-            (mean_reach > 0.0)
-            & ((mean_reach < _REACH_MIN) | (mean_reach > _REACH_MAX))
-        ).any(axis=1)
+        # Slice t: each of the 4k + 1 positions' distance to the value at
+        # offset t - k (slice k: to itself).  Pads are infinitely far, and a
+        # pad is NaN from a pad at the same infinity.
+        near = _shifted(slab, 2 * k + 1, 4 * k + 1)
+        dist = np.subtract(near, slab[:, k : 5 * k + 1])
+        np.abs(dist, out=dist)
+        # A sorted value's k nearest and itself are k + 1 consecutive
+        # values, so its k-distance is the least over those runs of their
+        # larger end distance: the window kernel's value, and NaN at pads.
+        k_dist = np.minimum.reduce(np.maximum(dist[: k + 1], dist[k:]), axis=0)
 
-        # The centre's window over the inner positions: left slice r is
-        # inner column r, right slice r inner column k + 1 + r.
-        window = np.zeros((b, 2 * k + 1), dtype=bool)
-        window[:, :k] = in_left[:, :, 2 * k].T
-        np.logical_not(window[:, :k], out=window[:, k + 1 :])
+        # The 2k + 1 positions within k of the centre.  ``window`` is each
+        # one's neighbour window over the slices, ties going left, as
+        # ``in_left`` of :func:`_neighbours`.
+        inner = dist[:, :, k : 3 * k + 1]
+        window = np.empty((2 * k + 1, b, 2 * k + 1), dtype=bool)
+        np.less_equal(inner[:k], inner[k + 1 :], out=window[:k])
+        window[k] = False
+        np.logical_not(window[:k], out=window[k + 1 :])
+        # fmax passes over a pad neighbour's NaN k-distance, and the cap
+        # keeps masking by multiplication finite (no in-range distance
+        # exceeds it).  A pad's own first neighbour is a pad at the same
+        # infinity, so its mean reach stays NaN: no check below fires on it.
+        reach_dist = np.fmax(_shifted(k_dist, 2 * k + 1, 2 * k + 1), inner)
+        np.minimum(reach_dist, _FAR, out=reach_dist)
+        reach_dist *= window
+        mean_reach = np.add.reduce(reach_dist, axis=0)
+        mean_reach /= k
+
         lrd = 1.0 / mean_reach
         dense = mean_reach == 0.0  # lrd = inf: a run of more than k duplicates
-        total = (np.where(mean_reach > 0.0, lrd, 0.0) * window).sum(axis=1)
+        around = window[:, :, k].T  # the centre's window over the positions
+        total = np.add.reduce(np.where(mean_reach > 0.0, lrd, 0.0) * around, axis=1)
         scores = total / lrd[:, k] / k
-        if dense.any():
+        if np.count_nonzero(dense):
             # inf / inf counts 1, finite / inf counts 0, inf / finite is inf.
-            n_dense = (dense & window).sum(axis=1)
+            n_dense = np.add.reduce(dense & around, axis=1)
             scores = np.where(
                 dense[:, k], n_dense / k, np.where(n_dense > 0, np.inf, scores)
             )
-        bad |= np.abs(scores - threshold) <= _THRESHOLD_MARGIN * threshold
-    scores[bad] = np.nan
+
+        # The exactness checks.  Each is one test over the whole sub-batch,
+        # and rows are told apart only where it fires.
+        declined = np.abs(scores - threshold) <= _THRESHOLD_MARGIN * threshold
+        if not (
+            np.fmin.reduce(mean_reach, axis=None) >= _REACH_MIN
+            and np.fmax.reduce(mean_reach, axis=None) <= _REACH_MAX
+        ):
+            declined |= np.logical_or.reduce(
+                (mean_reach > 0.0)
+                & ((mean_reach < _REACH_MIN) | (mean_reach > _REACH_MAX)),
+                axis=1,
+            )
+        # Two distinct left values at one rounded distance.  Differences, so
+        # that two infinite distances (a pad's) never count as a tie.
+        values = near[:, :, k : 3 * k + 1]
+        tied = (np.subtract(inner[: k - 1], inner[1:k]) == 0.0) & (
+            values[: k - 1] != values[1:k]
+        )
+        if np.count_nonzero(tied):
+            declined |= np.logical_or.reduce(tied, axis=(0, 2))
+    scores[declined] = np.nan
     return scores
 
 
@@ -430,20 +470,19 @@ class LOFDetector(OutlierDetector):
 
     def _outlier_centres(self, rows: np.ndarray) -> np.ndarray:
         """All centres through one :func:`lof_centre_scores` call; a row it
-        declines is re-scored with :func:`lof_scores` on its finite values."""
-        centre = rows.shape[1] // 2
-        finite = np.isfinite(rows)
-        sized = finite.sum(axis=1) >= self.min_population
-        out = np.zeros(rows.shape[0], dtype=bool)
-        if not sized.any():
-            return out
-        rows, finite = rows[sized], finite[sized]
+        declines is re-scored with :func:`lof_scores` on its finite values,
+        and a row of fewer than ``min_population`` finite values holds no
+        outlier."""
         scores = lof_centre_scores(rows, self.k, self.threshold)
-        for i in np.flatnonzero(np.isnan(scores)):
-            at = centre - int(np.count_nonzero(~finite[i, :centre]))
-            scores[i] = lof_scores(rows[i][finite[i]], self.k)[at]
-        out[sized] = scores > self.threshold
-        return out
+        sized = np.add.reduce(np.isfinite(rows), axis=1) >= self.min_population
+        declined = np.isnan(scores)
+        if np.count_nonzero(declined):
+            centre = rows.shape[1] // 2
+            for i in np.flatnonzero(declined & sized):
+                finite = np.isfinite(rows[i])
+                at = centre - int(np.count_nonzero(~finite[:centre]))
+                scores[i] = lof_scores(rows[i][finite], self.k)[at]
+        return (scores > self.threshold) & sized
 
     def _outlier_positions(self, values: np.ndarray) -> np.ndarray:
         order = None

@@ -21,6 +21,10 @@ from repro.outliers.lof import (
     lof_window_scores,
 )
 
+# The kernels compute inf - inf and the like on padded rows under
+# np.errstate; a lost guard fails here instead of printing a warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 THRESHOLDS = st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0])
 KS = st.integers(min_value=1, max_value=8)
 
@@ -285,8 +289,22 @@ class TestLocality:
 # -------------------------------------------------------------- row batches
 
 
+#: Values for ``centred_rows(kinds=EXTREME_KINDS)``: densities that
+#: overflow or underflow, spreads that overflow, and distinct small values
+#: at one rounded distance from 2**53.
+EXTREME_KINDS = {
+    "magnitudes": st.sampled_from(
+        [0.0, 5e-324, 1e-323, 3e-323, 1e-310, 1e-160, 2e-160, 1.0, 1e160, 1e300]
+    ),
+    "overflow": st.sampled_from([-1.7e308, -1e308, 0.0, 1.0, 2.0, 1e308, 1.7e308]),
+    "ties": st.sampled_from(
+        [0.0, 0.25, 0.5, 0.75, 2.0**53, 2.0**53 + 2, 2.0**53 + 4, 2.0**54]
+    ),
+}
+
+
 @st.composite
-def centred_rows(draw):
+def centred_rows(draw, kinds=None):
     """A batch of rows as the verifier builds them, plus an LOF detector
     with k from 1 to 15 and one of the ``min_population`` floors of
     ``test_record_scoped.lof_cases``.
@@ -294,9 +312,9 @@ def centred_rows(draw):
     Each row is one population's window: the ``max(locality,
     min_population)`` values on each side of a centre in ascending order,
     padded with -inf / +inf where the population ends.  Populations are
-    duplicate runs, bimodal clusters or arbitrary floats, from a few values
-    below ``min_population`` to well past the window, with the centre at
-    either end or anywhere."""
+    duplicate runs, bimodal clusters or arbitrary floats (or values drawn
+    from ``kinds``), from a few values below ``min_population`` to well
+    past the window, with the centre at either end or anywhere."""
     k = draw(st.integers(1, 15))
     floor = draw(st.sampled_from([None, k + 1, 3 * k + 1, 3 * k + 7]))
     detector = LOFDetector(
@@ -306,13 +324,16 @@ def centred_rows(draw):
     rows = []
     for _ in range(draw(st.integers(1, 5))):
         n = draw(st.integers(max(1, detector.min_population - 3), 2 * reach + 12))
-        kind = draw(st.sampled_from(["runs", "bimodal", "floats"]))
-        if kind == "runs":
-            element = st.integers(0, 4).map(float)
-        elif kind == "bimodal":
-            element = st.one_of(st.floats(0.0, 1.0), st.floats(100.0, 100.5))
+        if kinds is not None:
+            element = kinds[draw(st.sampled_from(sorted(kinds)))]
         else:
-            element = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+            kind = draw(st.sampled_from(["runs", "bimodal", "floats"]))
+            if kind == "runs":
+                element = st.integers(0, 4).map(float)
+            elif kind == "bimodal":
+                element = st.one_of(st.floats(0.0, 1.0), st.floats(100.0, 100.5))
+            else:
+                element = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
         values = np.sort(draw(st.lists(element, min_size=n, max_size=n)), kind="stable")
         centre = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
         lo = max(0, centre - reach)
@@ -451,3 +472,88 @@ class TestRowBatches:
         with pytest.raises(ValueError, match="more than k"):
             lof_window_scores(rows, 3, 1.5)
         assert not LOFDetector(k=3).outlier_centres(rows).any()
+
+
+def centred_row(values: np.ndarray, centre: int, reach: int) -> np.ndarray:
+    """The verifier's row for ``values[centre]``: ``reach`` values on each
+    side of it, padded with -inf / +inf where ``values`` ends."""
+    row = np.full(2 * reach + 1, np.inf)
+    lo = max(0, centre - reach)
+    window = values[lo : centre + reach + 1]
+    left = reach - (centre - lo)
+    row[:left] = -np.inf
+    row[left : left + window.size] = window
+    return row
+
+
+class TestCentreKernel:
+    """``lof_centre_scores`` against ``lof_scores``, and each condition on
+    which it declines a row."""
+
+    @given(case=st.one_of(centred_rows(), centred_rows(kinds=EXTREME_KINDS)))
+    @settings(max_examples=200, deadline=None)
+    def test_scores_match_lof_scores(self, case):
+        """Where the kernel answers, it gives lof_scores' score of the
+        row's centre among the row's finite values, to 1e-12 (relative)."""
+        detector, rows = case
+        k = detector.k
+        scores = lof_centre_scores(rows, k, detector.threshold)
+        centre = rows.shape[1] // 2
+        for row, got in zip(rows, scores):
+            finite = np.isfinite(row)
+            if finite.sum() <= k or np.isnan(got):
+                continue
+            at = centre - np.count_nonzero(~finite[:centre])
+            want = lof_scores(row[finite], k)[at]
+            assert got == want or np.isclose(got, want, rtol=1e-12, atol=0.0)
+
+    @given(case=centred_rows(kinds=EXTREME_KINDS))
+    @settings(max_examples=200, deadline=None)
+    def test_verdicts_match_row_by_row_on_extreme_values(self, case):
+        """Densities that overflow or underflow, spreads that overflow and
+        distinct values at one rounded distance: declined rows go to
+        ``lof_scores``, so every verdict is still the row-by-row one."""
+        detector, rows = case
+        assert np.array_equal(
+            detector.outlier_centres(rows),
+            OutlierDetector._outlier_centres(detector, rows),
+        )
+
+    @pytest.mark.parametrize(
+        "values, k, threshold, centre",
+        [
+            # Interior scores of a grid are exactly 1.
+            (np.arange(13.0), 2, 1.0, 6),
+            # The centre's mean reach is subnormal: its density overflows to
+            # inf although it is no duplicate (lof_scores: inf / inf is 1).
+            ([0.0, 0.0, 3e-323], 1, 1.5, 2),
+            # The centre's only neighbour is further than the largest float.
+            ([-1.7e308, 1.7e308], 1, 1.5, 1),
+        ],
+        ids=["score_at_the_threshold", "mean_reach_out_of_range", "overflowing_spread"],
+    )
+    def test_declines(self, values, k, threshold, centre):
+        """Each row trips one condition alone: the kernel declines it, and
+        the detector gives the row-by-row verdict."""
+        detector = LOFDetector(k=k, threshold=threshold, min_population=k + 1)
+        reach = max(detector.locality, detector.min_population)
+        rows = centred_row(np.array(values, dtype=np.float64), centre, reach)[None]
+        assert np.isnan(lof_centre_scores(rows, k, threshold)).all()
+        assert np.array_equal(
+            detector.outlier_centres(rows),
+            OutlierDetector._outlier_centres(detector, rows),
+        )
+
+    def test_padded_rows_stay_on_the_kernel(self, rng):
+        """Pads at any distance from the centre, on either side, decline
+        nothing on ordinary values: a pad is never a window member, and a
+        pad position's own checks never fire."""
+        detector = LOFDetector(k=10)
+        reach = max(detector.locality, detector.min_population)
+        values = np.sort(np.concatenate([rng.normal(0.0, 1.0, 60), [-7.0, 9.0]]))
+        centres = [*range(0, 2 * reach), *range(values.size - 2 * reach, values.size)]
+        rows = np.stack([centred_row(values, c, reach) for c in centres])
+        scores = lof_centre_scores(rows, 10, 1.5)
+        assert not np.isnan(scores).any()
+        for centre, got in zip(centres, scores):
+            assert np.isclose(got, lof_scores(values, 10)[centre], rtol=1e-12, atol=0.0)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bitops import pack_bool_matrix, popcount_words
 from repro.context import ContextSpace
 from repro.core.profiles import ProfileStore
-from repro.core.verification import OutlierVerifier
+from repro.core.verification import OutlierVerifier, _centred_windows
 from repro.data.generators import (
     SALARY_EMPLOYERS,
     SALARY_JOB_TITLES,
@@ -28,6 +29,11 @@ from repro.data.masks import PredicateMaskIndex
 from repro.data.table import Dataset
 from repro.outliers import LOFDetector, ZScoreDetector
 from repro.schema import CategoricalAttribute, MetricAttribute, Schema
+from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
+
+# The LOF kernels these reads reach compute inf - inf and the like on
+# padded rows under np.errstate; a lost guard fails here, not as a warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 #: The micro schema of ``conftest.py``: three attributes of three values.
 SCHEMA = Schema(
@@ -260,6 +266,94 @@ class TestCounting:
             assert np.array_equal(row[left : left + want.size], want)
             assert (row[:left] == -np.inf).all()
             assert (row[left + want.size :] == np.inf).all()
+
+
+class TestWindows:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_is_a_slice_of_its_population(self, data):
+        """``_centred_windows`` against slicing each population's members in
+        metric order: masks of up to a dozen words, populations from a few
+        members to every record, the record at any rank, windows clipped
+        where a population ends, and populations it skips."""
+        n = data.draw(st.integers(1, 700), label="n")
+        rank = data.draw(st.integers(0, n - 1), label="rank")
+        reach = data.draw(st.integers(1, 40), label="reach")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        density = st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0])
+        densities = data.draw(
+            st.lists(density, min_size=1, max_size=8), label="densities"
+        )
+        masks = np.array([rng.random(n) < d for d in densities])
+        held = data.draw(
+            st.lists(st.booleans(), min_size=len(masks), max_size=len(masks)),
+            label="held",
+        )
+        masks[:, rank] = held
+        packed = pack_bool_matrix(masks)
+        cum = np.zeros(packed.size + 1, dtype=np.int64)
+        np.cumsum(popcount_words(packed).reshape(-1), out=cum[1:])
+        rows = np.flatnonzero(held)
+        if not rows.size:
+            return
+        metric = rng.normal(0.0, 1.0, n)
+        order = np.argsort(metric, kind="stable")
+        got = _centred_windows(packed, cum, rows, rank, reach, metric, order)
+        assert got.shape == (rows.size, 2 * reach + 1)
+        for row, b in zip(got, rows):
+            members = np.flatnonzero(masks[b])
+            i = int(np.searchsorted(members, rank))
+            lo = max(0, i - reach)
+            window = members[lo : i + reach + 1]
+            left = reach - (i - lo)
+            assert (row[:left] == -np.inf).all()
+            assert np.array_equal(row[left : left + window.size], metric[order[window]])
+            assert (row[left + window.size :] == np.inf).all()
+
+
+class TestWarmRelease:
+    def test_repeated_lone_release_stays_off_the_miss_path(self, monkeypatch):
+        """A second identical lone LOF release on one engine reads every
+        verdict the first one stored, record-scoped ones included: it makes
+        no f_M run and reaches neither the record-scoped verifier call nor
+        the detector.  So warm release loops never time that call."""
+        dataset = salary_reduced(n_records=2_000, seed=7)
+        spec = PipelineSpec(
+            detector="lof", detector_kwargs={"k": 10}, sampler="bfs",
+            n_samples=50, epsilon=0.2, utility="population_size",
+        )
+        probe = OutlierVerifier(dataset, spec.build_detector())
+        rid = next(
+            int(r) for r in dataset.ids
+            if probe.is_matching(dataset.record_bits(int(r)), int(r))
+        )
+        calls = []
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            OutlierVerifier, "_record_chunk",
+            counted("record_chunk", OutlierVerifier._record_chunk),
+        )
+        monkeypatch.setattr(
+            LOFDetector, "outlier_centres",
+            counted("outlier_centres", LOFDetector.outlier_centres),
+        )
+        request = ReleaseRequest(record_id=rid, spec=spec, seed=1)
+        with ReleaseEngine(dataset) as engine:
+            first = engine.submit(request)
+            assert first.fm_evaluations > 0
+            assert {"record_chunk", "outlier_centres"} <= set(calls)
+            calls.clear()
+            again = engine.submit(request)
+        assert again.context.bits == first.context.bits
+        assert again.fm_evaluations == 0
+        assert calls == []
 
 
 class TestLargeK:
