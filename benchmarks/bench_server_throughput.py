@@ -14,13 +14,13 @@ Three measurements on in-process :class:`PCORServer` instances:
    reports p50/p95 latency and requests/s (informational, no gate: this
    container may have a single core).
 3. **Coalescing gate** — 32 concurrent clients against two identically
-   provisioned servers (thread backend, 4 workers), one direct
+   provisioned servers (process backend, 4 workers), one direct
    (``max_batch = 1``) and one coalescing (``max_batch = 16``): the
    coalescer funnels concurrent HTTP releases through batched admission
-   and one ``execute_many`` fan-out per flush.  Gate: **>= 1.3x req/s**,
-   armed only on machines with >= 4 cores (a single-core box cannot fan
-   anything out; the bench still runs and reports, like
-   ``bench_parallel_scaling``).
+   and one ``execute_many`` fan-out per flush across the worker pool.
+   Gate: **>= 1.3x req/s**, armed only on machines with >= 4 cores (a
+   single-core box cannot fan anything out; the bench still runs and
+   reports, like ``bench_parallel_scaling``).
 
 Served releases are asserted bit-identical to direct submission before any
 timing is trusted.
@@ -201,7 +201,7 @@ def _dataset_body(max_batch: int) -> dict:
         # The point of coalescing: a flush runs through execute_many on
         # the engine's parallel backend, so batched HTTP traffic finally
         # reaches the runtime fan-out that single requests cannot.
-        "backend": "thread",
+        "backend": "process",
         "workers": COALESCE_WORKERS,
     }
     if max_batch > 1:
@@ -302,7 +302,7 @@ def test_coalesced_vs_unbatched_throughput(emit):
         "bench_server_coalescing",
         f"coalesced vs unbatched serving ({n_clients} concurrent clients x "
         f"{per_client} releases, salary_reduced n={N_RECORDS}, LOF k=10, "
-        f"BFS n_samples=50, thread backend x{COALESCE_WORKERS}, "
+        f"BFS n_samples=50, process backend x{COALESCE_WORKERS}, "
         f"max_batch={COALESCE_MAX_BATCH}, warmed)\n"
         + line("unbatched")
         + "\n"

@@ -53,10 +53,8 @@ from repro.runtime import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     make_backend,
-    register_backend,
 )
 from repro.service import EngineMetrics, PipelineSpec, ReleaseEngine, ReleaseRequest
 from repro.data import (
@@ -182,11 +180,9 @@ __all__ = [
     # execution runtime
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "available_backends",
     "make_backend",
-    "register_backend",
     # mechanisms
     "ExponentialMechanism",
     "LaplaceMechanism",

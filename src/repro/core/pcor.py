@@ -63,7 +63,7 @@ class PCOR:
         verifier's memo (overrides ``share_profiles``).
     backend / workers:
         Execution backend for :meth:`release_many` fan-out and large
-        profile batches (``"serial"``, ``"thread"``, ``"process"``, or an
+        profile batches (``"serial"``, ``"process"``, or an
         :class:`~repro.runtime.base.ExecutionBackend` instance), passed to
         this instance's private engine.  ``None`` honours the
         ``PCOR_BACKEND``/``PCOR_WORKERS`` environment and defaults to
@@ -191,8 +191,8 @@ class PCOR:
         disjoint does parallel composition tighten the total back to
         ``epsilon``.  Budgeting across a multi-record release is the data
         owner's call, exactly as it is across repeated :meth:`release`
-        calls.  *Parallel execution changes none of this*: a thread or
-        process backend reorders only the wall-clock schedule — the set of
+        calls.  *Parallel execution changes none of this*: the process
+        backend reorders only the wall-clock schedule — the set of
         releases, their per-record charges, and the worst-case sequential
         composition across them are identical to a serial run, and the
         whole batch is admitted against the budget before any backend task

@@ -61,11 +61,11 @@ class ProfileStore:
     """Bounded LRU map from :data:`ProfileKey` to :data:`ContextProfile`.
 
     Thread-safe: every operation holds the store's lock, so concurrent
-    engine callers (the thread execution backend in particular) can never
-    corrupt the LRU order, overshoot the capacity bound, or lose counter
-    updates.  Profiles are immutable values keyed by context bitmask, so
-    the worst a get/put race can do is recompute a profile both threads
-    then agree on.
+    engine callers (HTTP handler threads and a coalescer's flusher in
+    particular) can never corrupt the LRU order, overshoot the capacity
+    bound, or lose counter updates.  Profiles are immutable values keyed
+    by context bitmask, so the worst a get/put race can do is recompute a
+    profile both threads then agree on.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):

@@ -112,8 +112,9 @@ class OutlierVerifier:
 
         A release executes entirely on one thread (backends never split one
         request), so per-release cost deltas diff this counter instead of
-        the shared :attr:`fm_evaluations` — which, under the thread backend,
-        would attribute concurrent releases' runs to each other.
+        the shared :attr:`fm_evaluations` — which, when concurrent HTTP
+        handler threads release on one engine, would attribute their
+        releases' runs to each other.
         """
         return getattr(self._local, "fm_evaluations", 0)
 
@@ -179,10 +180,11 @@ class OutlierVerifier:
     def _compute_profiles(self, misses: List[int]) -> List[ContextProfile]:
         """Profile the distinct uncached contexts of one batch.
 
-        Large batches fan out across the attached execution backend's
+        Large batches fan out across the attached parallel backend's
         workers (chunked contiguously, reduced in input order); everything
-        else — and any batch arriving from inside a backend worker task —
-        computes inline via :meth:`_profile_chunk`.
+        else computes inline via :meth:`_profile_chunk`.  A process worker's
+        own verifiers have no backend attached, so a release running on the
+        pool never re-enters it.
         """
         self._count_runs(len(misses))
         backend = self.backend
@@ -190,7 +192,6 @@ class OutlierVerifier:
             backend is not None
             and backend.parallel
             and len(misses) >= backend.min_profile_fanout
-            and backend.inner_fanout_allowed()
         ):
             return backend.run_profiles(self, misses)
         return self._profile_chunk(misses)

@@ -287,9 +287,9 @@ class PredicateMaskIndex:
                 raise ContextError(
                     f"context bits {b:#x} out of range for t={self.t}"
                 )
-        # The index is shared by every verifier (and, under the thread
-        # backend, by concurrent profile chunks): the counter update must
-        # not lose increments.
+        # The index is shared by every verifier, which concurrent engine
+        # callers read at once: the counter update must not lose
+        # increments.
         with self._counter_lock:
             self.population_evaluations += len(bits_list)
         selection = ints_to_bool_matrix(bits_list, self.t)  # (B, t)

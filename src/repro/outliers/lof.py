@@ -29,24 +29,23 @@ Three kernels compute the scores:
   the right, the window holds ``l = sum_{j<=k} [L_j <= R_{k+1-j}]`` left
   neighbours (ties go left, as in the argsort) and ``k - l`` right ones.
   k-dist, reach distances, lrd and the LOF ratios are then masked sums
-  over ``2k`` shifted slices of padded arrays: no index matrix, no
-  per-row sort, no gather beyond the window's two ends.  It also takes a
-  ``(B, m)`` batch of rows, each one population's ascending values padded
-  with ``-inf`` before and ``+inf`` after them.  A pad is an infinitely
-  far neighbour, exactly like the slots beyond a 1-d population's ends,
-  and pads contribute zeros to every masked sum, so each row scores as its
-  finite values alone, bit for bit; a 1-d call is the one-row case.
-* :func:`lof_centre_scores` scores only the centre value of each row of
-  such a batch: the one question a record-scoped verdict asks.  It lays
-  out the ``2k + 1`` distances of each of the ``4k + 1`` positions within
-  ``2k`` of the centre, once, and reads their k-distances off them: a
-  sorted value and its ``k`` nearest are ``k + 1`` consecutive values, so
-  its k-distance is the least, over the ``k + 1`` such runs holding it, of
-  the run's larger end distance.  It forms windows (with the window
-  kernel's rule) and mean reach distances for the ``2k + 1`` positions
-  within ``k``, and one score, instead of scoring all ``m`` positions.
+  over ``2k`` shifted slices of arrays padded with ``k`` infinitely far
+  slots beyond each end: no index matrix, no per-row sort, no gather
+  beyond the window's two ends.
+* :func:`lof_centre_scores` scores only the centre value of each row of a
+  ``(B, m)`` batch, each row one population's ascending values padded with
+  ``-inf`` before and ``+inf`` after them: the one question a
+  record-scoped verdict asks.  A pad is an infinitely far neighbour,
+  exactly like the slots beyond a population's ends.  It lays out the
+  ``2k + 1`` distances of each of the ``4k + 1`` positions within ``2k``
+  of the centre, once, and reads their k-distances off them: a sorted
+  value and its ``k`` nearest are ``k + 1`` consecutive values, so its
+  k-distance is the least, over the ``k + 1`` such runs holding it, of the
+  run's larger end distance.  It forms windows (with the window kernel's
+  rule) and mean reach distances for the ``2k + 1`` positions within
+  ``k``, and one score, instead of scoring all ``m`` positions.
 
-Both batch kernels run rows in sub-batches under a fixed element budget
+The centre kernel runs rows in sub-batches under a fixed element budget
 (or one row at a time where a row exceeds it), so at a large ``k`` a batch
 allocates no more than one of its windows does alone.
 
@@ -63,10 +62,9 @@ holds:
 3. some point has two distinct values at one rounded distance among its
    first ``k`` left neighbours.
 
-It also declines when the values' spread overflows.  In a batch it
-declines row by row, on exactly the conditions it would on the row's
-finite values alone.  Outlier positions are therefore exactly those of
-``lof_scores(values, k) > threshold`` for every finite input, in any order.
+It also declines when the values' spread overflows.  Outlier positions are
+therefore exactly those of ``lof_scores(values, k) > threshold`` for every
+finite input, in any order.
 
 The centre kernel declines a row (NaN, then :func:`lof_scores` on the
 row's finite values) on the same three conditions, checked where its score
@@ -176,24 +174,24 @@ _THRESHOLD_MARGIN = 1e-9
 _REACH_MIN, _REACH_MAX = 1e-150, 1e150
 
 
-#: Rows of a batch are scored in sub-batches of at most this many
-#: ``(2k, width)`` kernel elements (one row at least), so a batch's
-#: temporaries stay within one large window's however many rows it has, and
-#: a sub-batch's float temporaries (512 KB each) near the CPU's caches: at
-#: 1 << 20 the centre kernel took 1.2x (388 rows) and 2.1x (1,024 rows) as
-#: long per row as on 64 rows, at k = 10.
+#: Rows of a centre-kernel batch are scored in sub-batches of at most this
+#: many kernel elements (one row at least), so a batch's temporaries stay
+#: within one large window's however many rows it has, and a sub-batch's
+#: float temporaries (512 KB each) near the CPU's caches: at 1 << 20 the
+#: centre kernel took 1.2x (388 rows) and 2.1x (1,024 rows) as long per row
+#: as on 64 rows, at k = 10.
 _ELEMENT_BUDGET = 1 << 16
 #: The centre kernel caps distances here before masking by multiplication.
 _FAR = np.finfo(np.float64).max
 
 
 def _shifted(buf: np.ndarray, n_rows: int, n: int) -> np.ndarray:
-    """``(n_rows, B, n)`` view of a ``(B, w)`` array whose slice ``t`` is
-    ``buf[:, t : t + n]``."""
-    row, step = buf.strides
+    """``(n_rows, *lead, n)`` view of a ``(*lead, w)`` array whose slice
+    ``t`` is ``buf[..., t : t + n]``."""
+    *lead, step = buf.strides
     return np.ndarray(
-        (n_rows, buf.shape[0], n), dtype=buf.dtype, buffer=buf,
-        strides=(step, row, step),
+        (n_rows, *buf.shape[:-1], n), dtype=buf.dtype, buffer=buf,
+        strides=(step, *lead, step),
     )
 
 
@@ -209,29 +207,74 @@ def lof_window_scores(
 ) -> Optional[np.ndarray]:
     """LOF scores of ascending values by the window kernel (see the module
     docstring), or ``None`` where only :func:`lof_scores` can decide which
-    scores exceed ``threshold``.
+    scores exceed ``threshold``."""
+    values = np.asarray(sorted_values, dtype=np.float64)
+    m = values.shape[0]
+    if m <= k:
+        raise ValueError(f"LOF needs more than k={k} points, got {m}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        span = values[-1] - values[0]
+        if not np.isfinite(span):
+            return None
+        # The population's ends: slots beyond them are infinitely far.
+        pad = np.empty(m + 2 * k)
+        pad[:k] = -np.inf
+        pad[k : k + m] = values
+        pad[k + m :] = np.inf
+        dist, in_left, k_dist, tied = _neighbours(pad, k, m)
+        if tied.any():
+            return None
+        left, right = dist[:k], dist[k:]
+        in_right = ~in_left
 
-    ``sorted_values`` may also be a ``(B, m)`` batch of rows, each holding
-    one population's values in ascending order, padded with ``-inf`` before
-    them and ``+inf`` after them (any number of each).  A row is scored as
-    its finite values alone, bit for bit; the result is ``(B, m)``, with
-    NaN in the pad slots and in every slot of a row the kernel declines.
-    A 1-d call is the one-row case.
-    """
-    rows = np.asarray(sorted_values, dtype=np.float64)
-    if rows.ndim == 1:
-        scores = _window_rows(rows[None], k, threshold)[0]
-        return None if np.isnan(scores[0]) else scores
-    scores = np.empty_like(rows)
-    for part in _sub_batches(rows.shape[0], 2 * k * (rows.shape[1] + 2 * k)):
-        scores[part] = _window_rows(rows[part], k, threshold)
+        # Only the first and last k values have neighbours beyond the ends:
+        # cap their inf at the span (no in-range distance exceeds it) so
+        # that masking by multiplication stays finite.
+        edges = [slice(None)] if 2 * k >= m else [slice(k), slice(m - k, None)]
+        for edge in edges:
+            np.minimum(dist[:, edge], span, out=dist[:, edge])
+        kd_pad = np.zeros(m + 2 * k)
+        kd_pad[k : k + m] = k_dist
+        kd_near = _shifted(kd_pad, 2 * k + 1, m)
+        np.maximum(left, kd_near[:k], out=left)
+        np.maximum(right, kd_near[k + 1 :], out=right)
+        np.multiply(left, in_left, out=left)
+        np.multiply(right, in_right, out=right)
+        mean_reach = dist.sum(axis=0)
+        mean_reach /= k
+        out_of_range = (mean_reach < _REACH_MIN) | (mean_reach > _REACH_MAX)
+        if ((mean_reach > 0.0) & out_of_range).any():
+            return None
+        dense = mean_reach == 0.0  # lrd = inf: a run of more than k duplicates
+
+        def window_sum(per_point: np.ndarray) -> np.ndarray:
+            # Reuses dist's buffer: the reach distances are summed by now.
+            padded = np.zeros(m + 2 * k)
+            padded[k : k + m] = per_point
+            shifted = _shifted(padded, 2 * k + 1, m)
+            np.multiply(shifted[:k], in_left, out=left)
+            np.multiply(shifted[k + 1 :], in_right, out=right)
+            return dist.sum(axis=0)
+
+        lrd = 1.0 / mean_reach
+        # The ratios' mean, as (sum of the neighbours' densities) / lrd / k;
+        # dense points add nothing to the sum.
+        scores = window_sum(np.where(mean_reach > 0.0, lrd, 0.0)) / lrd / k
+        if dense.any():
+            # inf / inf counts 1, finite / inf counts 0, inf / finite is inf.
+            n_dense = window_sum(dense)
+            scores = np.where(dense, n_dense / k, np.where(n_dense > 0, np.inf, scores))
+        if (np.abs(scores - threshold) <= _THRESHOLD_MARGIN * threshold).any():
+            return None
     return scores
 
 
 def lof_centre_scores(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
     """LOF score of the centre value of each row of a ``(B, m)`` batch, ``m``
-    odd, laid out as for :func:`lof_window_scores`.
+    odd.
 
+    Each row holds one population's values in ascending order, padded with
+    ``-inf`` before them and ``+inf`` after them (any number of each).
     Entry ``b`` is the score of ``rows[b, m // 2]`` among row ``b``'s finite
     values, or NaN where the kernel declines and only :func:`lof_scores`
     can decide whether it exceeds ``threshold`` (see the module docstring).
@@ -245,116 +288,39 @@ def lof_centre_scores(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
     return scores
 
 
-def _span(rows: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """Largest minus smallest finite value of each ascending row."""
-    n_finite = finite.sum(axis=1)
-    first = finite.argmax(axis=1)  # rows ascend, so -inf pads lead
-    at = np.arange(rows.shape[0])
-    return rows[at, first + n_finite - 1] - rows[at, first]
-
-
 def _neighbours(pad: np.ndarray, k: int, width: int):
     """The neighbour-window stage of the window kernel.
 
-    ``pad`` is a ``(b, width + 2k)`` batch of ascending rows; the positions
-    are its columns ``k .. k + width - 1``, whose ``k`` nearest columns on
-    each side all lie inside it.  Returns, per position:
+    ``pad`` holds ascending values with ``k`` more on each side, infinite
+    beyond the population's ends; the positions are its slots ``k .. k +
+    width - 1``, whose ``k`` nearest slots on each side all lie inside it.
+    Returns, per position:
 
-    * ``dist``, ``(2k, b, width)``: slice ``r < k`` holds ``L_{k-r}``,
-      slice ``k + r`` holds ``R_{r+1}``; pads are infinitely far.
-    * ``in_left``, ``(k, b, width)``: slice ``r`` is ``[L_{k-r} <=
+    * ``dist``, ``(2k, width)``: slice ``r < k`` holds ``L_{k-r}``, slice
+      ``k + r`` holds ``R_{r+1}``; slots beyond the ends are infinitely far.
+    * ``in_left``, ``(k, width)``: slice ``r`` is ``[L_{k-r} <=
       R_{r+1}]``, true for exactly the window's left neighbours (ties go
       left): it is the left slices' window mask, and its negation the right
       slices'.  The window is slices ``[k - l, 2k - l)``.
-    * ``k_dist``, ``(b, width)``: the distance to the k-th nearest, the
+    * ``k_dist``, ``(width,)``: the distance to the k-th nearest, the
       larger of the window's two ends.
-    * ``tied``, ``(b, width)``: two distinct left values at one rounded
+    * ``tied``, ``(width,)``: two distinct left values at one rounded
       distance, where the argsort keeps the further one and the window the
       nearer.
     """
-    b = pad.shape[0]
-    values = pad[:, k : k + width]
+    values = pad[k : k + width]
     near = _shifted(pad, 2 * k + 1, width)  # slice t: the values at offset t - k
-    dist = np.empty((2 * k, b, width))
+    dist = np.empty((2 * k, width))
     left, right = dist[:k], dist[k:]
     np.subtract(values, near[:k], out=left)
     np.subtract(near[k + 1 :], values, out=right)
     in_left = left <= right
-    plane = b * width
-    first = (k - in_left.sum(axis=0)) * plane + np.arange(plane).reshape(b, width)
+    first = (k - in_left.sum(axis=0)) * width + np.arange(width)
     flat = dist.reshape(-1)
-    k_dist = np.maximum(flat[first], flat[first + (k - 1) * plane])
-    distinct = _shifted(pad[:, 1:] != pad[:, :-1], k - 1, width)
+    k_dist = np.maximum(flat[first], flat[first + (k - 1) * width])
+    distinct = _shifted(pad[1:] != pad[:-1], k - 1, width)
     tied = ((left[:-1] == left[1:]) & distinct).any(axis=0)
     return dist, in_left, k_dist, tied
-
-
-def _window_rows(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:
-    """:func:`lof_window_scores` of one sub-batch of padded rows."""
-    b, m = rows.shape
-    finite = np.isfinite(rows)
-    n_finite = finite.sum(axis=1)
-    if b and n_finite.min() <= k:
-        raise ValueError(f"LOF needs more than k={k} points, got {n_finite.min()}")
-    first_value = finite.argmax(axis=1)  # rows ascend, so -inf pads lead
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        span = _span(rows, finite)
-        pad = np.empty((b, m + 2 * k))
-        pad[:, :k] = -np.inf
-        pad[:, k : k + m] = rows
-        pad[:, k + m :] = np.inf
-        dist, in_left, k_dist, tied = _neighbours(pad, k, m)
-        left, right = dist[:k], dist[k:]
-        in_right = ~in_left
-        bad = tied & finite
-
-        # Only the first and last k finite slots of a row have out-of-range
-        # neighbours: cap their inf at the row's span (no in-range distance
-        # exceeds it) so that masking by multiplication stays finite.  Pad
-        # slots count as zero in their neighbours' per-point arrays.
-        head = int(first_value.max()) + k
-        tail = int((first_value + n_finite).min()) - k
-        edges = [slice(None)] if head >= tail else [slice(head), slice(tail, None)]
-        for edge in edges:
-            np.minimum(dist[:, :, edge], span[:, None], out=dist[:, :, edge])
-        kd_pad = np.zeros((b, m + 2 * k))
-        kd_pad[:, k : k + m] = np.where(finite, k_dist, 0.0)
-        kd_near = _shifted(kd_pad, 2 * k + 1, m)
-        np.maximum(left, kd_near[:k], out=left)
-        np.maximum(right, kd_near[k + 1 :], out=right)
-        np.multiply(left, in_left, out=left)
-        np.multiply(right, in_right, out=right)
-        # A pad slot's own first neighbour is a pad at the same infinity,
-        # so its mean reach, density and score are NaN: no check below
-        # fires on a pad.
-        mean_reach = dist.sum(axis=0)
-        mean_reach /= k
-        bad |= (mean_reach > 0.0) & (
-            (mean_reach < _REACH_MIN) | (mean_reach > _REACH_MAX)
-        )
-        dense = mean_reach == 0.0  # lrd = inf: a run of more than k duplicates
-
-        def window_sum(per_point: np.ndarray) -> np.ndarray:
-            # Reuses dist's buffer: the reach distances are summed by now.
-            padded = np.zeros((b, m + 2 * k))
-            padded[:, k : k + m] = per_point
-            shifted = _shifted(padded, 2 * k + 1, m)
-            np.multiply(shifted[:k], in_left, out=left)
-            np.multiply(shifted[k + 1 :], in_right, out=right)
-            return dist.sum(axis=0)
-
-        lrd = 1.0 / mean_reach
-        # The ratios' mean, as (sum of the neighbours' densities) / lrd / k;
-        # dense points and pads add nothing to the sum.
-        scores = window_sum(np.where(mean_reach > 0.0, lrd, 0.0)) / lrd / k
-        if dense.any():
-            # inf / inf counts 1, finite / inf counts 0, inf / finite is inf.
-            n_dense = window_sum(dense)
-            scores = np.where(dense, n_dense / k, np.where(n_dense > 0, np.inf, scores))
-        bad |= np.abs(scores - threshold) <= _THRESHOLD_MARGIN * threshold
-        declined = bad.any(axis=1) | ~np.isfinite(span)
-    scores[~finite | declined[:, None]] = np.nan
-    return scores
 
 
 def _centre_rows(rows: np.ndarray, k: int, threshold: float) -> np.ndarray:

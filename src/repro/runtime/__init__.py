@@ -1,13 +1,11 @@
-"""Parallel execution runtime: pluggable worker backends for PCOR.
+"""Parallel execution runtime: the worker backends for PCOR.
 
-Three registered backends execute the engine's fan-out points
+Two backends execute the engine's fan-out points
 (``submit_many``/``execute_many`` request batches and uncached
 context-profile batches):
 
 * ``serial`` — :class:`SerialBackend`, inline execution (the default and
   the determinism reference);
-* ``thread`` — :class:`ThreadBackend`, an in-process pool sharing the
-  engine's lock-protected profile stores;
 * ``process`` — :class:`ProcessBackend`, spawned workers over a
   shared-memory copy of the dataset and its bit-packed mask matrix.
 
@@ -25,16 +23,16 @@ more than one worker is asked for, else serial.  ``PCOR_WORKERS`` sets the
 default worker count.
 """
 
+import os
+from typing import List, Optional, Union
+
+from repro.exceptions import ExecutionError
 from repro.runtime.base import (
     DEFAULT_MAX_WORKERS,
     ExecutionBackend,
-    available_backends,
     chunk_evenly,
     default_workers,
-    make_backend,
     plan_task_rngs,
-    register_backend,
-    resolve_backend,
     rng_from_token,
 )
 from repro.runtime.process import ProcessBackend
@@ -44,17 +42,56 @@ from repro.runtime.sharing import (
     SharedDatasetHandle,
     attach_shared_dataset,
 )
-from repro.runtime.threads import ThreadBackend
 
-register_backend("serial", SerialBackend)
-register_backend("thread", ThreadBackend)
-register_backend("process", ProcessBackend)
+_BACKENDS = {"process": ProcessBackend, "serial": SerialBackend}
+
+
+def make_backend(name: str, workers: Optional[int] = None) -> ExecutionBackend:
+    """Instantiate a backend by name (case-insensitive)."""
+    key = str(name).lower()
+    if key not in _BACKENDS:
+        raise ExecutionError(
+            f"unknown backend {name!r}; available: {available_backends()}"
+        )
+    return _BACKENDS[key](workers=workers)
+
+
+def available_backends() -> List[str]:
+    """Names of the execution backends."""
+    return sorted(_BACKENDS)
+
+
+def resolve_backend(
+    backend: Union[None, str, ExecutionBackend] = None,
+    workers: Optional[int] = None,
+) -> ExecutionBackend:
+    """Normalise a backend argument into an :class:`ExecutionBackend`.
+
+    ``None`` consults the ``PCOR_BACKEND`` environment variable; absent
+    that, ``workers > 1`` implies the process backend (asking for workers
+    must never silently run serial — the CLI's ``--workers N`` promotes the
+    same way) and otherwise serial is used.  A string goes through
+    :func:`make_backend`; an instance is returned unchanged (``workers``
+    must then be omitted or match).
+    """
+    if isinstance(backend, ExecutionBackend):
+        if workers is not None and int(workers) != backend.workers:
+            raise ExecutionError(
+                f"workers={workers} conflicts with the supplied "
+                f"{backend.name} backend's workers={backend.workers}"
+            )
+        return backend
+    if backend is None:
+        backend = os.environ.get("PCOR_BACKEND")
+    if backend is None:
+        backend = "process" if workers is not None and int(workers) > 1 else "serial"
+    return make_backend(backend, workers=workers)
+
 
 __all__ = [
     "DEFAULT_MAX_WORKERS",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "SharedDatasetExport",
     "SharedDatasetHandle",
@@ -64,7 +101,6 @@ __all__ = [
     "default_workers",
     "make_backend",
     "plan_task_rngs",
-    "register_backend",
     "resolve_backend",
     "rng_from_token",
 ]

@@ -1,4 +1,4 @@
-"""Execution backend protocol, registry and deterministic task seeding.
+"""Execution backend protocol and deterministic task seeding.
 
 PCOR's cost is dominated by repeated detector runs over candidate contexts;
 the work is embarrassingly parallel at two granularities — whole releases in
@@ -22,10 +22,11 @@ task key) — and results are always reduced in that canonical order.  Any
 backend at any worker count therefore produces bit-identical releases to
 :class:`~repro.runtime.serial.SerialBackend` for the same seed.
 
-Backends are registered by name (``serial`` / ``thread`` / ``process``);
-:func:`resolve_backend` also honours the ``PCOR_BACKEND`` and
-``PCOR_WORKERS`` environment variables so a whole test suite or deployment
-can be switched without code changes.
+Backends are named ``serial`` and ``process``
+(:func:`repro.runtime.make_backend`); :func:`repro.runtime.resolve_backend`
+also honours the ``PCOR_BACKEND`` and ``PCOR_WORKERS`` environment
+variables so a whole test suite or deployment can be switched without code
+changes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -136,18 +137,15 @@ class ExecutionBackend(ABC):
 
     Class attributes
     ----------------
-    remote:
-        True when tasks execute outside this process (results do not pass
-        through the engine's in-process counters).
-    min_profile_fanout:
-        Smallest uncached-profile batch worth fanning out; below it the
-        verifier computes inline.  Process backends set this higher because
-        every chunk pays an IPC round trip.
+    parallel:
+        True when tasks execute on a pool outside the calling thread: the
+        engine then hands it every batch of several requests, and its
+        verifiers fan uncached-profile batches of at least the backend's
+        ``min_profile_fanout`` contexts out to it.
     """
 
     name: str = "abstract"
-    remote: bool = False
-    min_profile_fanout: int = 64
+    parallel: bool = False
 
     def __init__(self, workers: Optional[int] = None):
         self.workers = default_workers() if workers is None else int(workers)
@@ -172,7 +170,7 @@ class ExecutionBackend(ABC):
         for the whole batch.
 
         ``engine`` is the :class:`~repro.service.engine.ReleaseEngine` the
-        batch was submitted to; in-process backends call its release core
+        batch was submitted to; the serial backend calls its release core
         (``engine._outcome``) directly, the process backend ships
         self-contained task payloads to workers that call their own.  Every
         task gets the batch's flag, ``engine._in_batch(requests)`` (see
@@ -188,20 +186,6 @@ class ExecutionBackend(ABC):
         """Release pools and shared-memory resources (idempotent)."""
 
     # ------------------------------------------------------------- plumbing
-
-    @property
-    def parallel(self) -> bool:
-        """Can this backend actually fan work out?"""
-        return self.workers > 1
-
-    def inner_fanout_allowed(self) -> bool:
-        """May a *nested* profile fan-out run right now?
-
-        Pool-sharing backends return False from inside their own worker
-        tasks so a release executing on the pool never re-enters it (which
-        could deadlock a bounded pool).
-        """
-        return True
 
     def _count(self, *, releases: int = 0, profiles: int = 0, wall: float = 0.0) -> None:
         with self._stats_lock:
@@ -228,58 +212,3 @@ class ExecutionBackend(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(workers={self.workers})"
-
-
-# -------------------------------------------------------------------- registry
-
-_BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., ExecutionBackend]) -> None:
-    """Register a backend factory under ``name`` (case-insensitive)."""
-    key = name.lower()
-    if key in _BACKENDS:
-        raise ExecutionError(f"backend {name!r} already registered")
-    _BACKENDS[key] = factory
-
-
-def make_backend(name: str, workers: Optional[int] = None) -> ExecutionBackend:
-    """Instantiate a registered backend by name."""
-    key = str(name).lower()
-    if key not in _BACKENDS:
-        raise ExecutionError(
-            f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
-        )
-    return _BACKENDS[key](workers=workers)
-
-
-def available_backends() -> List[str]:
-    """Names of all registered execution backends."""
-    return sorted(_BACKENDS)
-
-
-def resolve_backend(
-    backend: Union[None, str, ExecutionBackend] = None,
-    workers: Optional[int] = None,
-) -> ExecutionBackend:
-    """Normalise a backend argument into an :class:`ExecutionBackend`.
-
-    ``None`` consults the ``PCOR_BACKEND`` environment variable; absent
-    that, ``workers > 1`` implies the process backend (asking for workers
-    must never silently run serial — the CLI's ``--workers N`` promotes the
-    same way) and otherwise serial is used.  A string goes through the
-    registry; an instance is returned unchanged (``workers`` must then be
-    omitted or match).
-    """
-    if isinstance(backend, ExecutionBackend):
-        if workers is not None and int(workers) != backend.workers:
-            raise ExecutionError(
-                f"workers={workers} conflicts with the supplied "
-                f"{backend.name} backend's workers={backend.workers}"
-            )
-        return backend
-    if backend is None:
-        backend = os.environ.get("PCOR_BACKEND")
-    if backend is None:
-        backend = "process" if workers is not None and int(workers) > 1 else "serial"
-    return make_backend(backend, workers=workers)

@@ -64,15 +64,11 @@ class ProcessBackend(ExecutionBackend):
     """Fan tasks out across spawned worker processes."""
 
     name = "process"
-    remote = True
-    # Every chunk pays a pickle round trip, so small miss batches stay local.
+    # Even one process worker executes out-of-process, so tasks always ship.
+    parallel = True
+    #: Smallest uncached-profile batch worth fanning out; below it the
+    #: verifier computes inline, because every chunk pays a pickle round trip.
     min_profile_fanout = 256
-
-    @property
-    def parallel(self) -> bool:
-        """Always true: even one process worker executes out-of-process, so
-        tasks ship (unlike serial/thread, where one worker means inline)."""
-        return True
 
     #: Bound on the validated-payload memo dicts (FIFO eviction): a
     #: long-lived service submitting many ad-hoc specs must not accumulate

@@ -21,8 +21,8 @@ class SerialBackend(ExecutionBackend):
 
     def __init__(self, workers: Optional[int] = None):
         # A serial backend has exactly one (implicit) worker regardless of
-        # what was asked for; accepting the argument keeps the registry
-        # factory signature uniform.
+        # what was asked for; accepting the argument keeps make_backend's
+        # constructor call uniform.
         super().__init__(workers=1)
 
     def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:

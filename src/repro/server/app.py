@@ -4,8 +4,8 @@
 a :class:`~repro.server.registry.DatasetRegistry`.  Each request thread
 performs tenant-layered admission and then delegates the release to the
 dataset's :class:`~repro.service.engine.ReleaseEngine` (whose execution
-backend — serial / thread / process, from PR 3 — does the heavy fan-out),
-so the handler pool stays thin.
+backend — serial or process — does the heavy fan-out), so the handler pool
+stays thin.
 
 Routes (all JSON):
 

@@ -18,11 +18,11 @@ service layer:
   uncached detector runs, per-phase wall time and backend task counts) for
   dashboards and logs.
 
-Batch execution runs on a pluggable :mod:`repro.runtime` backend
-(``serial`` / ``thread`` / ``process``).  Randomness is planned as one
-substream per request (spawned from the request seeds in request order), so
-every backend at any worker count releases bit-identical contexts to the
-serial path for the same seeds.
+Batch execution runs on a :mod:`repro.runtime` backend (``serial`` /
+``process``).  Randomness is planned as one substream per request (spawned
+from the request seeds in request order), so every backend at any worker
+count releases bit-identical contexts to the serial path for the same
+seeds.
 
 The legacy entry points are thin wrappers over this engine:
 :class:`repro.core.pcor.PCOR` submits requests carrying its fixed spec, and
@@ -251,12 +251,11 @@ class ReleaseEngine:
     backend:
         Execution backend for every batch and large profile batch this
         engine runs: an :class:`~repro.runtime.base.ExecutionBackend`
-        instance, a registry name (``serial`` / ``thread`` / ``process``),
-        or ``None`` — resolved once by
-        :func:`~repro.runtime.base.resolve_backend` (the ``PCOR_BACKEND``
-        environment variable, else process when ``workers > 1``, else
-        serial).  Any backend at any worker count releases bit-identical
-        contexts to serial for the same seed.
+        instance, a backend name (``serial`` / ``process``), or ``None`` —
+        resolved once by :func:`~repro.runtime.resolve_backend` (the
+        ``PCOR_BACKEND`` environment variable, else process when
+        ``workers > 1``, else serial).  Any backend at any worker count
+        releases bit-identical contexts to serial for the same seed.
     workers:
         Worker count for a backend named here (``None`` reads
         ``PCOR_WORKERS``, then ``min(4, cpu_count)``).
@@ -589,17 +588,15 @@ class ReleaseEngine:
         The batch runs on the engine's execution backend: one task per
         request, each drawing from its own RNG substream spawned from the
         request seeds in request order, with outcomes reduced in that same
-        order — so serial, thread and process backends release
-        bit-identical contexts at any worker count, and no batching
-        boundary a coalescer picks can change a release: every request
-        releases bit-identically to a lone :meth:`submit`/:meth:`execute`
-        with the same seed.
+        order — so serial and process backends release bit-identical
+        contexts at any worker count, and no batching boundary a coalescer
+        picks can change a release: every request releases bit-identically
+        to a lone :meth:`submit`/:meth:`execute` with the same seed.
 
         On the serial path, records whose starting-context search will run
         are first pre-profiled through one batched mask pass per verifier
-        (the first probe of every search); parallel backends skip the warm
-        pass — thread workers share the store anyway and process workers
-        warm their own caches as they go.
+        (the first probe of every search); the process backend skips the
+        warm pass — its workers warm their own caches as they go.
 
         Every task of a batch of several records also runs *in a batch*
         (:attr:`OutlierVerifier.in_batch
@@ -650,13 +647,12 @@ class ReleaseEngine:
             t0 = time.perf_counter()
             outcomes = backend.run_releases(self, reqs, tokens)
             self._phase("release", time.perf_counter() - t0, tasks=len(reqs))
-            if backend.remote:
-                # Remote tasks never pass through this process's _execute;
-                # fold their outcomes into the engine's counters here.
-                completed = [o for o in outcomes if isinstance(o, PCORResult)]
-                with self._lock:
-                    self.releases_completed += len(completed)
-                    self.wall_time_s += sum(r.wall_time_s for r in completed)
+            # Pool tasks never pass through this process's _execute; fold
+            # their outcomes into the engine's counters here.
+            completed = [o for o in outcomes if isinstance(o, PCORResult)]
+            with self._lock:
+                self.releases_completed += len(completed)
+                self.wall_time_s += sum(r.wall_time_s for r in completed)
         else:
             self._warm_starting_profiles(reqs)
             t0 = time.perf_counter()
@@ -785,9 +781,9 @@ class ReleaseEngine:
             set_engine_phase("engine.starting_context")
             verifier = self.verifier_for(spec.build_detector())
             sampler = spec.build_sampler()
-            # Thread-local so concurrent releases on one verifier (thread
-            # backend) don't attribute each other's detector runs, nor see
-            # each other's batch flag.
+            # Thread-local so concurrent releases on one verifier (HTTP
+            # handler threads) don't attribute each other's detector runs,
+            # nor see each other's batch flag.
             fm_before = verifier.local_fm_evaluations
             verifier.in_batch = in_batch
 

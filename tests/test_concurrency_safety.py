@@ -1,15 +1,17 @@
 """Concurrency stress tests for the lock-protected shared state.
 
-The thread execution backend (and any concurrent engine caller) hammers two
-shared structures: the bounded-LRU :class:`ProfileStore` and the
-:class:`PrivacyAccountant` ledger.  These tests drive both from many
-threads and assert the invariants that unsynchronised code breaks: the
-store never exceeds its capacity and never loses counter updates; the
-accountant never overdraws and never double-charges.  A dataset's lazily
-computed metric order is shared the same way (unlocked: racing first
-calls may each compute it, but every caller must get the whole order), and
-so are the metric ranks and an index snapshot's metric-ordered mask copy
-behind record-scoped reads.
+Concurrent engine callers (HTTP handler threads, a request coalescer's
+flusher, any threads sharing one engine) hammer two shared structures: the
+bounded-LRU :class:`ProfileStore` and the :class:`PrivacyAccountant`
+ledger.  These tests drive both from many threads and assert the
+invariants that unsynchronised code breaks: the store never exceeds its
+capacity and never loses counter updates; the accountant never overdraws
+and never double-charges.  A dataset's lazily computed metric order is
+shared the same way (unlocked: racing first calls may each compute it, but
+every caller must get the whole order), and so are the metric ranks and an
+index snapshot's metric-ordered mask copy behind record-scoped reads.
+Batched and lone releases racing on one engine share its verifier and
+store, and must release what each releases alone.
 """
 
 import sys
@@ -141,6 +143,83 @@ class TestDirectReleasesUnderContention:
                     got = dict(zip(records, pool.map(run, records)))
                 assert got == solo
                 assert shared.fm_evaluations == sum(solo.values())
+        finally:
+            sys.setswitchinterval(previous)
+
+
+def release_key(r):
+    """Everything a release decided, minus cache-dependent counters."""
+    return (
+        r.record_id,
+        r.context.bits,
+        r.utility_value,
+        r.n_candidates,
+        None if r.starting_context is None else r.starting_context.bits,
+        r.stats.candidates_collected,
+        r.stats.contexts_examined,
+        r.stats.steps,
+    )
+
+
+class TestBatchedReleasesUnderContention:
+    def test_batches_and_lone_releases_share_one_engine(self, mini_dataset):
+        """Three threads run two-record LOF batches (``execute_many``, so
+        their releases run in a batch and compute full profiles) while two
+        more submit lone releases of other records, all at once on one
+        serial engine's verifier and store.  Every release must be what a
+        fresh engine releases for its seed, at no more detector runs than
+        it costs there, and the shared verifier must run no more detectors
+        than the fresh engines together."""
+        from repro.core.reference import ReferenceFile
+        from repro.core.verification import OutlierVerifier
+        from repro.outliers import LOFDetector
+        from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
+
+        lof = {"k": 5, "threshold": 1.5}
+        reference = ReferenceFile.build(
+            OutlierVerifier(mini_dataset, LOFDetector(**lof))
+        )
+        records = reference.outlier_records()[::20][:8]
+        assert len(records) == 8
+        spec = PipelineSpec(
+            detector="lof",
+            detector_kwargs=lof,
+            sampler="bfs",
+            epsilon=0.5,
+            n_samples=5,
+        )
+        requests = [ReleaseRequest(rid, spec, seed=1000 + rid) for rid in records]
+        # Three two-record batches, then two lone releases.
+        jobs = [requests[i : i + 2] for i in (0, 2, 4)] + [requests[6:7], requests[7:8]]
+
+        solo, solo_runs = {}, 0
+        for request in requests:
+            engine = ReleaseEngine(mini_dataset, backend="serial")
+            solo[request.record_id] = engine.submit(request)
+            solo_runs += engine.verifier_for(spec.build_detector()).fm_evaluations
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                engine = ReleaseEngine(mini_dataset, backend="serial")
+                barrier = threading.Barrier(len(jobs))
+
+                def run(job):
+                    barrier.wait(timeout=30)
+                    if len(job) > 1:
+                        return engine.execute_many(job)
+                    return [engine.submit(job[0])]
+
+                with ThreadPoolExecutor(len(jobs)) as pool:
+                    got = [r for results in pool.map(run, jobs) for r in results]
+                assert sorted(r.record_id for r in got) == sorted(records)
+                for result in got:
+                    alone = solo[result.record_id]
+                    assert release_key(result) == release_key(alone)
+                    assert result.fm_evaluations <= alone.fm_evaluations
+                shared = engine.verifier_for(spec.build_detector())
+                assert shared.fm_evaluations <= solo_runs
         finally:
             sys.setswitchinterval(previous)
 

@@ -347,26 +347,8 @@ def centred_rows(draw, kinds=None):
 
 
 class TestRowBatches:
-    """``lof_window_scores`` on a ``(B, m)`` batch scores each row as its
-    finite values alone, and ``LOFDetector.outlier_centres`` answers each
-    row as ``outlier_positions`` on those values does."""
-
-    @given(case=centred_rows())
-    @settings(max_examples=200, deadline=None)
-    def test_rows_score_as_their_finite_values(self, case):
-        detector, rows = case
-        k, threshold = detector.k, detector.threshold
-        rows = rows[np.isfinite(rows).sum(axis=1) > k]
-        scores = lof_window_scores(rows, k, threshold)
-        assert scores.shape == rows.shape
-        for row, got in zip(rows, scores):
-            finite = np.isfinite(row)
-            assert np.isnan(got[~finite]).all()
-            alone = lof_window_scores(row[finite], k, threshold)
-            if alone is None:
-                assert np.isnan(got).all()
-            else:
-                assert np.array_equal(got[finite], alone)
+    """``LOFDetector.outlier_centres`` answers each row of a ``(B, m)``
+    batch as ``outlier_positions`` on the row's finite values does."""
 
     @given(case=centred_rows())
     @settings(max_examples=200, deadline=None)
@@ -378,15 +360,6 @@ class TestRowBatches:
             detector.outlier_centres(rows),
             OutlierDetector._outlier_centres(detector, rows),
         )
-
-    def test_sub_batches_change_nothing(self, monkeypatch, rng):
-        values = np.sort(rng.normal(0.0, 1.0, 400))
-        rows = np.stack([values[i : i + 61] for i in range(0, 330, 11)])
-        rows[3, :20] = -np.inf
-        rows[7, 45:] = np.inf
-        whole = lof_window_scores(rows, 10, 1.5)
-        monkeypatch.setattr(lof, "_ELEMENT_BUDGET", 1)
-        assert np.array_equal(lof_window_scores(rows, 10, 1.5), whole, equal_nan=True)
 
     def test_centre_sub_batches_change_no_verdict(self, monkeypatch, rng):
         """Under a one-element budget the centre kernel scores one row per
@@ -469,8 +442,6 @@ class TestRowBatches:
 
     def test_rejects_rows_of_k_or_fewer_values(self):
         rows = np.array([[-np.inf, 0.0, 1.0, 2.0, np.inf]])
-        with pytest.raises(ValueError, match="more than k"):
-            lof_window_scores(rows, 3, 1.5)
         assert not LOFDetector(k=3).outlier_centres(rows).any()
 
 

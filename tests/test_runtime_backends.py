@@ -1,9 +1,9 @@
 """Execution-backend tests: the determinism contract and the registry.
 
 The acceptance property of the parallel runtime: for a fixed seed, every
-backend (serial / thread / process) at every worker count (1 / 2 / 4)
-releases **bit-identical** results across all four samplers.  Process pools
-are module-scoped so the spawn cost is paid once per worker count.
+backend (serial / process) at every worker count (1 / 2 / 4) releases
+**bit-identical** results across all four samplers.  Process pools are
+module-scoped so the spawn cost is paid once per worker count.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.exceptions import DatasetError, ExecutionError
 from repro.runtime import (
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     chunk_evenly,
     make_backend,
@@ -91,18 +90,6 @@ def serial_releases(mini_dataset, mini_outlier):
 class TestBitIdenticalReleases:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_thread_matches_serial(
-        self, mini_dataset, mini_outlier, serial_releases, sampler, workers
-    ):
-        backend = ThreadBackend(workers=workers)
-        try:
-            got = release_batch(mini_dataset, backend, mini_outlier, sampler, 77)
-        finally:
-            backend.close()
-        assert got == serial_releases[sampler]
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_process_matches_serial(
         self, mini_dataset, mini_outlier, serial_releases, process_pools, sampler, workers
     ):
@@ -135,12 +122,12 @@ class TestBitIdenticalReleases:
     def test_profile_fanout_does_not_change_matching(
         self, mini_dataset, mini_detector, mini_outlier
     ):
-        """Forcing the inner profile fan-out through a thread pool yields the
-        same profiles/matching answers as inline computation."""
+        """Forcing the inner profile fan-out through a fresh process pool
+        yields the same profiles/matching answers as inline computation."""
         from repro.core.verification import OutlierVerifier
 
         plain = OutlierVerifier(mini_dataset, mini_detector)
-        backend = ThreadBackend(workers=4)
+        backend = ProcessBackend(workers=2)
         backend.min_profile_fanout = 1  # fan out even tiny batches
         fanned = OutlierVerifier(mini_dataset, mini_detector, backend=backend)
         try:
@@ -150,6 +137,7 @@ class TestBitIdenticalReleases:
                 == plain.is_matching_many(batch, mini_outlier).tolist()
             )
             assert fanned.profiles(batch) == plain.profiles(batch)
+            assert backend.stats()["profile_tasks"] > 0
         finally:
             backend.close()
 
@@ -168,14 +156,6 @@ class TestHypothesisBackendIdentity:
         self, mini_dataset, mini_outlier, process_pools, seed, sampler
     ):
         serial = release_batch(mini_dataset, SerialBackend(), mini_outlier, sampler, seed)
-        thread = ThreadBackend(workers=2)
-        try:
-            assert (
-                release_batch(mini_dataset, thread, mini_outlier, sampler, seed)
-                == serial
-            )
-        finally:
-            thread.close()
         assert (
             release_batch(mini_dataset, process_pools[2], mini_outlier, sampler, seed)
             == serial
@@ -221,37 +201,41 @@ class TestSeedPlanning:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"serial", "thread", "process"} <= set(available_backends())
+        assert available_backends() == ["process", "serial"]
 
     def test_make_backend_workers(self):
-        backend = make_backend("thread", workers=3)
+        backend = make_backend("process", workers=3)
         try:
-            assert backend.name == "thread" and backend.workers == 3
+            assert backend.name == "process" and backend.workers == 3
         finally:
             backend.close()
 
     def test_unknown_backend(self):
-        with pytest.raises(ExecutionError, match="unknown backend"):
-            make_backend("gpu")
+        for name in ("gpu", "thread"):
+            with pytest.raises(ExecutionError, match="unknown backend"):
+                make_backend(name)
 
     def test_resolve_instance_conflicting_workers(self):
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
-        thread = ThreadBackend(workers=2)
+        process = ProcessBackend(workers=2)
         try:
             with pytest.raises(ExecutionError, match="conflicts"):
-                resolve_backend(thread, workers=3)
+                resolve_backend(process, workers=3)
         finally:
-            thread.close()
+            process.close()
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("PCOR_BACKEND", "thread")
+        monkeypatch.setenv("PCOR_BACKEND", "process")
         monkeypatch.setenv("PCOR_WORKERS", "2")
         backend = resolve_backend()
         try:
-            assert backend.name == "thread" and backend.workers == 2
+            assert backend.name == "process" and backend.workers == 2
         finally:
             backend.close()
+        monkeypatch.setenv("PCOR_BACKEND", "thread")
+        with pytest.raises(ExecutionError, match="unknown backend"):
+            resolve_backend()
 
     def test_serial_is_never_parallel(self):
         assert SerialBackend(workers=8).workers == 1
@@ -318,7 +302,7 @@ class TestBatchOutcomes:
 
 class TestEngineMetricsPhases:
     def test_phases_recorded(self, mini_dataset, mini_outlier):
-        engine = ReleaseEngine(mini_dataset, backend="thread", workers=2)
+        engine = ReleaseEngine(mini_dataset, backend="process", workers=2)
         try:
             gen = np.random.default_rng(9)
             engine.submit_many(
@@ -328,7 +312,7 @@ class TestEngineMetricsPhases:
                 ]
             )
             metrics = engine.metrics()
-            assert metrics.backend == "thread"
+            assert metrics.backend == "process"
             assert metrics.backend_workers == 2
             assert metrics.phase_tasks.get("release") == 3
             assert metrics.phase_wall_s.get("release", 0.0) > 0.0
@@ -353,9 +337,8 @@ class TestEngineMetricsPhases:
 
 
 class TestPCORFacadeBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_release_many_matches_serial(
-        self, mini_dataset, mini_detector, outlier_pair, backend, process_pools
+        self, mini_dataset, mini_detector, outlier_pair, process_pools
     ):
         from repro.core.pcor import PCOR
         from repro.core.sampling import BFSSampler
@@ -376,8 +359,7 @@ class TestPCORFacadeBackends:
             finally:
                 pcor.close()
 
-        chosen = process_pools[2] if backend == "process" else "thread"
-        assert run(chosen) == run(None)
+        assert run(process_pools[2]) == run(None)
 
 
 @pytest.fixture(scope="module")

@@ -139,8 +139,8 @@ class TestGroupingIndependence:
 
     @pytest.mark.parametrize(
         "backend, workers",
-        [("serial", None), ("thread", 2), ("process", 2)],
-        ids=["serial", "thread:2", "process:2"],
+        [("serial", None), ("process", 2)],
+        ids=["serial", "process:2"],
     )
     def test_execute_many_isolates_per_request_failures(
         self, dataset, outlier_record, backend, workers
@@ -171,11 +171,7 @@ class TestGroupingIndependence:
         never re-runs the flush itself."""
 
         class DeadPool(SerialBackend):
-            remote = True
-
-            @property
-            def parallel(self):
-                return True
+            parallel = True
 
             def run_releases(self, engine, requests, tokens):
                 raise ExecutionError("lost a worker process mid-task")

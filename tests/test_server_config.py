@@ -57,8 +57,9 @@ class TestDatasetConfig:
             DatasetConfig(name="a/b")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SpecError, match="unknown backend"):
-            DatasetConfig(name="d", backend="gpu")
+        for name in ("gpu", "thread"):
+            with pytest.raises(SpecError, match="unknown backend"):
+                DatasetConfig(name="d", backend=name)
 
 
 class TestServerConfig:

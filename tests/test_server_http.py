@@ -177,8 +177,8 @@ class TestTypedErrors:
         with PCORServer(ServerConfig.from_dict(body)) as srv:
             client = PCORClient(srv.url, tenant="pool-picker")
             for extra, field in (
-                ({"backend": "thread", "workers": 2}, "backend"),
-                ({"backend": "thread", "workers": 3}, "backend"),
+                ({"backend": "process", "workers": 2}, "backend"),
+                ({"backend": "process", "workers": 3}, "backend"),
                 ({"workers": 2}, "workers"),
             ):
                 with pytest.raises(SpecError, match=f"'{field}'"):
