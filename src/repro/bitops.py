@@ -83,10 +83,9 @@ def unpack_words(words: np.ndarray, n_bits: int) -> np.ndarray:
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim != 1:
         raise ValueError(f"expected a 1-d word row, got ndim={words.ndim}")
-    if n_bits == 0:
-        return np.zeros(0, dtype=bool)
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits[:n_bits].astype(bool)
+    # unpackbits writes 0/1 bytes, so a bool view of them copies nothing.
+    bits = np.unpackbits(words.view(np.uint8), count=n_bits, bitorder="little")
+    return bits.view(bool)
 
 
 if hasattr(np, "bitwise_count"):  # NumPy >= 2.0

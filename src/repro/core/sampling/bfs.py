@@ -11,6 +11,17 @@ total is ``(2n + 2) * epsilon_1`` (Theorem 5.7).
 BFS's edge over DFS (Tables 2-5): drawing from the whole frontier lets the
 search jump to any promising region discovered so far instead of being
 committed to the current branch.
+
+Each frontier context is scored once, when it is admitted, and keeps that
+score until it is drawn: ``frontier_scores`` sits beside ``frontier`` under
+the same swap-pop.  That is exact.  A utility is deterministic for a
+dataset version, so rescoring the frontier before every draw would return
+the scores it already holds, in the same frontier order, and the Gumbel
+draws, the candidates and the ``f_M`` runs stay the same; only store reads
+go.  If an append lands mid-release, a kept score can be stale and a
+context that no longer matches can be visited.  The engine rescores every
+candidate at the release's last dataset version before the final
+selection, where such a context scores ``-inf`` and cannot be released.
 """
 
 from __future__ import annotations
@@ -45,18 +56,21 @@ class BFSSampler(Sampler):
         stats = SamplingStats()
         t = verifier.schema.t
         frontier: list[int] = [int(starting_bits)]
+        # Each frontier context's utility, scored once when it was admitted.
+        frontier_scores: list[float] = utility.scores(frontier).tolist()
         frontier_set: set[int] = {int(starting_bits)}
         visited: list[int] = []
         visited_set: set[int] = set()
 
         while len(visited) < self.n_samples and frontier:
             stats.steps += 1
-            scores = utility.scores(frontier)
             stats.mechanism_invocations += 1
-            current, idx = mechanism.select(frontier, scores, rng)
+            current, idx = mechanism.select(frontier, frontier_scores, rng)
             # Remove from the frontier (swap-pop keeps this O(1)).
             frontier[idx] = frontier[-1]
             frontier.pop()
+            frontier_scores[idx] = frontier_scores[-1]
+            frontier_scores.pop()
             frontier_set.discard(current)
 
             visited.append(current)
@@ -73,10 +87,11 @@ class BFSSampler(Sampler):
             if children:
                 stats.contexts_examined += len(children)
                 matching = verifier.is_matching_many(children, record_id)
-                for child, ok in zip(children, matching):
-                    if ok:
-                        frontier.append(child)
-                        frontier_set.add(child)
+                admitted = [child for child, ok in zip(children, matching) if ok]
+                if admitted:
+                    frontier.extend(admitted)
+                    frontier_scores.extend(utility.scores(admitted).tolist())
+                    frontier_set.update(admitted)
 
         return SamplingRun(candidates=visited, stats=stats)
 

@@ -822,14 +822,16 @@ class ReleaseEngine:
                 )
 
             set_engine_phase("engine.select")
+            # At the release's last dataset version: a candidate an append
+            # mid-release made non-matching scores -inf, so it cannot win.
             scores = utility.scores(run.candidates)
             run.stats.mechanism_invocations += 1
-            chosen, _ = mechanism.select(run.candidates, scores, gen)
+            chosen, idx = mechanism.select(run.candidates, scores, gen)
 
             result = PCORResult(
                 context=Context(verifier.schema, chosen),
                 record_id=record_id,
-                utility_value=float(utility.score(chosen)),
+                utility_value=float(scores[idx]),
                 utility_name=utility.name,
                 epsilon_total=spec.epsilon,
                 epsilon_one=eps1,

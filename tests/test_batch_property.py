@@ -92,6 +92,17 @@ def test_int_bool_roundtrip(bits, t_extra):
     assert all(flags[k] == bool((bits >> k) & 1) for k in range(t))
 
 
+@pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 20_000])
+def test_unpack_words_matches_slice_and_cast(n_bits):
+    """Random words, padding bits included: the first ``n_bits`` as bools."""
+    gen = np.random.default_rng(n_bits)
+    words = gen.integers(0, 2**64, size=(n_bits + 63) // 64, dtype=np.uint64)
+    want = np.unpackbits(words.view(np.uint8), bitorder="little")[:n_bits].astype(bool)
+    got = unpack_words(words, n_bits)
+    assert got.dtype == bool and got.shape == (n_bits,)
+    assert got.tobytes() == want.tobytes()
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     rows=st.integers(min_value=0, max_value=5),

@@ -1,7 +1,11 @@
 """Unit tests for z-score / IQR detectors and the registry."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ReproError
 from repro.outliers import (
@@ -12,6 +16,39 @@ from repro.outliers import (
     register_detector,
 )
 from repro.outliers.base import OutlierDetector
+from repro.outliers.zscore import deviations_and_std
+
+
+@st.composite
+def zscore_inputs(draw):
+    """Metric values of several shapes, as a slice starting at an offset
+    into a larger array (so its address alignment varies)."""
+    n = draw(st.one_of(st.integers(1, 2), st.integers(3, 40), st.integers(41, 700)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(
+        st.sampled_from(["normal", "int_lognormal", "few", "constant", "extreme"])
+    )
+    if kind == "normal":
+        values = gen.normal(draw(st.floats(-1e6, 1e6)), draw(st.floats(1e-3, 1e4)), n)
+    elif kind == "int_lognormal":
+        values = np.round(gen.lognormal(10.0, 1.0, n))
+    elif kind == "few":
+        values = gen.choice(gen.normal(0.0, 100.0, draw(st.integers(1, 3))), n)
+    elif kind == "constant":
+        values = np.full(n, draw(st.floats(-1e300, 1e300)))
+    else:
+        pool = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1e300, -1e308, 1.7e308]
+        values = gen.choice(np.array(pool + [draw(st.floats(-1e308, 1e308))]), n)
+    offset = draw(st.integers(0, 7))
+    host = np.zeros(n + offset + 3)
+    host[offset:offset + n] = values
+    return host[offset:offset + n]
+
+
+def two_pass_z(values):
+    """The z-score steps as ``np.std`` and a second subtraction spell them."""
+    std = values.std(ddof=1)
+    return std, np.abs(values - values.mean()) / std
 
 
 class TestZScore:
@@ -37,6 +74,24 @@ class TestZScore:
         iqr = IQRDetector(factor=1.5).outlier_positions(values)
         assert 100 not in z  # masked by the 500/600 pair
         assert 100 in iqr
+
+    @given(values=zscore_inputs(), threshold=st.sampled_from([0.5, 2.5, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_two_pass_bit_for_bit(self, values, threshold):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want_std, want_z = two_pass_z(values)
+            dev, std = deviations_and_std(values)
+            z = np.abs(dev) / std
+            got = ZScoreDetector(threshold, min_population=1).outlier_positions(values)
+        assert np.float64(std).tobytes() == np.float64(want_std).tobytes()
+        assert z.tobytes() == want_z.tobytes()
+        want = (
+            np.empty(0, dtype=np.int64)
+            if want_std == 0.0
+            else np.flatnonzero(want_z > threshold)
+        )
+        assert got.tolist() == want.tolist()
 
 
 class TestIQR:
