@@ -5,18 +5,22 @@ HTTP server + coalescer, sharded router/fleet):
 
 * :mod:`repro.obs.trace` — per-request trace contexts with span
   timelines, propagated via the ``X-PCOR-Trace`` header and the release
-  request itself (including into subprocess workers).
+  request itself (including into subprocess workers), and
+  :class:`~repro.obs.trace.span`, the one timing primitive: a timed block
+  that feeds a trace, the profiler's phase frame and its caller's
+  counters.
 * :mod:`repro.obs.metrics` — lock-cheap counters/gauges/histograms and
   the Prometheus text exposition; :mod:`repro.obs.export` maps the
-  byte-compatible ``/v1/metrics`` JSON into labelled families and
-  merges worker expositions at the router.
+  byte-compatible ``/v1/metrics`` JSON into labelled families through
+  one table (``DATASET_METRICS``) and merges worker expositions at the
+  router.
 * :mod:`repro.obs.logs` — structured event logging (JSON or text lines)
   behind ``pcor serve --log-format``.
 
 Two debug-introspection primitives ride on top of them:
 
 * :mod:`repro.obs.profiler` — a sampling wall-clock profiler producing
-  collapsed-stack ("folded flamegraph") output with engine-phase frame
+  collapsed-stack ("folded flamegraph") output with span-phase frame
   annotations, behind ``GET /v1/debug/profile``.
 * :mod:`repro.obs.events` — a bounded ring of recent structured events
   tee'd off :func:`log_event`, behind ``GET /v1/debug/events``.
@@ -39,11 +43,10 @@ from repro.obs.metrics import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    counter_family,
-    gauge_family,
     render_text,
 )
 from repro.obs.export import (
+    DATASET_METRICS,
     dataset_families,
     merge_expositions,
     merged_exposition,
@@ -64,19 +67,20 @@ from repro.obs.profiler import (
     profiler_supported,
     profiling_active,
     render_folded,
-    set_engine_phase,
 )
 from repro.obs.trace import (
     TRACE_HEADER,
     Trace,
     process_rss_bytes,
     sampled_for,
+    span,
     trace_for_request,
 )
 
 __all__ = [
     "TRACE_HEADER",
     "Trace",
+    "span",
     "trace_for_request",
     "sampled_for",
     "process_rss_bytes",
@@ -86,9 +90,8 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "DEFAULT_LATENCY_BUCKETS",
-    "counter_family",
-    "gauge_family",
     "render_text",
+    "DATASET_METRICS",
     "dataset_families",
     "merge_expositions",
     "merged_exposition",
@@ -105,7 +108,6 @@ __all__ = [
     "profiler_supported",
     "profiling_active",
     "render_folded",
-    "set_engine_phase",
     "configure_logging",
     "log_event",
     "JsonEventFormatter",

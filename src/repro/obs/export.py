@@ -2,12 +2,13 @@
 
 Two concerns live here:
 
-* :func:`dataset_families` — map the (byte-compatible, JSON-first)
-  ``/v1/metrics`` per-dataset bodies into ``pcor_*`` metric families
-  with a ``dataset`` label.  This is a scrape-time derived view: the
-  engine/coalescer keep their typed counters, and the exposition is
-  computed from the same snapshot the JSON endpoint serves, so the hot
-  path pays nothing for the second format.
+* :data:`DATASET_METRICS` and :func:`dataset_families` — the one table
+  of exported ``/v1/metrics`` per-dataset keys, and the loop that maps a
+  JSON body through it into ``pcor_*`` families with a ``dataset`` label.
+  This is a scrape-time derived view: the engine and coalescer keep their
+  own counters, and the exposition is computed from the same snapshot the
+  JSON endpoint serves, so the hot path pays nothing for the second
+  format.
 * :func:`merge_expositions` — the router-side aggregation: take each
   live worker's exposition text verbatim, inject a ``shard`` label into
   every sample, and merge family blocks so each metric name appears
@@ -22,143 +23,110 @@ durations are ``_seconds`` — which is where the JSON key
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricFamily, render_text
 
-# (json_key, exposition name, help) — counters: monotone within a server
-# process, reset on restart.
-_DATASET_COUNTERS = (
-    ("requests_submitted", "pcor_requests_submitted_total",
-     "Release requests accepted for execution."),
-    ("releases_completed", "pcor_releases_completed_total",
-     "Releases executed to completion."),
-    ("requests_rejected", "pcor_requests_rejected_total",
-     "Admissions rejected (budget exhausted or invalid)."),
-    ("ledger_charges", "pcor_ledger_charges_total",
-     "Epsilon charges appended to the privacy ledger."),
-    ("epsilon_spent", "pcor_epsilon_spent_total",
-     "Total privacy budget charged against the dataset."),
-    ("profile_hits", "pcor_profile_hits_total",
-     "Context-profile cache hits."),
-    ("profile_misses", "pcor_profile_misses_total",
-     "Context-profile cache misses."),
-    ("profile_evictions", "pcor_profile_evictions_total",
-     "Context-profile cache evictions."),
-    ("fm_evaluations", "pcor_fm_evaluations_total",
-     "Detector (f_M) evaluations performed."),
-    ("fm_queries", "pcor_fm_queries_total",
-     "f_M questions asked, cached or not."),
-    ("release_tasks", "pcor_release_tasks_total",
-     "Release tasks dispatched to the runtime backend."),
-    ("profile_tasks", "pcor_profile_tasks_total",
-     "Profile warm-up tasks dispatched to the runtime backend."),
-    ("wall_time_s", "pcor_engine_wall_seconds_total",
-     "Engine wall-clock seconds spent executing releases."),
-    ("batch_flushes", "pcor_batch_flushes_total",
-     "Coalescer batch flushes."),
-    ("batch_requests", "pcor_batch_requests_total",
-     "Requests that flowed through the coalescer."),
-    ("batch_queue_wait_s", "pcor_batch_queue_wait_seconds_total",
-     "Seconds requests spent queued in the coalescer before flush."),
-    ("appends", "pcor_appends_total",
-     "Live append operations committed against the dataset."),
-    ("profiles_invalidated", "pcor_profiles_invalidated_total",
-     "Cached context profiles dropped by targeted append invalidation."),
-)
-
-# Gauges: point-in-time values, free to move either way.
-_DATASET_GAUGES = (
-    ("epsilon_budget", "pcor_epsilon_budget",
-     "Configured dataset-global privacy budget."),
-    ("epsilon_remaining", "pcor_epsilon_remaining",
-     "Privacy budget still unspent."),
-    ("profiles_cached", "pcor_profiles_cached",
-     "Context profiles currently cached."),
-    ("n_verifiers", "pcor_verifiers",
-     "Verifier instances alive for the dataset."),
-    ("backend_workers", "pcor_backend_workers",
-     "Workers attached to the runtime backend."),
-    ("batch_queue_depth", "pcor_batch_queue_depth",
-     "Requests currently queued in the coalescer."),
-    ("batch_size_min", "pcor_batch_size_min",
-     "Smallest flushed batch in the recent window."),
-    ("batch_size_p50", "pcor_batch_size_p50",
-     "Median flushed batch size in the recent window."),
-    ("batch_size_max", "pcor_batch_size_max",
-     "Largest flushed batch in the recent window."),
-    ("dataset_version", "pcor_dataset_version",
-     "Append counter of the served dataset (0 = as loaded)."),
+#: Every exported per-dataset ``/v1/metrics`` key, one row each:
+#: ``(json key, kind, exposition name, help, label)``.  A ``counter`` is
+#: monotone within one server process (two snapshots can be differenced
+#: for rates) and resets only on restart; a ``gauge`` may move both ways.
+#: ``label`` is ``None`` for a number and names the label of a
+#: ``{label value: number}`` map.  Families render in row order, so the
+#: exposition stays byte-stable.  The body's ``backend`` name is not a
+#: metric and has no row.
+DATASET_METRICS: Tuple[Tuple[str, str, str, str, Optional[str]], ...] = (
+    ("requests_submitted", "counter", "pcor_requests_submitted_total",
+     "Release requests accepted for execution.", None),
+    ("releases_completed", "counter", "pcor_releases_completed_total",
+     "Releases executed to completion.", None),
+    ("requests_rejected", "counter", "pcor_requests_rejected_total",
+     "Admissions rejected (budget exhausted or invalid).", None),
+    ("ledger_charges", "counter", "pcor_ledger_charges_total",
+     "Epsilon charges appended to the privacy ledger.", None),
+    ("epsilon_spent", "counter", "pcor_epsilon_spent_total",
+     "Total privacy budget charged against the dataset.", None),
+    ("profile_hits", "counter", "pcor_profile_hits_total",
+     "Context-profile cache hits.", None),
+    ("profile_misses", "counter", "pcor_profile_misses_total",
+     "Context-profile cache misses.", None),
+    ("profile_evictions", "counter", "pcor_profile_evictions_total",
+     "Context-profile cache evictions.", None),
+    # Uncached f_M runs, the paper's cost unit; a record-scoped run
+    # scores only the record's window.
+    ("fm_evaluations", "counter", "pcor_fm_evaluations_total",
+     "Detector (f_M) evaluations performed.", None),
+    ("fm_queries", "counter", "pcor_fm_queries_total",
+     "f_M questions asked, cached or not.", None),
+    ("release_tasks", "counter", "pcor_release_tasks_total",
+     "Release tasks dispatched to the runtime backend.", None),
+    ("profile_tasks", "counter", "pcor_profile_tasks_total",
+     "Profile warm-up tasks dispatched to the runtime backend.", None),
+    ("wall_time_s", "counter", "pcor_engine_wall_seconds_total",
+     "Engine wall-clock seconds spent executing releases.", None),
+    ("batch_flushes", "counter", "pcor_batch_flushes_total",
+     "Coalescer batch flushes.", None),
+    ("batch_requests", "counter", "pcor_batch_requests_total",
+     "Requests that flowed through the coalescer.", None),
+    ("batch_queue_wait_s", "counter", "pcor_batch_queue_wait_seconds_total",
+     "Seconds requests spent queued in the coalescer before flush.", None),
+    ("appends", "counter", "pcor_appends_total",
+     "Live append operations committed against the dataset.", None),
+    ("profiles_invalidated", "counter", "pcor_profiles_invalidated_total",
+     "Cached context profiles dropped by targeted append invalidation.",
+     None),
+    ("epsilon_budget", "gauge", "pcor_epsilon_budget",
+     "Configured dataset-global privacy budget.", None),
+    ("epsilon_remaining", "gauge", "pcor_epsilon_remaining",
+     "Privacy budget still unspent.", None),
+    ("profiles_cached", "gauge", "pcor_profiles_cached",
+     "Context profiles currently cached.", None),
+    ("n_verifiers", "gauge", "pcor_verifiers",
+     "Verifier instances alive for the dataset.", None),
+    ("backend_workers", "gauge", "pcor_backend_workers",
+     "Workers attached to the runtime backend.", None),
+    ("batch_queue_depth", "gauge", "pcor_batch_queue_depth",
+     "Requests currently queued in the coalescer.", None),
+    ("batch_size_min", "gauge", "pcor_batch_size_min",
+     "Smallest flushed batch in the recent window.", None),
+    ("batch_size_p50", "gauge", "pcor_batch_size_p50",
+     "Median flushed batch size in the recent window.", None),
+    ("batch_size_max", "gauge", "pcor_batch_size_max",
+     "Largest flushed batch in the recent window.", None),
+    # Monotone, but its value is an identity, not an event count to rate.
+    ("dataset_version", "gauge", "pcor_dataset_version",
+     "Append counter of the served dataset (0 = as loaded).", None),
+    ("phase_wall_s", "counter", "pcor_phase_wall_seconds_total",
+     "Engine wall-clock seconds by execution phase.", "phase"),
+    ("phase_tasks", "counter", "pcor_phase_tasks_total",
+     "Backend tasks dispatched by execution phase.", "phase"),
+    ("spend_by_tenant", "gauge", "pcor_tenant_epsilon_spent",
+     "Privacy budget spent per tenant (spend-rate numerator).", "tenant"),
+    # Added to the body by the server, from its tenant ledgers.
+    ("tenant_rejections", "counter", "pcor_epsilon_exhausted_total",
+     "Admissions rejected per tenant for insufficient budget.", "tenant"),
 )
 
 
 def dataset_families(datasets: Dict[str, dict]) -> List[MetricFamily]:
-    """``pcor_*`` families over the ``/v1/metrics`` ``datasets`` section."""
+    """``pcor_*`` families over the ``/v1/metrics`` ``datasets`` section:
+    one per :data:`DATASET_METRICS` row some dataset has a value for."""
     families: List[MetricFamily] = []
-
-    for json_key, name, help in _DATASET_COUNTERS:
-        fam = MetricFamily(name, "counter", help)
+    for key, kind, name, help, label in DATASET_METRICS:
+        fam = MetricFamily(name, kind, help)
         for dataset in sorted(datasets):
-            body = datasets[dataset]
-            if json_key in body and body[json_key] is not None:
+            value = datasets[dataset].get(key)
+            if value is None:
+                continue
+            if label is None:
+                fam.samples.append(("", {"dataset": dataset}, float(value)))
+                continue
+            for item, number in sorted(value.items()):
                 fam.samples.append(
-                    ("", {"dataset": dataset}, float(body[json_key]))
+                    ("", {"dataset": dataset, label: item}, float(number))
                 )
         if fam.samples:
             families.append(fam)
-
-    for json_key, name, help in _DATASET_GAUGES:
-        fam = MetricFamily(name, "gauge", help)
-        for dataset in sorted(datasets):
-            body = datasets[dataset]
-            value = body.get(json_key)
-            if value is not None:
-                fam.samples.append(("", {"dataset": dataset}, float(value)))
-        if fam.samples:
-            families.append(fam)
-
-    phase_wall = MetricFamily(
-        "pcor_phase_wall_seconds_total", "counter",
-        "Engine wall-clock seconds by execution phase.",
-    )
-    phase_tasks = MetricFamily(
-        "pcor_phase_tasks_total", "counter",
-        "Backend tasks dispatched by execution phase.",
-    )
-    for dataset in sorted(datasets):
-        body = datasets[dataset]
-        for phase, wall in sorted((body.get("phase_wall_s") or {}).items()):
-            phase_wall.samples.append(
-                ("", {"dataset": dataset, "phase": phase}, float(wall))
-            )
-        for phase, tasks in sorted((body.get("phase_tasks") or {}).items()):
-            phase_tasks.samples.append(
-                ("", {"dataset": dataset, "phase": phase}, float(tasks))
-            )
-    families.extend(fam for fam in (phase_wall, phase_tasks) if fam.samples)
-
-    spend = MetricFamily(
-        "pcor_tenant_epsilon_spent", "gauge",
-        "Privacy budget spent per tenant (spend-rate numerator).",
-    )
-    exhausted = MetricFamily(
-        "pcor_epsilon_exhausted_total", "counter",
-        "Admissions rejected per tenant for insufficient budget.",
-    )
-    for dataset in sorted(datasets):
-        body = datasets[dataset]
-        for tenant, eps in sorted((body.get("spend_by_tenant") or {}).items()):
-            spend.samples.append(
-                ("", {"dataset": dataset, "tenant": tenant}, float(eps))
-            )
-        for tenant, count in sorted(
-            (body.get("tenant_rejections") or {}).items()
-        ):
-            exhausted.samples.append(
-                ("", {"dataset": dataset, "tenant": tenant}, float(count))
-            )
-    families.extend(fam for fam in (spend, exhausted) if fam.samples)
-
     return families
 
 

@@ -14,7 +14,8 @@ are derived views over the registry, not a second set of counters.
 :class:`MetricFamily` is the neutral rendering unit — the registry
 collects into families, and scrape-time derived metrics (per-dataset
 engine counters, per-tenant spend) are built as families directly by
-:mod:`repro.obs.export` without needing registry objects.
+:mod:`repro.obs.export`, one per row of its ``DATASET_METRICS`` table,
+without needing registry objects.
 """
 
 from __future__ import annotations
@@ -52,18 +53,6 @@ class MetricFamily:
     kind: str  # "counter" | "gauge" | "histogram"
     help: str
     samples: List[Tuple[str, Dict[str, str], float]] = field(default_factory=list)
-
-
-def counter_family(
-    name: str, help: str, samples: Iterable[Tuple[Dict[str, str], float]]
-) -> MetricFamily:
-    return MetricFamily(name, "counter", help, [("", dict(l), v) for l, v in samples])
-
-
-def gauge_family(
-    name: str, help: str, samples: Iterable[Tuple[Dict[str, str], float]]
-) -> MetricFamily:
-    return MetricFamily(name, "gauge", help, [("", dict(l), v) for l, v in samples])
 
 
 def _escape_label(value: object) -> str:

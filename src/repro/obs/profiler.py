@@ -13,17 +13,17 @@ On interpreters without ``sys._current_frames`` (it is a CPython
 implementation detail) the profiler degrades to a safe no-op: sessions
 report ``"supported": false`` and an empty profile instead of failing.
 
-Engine phase annotations
-------------------------
-The release engine marks its execution phases (the same boundaries PR 8's
-trace spans use — ``engine.starting_context`` / ``engine.sample`` /
-``engine.select``) on the *calling thread* via :func:`set_engine_phase`.
-While at least one profiler session is live, the sampler prepends the
-thread's current phase as a synthetic ``[phase]`` frame right after the
-thread root, so hot stacks group by engine phase in the flamegraph.
-When no session is running, :func:`set_engine_phase` is one module-global
-integer read — the serving hot path pays nothing
-(``benchmarks/bench_obs_overhead.py`` gates the idle cost).
+Phase annotations
+-----------------
+Every :class:`~repro.obs.trace.span` names the *calling thread's* phase
+while a session is live: the release engine's ``engine.execute`` /
+``engine.starting_context`` / ``engine.sample`` / ``engine.select`` and
+its ``release`` / ``admission`` / ``warm_profiles`` phases, the server's
+``server.handle`` and ``admission``.  The sampler prepends the thread's
+innermost open span as a synthetic ``[phase]`` frame right after the
+thread root, so hot stacks group by phase in the flamegraph.  When no
+session is running, a span reads one module-global integer here and
+marks nothing (``benchmarks/bench_obs_overhead.py`` gates the idle cost).
 
 Serving integration
 -------------------
@@ -38,6 +38,7 @@ profile.  A disarmed registry refuses new sessions with
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
@@ -56,7 +57,6 @@ __all__ = [
     "profiler_supported",
     "profiling_active",
     "render_folded",
-    "set_engine_phase",
     "validate_profile_args",
 ]
 
@@ -70,11 +70,12 @@ MAX_HZ = 1000.0
 MAX_STACK_DEPTH = 64
 
 #: Number of live sampling sessions, module-wide.  Read unlocked on the
-#: hot path (:func:`set_engine_phase`); mutated under ``_active_lock``.
+#: hot path (:class:`~repro.obs.trace.span`); mutated under ``_active_lock``.
 _active_sessions = 0
 _active_lock = threading.Lock()
 
-#: thread ident -> current engine phase (annotated into sampled stacks).
+#: thread ident -> the thread's innermost open span while a session is
+#: live (annotated into sampled stacks); written only by spans.
 _engine_phases: Dict[int, str] = {}
 
 
@@ -90,20 +91,6 @@ def profiler_supported() -> bool:
 def profiling_active() -> bool:
     """True while at least one :class:`SamplingProfiler` is sampling."""
     return _active_sessions > 0
-
-
-def set_engine_phase(name: Optional[str]) -> None:
-    """Mark (or with ``None`` clear) the calling thread's engine phase.
-
-    Single dict write keyed by thread ident, and only while a profiler
-    session is live — idle cost is one global integer comparison.
-    Clearing always runs so a session starting mid-release never inherits
-    a stale phase from a previous one.
-    """
-    if name is None:
-        _engine_phases.pop(threading.get_ident(), None)
-    elif _active_sessions > 0:
-        _engine_phases[threading.get_ident()] = name
 
 
 def validate_profile_args(
@@ -205,10 +192,19 @@ class SamplingProfiler:
 
     def _sample_once(self) -> None:
         own = threading.get_ident()
+        # sys._current_frames() holds the interpreter's thread-list lock
+        # while it allocates; a collection started there can run code that
+        # takes the same lock and hang the process (seen on CPython 3.11
+        # as this thread stuck in the call while the interpreter collects).
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             frames = sys._current_frames()
         except Exception:  # pragma: no cover - interpreter quirk
             return
+        finally:
+            if collecting:
+                gc.enable()
         names = {t.ident: t.name for t in threading.enumerate()}
         counted = 0
         with self._lock:

@@ -17,8 +17,12 @@ subprocesses handed the same ``t0`` produce span offsets on the same
 timeline as the parent — no cross-process clock stitching.
 
 Unsampled traces keep their id (logs can still correlate) but record no
-spans and skip all timing calls, which is what keeps the unsampled hot
-path free.
+spans.
+
+:class:`span` is the one timing primitive of the serving stack: it reads
+``time.monotonic()`` on entry and exit, records into a sampled trace,
+names the thread's phase for a live :mod:`~repro.obs.profiler` session,
+and leaves its ``elapsed`` seconds for the caller's own counters.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
+
+from repro.obs import profiler
 
 TRACE_HEADER = "X-PCOR-Trace"
 
@@ -67,14 +72,6 @@ class Trace:
             span.update(attrs)
         with self._lock:
             self._spans.append(span)
-
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator["Trace"]:
-        started = time.monotonic()
-        try:
-            yield self
-        finally:
-            self.add_span(name, started, time.monotonic(), **attrs)
 
     def extend(self, spans: Optional[Iterable[Dict[str, Any]]]) -> None:
         """Graft spans recorded elsewhere (e.g. in a subprocess worker)."""
@@ -121,6 +118,49 @@ class Trace:
             elif key == "s":
                 sampled = raw != "0"
         return cls(trace_id, sampled=sampled, t0=t0)
+
+
+class span:
+    """Time a block: ``with span("engine.sample", trace, k=1) as s: ...``.
+
+    On exit, also when the block raises, ``elapsed`` holds the block's
+    wall-clock seconds and a sampled ``trace`` records the span with
+    ``attrs``, which the block may still change.  While a profiler session
+    is live, the thread's phase is ``name`` inside the block and the outer
+    phase again after it.  Idle, with no trace and no session, a span
+    costs two clock reads and one global read.
+    """
+
+    __slots__ = ("name", "trace", "attrs", "started", "elapsed", "_marked")
+
+    def __init__(self, name: str, trace: Optional[Trace] = None, **attrs: Any):
+        self.name = name
+        self.trace = trace
+        self.attrs = attrs
+        self.elapsed = 0.0
+        self._marked = None  # (thread ident, outer phase) once marked
+
+    def __enter__(self) -> "span":
+        if profiler._active_sessions > 0:
+            ident = threading.get_ident()
+            phases = profiler._engine_phases
+            self._marked = (ident, phases.get(ident))
+            phases[ident] = self.name
+        self.started = time.monotonic()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        ended = time.monotonic()
+        self.elapsed = ended - self.started
+        if self._marked is not None:
+            ident, outer = self._marked
+            if outer is None:
+                profiler._engine_phases.pop(ident, None)
+            else:
+                profiler._engine_phases[ident] = outer
+        trace = self.trace
+        if trace is not None and trace.sampled:
+            trace.add_span(self.name, self.started, ended, **self.attrs)
 
 
 def sampled_for(trace_id: str, rate: float) -> bool:

@@ -3,16 +3,20 @@
 PCOR's cost is dominated by repeated detector runs over candidate contexts;
 the work is embarrassingly parallel at two granularities — whole releases in
 a ``release_many``/``submit_many`` batch, and batches of uncached context
-profiles inside one release.  An :class:`ExecutionBackend` executes both
-task shapes:
+profiles inside one release.  A *parallel* backend
+(:attr:`ExecutionBackend.parallel`, i.e.
+:class:`~repro.runtime.process.ProcessBackend`) executes both task shapes:
 
-* :meth:`ExecutionBackend.run_releases` — one task per release request,
-  fanned out across workers, reduced in request order to one outcome per
-  task: the result, or the ``ReproError`` that task raised.
-* :meth:`ExecutionBackend.run_profiles` — one task per contiguous chunk of
-  uncached context bitmasks, reduced in input order.  Every caller of
+* ``run_releases`` — one task per release request, fanned out across
+  workers, reduced in request order to one outcome per task: the result,
+  or the ``ReproError`` that task raised.
+* ``run_profiles`` — one task per contiguous chunk of uncached context
+  bitmasks, reduced in input order.  Every caller of
   ``OutlierVerifier.is_matching_many`` / ``UtilityFunction.scores`` — the
   samplers' child expansion included — funnels through this path.
+
+A serial backend runs neither: the engine's batch loop and the verifier's
+inline profile path are the serial execution, on the calling thread.
 
 **Determinism contract.**  Profiles are deterministic functions of the
 context, so their fan-out cannot change any answer.  Releases draw
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import os
 import threading
-from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -126,8 +129,8 @@ def rng_from_token(token: SeedToken) -> np.random.Generator:
     return np.random.default_rng(token)
 
 
-class ExecutionBackend(ABC):
-    """Executes PCOR's two task shapes over a pool of workers.
+class ExecutionBackend:
+    """Where an engine runs its batches: inline, or over a pool of workers.
 
     Parameters
     ----------
@@ -139,9 +142,10 @@ class ExecutionBackend(ABC):
     ----------------
     parallel:
         True when tasks execute on a pool outside the calling thread: the
-        engine then hands it every batch of several requests, and its
-        verifiers fan uncached-profile batches of at least the backend's
-        ``min_profile_fanout`` contexts out to it.
+        engine then hands every batch of several requests to its
+        ``run_releases``, and its verifiers fan uncached-profile batches of
+        at least its ``min_profile_fanout`` contexts out to its
+        ``run_profiles``.
     """
 
     name: str = "abstract"
@@ -154,44 +158,16 @@ class ExecutionBackend(ABC):
         self._stats_lock = threading.Lock()
         self.release_tasks = 0
         self.profile_tasks = 0
-        self.task_wall_s = 0.0
-
-    # ------------------------------------------------------------- protocol
-
-    @abstractmethod
-    def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:
-        """Execute one release per request; one outcome per task, in
-        request order.
-
-        An outcome is the task's :class:`~repro.core.result.PCORResult` or
-        the :class:`~repro.exceptions.ReproError` raised inside it, so one
-        failed request never discards its co-batched results.  Failures of
-        the pool itself (a dead worker, an unshippable spec) still raise
-        for the whole batch.
-
-        ``engine`` is the :class:`~repro.service.engine.ReleaseEngine` the
-        batch was submitted to; the serial backend calls its release core
-        (``engine._outcome``) directly, the process backend ships
-        self-contained task payloads to workers that call their own.  Every
-        task gets the batch's flag, ``engine._in_batch(requests)`` (see
-        :meth:`ReleaseEngine.execute_many
-        <repro.service.engine.ReleaseEngine.execute_many>`).
-        """
-
-    @abstractmethod
-    def run_profiles(self, verifier, misses: List[int]) -> List:
-        """Profile a batch of uncached contexts, reduced in input order."""
 
     def close(self) -> None:
         """Release pools and shared-memory resources (idempotent)."""
 
     # ------------------------------------------------------------- plumbing
 
-    def _count(self, *, releases: int = 0, profiles: int = 0, wall: float = 0.0) -> None:
+    def _count(self, *, releases: int = 0, profiles: int = 0) -> None:
         with self._stats_lock:
             self.release_tasks += releases
             self.profile_tasks += profiles
-            self.task_wall_s += wall
 
     def stats(self) -> Dict[str, object]:
         """Counter snapshot for :class:`~repro.service.engine.EngineMetrics`."""
@@ -201,7 +177,6 @@ class ExecutionBackend(ABC):
                 "workers": self.workers,
                 "release_tasks": self.release_tasks,
                 "profile_tasks": self.profile_tasks,
-                "task_wall_s": self.task_wall_s,
             }
 
     def __enter__(self) -> "ExecutionBackend":

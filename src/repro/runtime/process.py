@@ -30,7 +30,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import threading
-import time
 import weakref
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -345,7 +344,22 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------- protocol
 
     def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:
-        t0 = time.perf_counter()
+        """Execute one release per request; one outcome per task, in
+        request order.
+
+        An outcome is the task's :class:`~repro.core.result.PCORResult` or
+        the :class:`~repro.exceptions.ReproError` raised inside it, so one
+        failed request never discards its co-batched results.  Failures of
+        the pool itself (a dead worker, an unshippable spec) still raise
+        for the whole batch.
+
+        ``engine`` is the :class:`~repro.service.engine.ReleaseEngine` the
+        batch was submitted to.  Each task ships as a self-contained
+        payload to a worker whose own engine runs it; every task gets the
+        batch's flag, ``engine._in_batch(requests)`` (see
+        :meth:`ReleaseEngine.execute_many
+        <repro.service.engine.ReleaseEngine.execute_many>`).
+        """
         pool, shm_ref = self._ensure_bound(
             engine.dataset, engine.masks, engine.profile_capacity
         )
@@ -380,11 +394,11 @@ class ProcessBackend(ExecutionBackend):
             trace = getattr(request, "trace", None)
             if trace is not None:
                 trace.extend(getattr(outcome, "trace_spans", None))
-        self._count(releases=len(outcomes), wall=time.perf_counter() - t0)
+        self._count(releases=len(outcomes))
         return outcomes
 
     def run_profiles(self, verifier, misses: List[int]) -> List:
-        t0 = time.perf_counter()
+        """Profile a batch of uncached contexts, reduced in input order."""
         pool, shm_ref = self._ensure_bound(
             verifier.dataset, verifier.masks, verifier.profile_store.capacity
         )
@@ -396,5 +410,5 @@ class ProcessBackend(ExecutionBackend):
         profiles: List = []
         for part in self._map(pool, worker_mod.run_profile_task, payloads):
             profiles.extend(part)
-        self._count(profiles=len(misses), wall=time.perf_counter() - t0)
+        self._count(profiles=len(misses))
         return profiles

@@ -56,6 +56,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro import __version__
+from repro.core.result import PCORResult
 from repro.exceptions import DatasetError, SchemaError, ServerError
 from repro.obs.logs import log_event
 from repro.obs.metrics import (
@@ -74,6 +75,7 @@ from repro.obs.trace import (
     TRACE_HEADER,
     Trace,
     process_rss_bytes,
+    span,
     trace_for_request,
 )
 from repro.server.batching import CoalescerClosed, ReleaseCoalescer
@@ -499,68 +501,61 @@ class PCORServer:
         ``observability.slow_request_ms`` dump their spans as a
         ``slow_request`` warning.
         """
-        started = time.monotonic()
-        status = "ok"
+        handle = span(
+            "server.handle", trace, dataset=dataset, tenant=tenant, status="ok"
+        )
         epsilon: Optional[float] = None
         try:
-            entry = self.registry.get(dataset)  # unknown name -> 404
-            request = self._parse_release(body, trace=trace)
-            epsilon = request.spec.epsilon
-            # The version stamp lines each WAL charge up with the dataset
-            # snapshot it was admitted against, as the engine's own
-            # charge labels do.
-            label = (
-                f"release(tenant={tenant}, record={request.record_id}, "
-                f"sampler={request.spec.sampler}, epsilon={epsilon:g}, "
-                f"dataset_v{entry.dataset_version})"
-            )
-            result = None
-            coalescer = self._coalescers.get(dataset)
-            if coalescer is not None:
+            with handle:
                 try:
-                    future = coalescer.submit(tenant, label, request)
-                except CoalescerClosed:
-                    # Racing shutdown: the direct path below still answers
-                    # correctly (admission + execution, no queue involved).
-                    pass
-                else:
-                    result = future.result()  # raises what the direct path would
-            if result is None:
-                # Admission happens before the engine (and hence the
-                # dataset and detector) is even built: an over-budget
-                # tenant is rejected with 402 before a single f_M
-                # evaluation, restart or not.
-                if trace is not None and trace.sampled:
-                    with trace.span("admission", batch=1):
-                        entry.tenants.admit(tenant, label, epsilon)
-                else:
-                    entry.tenants.admit(tenant, label, epsilon)
-                result = entry.engine.execute(request)
-            payload = {
-                "result": result.to_dict(),
-                "budget": entry.tenants.describe(tenant),
-            }
-        except Exception as exc:
-            status = type(exc).__name__
-            raise
+                    entry = self.registry.get(dataset)  # unknown name -> 404
+                    request = self._parse_release(body, trace=trace)
+                    epsilon = request.spec.epsilon
+                    payload = {
+                        "result": self._admit_and_execute(
+                            dataset, entry, tenant, request
+                        ).to_dict(),
+                        "budget": entry.tenants.describe(tenant),
+                    }
+                except Exception as exc:
+                    handle.attrs["status"] = type(exc).__name__
+                    raise
         finally:
-            ended = time.monotonic()
-            self._release_latency.observe(ended - started, labels=(dataset,))
-            if trace is not None and trace.sampled:
-                trace.add_span(
-                    "server.handle",
-                    started,
-                    ended,
-                    dataset=dataset,
-                    tenant=tenant,
-                    status=status,
-                )
-            self._log_release(
-                trace, tenant, dataset, epsilon, status, ended - started
-            )
+            self._log_release(handle, epsilon)
         if trace is not None and trace.sampled:
             payload["trace"] = trace.to_dict()
         return payload
+
+    def _admit_and_execute(
+        self, dataset: str, entry, tenant: str, request: ReleaseRequest
+    ) -> PCORResult:
+        """Admit ``request`` on both ledgers and run it: through the
+        dataset's coalescer when it has one, else directly."""
+        epsilon = request.spec.epsilon
+        # The version stamp lines each WAL charge up with the dataset
+        # snapshot it was admitted against, as the engine's own charge
+        # labels do.
+        label = (
+            f"release(tenant={tenant}, record={request.record_id}, "
+            f"sampler={request.spec.sampler}, epsilon={epsilon:g}, "
+            f"dataset_v{entry.dataset_version})"
+        )
+        coalescer = self._coalescers.get(dataset)
+        if coalescer is not None:
+            try:
+                future = coalescer.submit(tenant, label, request)
+            except CoalescerClosed:
+                # Racing shutdown: the direct path below still answers
+                # correctly (admission + execution, no queue involved).
+                pass
+            else:
+                return future.result()  # raises what the direct path would
+        # Admission happens before the engine (and hence the dataset and
+        # detector) is even built: an over-budget tenant is rejected with
+        # 402 before a single f_M evaluation, restart or not.
+        with span("admission", request.trace, batch=1):
+            entry.tenants.admit(tenant, label, epsilon)
+        return entry.engine.execute(request)
 
     def append(
         self,
@@ -615,16 +610,13 @@ class PCORServer:
         )
         return {"dataset": dataset, **info}
 
-    def _log_release(
-        self,
-        trace: Optional[Trace],
-        tenant: str,
-        dataset: str,
-        epsilon: Optional[float],
-        status: str,
-        duration_s: float,
-    ) -> None:
-        duration_ms = round(duration_s * 1000.0, 3)
+    def _log_release(self, handle: span, epsilon: Optional[float]) -> None:
+        """Observe a finished ``server.handle`` span: its latency, its
+        ``request`` event, and its trace's spans when it was slow."""
+        trace, attrs = handle.trace, handle.attrs
+        tenant, dataset, status = attrs["tenant"], attrs["dataset"], attrs["status"]
+        self._release_latency.observe(handle.elapsed, labels=(dataset,))
+        duration_ms = round(handle.elapsed * 1000.0, 3)
         log_event(
             logger,
             "request",

@@ -35,9 +35,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from repro.exceptions import (
 )
 from repro.mechanisms.accounting import PrivacyAccountant, epsilon_one_for
 from repro.mechanisms.exponential import ExponentialMechanism
-from repro.obs.profiler import set_engine_phase
+from repro.obs.trace import span
 from repro.rng import RngLike, ensure_rng
 from repro.runtime import (
     ExecutionBackend,
@@ -127,63 +128,14 @@ class EngineMetrics:
     ``spend_by_tenant`` they are filled by that caller — the engine itself
     does not queue.
 
-    **Monotonicity.**  This table is the single source of truth for which
-    fields are counters (monotonically non-decreasing within one server
-    process — two snapshots can safely be differenced for rates; they
-    reset only on restart) and which are gauges (free to move both ways).
-    The README metrics table and the Prometheus exposition
-    (:mod:`repro.obs.export`) follow it: counters export with a
-    ``_total`` suffix (durations as ``_seconds_total``), gauges export
-    unsuffixed.
-
-    ========================== ========= =======================================
-    field                      kind      notes
-    ========================== ========= =======================================
-    ``requests_submitted``     counter   accepted for execution
-    ``releases_completed``     counter   successful releases
-    ``requests_rejected``      counter   budget-rejected admissions
-    ``epsilon_spent``          counter   budget never un-spends
-    ``epsilon_budget``         gauge     configured; constant per process
-    ``epsilon_remaining``      gauge     shrinks with spend
-    ``ledger_charges``         counter   ledger is append-only
-    ``spend_by_tenant``        counters  one monotone spend per tenant
-    ``tenant_rejections``      counters  (server-added key) one monotone
-                                         rejection count per tenant
-    ``profile_hits``           counter
-    ``profile_misses``         counter
-    ``profile_evictions``      counter
-    ``profiles_cached``        gauge     LRU occupancy
-    ``fm_evaluations``         counter   uncached ``f_M`` runs (the
-                                         paper's cost unit); a
-                                         record-scoped run scores only
-                                         the record's window
-    ``fm_queries``             counter   ``f_M`` questions asked,
-                                         cached or not
-    ``n_verifiers``            gauge     distinct detector configs alive
-    ``wall_time_s``            counter   seconds; exported as
-                                         ``pcor_engine_wall_seconds_total``
-    ``release_tasks``          counter   backend fan-out
-    ``profile_tasks``          counter   backend fan-out
-    ``phase_wall_s``           counters  seconds per phase
-    ``phase_tasks``            counters  tasks per phase
-    ``batch_flushes``          counter
-    ``batch_requests``         counter
-    ``batch_queue_depth``      gauge     current queue length
-    ``batch_queue_wait_s``     counter   seconds (unit suffix!); exported
-                                         as
-                                         ``pcor_batch_queue_wait_seconds_total``
-    ``batch_size_min``         gauge     over a recent window of flushes
-    ``batch_size_p50``         gauge     over a recent window of flushes
-    ``batch_size_max``         gauge     over a recent window of flushes
-    ``dataset_version``        gauge     append counter of the served
-                                         dataset (monotone, but a gauge:
-                                         its *value* is an identity, not
-                                         an event count to rate over)
-    ``appends``                counter   committed dataset appends
-    ``profiles_invalidated``   counter   profiles dropped by targeted
-                                         append invalidation
-    ``backend`` / ``backend_workers``    informational, not a metric
-    ========================== ========= =======================================
+    **Metric kinds.**  :data:`repro.obs.export.DATASET_METRICS` declares
+    every exported field once: its kind (a counter never decreases within
+    one server process and resets only on restart; a gauge moves both
+    ways), its Prometheus name and its help text.  ``spend_by_tenant`` and
+    ``backend_workers`` export as gauges; ``backend`` is a name, not a
+    metric.  The phase fields are timed by trace-less
+    :class:`~repro.obs.trace.span` blocks, counted on exit, so a phase
+    that raises counts like one that returns.
     """
 
     requests_submitted: int = 0
@@ -297,8 +249,8 @@ class ReleaseEngine:
         self.backend = resolve_backend(backend, workers)
         self._lock = threading.RLock()
         self._append_lock = threading.Lock()  # serialises dataset appends
-        self._phase_wall: Dict[str, float] = {}
-        self._phase_tasks: Dict[str, int] = {}
+        self._phase_wall: Dict[str, float] = defaultdict(float)
+        self._phase_tasks: Dict[str, int] = defaultdict(int)
         self.requests_submitted = 0
         self.releases_completed = 0
         self.requests_rejected = 0
@@ -470,11 +422,19 @@ class ReleaseEngine:
         m.profile_tasks = stats["profile_tasks"]
         return m
 
-    def _phase(self, name: str, wall: float, tasks: int = 0) -> None:
-        with self._lock:
-            self._phase_wall[name] = self._phase_wall.get(name, 0.0) + wall
-            if tasks:
-                self._phase_tasks[name] = self._phase_tasks.get(name, 0) + tasks
+    @contextmanager
+    def _phase(self, name: str, tasks: int = 0) -> Iterator[None]:
+        """Time one engine phase as a trace-less :class:`span`, counted on
+        exit: a phase that raises counts like one that returns."""
+        phase = span(name)
+        try:
+            with phase:
+                yield
+        finally:
+            with self._lock:
+                self._phase_wall[name] += phase.elapsed
+                if tasks:
+                    self._phase_tasks[name] += tasks
 
     def close(self) -> None:
         """Release execution resources (worker pools, shared memory).
@@ -506,10 +466,8 @@ class ReleaseEngine:
         with self._lock:
             self.requests_submitted += 1
         self._charge(request)
-        t0 = time.perf_counter()
-        result = self._execute(request)
-        self._phase("release", time.perf_counter() - t0, tasks=1)
-        return result
+        with self._phase("release", tasks=1):
+            return self._execute(request)
 
     def execute(self, request: Union[ReleaseRequest, Mapping]) -> PCORResult:
         """Run one release whose budget was already admitted externally.
@@ -525,10 +483,8 @@ class ReleaseEngine:
         request = self._coerce(request)
         with self._lock:
             self.requests_submitted += 1
-        t0 = time.perf_counter()
-        result = self._execute(request)
-        self._phase("release", time.perf_counter() - t0, tasks=1)
-        return result
+        with self._phase("release", tasks=1):
+            return self._execute(request)
 
     def submit_many(
         self, requests: Sequence[Union[ReleaseRequest, Mapping]]
@@ -549,25 +505,26 @@ class ReleaseEngine:
         reqs = self._accept(requests)
         if not reqs:
             return []
-        t0 = time.perf_counter()
-        if self.accountant is not None:
-            # All-or-nothing admission, atomic on the accountant's lock: a
-            # rejected batch leaves the ledger untouched, and no concurrent
-            # submitter can slip a charge between the check and the append.
-            try:
-                self.accountant.charge_many(
-                    [(self._charge_label(r), r.spec.epsilon) for r in reqs]
-                )
-            except PrivacyBudgetError:
-                with self._lock:
-                    self.requests_rejected += len(reqs)
-                total = math.fsum(r.spec.epsilon for r in reqs)
-                raise PrivacyBudgetError(
-                    f"batch of {len(reqs)} requests needs epsilon={total:.6g} "
-                    f"but only {self.accountant.remaining:.6g} of "
-                    f"{self.accountant.budget:g} remains"
-                ) from None
-        self._phase("admission", time.perf_counter() - t0)
+        with self._phase("admission"):
+            if self.accountant is not None:
+                # All-or-nothing admission, atomic on the accountant's lock:
+                # a rejected batch leaves the ledger untouched, and no
+                # concurrent submitter can slip a charge between the check
+                # and the append.
+                try:
+                    self.accountant.charge_many(
+                        [(self._charge_label(r), r.spec.epsilon) for r in reqs]
+                    )
+                except PrivacyBudgetError:
+                    with self._lock:
+                        self.requests_rejected += len(reqs)
+                    total = math.fsum(r.spec.epsilon for r in reqs)
+                    raise PrivacyBudgetError(
+                        f"batch of {len(reqs)} requests needs "
+                        f"epsilon={total:.6g} but only "
+                        f"{self.accountant.remaining:.6g} of "
+                        f"{self.accountant.budget:g} remains"
+                    ) from None
         return self._raise_first_failure(self._execute_batch(reqs))
 
     def execute_many(
@@ -644,9 +601,8 @@ class ReleaseEngine:
         tokens = plan_task_rngs([r.seed for r in reqs])
         backend = self.backend
         if backend.parallel and len(reqs) > 1:
-            t0 = time.perf_counter()
-            outcomes = backend.run_releases(self, reqs, tokens)
-            self._phase("release", time.perf_counter() - t0, tasks=len(reqs))
+            with self._phase("release", tasks=len(reqs)):
+                outcomes = backend.run_releases(self, reqs, tokens)
             # Pool tasks never pass through this process's _execute; fold
             # their outcomes into the engine's counters here.
             completed = [o for o in outcomes if isinstance(o, PCORResult)]
@@ -655,13 +611,12 @@ class ReleaseEngine:
                 self.wall_time_s += sum(r.wall_time_s for r in completed)
         else:
             self._warm_starting_profiles(reqs)
-            t0 = time.perf_counter()
             in_batch = self._in_batch(reqs)
-            outcomes = [
-                self._outcome(request, rng_from_token(token), in_batch)
-                for request, token in zip(reqs, tokens)
-            ]
-            self._phase("release", time.perf_counter() - t0, tasks=len(reqs))
+            with self._phase("release", tasks=len(reqs)):
+                outcomes = [
+                    self._outcome(request, rng_from_token(token), in_batch)
+                    for request, token in zip(reqs, tokens)
+                ]
         return outcomes
 
     @staticmethod
@@ -676,7 +631,6 @@ class ReleaseEngine:
         starting-context search will run, grouped per verifier.  Requests
         with an explicit start — or a spec that never searches — skip the
         search, so pre-profiling them could only waste detector runs."""
-        t0 = time.perf_counter()
         warm: Dict[int, Tuple[OutlierVerifier, List[int]]] = {}
         for request in reqs:
             if request.starting_context is not None:
@@ -688,12 +642,12 @@ class ReleaseEngine:
             verifier = self.verifier_for(request.spec.build_detector())
             entry = warm.setdefault(id(verifier), (verifier, []))
             entry[1].append(self.dataset.record_bits(request.record_id))
-        warmed = 0
-        for verifier, bits in warm.values():
-            verifier.profiles(bits)
-            warmed += len(bits)
-        if warm:
-            self._phase("warm_profiles", time.perf_counter() - t0, tasks=warmed)
+        if not warm:
+            return
+        warmed = sum(len(bits) for _, bits in warm.values())
+        with self._phase("warm_profiles", tasks=warmed):
+            for verifier, bits in warm.values():
+                verifier.profiles(bits)
 
     # ------------------------------------------------------------- internals
 
@@ -763,105 +717,79 @@ class ReleaseEngine:
         record_id = request.record_id
         if gen is None:
             gen = ensure_rng(request.seed)
-        # Tracing draws no randomness and branches only on a local bool:
-        # a traced release is bit-identical to an untraced one, and an
-        # unsampled trace costs one attribute read.
+        # Spans draw no randomness, so a traced release is bit-identical to
+        # an untraced one.  They record into a sampled trace, and while a
+        # sampling profiler is live (GET /v1/debug/profile) stacks from
+        # this thread carry the innermost span's name as a synthetic frame.
         trace = request.trace
-        tracing = trace is not None and trace.sampled
-        if tracing:
-            mark_exec = mark = time.monotonic()
-        t0 = time.perf_counter()
-
-        # Engine phases double as profiler frame annotations: while a
-        # sampling profiler is live (GET /v1/debug/profile), stacks from
-        # this thread carry the current phase as a synthetic frame.  Like
-        # tracing, this draws no randomness; idle cost is one global read.
         verifier = None
-        try:
-            set_engine_phase("engine.starting_context")
-            verifier = self.verifier_for(spec.build_detector())
-            sampler = spec.build_sampler()
-            # Thread-local so concurrent releases on one verifier (HTTP
-            # handler threads) don't attribute each other's detector runs,
-            # nor see each other's batch flag.
-            fm_before = verifier.local_fm_evaluations
-            verifier.in_batch = in_batch
+        with span("engine.execute", trace, record_id=record_id) as execute:
+            try:
+                with span("engine.starting_context", trace):
+                    verifier = self.verifier_for(spec.build_detector())
+                    sampler = spec.build_sampler()
+                    # Thread-local so concurrent releases on one verifier
+                    # (HTTP handler threads) don't attribute each other's
+                    # detector runs, nor see each other's batch flag.
+                    fm_before = verifier.local_fm_evaluations
+                    verifier.in_batch = in_batch
+                    starting_bits = self._resolve_starting_bits(
+                        verifier, sampler, request, gen
+                    )
+                    utility = spec.build_utility(verifier, record_id, starting_bits)
 
-            starting_bits = self._resolve_starting_bits(
-                verifier, sampler, spec, record_id, request.starting_context, gen
-            )
-            utility = spec.build_utility(verifier, record_id, starting_bits)
-            if tracing:
-                now = time.monotonic()
-                trace.add_span("engine.starting_context", mark, now)
-                mark = now
+                with span("engine.sample", trace) as sample:
+                    eps1 = epsilon_one_for(
+                        sampler.accounting_name, spec.epsilon, sampler.n_samples
+                    )
+                    mechanism = ExponentialMechanism(
+                        eps1,
+                        sensitivity=utility.sensitivity or 1.0,
+                        half_sensitivity=spec.half_sensitivity,
+                    )
+                    run = sampler.sample(
+                        verifier, utility, record_id, starting_bits, mechanism, gen
+                    )
+                    sample.attrs["n_candidates"] = len(run.candidates)
+                if not run.candidates:
+                    raise SamplingError(
+                        f"sampler {sampler.name!r} collected no candidates "
+                        f"for record {record_id}"
+                    )
 
-            eps1 = epsilon_one_for(
-                sampler.accounting_name, spec.epsilon, sampler.n_samples
-            )
-            mechanism = ExponentialMechanism(
-                eps1,
-                sensitivity=utility.sensitivity or 1.0,
-                half_sensitivity=spec.half_sensitivity,
-            )
+                with span("engine.select", trace):
+                    # At the release's last dataset version: a candidate an
+                    # append mid-release made non-matching scores -inf, so
+                    # it cannot win.
+                    scores = utility.scores(run.candidates)
+                    run.stats.mechanism_invocations += 1
+                    chosen, idx = mechanism.select(run.candidates, scores, gen)
+                fm_evaluations = verifier.local_fm_evaluations - fm_before
+            finally:
+                if verifier is not None:
+                    verifier.in_batch = False
+            execute.attrs["fm_evaluations"] = fm_evaluations
+            execute.attrs["pid"] = os.getpid()
 
-            set_engine_phase("engine.sample")
-            run = sampler.sample(
-                verifier, utility, record_id, starting_bits, mechanism, gen
-            )
-            if tracing:
-                now = time.monotonic()
-                trace.add_span(
-                    "engine.sample", mark, now, n_candidates=len(run.candidates)
-                )
-                mark = now
-            if not run.candidates:
-                raise SamplingError(
-                    f"sampler {sampler.name!r} collected no candidates for "
-                    f"record {record_id}"
-                )
-
-            set_engine_phase("engine.select")
-            # At the release's last dataset version: a candidate an append
-            # mid-release made non-matching scores -inf, so it cannot win.
-            scores = utility.scores(run.candidates)
-            run.stats.mechanism_invocations += 1
-            chosen, idx = mechanism.select(run.candidates, scores, gen)
-
-            result = PCORResult(
-                context=Context(verifier.schema, chosen),
-                record_id=record_id,
-                utility_value=float(scores[idx]),
-                utility_name=utility.name,
-                epsilon_total=spec.epsilon,
-                epsilon_one=eps1,
-                algorithm=sampler.name,
-                n_candidates=len(run.candidates),
-                starting_context=(
-                    Context(verifier.schema, starting_bits)
-                    if starting_bits is not None
-                    else None
-                ),
-                stats=run.stats,
-                fm_evaluations=verifier.local_fm_evaluations - fm_before,
-                wall_time_s=time.perf_counter() - t0,
-                dataset_version=self._dataset_version,
-            )
-        finally:
-            set_engine_phase(None)
-            if verifier is not None:
-                verifier.in_batch = False
-        if tracing:
-            now = time.monotonic()
-            trace.add_span("engine.select", mark, now)
-            trace.add_span(
-                "engine.execute",
-                mark_exec,
-                now,
-                record_id=record_id,
-                fm_evaluations=result.fm_evaluations,
-                pid=os.getpid(),
-            )
+        result = PCORResult(
+            context=Context(verifier.schema, chosen),
+            record_id=record_id,
+            utility_value=float(scores[idx]),
+            utility_name=utility.name,
+            epsilon_total=spec.epsilon,
+            epsilon_one=eps1,
+            algorithm=sampler.name,
+            n_candidates=len(run.candidates),
+            starting_context=(
+                Context(verifier.schema, starting_bits)
+                if starting_bits is not None
+                else None
+            ),
+            stats=run.stats,
+            fm_evaluations=fm_evaluations,
+            wall_time_s=execute.elapsed,
+            dataset_version=self._dataset_version,
+        )
         with self._lock:
             self.releases_completed += 1
             self.wall_time_s += result.wall_time_s
@@ -871,14 +799,14 @@ class ReleaseEngine:
         self,
         verifier: OutlierVerifier,
         sampler: Sampler,
-        spec: PipelineSpec,
-        record_id: int,
-        starting_context: Union[None, int, Context],
+        request: ReleaseRequest,
         gen,
     ) -> Optional[int]:
+        record_id = request.record_id
+        starting_context = request.starting_context
         needs_start = (
             sampler.requires_starting_context
-            or spec.utility_requires_starting_context()
+            or request.spec.utility_requires_starting_context()
         )
         if starting_context is None:
             if not needs_start:

@@ -11,6 +11,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import nullcontext
 
 import pytest
 
@@ -34,9 +35,9 @@ from repro.obs.profiler import (
     profiler_supported,
     profiling_active,
     render_folded,
-    set_engine_phase,
     validate_profile_args,
 )
+from repro.obs.trace import span
 from repro.server import PCORClient, PCORServer, ServerConfig
 
 RECORDS = 300
@@ -73,13 +74,9 @@ def busy_thread(stop: threading.Event, phase=None) -> threading.Thread:
     """A named thread burning CPU (optionally inside an engine phase)."""
 
     def spin():
-        if phase is not None:
-            set_engine_phase(phase)
-        try:
+        with span(phase) if phase is not None else nullcontext():
             while not stop.is_set():
                 sum(i * i for i in range(500))
-        finally:
-            set_engine_phase(None)
 
     thread = threading.Thread(target=spin, name="busy-loop", daemon=True)
     thread.start()
@@ -133,16 +130,43 @@ class TestProfilerUnit:
         ]
         assert annotated, profiler.folded()
 
-    def test_set_engine_phase_is_inert_without_a_session(self):
+    def test_span_is_inert_without_a_session(self):
         from repro.obs import profiler as mod
 
         assert not profiling_active()
-        set_engine_phase("engine.sample")
-        # No live session: nothing recorded for this thread.
+        with span("engine.sample"):
+            # No live session: nothing recorded for this thread.
+            assert threading.get_ident() not in mod._engine_phases
         assert threading.get_ident() not in mod._engine_phases
-        # Clearing always runs (no stale phase can leak into a later session).
-        set_engine_phase(None)
-        assert threading.get_ident() not in mod._engine_phases
+
+    def test_nested_spans_restore_the_outer_phase(self):
+        from repro.obs import profiler as mod
+
+        me = threading.get_ident()
+        profiler = SamplingProfiler(hz=10).start()
+        try:
+            with span("engine.execute"):
+                with span("engine.sample"):
+                    assert mod._engine_phases[me] == "engine.sample"
+                assert mod._engine_phases[me] == "engine.execute"
+                with pytest.raises(KeyError):
+                    with span("engine.select"):
+                        raise KeyError("boom")
+                assert mod._engine_phases[me] == "engine.execute"
+            assert me not in mod._engine_phases
+        finally:
+            profiler.stop()
+        # A span opened before the session marks nothing, and its nested
+        # spans leave no stale phase behind.
+        with span("release"):
+            profiler = SamplingProfiler(hz=10).start()
+            try:
+                with span("engine.sample"):
+                    assert mod._engine_phases[me] == "engine.sample"
+            finally:
+                profiler.stop()
+            assert me not in mod._engine_phases
+        assert me not in mod._engine_phases
 
     def test_merge_and_render_folded(self):
         merged = merge_folded(

@@ -10,6 +10,7 @@ exposition, ``/healthz`` process stats, and the log-schema contract
 import io
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.obs.trace import (
     Trace,
     process_rss_bytes,
     sampled_for,
+    span,
     trace_for_request,
 )
 from repro.server import (
@@ -169,10 +171,26 @@ class TestTrace:
 
     def test_unsampled_trace_records_nothing(self):
         trace = Trace.mint(sampled=False)
-        with trace.span("x"):
+        with span("x", trace):
             pass
         trace.add_span("y", 0.0, 1.0)
         assert trace.spans() == []
+
+    def test_span_records_on_exit_even_when_the_block_raises(self):
+        trace = Trace("ab" * 8)
+        with span("outer", trace, k=1) as outer:
+            outer.attrs["late"] = 2
+        with pytest.raises(ValueError):
+            with span("failed", trace) as failed:
+                raise ValueError("boom")
+        spans = {s["name"]: s for s in trace.spans()}
+        assert spans["outer"]["k"] == 1 and spans["outer"]["late"] == 2
+        assert spans["outer"]["duration_ms"] == round(outer.elapsed * 1000.0, 3)
+        assert spans["failed"]["duration_ms"] == round(failed.elapsed * 1000.0, 3)
+        # Trace-less spans still time their block for the caller.
+        with span("untraced") as untraced:
+            pass
+        assert untraced.elapsed >= 0.0 and len(trace.spans()) == 2
 
     def test_spans_sort_by_start(self):
         trace = Trace("ab" * 8, t0=0.0)
@@ -278,7 +296,86 @@ class TestStructuredLogs:
 # ------------------------------------------------------------------- exports
 
 
+def populated_body(k: int) -> dict:
+    """A ``/v1/metrics`` dataset body with every key set (``k`` varies the
+    values): every :class:`EngineMetrics` field, two phases, two tenants
+    and the server-added ``tenant_rejections``."""
+    return {
+        "requests_submitted": 40 * k,
+        "releases_completed": 37 * k,
+        "requests_rejected": 3 * k,
+        "epsilon_spent": 3.7 * k,
+        "epsilon_budget": 100.0,
+        "epsilon_remaining": 100.0 - 3.7 * k,
+        "ledger_charges": 37 * k,
+        "spend_by_tenant": {"alice": 1.5 * k, "bob": 2.2 * k},
+        "profile_hits": 9000 + k,
+        "profile_misses": 700 + k,
+        "profile_evictions": 12 * k,
+        "profiles_cached": 688 + k,
+        "fm_evaluations": 700 + k,
+        "fm_queries": 9700 + 2 * k,
+        "n_verifiers": k,
+        "wall_time_s": 1.625 * k,
+        "backend": "process",
+        "backend_workers": 2 * k,
+        "release_tasks": 30 * k,
+        "profile_tasks": 4 * k,
+        "phase_wall_s": {"admission": 0.0125 * k, "release": 1.75 * k},
+        "phase_tasks": {"release": 37 * k, "warm_profiles": 5 * k},
+        "batch_flushes": 9 * k,
+        "batch_requests": 37 * k,
+        "batch_queue_depth": k,
+        "batch_queue_wait_s": 0.046875 * k,
+        "batch_size_min": k,
+        "batch_size_p50": 3.5 * k,
+        "batch_size_max": 4 * k,
+        "dataset_version": 2 * k,
+        "appends": 2 * k,
+        "profiles_invalidated": 160 * k,
+        "tenant_rejections": {"alice": k, "carol": 3 * k},
+    }
+
+
+PINNED_EXPOSITION = Path(__file__).parent / "fixtures" / "dataset_exposition.prom"
+
+
 class TestExport:
+    def test_exposition_of_a_full_body_is_pinned(self):
+        """Every table row, rendered for two fully populated datasets,
+        byte for byte as the hand-built families of the four-table
+        exporter rendered them."""
+        datasets = {"salary": populated_body(1), "census": populated_body(2)}
+        assert render_text(dataset_families(datasets)) == (
+            PINNED_EXPOSITION.read_text(encoding="utf-8")
+        )
+
+    def test_every_exported_key_has_one_table_row(self):
+        """One row per ``/v1/metrics`` dataset key: every EngineMetrics
+        field but the informational ``backend`` name, and every key the
+        server adds to it."""
+        import dataclasses
+
+        from repro.obs.export import DATASET_METRICS
+        from repro.service.engine import EngineMetrics
+
+        keys = [row[0] for row in DATASET_METRICS]
+        assert len(keys) == len(set(keys))
+        config = server_config(max_batch=2)
+        server = PCORServer(config)
+        try:
+            server.registry.get("salary").engine  # build it: a full body
+            body = server.metrics()["datasets"]["salary"]
+        finally:
+            server.shutdown()
+        fields = {f.name for f in dataclasses.fields(EngineMetrics)}
+        assert set(body) - fields == {"tenant_rejections"}
+        assert sorted(keys) == sorted(set(body) - {"backend"})
+        for key, kind, name, _help, label in DATASET_METRICS:
+            assert kind in ("counter", "gauge"), key
+            assert name.endswith("_total") == (kind == "counter"), key
+            assert (label is None) != isinstance(body[key], dict), key
+
     def test_dataset_families_cover_budget_telemetry(self):
         datasets = {
             "salary": {

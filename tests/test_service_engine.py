@@ -18,7 +18,12 @@ from repro.core.pcor import PCOR
 from repro.core.starting import starting_context_from_reference
 from repro.core.utility import OverlapUtility
 from repro.core.verification import OutlierVerifier
-from repro.exceptions import PrivacyBudgetError, SamplingError, VerificationError
+from repro.exceptions import (
+    PrivacyBudgetError,
+    ReproError,
+    SamplingError,
+    VerificationError,
+)
 from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
 ZSCORE_KWARGS = {"z_threshold": 2.5, "min_population": 8}
@@ -209,6 +214,37 @@ class TestSharedState:
         assert snapshot["releases_completed"] == 1
         assert snapshot["fm_evaluations"] > 0
         assert json.dumps(snapshot)  # JSON-able
+
+
+class TestPhaseAccounting:
+    """Engine phases are counted on exit, so a phase that raises counts
+    like one that returns, whichever entry point ran it."""
+
+    def test_failed_release_counts_on_every_path(self, mini_dataset):
+        doomed = ReleaseRequest(10**9, named_spec(), seed=1)
+        lone = ReleaseEngine(mini_dataset, backend="serial")
+        with pytest.raises(ReproError):
+            lone.execute(doomed)
+        batched = ReleaseEngine(mini_dataset, backend="serial")
+        (outcome,) = batched.execute_many([doomed], return_exceptions=True)
+        assert isinstance(outcome, ReproError)
+        for engine in (lone, batched):
+            metrics = engine.metrics()
+            assert metrics.phase_tasks == {"release": 1}
+            assert set(metrics.phase_wall_s) == {"release"}
+            assert metrics.releases_completed == 0
+
+    def test_rejected_batch_times_its_admission(self, mini_dataset, mini_outlier):
+        engine = ReleaseEngine(mini_dataset, budget=0.3)
+        requests = [
+            ReleaseRequest(mini_outlier, named_spec(epsilon=0.2), seed=s)
+            for s in (1, 2)
+        ]
+        with pytest.raises(PrivacyBudgetError):
+            engine.submit_many(requests)
+        metrics = engine.metrics()
+        assert set(metrics.phase_wall_s) == {"admission"}
+        assert metrics.phase_tasks == {}
 
 
 class TestBudget:

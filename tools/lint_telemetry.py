@@ -5,7 +5,11 @@ Pure python, no third-party scraper or schema library:
 * boots a minimal in-process :class:`PCORServer` (and a thread-manager
   router fleet) and runs :func:`repro.obs.validate_exposition` over their
   ``/v1/metrics/prometheus`` bodies — a malformed sample line would
-  otherwise only surface when a real Prometheus scrape breaks in prod;
+  otherwise only surface when a real Prometheus scrape breaks in prod.
+  The server first serves a release, a budget-rejected release and an
+  append on a coalescing dataset, so every ``DATASET_METRICS`` key has a
+  value, and each key's ``/v1/metrics`` JSON value must equal its
+  exposition sample;
 * validates every ``BENCH_*.json`` under ``benchmarks/results/`` and
   ``benchmarks/baselines/`` against the ``pcor-bench/1`` schema, and every
   line of ``trajectory.jsonl`` as parseable JSON.
@@ -22,7 +26,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.obs import validate_exposition  # noqa: E402
+from repro.exceptions import PrivacyBudgetError  # noqa: E402
+from repro.obs import DATASET_METRICS, validate_exposition  # noqa: E402
 from repro.server import PCORServer, ServerConfig  # noqa: E402
 
 LINT_DATASET = {
@@ -30,6 +35,16 @@ LINT_DATASET = {
     "records": 300,
     "seed": 3,
     "budget": 10.0,
+}
+
+#: A record of ``LINT_DATASET`` with a matching context under ``SPEC``.
+LINT_RECORD = 207
+SPEC = {
+    "detector": "zscore",
+    "detector_kwargs": {"z_threshold": 2.5, "min_population": 8},
+    "sampler": "uniform",
+    "epsilon": 0.1,
+    "n_samples": 3,
 }
 
 
@@ -42,16 +57,66 @@ def load_harness():
     return module
 
 
+def drive(server: PCORServer) -> None:
+    """One release, one budget-rejected release and one append."""
+    release = {"record_id": LINT_RECORD, "spec": SPEC, "seed": 1}
+    server.release("salary", "lint", release)
+    try:
+        server.release("salary", "lint", {**release, "seed": 2})
+    except PrivacyBudgetError:
+        pass  # the tenant budget admits one release
+    dataset = server.registry.get("salary").engine.dataset
+    row = dataset.record(int(dataset.ids[0]))
+    server.append("salary", "lint", {"records": [row]})
+
+
+def cross_check(datasets: dict, text: str) -> list:
+    """Each ``DATASET_METRICS`` key's JSON value against its sample."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            series, _, value = line.rpartition(" ")
+            samples[series] = float(value)
+    problems = []
+    for key, _kind, name, _help, label in DATASET_METRICS:
+        for dataset, body in sorted(datasets.items()):
+            value = body.get(key)
+            if value is None or value == {}:
+                problems.append(f"{dataset}: {key} has no value to check")
+                continue
+            if label is None:
+                expected = {f'{name}{{dataset="{dataset}"}}': value}
+            else:
+                expected = {
+                    f'{name}{{dataset="{dataset}",{label}="{item}"}}': number
+                    for item, number in value.items()
+                }
+            for series, number in expected.items():
+                if samples.get(series) != float(number):
+                    problems.append(
+                        f"{dataset}: {key} is {number!r} in JSON but "
+                        f"{samples.get(series)!r} as {series}"
+                    )
+    return problems
+
+
 def lint_expositions() -> list:
     """Server and router-fleet Prometheus bodies through the linter."""
     problems = []
 
+    coalescing = {
+        **LINT_DATASET, "tenant_budget": 0.15, "max_batch": 2, "max_delay_ms": 1
+    }
     config = ServerConfig.from_dict(
-        {"server": {"port": 0}, "datasets": {"salary": LINT_DATASET}}
+        {"server": {"port": 0}, "datasets": {"salary": coalescing}}
     )
     server = PCORServer(config)
     try:
-        for issue in validate_exposition(server.prometheus_metrics()):
+        drive(server)
+        text = server.prometheus_metrics()
+        for issue in validate_exposition(text):
+            problems.append(f"server exposition: {issue}")
+        for issue in cross_check(server.metrics()["datasets"], text):
             problems.append(f"server exposition: {issue}")
     finally:
         server.shutdown()
