@@ -196,20 +196,28 @@ class ProfileStore:
         Every other profile (and there are typically vastly more) survives
         the append untouched, which is the point of incremental updates.
 
+        One NumPy containment test covers every key against every appended
+        record: on ``uint64`` when all the bits fit in 64, else on an
+        ``object`` array of Python ints, because contexts may be wider.
+
         Returns the number of profiles dropped.  Also fences late writers:
         any in-flight :meth:`put` stamped with the pre-append version is
         rejected once this returns.
         """
-        bits_list = [int(b) for b in record_bits_seq]
+        records = [int(b) for b in record_bits_seq]
         with self._lock:
             self._version = max(self._version, int(version))
-            stale = []
-            for key in self._profiles:
-                bits = key[0] if key.__class__ is tuple else key
-                if any((rbits & bits) == rbits for rbits in bits_list):
-                    stale.append(key)
-            for key in stale:
-                del self._profiles[key]
+            keys = list(self._profiles)
+            if not keys or not records:
+                return 0
+            contexts = [key[0] if key.__class__ is tuple else key for key in keys]
+            wide = max(max(contexts), max(records)).bit_length() > 64
+            dtype = object if wide else np.uint64
+            bits = np.array(contexts, dtype=dtype)[:, None]
+            rbits = np.array(records, dtype=dtype)
+            stale = np.flatnonzero(((bits & rbits) == rbits).any(axis=1))
+            for index in stale.tolist():
+                del self._profiles[keys[index]]
             self.invalidations += len(stale)
             return len(stale)
 

@@ -11,8 +11,8 @@ context-profile batches):
 
 Every backend produces **bit-identical releases** for the same seed at any
 worker count: randomness is planned as per-task substreams
-(:func:`plan_task_rngs`) keyed by request order, and results are always
-reduced in that canonical order.
+(:func:`plan_task_rngs`) keyed by request order before any task runs, so
+the order tasks finish in decides only when each outcome is reported.
 
 Each engine runs every batch on one backend, picked once by
 :func:`resolve_backend` — the only place a name, a worker count and the

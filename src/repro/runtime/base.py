@@ -7,23 +7,27 @@ profiles inside one release.  A *parallel* backend
 (:attr:`ExecutionBackend.parallel`, i.e.
 :class:`~repro.runtime.process.ProcessBackend`) executes both task shapes:
 
-* ``run_releases`` — one task per release request, fanned out across
-  workers, reduced in request order to one outcome per task: the result,
-  or the ``ReproError`` that task raised.
+* ``run_releases(engine, requests, tokens, report)`` — one task per
+  release request, fanned out across workers.  Each task's outcome — the
+  result, or the ``ReproError`` that task raised — is reported as
+  ``report(index, outcome)`` as soon as it exists, in completion order;
+  request order is only the order ``ReleaseEngine.execute_many`` returns.
 * ``run_profiles`` — one task per contiguous chunk of uncached context
   bitmasks, reduced in input order.  Every caller of
   ``OutlierVerifier.is_matching_many`` / ``UtilityFunction.scores`` — the
   samplers' child expansion included — funnels through this path.
 
 A serial backend runs neither: the engine's batch loop and the verifier's
-inline profile path are the serial execution, on the calling thread.
+inline profile path are the serial execution, on the calling thread; the
+batch loop reports each outcome the same way, right after its task.
 
 **Determinism contract.**  Profiles are deterministic functions of the
 context, so their fan-out cannot change any answer.  Releases draw
 randomness, so :func:`plan_task_rngs` derives one *independent substream
 per task* from the release seeds — spawned in request order (the stable
-task key) — and results are always reduced in that canonical order.  Any
-backend at any worker count therefore produces bit-identical releases to
+task key) — before any task runs.  When a task finishes changes when its
+outcome is reported, never what it is, so any backend at any worker count
+produces bit-identical releases to
 :class:`~repro.runtime.serial.SerialBackend` for the same seed.
 
 Backends are named ``serial`` and ``process``

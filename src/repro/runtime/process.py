@@ -16,13 +16,17 @@ workers re-attach lazily on their next task instead of paying a respawn.
 The initargs segment stays alive for late-spawning workers; superseded
 intermediate segments are unlinked immediately.
 
+Release tasks are submitted one by one and each outcome is reported as its
+worker returns it, so a finished release is answered while its batch is
+still running.
+
 Failure semantics: a release task's ``ReproError`` (``SamplingError``
 etc.) is captured in the worker and comes back as that task's outcome,
 carrying the task's trace spans like a result does.  A worker dying
-mid-task fails the whole batch with a clear
-:class:`~repro.exceptions.ExecutionError` naming this backend (never a raw
-``BrokenProcessPool``), and the pool plus shared memory are torn down
-immediately so nothing leaks even on a crash.
+mid-task raises a clear :class:`~repro.exceptions.ExecutionError` naming
+this backend (never a raw ``BrokenProcessPool``) once the outcomes that
+did come back have been reported, and the pool plus shared memory are torn
+down immediately so nothing leaks even on a crash.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ import multiprocessing as mp
 import pickle
 import threading
 import weakref
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ExecutionError
 from repro.runtime.base import ExecutionBackend, SeedToken, chunk_evenly
@@ -236,8 +241,15 @@ class ProcessBackend(ExecutionBackend):
                 pool = self._pool
         if pool is None:
             raise ExecutionError(f"{self.name} backend is not bound to a dataset")
-        try:
+        with self._shipping(pool):
             return list(pool.map(fn, payloads))
+
+    @contextmanager
+    def _shipping(self, pool: ProcessPoolExecutor) -> Iterator[None]:
+        """Translate a failure of ``pool`` itself, raised inside the block,
+        into an :class:`ExecutionError` naming this backend."""
+        try:
+            yield
         except BrokenExecutor as exc:
             # The pool is unusable and its workers are gone; tear everything
             # down now (unless a rebind already replaced it) so the shared
@@ -343,15 +355,26 @@ class ProcessBackend(ExecutionBackend):
 
     # ------------------------------------------------------------- protocol
 
-    def run_releases(self, engine, requests: Sequence, tokens: Sequence[SeedToken]) -> List:
-        """Execute one release per request; one outcome per task, in
-        request order.
+    def run_releases(
+        self,
+        engine,
+        requests: Sequence,
+        tokens: Sequence[SeedToken],
+        report: Callable[[int, Any], None],
+    ) -> None:
+        """Execute one release per request, reporting each task's outcome
+        as ``report(index, outcome)`` the moment its worker returns it.
 
-        An outcome is the task's :class:`~repro.core.result.PCORResult` or
-        the :class:`~repro.exceptions.ReproError` raised inside it, so one
-        failed request never discards its co-batched results.  Failures of
-        the pool itself (a dead worker, an unshippable spec) still raise
-        for the whole batch.
+        Outcomes arrive in completion order, on the calling thread; the
+        index is the request's position.  An outcome is the task's
+        :class:`~repro.core.result.PCORResult` or the
+        :class:`~repro.exceptions.ReproError` raised inside it, so one
+        failed request never discards its co-batched results.  A sampled
+        task's worker spans are folded into its request's trace before
+        the outcome is reported.  Failures of the pool itself (a dead
+        worker, an unshippable spec) raise once every outcome that did come
+        back has been reported; only the requests left without an outcome
+        are lost with the pool.
 
         ``engine`` is the :class:`~repro.service.engine.ReleaseEngine` the
         batch was submitted to.  Each task ships as a self-contained
@@ -363,7 +386,42 @@ class ProcessBackend(ExecutionBackend):
         pool, shm_ref = self._ensure_bound(
             engine.dataset, engine.masks, engine.profile_capacity
         )
-        in_batch = engine._in_batch(requests)
+        payloads = self._release_payloads(
+            requests, tokens, engine._in_batch(requests), shm_ref
+        )
+        with self._shipping(pool):
+            futures = {
+                pool.submit(worker_mod.run_release_task, payload): index
+                for index, payload in enumerate(payloads)
+            }
+            lost: Optional[BrokenExecutor] = None
+            try:
+                for future in as_completed(futures):
+                    try:
+                        outcome = future.result()
+                    except BrokenExecutor as exc:
+                        lost = exc  # report every outcome that came back first
+                        continue
+                    index = futures[future]
+                    trace = getattr(requests[index], "trace", None)
+                    if trace is not None:
+                        trace.extend(getattr(outcome, "trace_spans", None))
+                    report(index, outcome)
+            finally:
+                for future in futures:
+                    future.cancel()
+            if lost is not None:
+                raise lost
+        self._count(releases=len(payloads))
+
+    def _release_payloads(
+        self,
+        requests: Sequence,
+        tokens: Sequence[SeedToken],
+        in_batch: bool,
+        shm_ref: Optional[Dict[str, Any]],
+    ) -> List[Dict[str, Any]]:
+        """One self-contained task payload per request, in request order."""
         payloads = []
         for request, token in zip(requests, tokens):
             start = request.starting_context
@@ -389,13 +447,7 @@ class ProcessBackend(ExecutionBackend):
                     "shm": shm_ref,
                 }
             )
-        outcomes = self._map(pool, worker_mod.run_release_task, payloads)
-        for request, outcome in zip(requests, outcomes):
-            trace = getattr(request, "trace", None)
-            if trace is not None:
-                trace.extend(getattr(outcome, "trace_spans", None))
-        self._count(releases=len(outcomes))
-        return outcomes
+        return payloads
 
     def run_profiles(self, verifier, misses: List[int]) -> List:
         """Profile a batch of uncached contexts, reduced in input order."""

@@ -427,7 +427,13 @@ class PCORServer:
                     ),
                     "spend_by_tenant": entry.tenants.spend_by_tenant(),
                 }
-            body["tenant_rejections"] = entry.tenants.rejections()
+            rejections = entry.tenants.rejections()
+            body["tenant_rejections"] = rejections
+            # Served releases are admitted by the tenant ledgers, never by
+            # the engine's own charge, so their refusals are added here.
+            body["requests_rejected"] = body.get("requests_rejected", 0) + sum(
+                rejections.values()
+            )
             coalescer = self._coalescers.get(name)
             if coalescer is not None:
                 # Overwrite the engine's zeroed batch_* placeholders with

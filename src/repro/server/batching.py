@@ -24,9 +24,16 @@ engine and manufactures the batch:
   charges hit the WAL in one group-commit fsync;
 * the admitted set executes through one
   :meth:`ReleaseEngine.execute_many <repro.service.engine.ReleaseEngine.execute_many>`
-  call (per-request failures come back in place), and every future is
-  completed — with a result or the exception the direct path would have
-  raised.
+  call, which reports each request's outcome as soon as its release
+  finishes; that request's future is completed right then — with the
+  result, or the exception the direct path would have raised — while the
+  rest of the flush runs on.  Request order is only the order
+  ``execute_many`` returns, which the flush does not wait for.
+
+**Latency.**  A coalesced request waits for its own release and the ones
+ahead of it in its flush, not the ones behind it: on the serial backend
+the flush's first request is answered when its own release ends, and on
+the process backend each request is answered as its worker returns it.
 
 **Grouping independence.**  ``execute_many`` plans one independent RNG
 substream per request from the request seeds, so *where the flush
@@ -243,7 +250,13 @@ class ReleaseCoalescer:
 
     def _flush(self, batch: List[_Pending]) -> None:
         """Admit the batch (per-request all-or-nothing), execute the
-        admitted set in one ``execute_many`` call, complete every future."""
+        admitted set in one ``execute_many`` call, and complete each
+        admitted request's future the moment ``execute_many`` reports its
+        outcome, as it completes; request order is only the order
+        ``execute_many`` returns, which the flush does not wait for.  If
+        the pool fails mid-flush, the requests already answered keep their
+        results (they were admitted and charged) and the rest get its
+        error."""
         t_pop = time.monotonic()
         for item in batch:
             trace = item.request.trace
@@ -276,14 +289,19 @@ class ReleaseCoalescer:
             if not admitted:
                 self._log_flush(batch, 0, t_pop)
                 return
-            outcomes = self.engine_for().execute_many(
-                [item.request for item in admitted], return_exceptions=True
-            )
-            for item, outcome in zip(admitted, outcomes):
+
+            def answer(index: int, outcome) -> None:
+                future = admitted[index].future
                 if isinstance(outcome, ReproError):
-                    item.future.set_exception(outcome)
+                    future.set_exception(outcome)
                 else:
-                    item.future.set_result(outcome)
+                    future.set_result(outcome)
+
+            self.engine_for().execute_many(
+                [item.request for item in admitted],
+                return_exceptions=True,
+                on_outcome=answer,
+            )
             self._log_flush(batch, len(admitted), t_pop)
         except BaseException as exc:  # noqa: BLE001 — no future left pending
             for item in batch:

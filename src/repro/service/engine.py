@@ -38,7 +38,18 @@ import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -531,6 +542,7 @@ class ReleaseEngine:
         self,
         requests: Sequence[Union[ReleaseRequest, Mapping]],
         return_exceptions: bool = False,
+        on_outcome: Optional[Callable[[int, Any], None]] = None,
     ) -> List:
         """Run a batch of releases whose budgets were already admitted.
 
@@ -544,11 +556,21 @@ class ReleaseEngine:
 
         The batch runs on the engine's execution backend: one task per
         request, each drawing from its own RNG substream spawned from the
-        request seeds in request order, with outcomes reduced in that same
-        order — so serial and process backends release bit-identical
-        contexts at any worker count, and no batching boundary a coalescer
-        picks can change a release: every request releases bit-identically
-        to a lone :meth:`submit`/:meth:`execute` with the same seed.
+        request seeds in request order before any task runs — so serial
+        and process backends release bit-identical contexts at any worker
+        count, and no batching boundary a coalescer picks can change a
+        release: every request releases bit-identically to a lone
+        :meth:`submit`/:meth:`execute` with the same seed.
+
+        Each request's outcome is reported as soon as it exists:
+        ``on_outcome(index, outcome)``, when given, is called once per
+        request, on the calling thread, right after that request's task
+        finishes — the serial loop's task order, or the order process
+        workers return them in.  ``index`` is the request's position in
+        ``requests``.  Request order is only the order this method returns
+        the outcomes in.  The HTTP server's coalescer answers each request
+        from this callback, so a coalesced request does not wait for the
+        releases behind it in its flush.
 
         On the serial path, records whose starting-context search will run
         are first pre-profiled through one batched mask pass per verifier
@@ -572,10 +594,11 @@ class ReleaseEngine:
         place*; the caller dispatches on ``isinstance(outcome,
         ReproError)``.  Otherwise the first failed request's error, in
         request order, is raised.  A failure of the pool itself (a dead
-        process worker, a spec that cannot be shipped) raises for the whole
-        batch either way.
+        process worker, a spec that cannot be shipped) raises either way,
+        after the outcomes that did finish were reported to
+        ``on_outcome``.
         """
-        outcomes = self._execute_batch(self._accept(requests))
+        outcomes = self._execute_batch(self._accept(requests), on_outcome)
         return outcomes if return_exceptions else self._raise_first_failure(outcomes)
 
     def _accept(
@@ -593,30 +616,42 @@ class ReleaseEngine:
                 raise outcome
         return outcomes
 
-    def _execute_batch(self, reqs: Sequence[ReleaseRequest]) -> List:
-        """Run admitted requests on the engine's backend: one outcome per
-        request, in request order (see :meth:`execute_many`)."""
+    def _execute_batch(
+        self,
+        reqs: Sequence[ReleaseRequest],
+        on_outcome: Optional[Callable[[int, Any], None]] = None,
+    ) -> List:
+        """Run admitted requests on the engine's backend, reporting each
+        outcome as it completes; returns them in request order (see
+        :meth:`execute_many`)."""
         if not reqs:
             return []
         tokens = plan_task_rngs([r.seed for r in reqs])
-        backend = self.backend
-        if backend.parallel and len(reqs) > 1:
+        outcomes: List = [None] * len(reqs)
+        pooled = self.backend.parallel and len(reqs) > 1
+
+        def report(index: int, outcome) -> None:
+            outcomes[index] = outcome
+            if pooled and isinstance(outcome, PCORResult):
+                # Pool tasks never pass through this process's _execute;
+                # fold their results into the engine's counters here.
+                with self._lock:
+                    self.releases_completed += 1
+                    self.wall_time_s += outcome.wall_time_s
+            if on_outcome is not None:
+                on_outcome(index, outcome)
+
+        if pooled:
             with self._phase("release", tasks=len(reqs)):
-                outcomes = backend.run_releases(self, reqs, tokens)
-            # Pool tasks never pass through this process's _execute; fold
-            # their outcomes into the engine's counters here.
-            completed = [o for o in outcomes if isinstance(o, PCORResult)]
-            with self._lock:
-                self.releases_completed += len(completed)
-                self.wall_time_s += sum(r.wall_time_s for r in completed)
+                self.backend.run_releases(self, reqs, tokens, report)
         else:
             self._warm_starting_profiles(reqs)
             in_batch = self._in_batch(reqs)
             with self._phase("release", tasks=len(reqs)):
-                outcomes = [
-                    self._outcome(request, rng_from_token(token), in_batch)
-                    for request, token in zip(reqs, tokens)
-                ]
+                for index, (request, token) in enumerate(zip(reqs, tokens)):
+                    report(
+                        index, self._outcome(request, rng_from_token(token), in_batch)
+                    )
         return outcomes
 
     @staticmethod

@@ -607,6 +607,30 @@ class TestServerObservability:
             in text
         )
 
+    @pytest.mark.parametrize("max_batch", [1, 2], ids=["direct", "coalesced"])
+    def test_tenant_budget_rejection_counts_as_rejected_request(self, max_batch):
+        """Served releases are admitted by the tenant ledgers, not the
+        engine's own charge; a refusal there still reads in
+        requests_rejected, in the JSON and in the exposition."""
+        from repro.exceptions import PrivacyBudgetError
+
+        with PCORServer(server_config(max_batch=max_batch)) as srv:
+            client = PCORClient(srv.url, tenant="greedy")
+            client.release("salary", record_id=OUTLIER_RECORD, spec=SPEC, seed=1)
+            with pytest.raises(PrivacyBudgetError):
+                client.release(
+                    "salary",
+                    record_id=OUTLIER_RECORD,
+                    spec=dict(SPEC, epsilon=0.45),  # 0.4 of 0.5 remains
+                    seed=2,
+                )
+            body = client.metrics()["datasets"]["salary"]
+            text = client.prometheus_metrics()
+            client.close()
+        assert body["tenant_rejections"] == {"greedy": 1}
+        assert body["requests_rejected"] == 1
+        assert 'pcor_requests_rejected_total{dataset="salary"} 1' in text
+
     def test_healthz_reports_process_stats(self, client):
         body = client.healthz()
         assert body["status"] == "ok"

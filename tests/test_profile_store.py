@@ -1,6 +1,8 @@
 """Unit tests for the bounded LRU profile store and its shared registry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.profiles import ProfileStore, shared_profile_store
 from repro.core.verification import OutlierVerifier
@@ -62,6 +64,80 @@ class TestProfileStore:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             ProfileStore(capacity=0)
+
+
+def loop_invalidate(store, record_bits_seq, version):
+    """The per-key Python scan ``invalidate_matching`` ran before its one
+    vectorised containment test, kept here as the reference."""
+    bits_list = [int(b) for b in record_bits_seq]
+    with store._lock:
+        store._version = max(store._version, int(version))
+        stale = []
+        for key in store._profiles:
+            bits = key[0] if key.__class__ is tuple else key
+            if any((rbits & bits) == rbits for rbits in bits_list):
+                stale.append(key)
+        for key in stale:
+            del store._profiles[key]
+        store.invalidations += len(stale)
+        return len(stale)
+
+
+@st.composite
+def stores_and_appends(draw):
+    """A store mixing full and record-scoped keys over ``t``-bit contexts
+    (``t`` up to 70, so some exceed 64 bits), and appended records whose
+    bits are often contained in a key's."""
+    t = draw(st.integers(1, 70))
+    contexts = st.integers(0, (1 << t) - 1)
+    keys = draw(
+        st.lists(
+            st.tuples(contexts, st.none() | st.integers(0, 50)),
+            max_size=40,
+        )
+    )
+    records = []
+    for _ in range(draw(st.integers(0, 5))):
+        if keys and draw(st.booleans()):
+            # A subset of some key's context bits: contained in that key.
+            bits = draw(st.sampled_from(keys))[0]
+            records.append(bits & draw(contexts))
+        else:
+            records.append(draw(contexts))
+    return keys, records
+
+
+class TestInvalidateMatching:
+    @settings(max_examples=200, deadline=None)
+    @given(stores_and_appends())
+    def test_matches_the_per_key_scan(self, case):
+        keys, records = case
+        fast, reference = ProfileStore(), ProfileStore()
+        for store in (fast, reference):
+            for i, (bits, record_id) in enumerate(keys):
+                store.put(bits, (i, frozenset()), record_id=record_id)
+        assert fast.invalidate_matching(records, 1) == loop_invalidate(
+            reference, records, 1
+        )
+        assert list(fast._profiles.items()) == list(reference._profiles.items())
+        assert fast.stats() == reference.stats()
+
+    @pytest.mark.parametrize("t", [64, 65, 200])
+    def test_contexts_wider_than_64_bits(self, t):
+        store = ProfileStore()
+        top = 1 << (t - 1)
+        store.put(top | 0b11, (1, frozenset()))  # contains the record
+        store.put(0b11, (1, frozenset()))
+        store.put(top | 0b01, (1, frozenset()), record_id=7)  # contains it
+        store.put(top | 0b10, (1, frozenset()), record_id=3)
+        assert store.invalidate_matching([top | 0b01], 1) == 2
+        assert list(store._profiles) == [0b11, (top | 0b10, 3)]
+        assert store.invalidations == 2
+        # A record wider than every key is contained in none of them.
+        narrow = ProfileStore()
+        narrow.put(0b11, (1, frozenset()))
+        assert narrow.invalidate_matching([top | 0b01], 1) == 0
+        assert 0b11 in narrow
 
 
 class TestSharedRegistry:

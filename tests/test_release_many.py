@@ -132,13 +132,14 @@ class TestReleaseMany:
         pcor = make_pcor(mini_dataset, detector, backend="process", workers=2)
         backend = pcor.engine.backend
         shipped = []
-        ship = backend._map
+        build = backend._release_payloads
 
-        def capture(pool, fn, payloads):
+        def capture(*args):
+            payloads = build(*args)
             shipped.extend(payloads)
-            return ship(pool, fn, payloads)
+            return payloads
 
-        monkeypatch.setattr(backend, "_map", capture)
+        monkeypatch.setattr(backend, "_release_payloads", capture)
         try:
             results = pcor.release_many(lof_outlier_ids, seed=7)
         finally:

@@ -6,9 +6,15 @@ boundaries fall (batches of 1, of k, of everything) must never change what
 a given ``(record_id, spec, seed)`` releases — the coalescer is a
 throughput lever, invisible in results.  The deterministic tests drive
 ``flush_now`` directly (``autostart=False``) so every grouping is exact.
+
+The second property is *streamed completion*: each request's future is
+completed as soon as its own release finishes, not when its whole flush
+does, on every backend.
 """
 
+import os
 import threading
+import time
 
 import pytest
 
@@ -20,6 +26,7 @@ from repro.exceptions import (
     PrivacyBudgetError,
     ReproError,
 )
+from repro.obs.trace import Trace
 from repro.outliers.zscore import ZScoreDetector
 from repro.server import (
     CoalescerClosed,
@@ -31,7 +38,7 @@ from repro.server import (
     ServerConfig,
     TenantBudgets,
 )
-from repro.runtime import SerialBackend
+from repro.runtime import SerialBackend, rng_from_token
 from repro.server.http import status_for
 from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
@@ -69,6 +76,42 @@ def make_requests(outlier_record, n, first_seed=100):
         ReleaseRequest(record_id=outlier_record, spec=spec, seed=first_seed + i)
         for i in range(n)
     ]
+
+
+class SlowZScore(ZScoreDetector):
+    """A z-score detector that sleeps ``delay`` seconds per call.  Process
+    workers rebuild it from its class path and public parameters."""
+
+    def __init__(self, delay=0.0, **kwargs):
+        super().__init__(**kwargs)
+        self.delay = delay
+
+    def outlier_positions(self, values):
+        time.sleep(self.delay)
+        return super().outlier_positions(values)
+
+
+class CrashingZScore(ZScoreDetector):
+    """Kills the process that runs it: a worker lost mid-task."""
+
+    def outlier_positions(self, values):
+        os._exit(13)
+
+
+def spec_with(detector):
+    return PipelineSpec(
+        detector=detector, sampler="uniform", epsilon=0.1, n_samples=3
+    )
+
+
+def coalescer_over(engine, max_batch=8):
+    return ReleaseCoalescer(
+        tenants=TenantBudgets(),
+        engine_for=lambda: engine,
+        max_batch=max_batch,
+        name="salary",
+        autostart=False,
+    )
 
 
 def strip_timing(result_dict):
@@ -173,7 +216,7 @@ class TestGroupingIndependence:
         class DeadPool(SerialBackend):
             parallel = True
 
-            def run_releases(self, engine, requests, tokens):
+            def run_releases(self, engine, requests, tokens, report):
                 raise ExecutionError("lost a worker process mid-task")
 
         engine = ReleaseEngine(dataset, backend=DeadPool())
@@ -208,6 +251,212 @@ class TestGroupingIndependence:
         with pytest.raises(ReproError):
             engine.execute_many([doomed])
         engine.close()
+
+
+class TestStreamedCompletion:
+    """A coalesced request is answered when its own release finishes, not
+    when its flush does; results stay bit-identical to lone submits."""
+
+    def test_each_future_completes_before_the_next_task_starts(
+        self, dataset, outlier_record
+    ):
+        n = 4
+        requests = make_requests(outlier_record, n)
+        expected = direct_baseline(dataset, requests)
+        engine = ReleaseEngine(dataset, backend="serial")
+        coalescer = coalescer_over(engine)
+        futures = [
+            coalescer.submit(f"t{i}", f"req-{i}", r)
+            for i, r in enumerate(requests)
+        ]
+        done_at_start = []
+        task = engine._outcome
+
+        def watched(request, gen, in_batch=False):
+            done_at_start.append([f.done() for f in futures])
+            return task(request, gen, in_batch)
+
+        engine._outcome = watched
+        assert coalescer.flush_now() == n
+        assert done_at_start == [
+            [True] * i + [False] * (n - i) for i in range(n)
+        ]
+        got = [strip_timing(f.result(timeout=0).to_dict()) for f in futures]
+        assert got == expected
+        coalescer.close()
+        engine.close()
+
+    def test_a_failed_request_is_answered_before_the_next_task_starts(
+        self, dataset, outlier_record
+    ):
+        requests = make_requests(outlier_record, 3)
+        expected = direct_baseline(dataset, requests)
+        doomed = ReleaseRequest(
+            record_id=10**9, spec=PipelineSpec.from_dict(SPEC), seed=1
+        )
+        batch = [requests[0], doomed, requests[1], requests[2]]
+        engine = ReleaseEngine(dataset, backend="serial")
+        coalescer = coalescer_over(engine)
+        futures = [
+            coalescer.submit(f"t{i}", f"req-{i}", r) for i, r in enumerate(batch)
+        ]
+        answered = {}
+        task = engine._outcome
+
+        def watched(request, gen, in_batch=False):
+            if request is batch[2]:  # the task after the doomed one
+                answered["doomed"] = futures[1].done() and futures[1].exception()
+            return task(request, gen, in_batch)
+
+        engine._outcome = watched
+        assert coalescer.flush_now() == 4
+        assert isinstance(answered["doomed"], ContextError)
+        with pytest.raises(ContextError):
+            futures[1].result(timeout=0)
+        got = [
+            strip_timing(futures[i].result(timeout=0).to_dict())
+            for i in (0, 2, 3)
+        ]
+        assert got == expected
+        coalescer.close()
+        engine.close()
+
+    def test_pool_failure_keeps_the_results_it_reported(
+        self, dataset, outlier_record
+    ):
+        """A pool that dies after two outcomes: those two requests keep
+        their results (they were admitted and charged), and only the rest
+        get the pool's ExecutionError (HTTP 422)."""
+        worker = ReleaseEngine(dataset, backend="serial")
+
+        class DiesAfterTwo(SerialBackend):
+            parallel = True
+
+            def run_releases(self, engine, requests, tokens, report):
+                in_batch = engine._in_batch(requests)
+                for index in range(2):
+                    report(
+                        index,
+                        worker._outcome(
+                            requests[index], rng_from_token(tokens[index]), in_batch
+                        ),
+                    )
+                raise ExecutionError("lost a worker process mid-task")
+
+        requests = make_requests(outlier_record, 4)
+        expected = direct_baseline(dataset, requests[:2])
+        engine = ReleaseEngine(dataset, backend=DiesAfterTwo())
+        coalescer = coalescer_over(engine)
+        futures = [
+            coalescer.submit(f"t{i}", f"req-{i}", r)
+            for i, r in enumerate(requests)
+        ]
+        with pytest.raises(ExecutionError):
+            coalescer.flush_now()
+        got = [strip_timing(f.result(timeout=0).to_dict()) for f in futures[:2]]
+        assert got == expected
+        for future in futures[2:]:
+            with pytest.raises(ExecutionError, match="lost a worker") as excinfo:
+                future.result(timeout=0)
+            assert status_for(excinfo.value) == 422
+        assert engine.metrics().releases_completed == 2
+        coalescer.close()
+        engine.close()
+        worker.close()
+
+    def test_lost_worker_keeps_the_results_it_returned(
+        self, dataset, outlier_record
+    ):
+        """The same on real workers: one worker runs the flush in request
+        order and dies on its third task.  The two releases it returned
+        are answered; the pool is torn down and the other two requests get
+        its ExecutionError."""
+        requests = make_requests(outlier_record, 4)
+        expected = direct_baseline(dataset, requests[:2])
+        crash = ReleaseRequest(
+            record_id=outlier_record,
+            spec=spec_with(CrashingZScore(z_threshold=2.5, min_population=8)),
+            seed=1,
+        )
+        batch = [requests[0], requests[1], crash, requests[2]]
+        with ReleaseEngine(dataset, backend="process", workers=1) as engine:
+            coalescer = coalescer_over(engine)
+            futures = [
+                coalescer.submit(f"t{i}", f"req-{i}", r)
+                for i, r in enumerate(batch)
+            ]
+            with pytest.raises(ExecutionError, match="lost a worker"):
+                coalescer.flush_now()
+            got = [
+                strip_timing(f.result(timeout=0).to_dict()) for f in futures[:2]
+            ]
+            assert got == expected
+            for future in futures[2:]:
+                with pytest.raises(ExecutionError, match="lost a worker"):
+                    future.result(timeout=0)
+            assert engine.backend._pool is None  # torn down
+            coalescer.close()
+
+    def test_process_workers_answer_each_request_as_it_returns(
+        self, dataset, outlier_record
+    ):
+        """Two workers, a slow release ahead of a fast one: the fast
+        request is answered while the slow one is still running."""
+        slow = ReleaseRequest(
+            record_id=outlier_record,
+            spec=spec_with(SlowZScore(delay=0.2, z_threshold=2.5, min_population=8)),
+            seed=1,
+        )
+        [fast] = make_requests(outlier_record, 1)
+        with ReleaseEngine(dataset, backend="process", workers=2) as engine:
+            engine.backend.bind(engine.dataset, engine.masks, engine.profile_capacity)
+            coalescer = coalescer_over(engine)
+            slow_future = coalescer.submit("t0", "slow", slow)
+            fast_future = coalescer.submit("t1", "fast", fast)
+            slow_done_when_fast_was = []
+            fast_future.add_done_callback(
+                lambda _: slow_done_when_fast_was.append(slow_future.done())
+            )
+            assert coalescer.flush_now() == 2
+            assert slow_done_when_fast_was == [False]
+            assert strip_timing(fast_future.result(timeout=0).to_dict()) == (
+                direct_baseline(dataset, [fast])[0]
+            )
+            assert slow_future.result(timeout=0).record_id == outlier_record
+            coalescer.close()
+
+    def test_worker_spans_reach_the_trace_before_the_future_completes(
+        self, dataset, outlier_record
+    ):
+        """On the process backend a sampled request's trace holds its
+        worker's engine.execute span by the time its handler wakes, so
+        the response trace shows where the release ran."""
+        spec = PipelineSpec.from_dict(SPEC)
+        traces = [Trace.mint(sampled=True) for _ in range(3)]
+        requests = [
+            ReleaseRequest(
+                record_id=outlier_record, spec=spec, seed=200 + i, trace=trace
+            )
+            for i, trace in enumerate(traces)
+        ]
+        with ReleaseEngine(dataset, backend="process", workers=2) as engine:
+            coalescer = coalescer_over(engine)
+            futures = [
+                coalescer.submit(f"t{i}", f"req-{i}", r)
+                for i, r in enumerate(requests)
+            ]
+            held = {}
+            for i, future in enumerate(futures):
+                future.add_done_callback(
+                    lambda _, i=i: held.__setitem__(i, traces[i].to_dict())
+                )
+            assert coalescer.flush_now() == 3
+            coalescer.close()
+        for i, trace in enumerate(traces):
+            spans = held[i]["spans"]
+            [execute] = [s for s in spans if s["name"] == "engine.execute"]
+            assert execute["pid"] != os.getpid()
+            assert held[i]["trace_id"] == trace.trace_id
 
 
 class TestPartialBatchAdmission:
@@ -430,6 +679,67 @@ class TestCoalescedHTTP:
         assert metrics["batch_flushes"] >= 2  # 12 requests, max_batch 8
         assert metrics["batch_size_max"] <= 8
         assert metrics["epsilon_spent"] == pytest.approx(n * SPEC["epsilon"])
+
+    def test_first_client_holds_its_response_while_the_second_release_runs(
+        self, outlier_record
+    ):
+        """Two concurrent clients, one flush: the flush's second release
+        waits (up to a timeout) until a client holds its response, which
+        only happens if the first request was answered on its own."""
+        config = ServerConfig.from_dict(
+            {
+                "server": {"port": 0},
+                "datasets": {
+                    "salary": {
+                        "source": "salary_reduced",
+                        "records": RECORDS,
+                        "seed": SEED,
+                        "budget": 50.0,
+                        "backend": "serial",
+                        "max_batch": 2,
+                        "max_delay_ms": 5000.0,
+                    }
+                },
+            }
+        )
+        responded = threading.Event()
+        answered_first = []
+        responses = {}
+        with PCORServer(config) as server:
+            engine = server.registry.get("salary").engine
+            task = engine._outcome
+
+            def watched(request, gen, in_batch=False):
+                answered_first.append(None)
+                if len(answered_first) == 2:
+                    answered_first[-1] = responded.wait(timeout=10.0)
+                return task(request, gen, in_batch)
+
+            engine._outcome = watched
+
+            def release(seed):
+                client = PCORClient(server.url, tenant=f"t{seed}")
+                try:
+                    responses[seed] = client.release(
+                        "salary", outlier_record, SPEC, seed=seed, timeout=60.0
+                    )
+                finally:
+                    client.close()
+                responded.set()
+
+            threads = [
+                threading.Thread(target=release, args=(seed,))
+                for seed in (701, 702)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            snapshot = server._coalescers["salary"].snapshot()
+        assert snapshot["batch_size_max"] == 2
+        assert answered_first == [None, True]
+        assert sorted(responses) == [701, 702]
 
     def test_max_batch_one_keeps_direct_path(self):
         """max_batch = 1 (the default) builds no coalescer at all: the
