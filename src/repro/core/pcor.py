@@ -62,8 +62,8 @@ class PCOR:
         Explicit :class:`~repro.core.profiles.ProfileStore` for the
         verifier's memo (overrides ``share_profiles``).
     backend / workers:
-        Execution backend for :meth:`release_many` fan-out and large
-        profile batches (``"serial"``, ``"process"``, or an
+        Execution backend for :meth:`release_many` fan-out (``"serial"``,
+        ``"process"``, or an
         :class:`~repro.runtime.base.ExecutionBackend` instance), passed to
         this instance's private engine.  ``None`` honours the
         ``PCOR_BACKEND``/``PCOR_WORKERS`` environment and defaults to

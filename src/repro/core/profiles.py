@@ -322,9 +322,6 @@ def detector_fingerprint(detector: OutlierDetector) -> Tuple:
     return (type(detector).__module__, type(detector).__qualname__, params)
 
 
-_detector_key = detector_fingerprint
-
-
 def shared_profile_store(
     dataset: Dataset,
     detector: OutlierDetector,

@@ -36,7 +36,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.bitops import intersect_counts
-from repro.core.memo import gather_batched
 from repro.core.verification import OutlierVerifier
 from repro.exceptions import ContextError
 
@@ -129,9 +128,15 @@ class OverlapUtility(UtilityFunction):
         self._overlap_cache: Dict[int, int] = {}
 
     def overlap_sizes(self, bits_seq: Sequence[int]) -> np.ndarray:
-        """``|D_C intersect D_{C_V}|`` for a batch, regardless of matching."""
+        """``|D_C intersect D_{C_V}|`` for a batch, regardless of matching.
 
-        def compute_many(misses: List[int]) -> List[int]:
+        The distinct uncached contexts, in first-seen order, share one
+        population-mask pass; every context is then read from the cache.
+        """
+        keys = [int(b) for b in bits_seq]
+        cache = self._overlap_cache
+        misses = [b for b in dict.fromkeys(keys) if b not in cache]
+        if misses:
             packed = self.verifier.masks.population_masks(misses)
             w = self._starting_packed.shape[0]
             if packed.shape[1] > w:
@@ -140,15 +145,8 @@ class OverlapUtility(UtilityFunction):
                 # the extra words contribute nothing to the intersection.
                 packed = np.ascontiguousarray(packed[:, :w])
             counts = intersect_counts(packed, self._starting_packed)
-            return [int(c) for c in counts]
-
-        sizes = gather_batched(
-            [int(b) for b in bits_seq],
-            self._overlap_cache.get,
-            self._overlap_cache.__setitem__,
-            compute_many,
-        )
-        return np.array(sizes, dtype=np.int64)
+            cache.update(zip(misses, counts.tolist()))
+        return np.array([cache[b] for b in keys], dtype=np.int64)
 
     def overlap_size(self, bits: int) -> int:
         """``|D_C intersect D_{C_V}|`` regardless of matching status."""

@@ -53,7 +53,9 @@ record-scoped ones.  :meth:`is_matching_many` layers the paper's
 matching-context test on top, short-circuiting non-containing contexts with
 pure bit tests so they never touch the detector.  The scalar APIs
 (``context_profile``, ``is_matching`` ...) are thin wrappers over the batch
-kernels.
+kernels.  Misses are always computed inline, on the thread that asks: an
+execution backend (:mod:`repro.runtime`) runs whole releases in parallel,
+never the profiles inside one.
 
 The profile also powers both utility functions for free: population size is
 the first profile component, and outlier-membership is a set lookup.
@@ -85,7 +87,6 @@ class OutlierVerifier:
         detector: OutlierDetector,
         mask_index: Optional[PredicateMaskIndex] = None,
         profile_store: Optional[ProfileStore] = None,
-        backend=None,
     ):
         self.dataset = dataset
         self.detector = detector
@@ -93,14 +94,6 @@ class OutlierVerifier:
         if self.masks.dataset is not dataset:
             raise VerificationError("mask index was built for a different dataset")
         self.profile_store = profile_store if profile_store is not None else ProfileStore()
-        #: Optional :class:`~repro.runtime.base.ExecutionBackend`.  When set
-        #: (and parallel), large uncached-profile batches fan out across its
-        #: workers — this is the single hook that parallelises
-        #: ``is_matching_many``, ``UtilityFunction.scores`` and every
-        #: sampler's child expansion, since they all funnel through
-        #: :meth:`profiles`.  Profiles are deterministic, so the backend can
-        #: never change an answer, only the wall time.
-        self.backend = backend
         self._counter_lock = threading.Lock()
         self._local = threading.local()
         self.fm_evaluations = 0  # number of *uncached* detector runs
@@ -177,25 +170,6 @@ class OutlierVerifier:
             self.fm_evaluations += n
         self._local.fm_evaluations = self.local_fm_evaluations + n
 
-    def _compute_profiles(self, misses: List[int]) -> List[ContextProfile]:
-        """Profile the distinct uncached contexts of one batch.
-
-        Large batches fan out across the attached parallel backend's
-        workers (chunked contiguously, reduced in input order); everything
-        else computes inline via :meth:`_profile_chunk`.  A process worker's
-        own verifiers have no backend attached, so a release running on the
-        pool never re-enters it.
-        """
-        self._count_runs(len(misses))
-        backend = self.backend
-        if (
-            backend is not None
-            and backend.parallel
-            and len(misses) >= backend.min_profile_fanout
-        ):
-            return backend.run_profiles(self, misses)
-        return self._profile_chunk(misses)
-
     def _answer_misses(
         self, misses: List[int], record_id: Optional[int], version: int
     ) -> List[ContextProfile]:
@@ -205,7 +179,7 @@ class OutlierVerifier:
         ``locality``, outside a batch (:attr:`in_batch`), gets
         record-scoped profiles, computed inline by :meth:`_record_chunk`
         and stored under ``(bits, record_id)``.  Everything else gets full
-        profiles (fanned out by :meth:`_compute_profiles`), stored under
+        profiles, computed inline by :meth:`_profile_chunk` and stored under
         ``bits``, where any record can read them.  Each miss counts one
         ``f_M`` run either way.
         """
@@ -222,7 +196,8 @@ class OutlierVerifier:
             self._count_runs(len(misses))
             computed = self._record_chunk(misses, record_id, snap)
         else:
-            computed = self._compute_profiles(misses)
+            self._count_runs(len(misses))
+            computed = self._profile_chunk(misses)
         store = self.profile_store
         for bits, profile in zip(misses, computed):
             store.put(
@@ -231,14 +206,13 @@ class OutlierVerifier:
         return computed
 
     def _profile_chunk(self, misses: List[int]) -> List[ContextProfile]:
-        """Profile one chunk of uncached contexts.
+        """Full profiles of one chunk of uncached contexts.
 
-        No verifier counters and no cache writes happen here (the mask
-        index's own evaluation counter is lock-protected), so chunks are
-        safe to run concurrently from backend workers.  The whole chunk is
-        evaluated against one index snapshot — masks, positions, ids and
-        metric values all describe the same dataset even if an append
-        commits mid-chunk."""
+        No verifier counters and no cache writes happen here; the caller,
+        :meth:`_answer_misses`, does both.  The whole chunk is evaluated
+        against one index snapshot — masks, positions, ids and metric
+        values all describe the same dataset even if an append commits
+        mid-chunk."""
         snap = self.masks.snapshot()
         ids = snap.dataset.ids
         metric = snap.dataset.metric

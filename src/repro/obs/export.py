@@ -60,8 +60,6 @@ DATASET_METRICS: Tuple[Tuple[str, str, str, str, Optional[str]], ...] = (
      "f_M questions asked, cached or not.", None),
     ("release_tasks", "counter", "pcor_release_tasks_total",
      "Release tasks dispatched to the runtime backend.", None),
-    ("profile_tasks", "counter", "pcor_profile_tasks_total",
-     "Profile warm-up tasks dispatched to the runtime backend.", None),
     ("wall_time_s", "counter", "pcor_engine_wall_seconds_total",
      "Engine wall-clock seconds spent executing releases.", None),
     ("batch_flushes", "counter", "pcor_batch_flushes_total",
@@ -104,7 +102,8 @@ DATASET_METRICS: Tuple[Tuple[str, str, str, str, Optional[str]], ...] = (
      "Privacy budget spent per tenant (spend-rate numerator).", "tenant"),
     # Added to the body by the server, from its tenant ledgers.
     ("tenant_rejections", "counter", "pcor_epsilon_exhausted_total",
-     "Admissions rejected per tenant for insufficient budget.", "tenant"),
+     "Admissions rejected per tenant (budget exhausted or invalid charge).",
+     "tenant"),
 )
 
 

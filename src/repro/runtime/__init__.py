@@ -1,8 +1,7 @@
 """Parallel execution runtime: the worker backends for PCOR.
 
-Two backends execute the engine's fan-out points
-(``submit_many``/``execute_many`` request batches and uncached
-context-profile batches):
+Two backends execute the engine's one fan-out point, the releases of a
+``submit_many``/``execute_many`` request batch:
 
 * ``serial`` — :class:`SerialBackend`, inline execution (the default and
   the determinism reference);
@@ -30,7 +29,6 @@ from repro.exceptions import ExecutionError
 from repro.runtime.base import (
     DEFAULT_MAX_WORKERS,
     ExecutionBackend,
-    chunk_evenly,
     default_workers,
     plan_task_rngs,
     rng_from_token,
@@ -97,7 +95,6 @@ __all__ = [
     "SharedDatasetHandle",
     "attach_shared_dataset",
     "available_backends",
-    "chunk_evenly",
     "default_workers",
     "make_backend",
     "plan_task_rngs",

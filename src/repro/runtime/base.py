@@ -1,34 +1,29 @@
 """Execution backend protocol and deterministic task seeding.
 
-PCOR's cost is dominated by repeated detector runs over candidate contexts;
-the work is embarrassingly parallel at two granularities — whole releases in
-a ``release_many``/``submit_many`` batch, and batches of uncached context
-profiles inside one release.  A *parallel* backend
-(:attr:`ExecutionBackend.parallel`, i.e.
-:class:`~repro.runtime.process.ProcessBackend`) executes both task shapes:
+PCOR's cost is dominated by repeated detector runs over candidate contexts,
+and each release answers one record's query, so the work is embarrassingly
+parallel across the releases of a ``release_many``/``submit_many`` batch.
+A *parallel* backend (:attr:`ExecutionBackend.parallel`, i.e.
+:class:`~repro.runtime.process.ProcessBackend`) executes one task shape,
+``run_releases(engine, requests, tokens, report)``: one task per release
+request, fanned out across workers.  Each task's outcome — the result, or
+the ``ReproError`` that task raised — is reported as
+``report(index, outcome)`` as soon as it exists, in completion order;
+request order is only the order ``ReleaseEngine.execute_many`` returns.
+Inside a release, the verifier always computes its uncached profiles
+inline, on the thread running the release.
 
-* ``run_releases(engine, requests, tokens, report)`` — one task per
-  release request, fanned out across workers.  Each task's outcome — the
-  result, or the ``ReproError`` that task raised — is reported as
-  ``report(index, outcome)`` as soon as it exists, in completion order;
-  request order is only the order ``ReleaseEngine.execute_many`` returns.
-* ``run_profiles`` — one task per contiguous chunk of uncached context
-  bitmasks, reduced in input order.  Every caller of
-  ``OutlierVerifier.is_matching_many`` / ``UtilityFunction.scores`` — the
-  samplers' child expansion included — funnels through this path.
+A serial backend runs no task: the engine's batch loop is the serial
+execution, on the calling thread, and reports each outcome the same way,
+right after its task.
 
-A serial backend runs neither: the engine's batch loop and the verifier's
-inline profile path are the serial execution, on the calling thread; the
-batch loop reports each outcome the same way, right after its task.
-
-**Determinism contract.**  Profiles are deterministic functions of the
-context, so their fan-out cannot change any answer.  Releases draw
-randomness, so :func:`plan_task_rngs` derives one *independent substream
-per task* from the release seeds — spawned in request order (the stable
-task key) — before any task runs.  When a task finishes changes when its
-outcome is reported, never what it is, so any backend at any worker count
-produces bit-identical releases to
-:class:`~repro.runtime.serial.SerialBackend` for the same seed.
+**Determinism contract.**  Releases draw randomness, so
+:func:`plan_task_rngs` derives one *independent substream per task* from
+the release seeds — spawned in request order (the stable task key) —
+before any task runs.  When a task finishes changes when its outcome is
+reported, never what it is, so any backend at any worker count produces
+bit-identical releases to :class:`~repro.runtime.serial.SerialBackend` for
+the same seed.
 
 Backends are named ``serial`` and ``process``
 (:func:`repro.runtime.make_backend`); :func:`repro.runtime.resolve_backend`
@@ -72,26 +67,6 @@ def default_workers() -> int:
             raise ExecutionError(f"PCOR_WORKERS must be >= 1, got {workers}")
         return workers
     return max(1, min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
-
-
-def chunk_evenly(items: Sequence, n_chunks: int) -> List[list]:
-    """Split ``items`` into at most ``n_chunks`` contiguous, near-equal chunks.
-
-    Contiguity keeps the reduce order canonical: concatenating the chunk
-    results in chunk order reproduces the input order exactly.
-    """
-    n = len(items)
-    if n == 0:
-        return []
-    n_chunks = max(1, min(int(n_chunks), n))
-    quotient, remainder = divmod(n, n_chunks)
-    out: List[list] = []
-    start = 0
-    for i in range(n_chunks):
-        size = quotient + (1 if i < remainder else 0)
-        out.append(list(items[start : start + size]))
-        start += size
-    return out
 
 
 def plan_task_rngs(seeds: Sequence[RngLike]) -> List[SeedToken]:
@@ -147,9 +122,7 @@ class ExecutionBackend:
     parallel:
         True when tasks execute on a pool outside the calling thread: the
         engine then hands every batch of several requests to its
-        ``run_releases``, and its verifiers fan uncached-profile batches of
-        at least its ``min_profile_fanout`` contexts out to its
-        ``run_profiles``.
+        ``run_releases``.
     """
 
     name: str = "abstract"
@@ -161,17 +134,15 @@ class ExecutionBackend:
             raise ExecutionError(f"workers must be >= 1, got {self.workers}")
         self._stats_lock = threading.Lock()
         self.release_tasks = 0
-        self.profile_tasks = 0
 
     def close(self) -> None:
         """Release pools and shared-memory resources (idempotent)."""
 
     # ------------------------------------------------------------- plumbing
 
-    def _count(self, *, releases: int = 0, profiles: int = 0) -> None:
+    def _count(self, *, releases: int) -> None:
         with self._stats_lock:
             self.release_tasks += releases
-            self.profile_tasks += profiles
 
     def stats(self) -> Dict[str, object]:
         """Counter snapshot for :class:`~repro.service.engine.EngineMetrics`."""
@@ -180,7 +151,6 @@ class ExecutionBackend:
                 "backend": self.name,
                 "workers": self.workers,
                 "release_tasks": self.release_tasks,
-                "profile_tasks": self.profile_tasks,
             }
 
     def __enter__(self) -> "ExecutionBackend":

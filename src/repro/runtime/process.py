@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ExecutionError
-from repro.runtime.base import ExecutionBackend, SeedToken, chunk_evenly
+from repro.runtime.base import ExecutionBackend, SeedToken
 from repro.runtime.sharing import SharedDatasetExport
 from repro.runtime import worker as worker_mod
 
@@ -65,23 +65,21 @@ def _release_resources(exports: List[SharedDatasetExport], pool) -> None:
 
 
 class ProcessBackend(ExecutionBackend):
-    """Fan tasks out across spawned worker processes."""
+    """Fan a batch's releases out across spawned worker processes, one
+    whole release per task."""
 
     name = "process"
     # Even one process worker executes out-of-process, so tasks always ship.
     parallel = True
-    #: Smallest uncached-profile batch worth fanning out; below it the
-    #: verifier computes inline, because every chunk pays a pickle round trip.
-    min_profile_fanout = 256
 
-    #: Bound on the validated-payload memo dicts (FIFO eviction): a
+    #: Bound on the validated-payload memo dict (FIFO eviction): a
     #: long-lived service submitting many ad-hoc specs must not accumulate
-    #: entries (and pinned specs/verifiers) without limit.
+    #: entries (and pinned specs) without limit.
     payload_cache_size = 64
 
     def __init__(self, workers: Optional[int] = None):
         super().__init__(workers)
-        # Guards the pool/export lifecycle and the payload memos so
+        # Guards the pool/export lifecycle and the payload memo so
         # concurrent submitters cannot double-spawn (leaking a pool + shm
         # segment) or unbind a pool out from under an in-flight map.
         self._lifecycle_lock = threading.RLock()
@@ -110,16 +108,15 @@ class ProcessBackend(ExecutionBackend):
         # spec -> validated payload; keyed by id with a strong reference to
         # the spec so a recycled id can never alias a different spec.
         self._spec_payloads: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
-        self._detector_payloads: Dict[int, Tuple[Any, Tuple]] = {}
 
     # -------------------------------------------------------------- binding
 
     def bind(self, dataset, mask_index=None, profile_capacity: Optional[int] = None) -> None:
         """Export ``dataset`` and spawn the worker pool now (idempotent).
 
-        Binding otherwise happens lazily on the first fan-out; call this to
-        pay the spawn + shared-memory export cost up front (e.g. at service
-        start) so the first batch runs at steady-state speed.
+        Binding otherwise happens lazily on the first pooled batch; call
+        this to pay the spawn + shared-memory export cost up front (e.g. at
+        service start) so the first batch runs at steady-state speed.
         """
         if mask_index is None:
             from repro.data.masks import PredicateMaskIndex
@@ -230,7 +227,6 @@ class ProcessBackend(ExecutionBackend):
         self._unbind()
         with self._lifecycle_lock:
             self._spec_payloads.clear()
-            self._detector_payloads.clear()
 
     # ------------------------------------------------------------ shipping
 
@@ -272,23 +268,18 @@ class ProcessBackend(ExecutionBackend):
                 f"while a batch was in flight: {exc}"
             ) from exc
 
-    @staticmethod
-    def _memoize(cache: Dict[int, Tuple[Any, Any]], key_obj: Any, value: Any, bound: int) -> None:
-        """FIFO-bounded insert so long-lived services cannot accumulate
-        entries (and the specs/verifiers they pin) without limit."""
-        while len(cache) >= bound:
-            cache.pop(next(iter(cache)))
-        cache[id(key_obj)] = (key_obj, value)
-
     def _shippable_spec(self, spec) -> Dict[str, Any]:
+        cache = self._spec_payloads
         with self._lifecycle_lock:
-            cached = self._spec_payloads.get(id(spec))
+            cached = cache.get(id(spec))
             if cached is not None and cached[0] is spec:
                 return cached[1]
         payload = worker_mod.spec_payload(spec)
         self._validate_payload(payload, spec)
         with self._lifecycle_lock:
-            self._memoize(self._spec_payloads, spec, payload, self.payload_cache_size)
+            while len(cache) >= self.payload_cache_size:
+                cache.pop(next(iter(cache)))
+            cache[id(spec)] = (spec, payload)
         return payload
 
     def _validate_payload(self, payload: Dict[str, Any], spec) -> None:
@@ -321,37 +312,6 @@ class ProcessBackend(ExecutionBackend):
                 "round-trip through its public configuration; register it "
                 f"(register_sampler) to release via the {self.name} backend"
             )
-
-    def _detector_payload_for(self, verifier) -> Tuple:
-        with self._lifecycle_lock:
-            cached = self._detector_payloads.get(id(verifier))
-            if cached is not None and cached[0] is verifier:
-                return cached[1]
-        payload = worker_mod.detector_payload(verifier.detector)
-        try:
-            pickle.dumps(payload)
-            rebuilt = worker_mod.rebuild_detector(payload)
-            from repro.core.profiles import detector_fingerprint
-
-            if detector_fingerprint(rebuilt) != detector_fingerprint(
-                verifier.detector
-            ):
-                raise ExecutionError(
-                    f"detector {type(verifier.detector).__qualname__} does not "
-                    "round-trip through its public configuration"
-                )
-        except ExecutionError:
-            raise
-        except Exception as exc:
-            raise ExecutionError(
-                f"detector {type(verifier.detector).__qualname__} cannot be "
-                f"shipped to {self.name} workers: {exc}"
-            ) from None
-        with self._lifecycle_lock:
-            self._memoize(
-                self._detector_payloads, verifier, payload, self.payload_cache_size
-            )
-        return payload
 
     # ------------------------------------------------------------- protocol
 
@@ -448,19 +408,3 @@ class ProcessBackend(ExecutionBackend):
                 }
             )
         return payloads
-
-    def run_profiles(self, verifier, misses: List[int]) -> List:
-        """Profile a batch of uncached contexts, reduced in input order."""
-        pool, shm_ref = self._ensure_bound(
-            verifier.dataset, verifier.masks, verifier.profile_store.capacity
-        )
-        detector = self._detector_payload_for(verifier)
-        payloads = [
-            {"detector": detector, "bits": chunk, "shm": shm_ref}
-            for chunk in chunk_evenly(misses, self.workers)
-        ]
-        profiles: List = []
-        for part in self._map(pool, worker_mod.run_profile_task, payloads):
-            profiles.extend(part)
-        self._count(profiles=len(misses))
-        return profiles

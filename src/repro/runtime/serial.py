@@ -3,8 +3,8 @@
 This is the reference implementation of the determinism contract — every
 other backend must produce bit-identical releases to it for the same seed.
 It is not parallel, so it runs no task itself: the engine executes a batch
-inline in task-key order and the verifier computes profiles inline, so
-there is no pool, no shipping, and no cleanup.
+inline in task-key order, so there is no pool, no shipping, and no
+cleanup.
 """
 
 from __future__ import annotations

@@ -151,18 +151,7 @@ def _rebuild_instance(payload: Tuple, what: str):
         ) from None
 
 
-def detector_payload(detector) -> Tuple:
-    """Shippable spec of a detector: registry name or class fingerprint."""
-    if isinstance(detector, str):
-        return ("named", detector, {})
-    return _instance_payload(detector)
-
-
 def rebuild_detector(payload: Tuple):
-    if payload[0] == "named":
-        from repro.outliers.base import make_detector
-
-        return make_detector(payload[1], **payload[2])
     return _rebuild_instance(payload, "detector")
 
 
@@ -278,14 +267,6 @@ def run_release_task(payload: Dict[str, Any]):
     if trace is not None:
         object.__setattr__(outcome, "trace_spans", trace.spans())
     return outcome
-
-
-def run_profile_task(payload: Dict[str, Any]):
-    """Profile one chunk of contexts against the worker's shared verifier."""
-    engine = _engine(payload.get("shm"))
-    detector = rebuild_detector(payload["detector"])
-    verifier = engine.verifier_for(detector)
-    return verifier.profiles(payload["bits"])
 
 
 def ping_task(delay: float) -> int:

@@ -196,6 +196,7 @@ class TenantBudgets:
         the lock and owns durable persistence); returns the rejection
         instead of raising so batch callers can keep going."""
         if not (epsilon > 0.0 and math.isfinite(epsilon)):
+            self._rejections[tenant] = self._rejections.get(tenant, 0) + 1
             return PrivacyBudgetError(
                 f"charge must be positive and finite, got {epsilon}"
             )

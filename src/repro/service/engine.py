@@ -127,8 +127,8 @@ class EngineMetrics:
 
     ``phase_wall_s`` / ``phase_tasks`` break the engine's time down by
     execution phase (``admission``, ``warm_profiles``, ``release``), and
-    ``release_tasks`` / ``profile_tasks`` count what the execution backend
-    actually fanned out.
+    ``release_tasks`` counts the releases the execution backend actually
+    fanned out, one task each.
 
     The ledger breakdown (``epsilon_budget`` / ``epsilon_remaining`` /
     ``ledger_charges``) mirrors the engine's accountant; ``spend_by_tenant``
@@ -168,7 +168,6 @@ class EngineMetrics:
     backend: str = "serial"
     backend_workers: int = 1
     release_tasks: int = 0
-    profile_tasks: int = 0
     phase_wall_s: Dict[str, float] = field(default_factory=dict)
     phase_tasks: Dict[str, int] = field(default_factory=dict)
     batch_flushes: int = 0
@@ -212,10 +211,9 @@ class ReleaseEngine:
         Optional pre-built predicate bitmap index (must belong to
         ``dataset``); shared by every verifier the engine creates.
     backend:
-        Execution backend for every batch and large profile batch this
-        engine runs: an :class:`~repro.runtime.base.ExecutionBackend`
-        instance, a backend name (``serial`` / ``process``), or ``None`` —
-        resolved once by :func:`~repro.runtime.resolve_backend` (the
+        Execution backend for every batch of releases this engine runs: an
+        :class:`~repro.runtime.base.ExecutionBackend` instance, a backend
+        name (``serial`` / ``process``), or ``None`` — resolved once by :func:`~repro.runtime.resolve_backend` (the
         ``PCOR_BACKEND`` environment variable, else process when
         ``workers > 1``, else serial).  Any backend at any worker count
         releases bit-identical contexts to serial for the same seed.
@@ -319,7 +317,6 @@ class ReleaseEngine:
                     detector,
                     self.masks,
                     profile_store=ProfileStore(capacity=self.profile_capacity),
-                    backend=self.backend if self.backend.parallel else None,
                 )
                 self._verifiers[key] = verifier
             return verifier
@@ -335,8 +332,6 @@ class ReleaseEngine:
         if verifier.dataset is not self.dataset:
             raise VerificationError("verifier was built for a different dataset")
         with self._lock:
-            if verifier.backend is None and self.backend.parallel:
-                verifier.backend = self.backend
             self._verifiers[detector_fingerprint(verifier.detector)] = verifier
         return verifier
 
@@ -428,9 +423,7 @@ class ReleaseEngine:
             m.profiles_invalidated += stats["invalidations"]
             m.fm_evaluations += verifier.fm_evaluations
             m.fm_queries += verifier.fm_queries
-        stats = self.backend.stats()
-        m.release_tasks = stats["release_tasks"]
-        m.profile_tasks = stats["profile_tasks"]
+        m.release_tasks = self.backend.stats()["release_tasks"]
         return m
 
     @contextmanager

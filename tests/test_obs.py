@@ -320,7 +320,6 @@ def populated_body(k: int) -> dict:
         "backend": "process",
         "backend_workers": 2 * k,
         "release_tasks": 30 * k,
-        "profile_tasks": 4 * k,
         "phase_wall_s": {"admission": 0.0125 * k, "release": 1.75 * k},
         "phase_tasks": {"release": 37 * k, "warm_profiles": 5 * k},
         "batch_flushes": 9 * k,

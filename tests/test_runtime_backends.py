@@ -16,7 +16,6 @@ from repro.runtime import (
     ProcessBackend,
     SerialBackend,
     available_backends,
-    chunk_evenly,
     make_backend,
     plan_task_rngs,
     resolve_backend,
@@ -119,27 +118,61 @@ class TestBitIdenticalReleases:
             mini_dataset, process_pools[2], record, "bfs", 77, **lof
         )
 
-    def test_profile_fanout_does_not_change_matching(
-        self, mini_dataset, mini_detector, mini_outlier
-    ):
-        """Forcing the inner profile fan-out through a fresh process pool
-        yields the same profiles/matching answers as inline computation."""
+class TestLoneRelease:
+    def test_lone_release_profiles_inline_on_a_process_engine(self):
+        """A lone release runs on the calling thread, profiles included:
+        Algorithm 1 asks for every one of its record's containing contexts
+        in one uncached batch, yet the process engine never spawns its pool
+        and releases exactly what a serial engine releases."""
+        from repro.core.direct import DirectSampler
         from repro.core.verification import OutlierVerifier
+        from repro.data.generators import (
+            SALARY_EMPLOYERS,
+            SALARY_JOB_TITLES,
+            SALARY_YEARS,
+            synthetic_salary_dataset,
+        )
+        from repro.outliers.zscore import ZScoreDetector
+        from repro.schema import CategoricalAttribute, MetricAttribute, Schema
 
-        plain = OutlierVerifier(mini_dataset, mini_detector)
-        backend = ProcessBackend(workers=2)
-        backend.min_profile_fanout = 1  # fan out even tiny batches
-        fanned = OutlierVerifier(mini_dataset, mini_detector, backend=backend)
+        schema = Schema(
+            attributes=[
+                CategoricalAttribute("Jobtitle", SALARY_JOB_TITLES[:4]),
+                CategoricalAttribute("Employer", SALARY_EMPLOYERS[:4]),
+                CategoricalAttribute("Year", SALARY_YEARS[:4]),
+            ],
+            metric=MetricAttribute("Salary"),
+        )
+        dataset = synthetic_salary_dataset(
+            n_records=400, seed=3, anomaly_fraction=0.04, schema=schema
+        )
+        probe = OutlierVerifier(dataset, ZScoreDetector(**ZSCORE_KWARGS))
+        record = next(
+            rid
+            for rid in map(int, dataset.ids)
+            if probe.is_matching(dataset.record_bits(rid), rid)
+        )
+        containing = 1 << (schema.t - dataset.record_bits(record).bit_count())
+        assert containing == 512  # 2^(t - m), t = 12 predicates, m = 3
+        spec = PipelineSpec(
+            detector="zscore",
+            detector_kwargs=ZSCORE_KWARGS,
+            sampler=DirectSampler(),
+            epsilon=0.5,
+        )
+        released = {}
+        process = ProcessBackend(workers=2)
         try:
-            batch = list(range(0, 512, 3))
-            assert (
-                fanned.is_matching_many(batch, mini_outlier).tolist()
-                == plain.is_matching_many(batch, mini_outlier).tolist()
-            )
-            assert fanned.profiles(batch) == plain.profiles(batch)
-            assert backend.stats()["profile_tasks"] > 0
+            for backend in (SerialBackend(), process):
+                engine = ReleaseEngine(dataset, backend=backend)
+                result = engine.submit(ReleaseRequest(record, spec, seed=11))
+                assert engine.metrics().fm_evaluations == containing
+                released[backend.name] = release_key(result)
+            assert process._pool is None
+            assert process.stats()["release_tasks"] == 0
         finally:
-            backend.close()
+            process.close()
+        assert released["process"] == released["serial"]
 
 
 class TestHypothesisBackendIdentity:
@@ -251,15 +284,6 @@ class TestRegistry:
             backend.close()
         assert resolve_backend(None, workers=1).name == "serial"
         assert resolve_backend(None).name == "serial"
-
-    def test_chunk_evenly_preserves_order(self):
-        items = list(range(11))
-        chunks = chunk_evenly(items, 4)
-        assert len(chunks) == 4
-        assert [x for chunk in chunks for x in chunk] == items
-        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
-        assert chunk_evenly([], 4) == []
-        assert chunk_evenly([1, 2], 8) == [[1], [2]]
 
 
 class TestBatchOutcomes:

@@ -174,14 +174,14 @@ class TestShippability:
             engine.close()
 
     def test_detector_rebuilds_from_fingerprint_not_pickle(self):
-        """The worker-bound payload carries class path + public params."""
+        """A spec's detector instance ships as class path + public params."""
+        from repro.core.profiles import detector_fingerprint
         from repro.outliers import LOFDetector
 
-        payload = worker_mod.detector_payload(LOFDetector(k=7))
-        assert payload[0] == "class"
-        rebuilt = worker_mod.rebuild_detector(payload)
-        from repro.core.profiles import detector_fingerprint
-
+        spec = _spec(detector=LOFDetector(k=7), detector_kwargs={})
+        payload = worker_mod.spec_payload(spec)
+        assert payload["detector"][0] == "class"
+        rebuilt = worker_mod.rebuild_spec(payload).build_detector()
         assert detector_fingerprint(rebuilt) == detector_fingerprint(LOFDetector(k=7))
 
     def test_non_roundtrippable_detector_rejected(self, mini_dataset, mini_outlier):

@@ -66,6 +66,16 @@ class TestAdmission:
         assert tenants.spent("alice") == 0.0
         assert tenants.store.replay() == []
 
+    def test_invalid_charge_refusal_is_counted(self):
+        """``requests_rejected`` sums these counts, so an invalid charge
+        counts like a budget refusal and still reaches no ledger."""
+        tenants = TenantBudgets(default_budget=1.0)
+        [error] = tenants.admit_many([("a", "q", -1.0)])
+        assert isinstance(error, PrivacyBudgetError)
+        assert "positive and finite" in str(error)
+        assert tenants.rejections() == {"a": 1}
+        assert tenants.store.replay() == []
+
     def test_bad_default_budget_rejected(self):
         with pytest.raises(PrivacyBudgetError):
             TenantBudgets(None, default_budget=-1.0)

@@ -89,6 +89,33 @@ class TestOverlap:
         util = OverlapUtility(mini_verifier, mini_outlier, outlier_context)
         assert util.overlap_size(outlier_context) == util.overlap_size(outlier_context)
 
+    def test_overlap_sizes_compute_each_distinct_miss_once(
+        self, mini_verifier, mini_outlier, mini_reference, monkeypatch
+    ):
+        """One mask pass for the distinct misses, in first-seen order; a
+        repeated batch is answered from the cache alone."""
+        a, b = mini_reference.matching_contexts(mini_outlier)[:2]
+        util = OverlapUtility(mini_verifier, mini_outlier, a)
+        masks = mini_verifier.masks
+        start_mask = masks.population_mask(a)
+        overlap_b = int(np.count_nonzero(masks.population_mask(b) & start_mask))
+        population_a = int(np.count_nonzero(start_mask))
+        compute = masks.population_masks
+        asked = []
+
+        def spy(bits_seq, *args, **kwargs):
+            asked.append(list(bits_seq))
+            return compute(bits_seq, *args, **kwargs)
+
+        monkeypatch.setattr(masks, "population_masks", spy)
+        sizes = util.overlap_sizes([a, a, b, a])
+        assert asked == [[a, b]]
+        assert sizes.tolist() == [population_a, population_a, overlap_b, population_a]
+        assert util.overlap_sizes([b, a, a, b]).tolist() == [
+            overlap_b, population_a, population_a, overlap_b
+        ]
+        assert asked == [[a, b]]
+
     def test_bad_starting_bits(self, mini_verifier, mini_outlier):
         with pytest.raises(ContextError, match="out of range"):
             OverlapUtility(mini_verifier, mini_outlier, 1 << 40)
