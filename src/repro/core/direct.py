@@ -41,9 +41,12 @@ class DirectSampler(Sampler):
     name = "direct"
     accounting_name = "direct"
     requires_starting_context = False
+    #: Algorithm 1 has no sample quota, and the direct budget split ignores
+    #: this.  A class constant, not configuration, so ``limit`` alone ships
+    #: to process workers.
+    n_samples = 1
 
     def __init__(self, limit: Optional[int] = DEFAULT_ENUMERATION_LIMIT):
-        super().__init__()
         self.limit = limit
 
     def sample(

@@ -172,15 +172,16 @@ class PCOR:
         starting_contexts: Optional[Sequence[Union[None, int, Context]]] = None,
         seed: RngLike = None,
     ) -> List[PCORResult]:
-        """Release one private context per record, amortising shared work.
+        """Release one private context per record, in one admitted batch.
 
-        All releases run against this instance's verifier, so the profile
-        store (and hence the expensive uncached detector runs) is shared
-        across records: a context profiled while searching for record ``i``
-        is a cache hit when record ``j``'s search revisits it.  The records'
-        exact contexts are additionally pre-profiled through one batched
-        mask pass, which front-loads the first probe of every
-        starting-context search (see :meth:`ReleaseEngine.submit_many`).
+        On the serial backend the batch is a loop of lone releases, each
+        what :meth:`release` runs, against this instance's verifier and
+        profile store; each result's ``fm_evaluations`` counts the detector
+        runs its own release made (see :meth:`ReleaseEngine.execute_many`).
+        Whether record ``j`` reads what record ``i`` cached depends on the
+        detector: full profiles (every detector without a ``locality``)
+        answer any record, while LOF's record-scoped verdicts answer only
+        the record that asked (see :mod:`repro.core.verification`).
 
         Privacy accounting is unchanged from :meth:`release`: each record's
         release spends its own ``epsilon`` of OCDP budget.  **Caveat**: the

@@ -32,15 +32,14 @@ its answers in a :class:`ProfileStore`, in one of two forms:
   scores only each row's centre from the ``6k + 1`` values its score
   reads, not the ``2s + 1`` scores of the whole row.
 
-A record-scoped profile cannot answer a second record, so a record-bound
-miss is computed as a full profile instead whenever another record could
-read it: while the running release is one of a batch of several records'
-releases.  The release engine sets that (:attr:`OutlierVerifier.in_batch`)
-in the verifier's thread-local state for the duration of a release; a lone
-release is never in a batch.  The flag can change which path computes a
-verdict, never the verdict.  The trade-off: on a long-lived store, separate
-releases of different records no longer share verdicts on contexts they
+A record-bound miss of a locality detector is always answered
+record-scoped, whichever release asks and whatever runs alongside it, so
+each detector has one verdict path per kind of read.  The trade-off: a
+record-scoped profile cannot answer a second record, so on a long-lived
+store releases of different records share no verdicts on contexts they
 both ask about, and the store holds one entry per (context, record) asked.
+Detectors without a locality (every one but LOF) compute full profiles,
+which every record reads.
 
 The core entry point is batched: :meth:`OutlierVerifier.profiles` partitions
 a batch of contexts into cached and uncached, evaluates all uncached
@@ -112,22 +111,6 @@ class OutlierVerifier:
         return getattr(self._local, "fm_evaluations", 0)
 
     @property
-    def in_batch(self) -> bool:
-        """Whether the release running on this thread is one of a batch of
-        several records' releases.
-
-        Thread-local like :attr:`local_fm_evaluations`: the release engine
-        sets it around each release and clears it afterwards.  In a batch,
-        a record-bound miss is computed as a full profile, which the other
-        records of the batch can read; outside one it is record-scoped.
-        """
-        return getattr(self._local, "in_batch", False)
-
-    @in_batch.setter
-    def in_batch(self, value: bool) -> None:
-        self._local.in_batch = bool(value)
-
-    @property
     def schema(self):
         return self.dataset.schema
 
@@ -176,18 +159,13 @@ class OutlierVerifier:
         """Compute and store the distinct uncached contexts of one read.
 
         A record-bound read (``record_id`` set) of a detector with a
-        ``locality``, outside a batch (:attr:`in_batch`), gets
-        record-scoped profiles, computed inline by :meth:`_record_chunk`
-        and stored under ``(bits, record_id)``.  Everything else gets full
-        profiles, computed inline by :meth:`_profile_chunk` and stored under
-        ``bits``, where any record can read them.  Each miss counts one
-        ``f_M`` run either way.
+        ``locality`` gets record-scoped profiles, computed inline by
+        :meth:`_record_chunk` and stored under ``(bits, record_id)``.
+        Everything else gets full profiles, computed inline by
+        :meth:`_profile_chunk` and stored under ``bits``, where any record
+        can read them.  Each miss counts one ``f_M`` run either way.
         """
-        scoped = (
-            record_id is not None
-            and self.detector.locality is not None
-            and not self.in_batch
-        )
+        scoped = record_id is not None and self.detector.locality is not None
         if scoped:
             snap = self.masks.snapshot()
             # Checked before counting: an unknown record runs no detector.

@@ -18,7 +18,7 @@ Phase annotations
 Every :class:`~repro.obs.trace.span` names the *calling thread's* phase
 while a session is live: the release engine's ``engine.execute`` /
 ``engine.starting_context`` / ``engine.sample`` / ``engine.select`` and
-its ``release`` / ``admission`` / ``warm_profiles`` phases, the server's
+its ``release`` / ``admission`` phases, the server's
 ``server.handle`` and ``admission``.  The sampler prepends the thread's
 innermost open span as a synthetic ``[phase]`` frame right after the
 thread root, so hot stacks group by phase in the flamegraph.  When no

@@ -338,17 +338,12 @@ class ProcessBackend(ExecutionBackend):
 
         ``engine`` is the :class:`~repro.service.engine.ReleaseEngine` the
         batch was submitted to.  Each task ships as a self-contained
-        payload to a worker whose own engine runs it; every task gets the
-        batch's flag, ``engine._in_batch(requests)`` (see
-        :meth:`ReleaseEngine.execute_many
-        <repro.service.engine.ReleaseEngine.execute_many>`).
+        payload to a worker whose own engine runs it as a lone release.
         """
         pool, shm_ref = self._ensure_bound(
             engine.dataset, engine.masks, engine.profile_capacity
         )
-        payloads = self._release_payloads(
-            requests, tokens, engine._in_batch(requests), shm_ref
-        )
+        payloads = self._release_payloads(requests, tokens, shm_ref)
         with self._shipping(pool):
             futures = {
                 pool.submit(worker_mod.run_release_task, payload): index
@@ -378,7 +373,6 @@ class ProcessBackend(ExecutionBackend):
         self,
         requests: Sequence,
         tokens: Sequence[SeedToken],
-        in_batch: bool,
         shm_ref: Optional[Dict[str, Any]],
     ) -> List[Dict[str, Any]]:
         """One self-contained task payload per request, in request order."""
@@ -395,7 +389,6 @@ class ProcessBackend(ExecutionBackend):
                     "spec": self._shippable_spec(request.spec),
                     "starting_bits": starting_bits,
                     "seed": token,
-                    "in_batch": in_batch,
                     # Sampled traces ship id + clock origin so worker spans
                     # land on the parent's timeline (CLOCK_MONOTONIC is
                     # system-wide); unsampled requests ship nothing.

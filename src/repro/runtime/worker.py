@@ -241,9 +241,10 @@ def run_release_task(payload: Dict[str, Any]):
     live in ``__dict__``, survive pickling (an exception's ``__dict__``
     pickles too), and leave ``to_dict()`` and equality untouched.
 
-    The batch's ``in_batch`` flag rides along, so the worker's verifier
-    computes full profiles, which the batch's other records can read,
-    exactly as an in-process task would.
+    The task is the release a lone :meth:`ReleaseEngine.execute
+    <repro.service.engine.ReleaseEngine.execute>` would run, against the
+    worker's own engine and profile store, so it releases exactly what the
+    serial loop releases for the same token.
     """
     from repro.service.engine import ReleaseRequest
 
@@ -261,9 +262,7 @@ def run_release_task(payload: Dict[str, Any]):
         starting_context=payload["starting_bits"],
         trace=trace,
     )
-    outcome = engine._outcome(
-        request, rng_from_token(payload["seed"]), payload["in_batch"]
-    )
+    outcome = engine._outcome(request, rng_from_token(payload["seed"]))
     if trace is not None:
         object.__setattr__(outcome, "trace_spans", trace.spans())
     return outcome

@@ -1,12 +1,13 @@
 """The coalescing admission front end: batch concurrent releases.
 
-PCOR's serving cost is dominated by detector (``f_M``) runs, and the
-engine's batch path amortises them — ``submit_many``/``execute_many``
-pre-profile starting contexts in one mask pass and fan whole releases out
-across the :mod:`repro.runtime` backends.  But an HTTP server that answers
-every request synchronously on its own handler thread never *has* a batch:
-thirty-two concurrent single-record analysts are thirty-two lonely
-``execute`` calls racing one admission lock and one fsync each.
+PCOR's serving cost is dominated by detector (``f_M``) runs, which a batch
+can spread over a :mod:`repro.runtime` backend's workers:
+``submit_many``/``execute_many`` fan a batch's whole releases out, or run
+them as a plain loop of lone releases on the serial backend.  But an HTTP
+server that answers every request synchronously on its own handler thread
+never *has* a batch: thirty-two concurrent single-record analysts are
+thirty-two lonely ``execute`` calls racing one admission lock and one
+fsync each.
 
 :class:`ReleaseCoalescer` sits between the handlers and one dataset's
 engine and manufactures the batch:

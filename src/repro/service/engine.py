@@ -126,7 +126,7 @@ class EngineMetrics:
     """Service-level counters aggregated across an engine's verifiers.
 
     ``phase_wall_s`` / ``phase_tasks`` break the engine's time down by
-    execution phase (``admission``, ``warm_profiles``, ``release``), and
+    execution phase (``admission``, ``release``), and
     ``release_tasks`` counts the releases the execution backend actually
     fanned out, one task each.
 
@@ -493,7 +493,8 @@ class ReleaseEngine:
     def submit_many(
         self, requests: Sequence[Union[ReleaseRequest, Mapping]]
     ) -> List[PCORResult]:
-        """Run a batch of releases, amortising shared work across them.
+        """Run a batch of releases as :meth:`execute_many` runs it, after
+        admitting the whole batch at once.
 
         All requests are charged up front in one atomic ledger transaction —
         if any would overdraw the budget, the whole batch is rejected before
@@ -565,20 +566,11 @@ class ReleaseEngine:
         from this callback, so a coalesced request does not wait for the
         releases behind it in its flush.
 
-        On the serial path, records whose starting-context search will run
-        are first pre-profiled through one batched mask pass per verifier
-        (the first probe of every search); the process backend skips the
-        warm pass — its workers warm their own caches as they go.
-
-        Every task of a batch of several records also runs *in a batch*
-        (:attr:`OutlierVerifier.in_batch
-        <repro.core.verification.OutlierVerifier.in_batch>`): for
-        detectors with a finite ``locality`` the verifier then computes a
-        record-bound miss as a full profile, which the batch's other records
-        can read, instead of answering it from the record's window only (a
-        record-scoped profile, what a lone release computes); see
-        :mod:`repro.core.verification`.  The flag decides which path
-        computes a verdict, never the verdict.
+        On the serial backend a batch is a plain loop of lone releases:
+        each task is the release :meth:`execute` would run, against the
+        engine's verifiers and stores, so it reads what the releases before
+        it cached and is charged every ``f_M`` run it makes.  A process
+        worker runs the same release against its own engine and store.
 
         Every request runs, even after an earlier one failed (each was
         already charged).  With ``return_exceptions=True`` a request that
@@ -634,48 +626,13 @@ class ReleaseEngine:
             if on_outcome is not None:
                 on_outcome(index, outcome)
 
-        if pooled:
-            with self._phase("release", tasks=len(reqs)):
+        with self._phase("release", tasks=len(reqs)):
+            if pooled:
                 self.backend.run_releases(self, reqs, tokens, report)
-        else:
-            self._warm_starting_profiles(reqs)
-            in_batch = self._in_batch(reqs)
-            with self._phase("release", tasks=len(reqs)):
+            else:
                 for index, (request, token) in enumerate(zip(reqs, tokens)):
-                    report(
-                        index, self._outcome(request, rng_from_token(token), in_batch)
-                    )
+                    report(index, self._outcome(request, rng_from_token(token)))
         return outcomes
-
-    @staticmethod
-    def _in_batch(reqs: Sequence[ReleaseRequest]) -> bool:
-        """Whether a batch's releases run ``in_batch``: it holds more than
-        one distinct record, so a full profile one release computes can
-        answer another's question (see :meth:`execute_many`)."""
-        return len({r.record_id for r in reqs}) > 1
-
-    def _warm_starting_profiles(self, reqs: Sequence[ReleaseRequest]) -> None:
-        """Warm the stores with the exact context of every record whose
-        starting-context search will run, grouped per verifier.  Requests
-        with an explicit start — or a spec that never searches — skip the
-        search, so pre-profiling them could only waste detector runs."""
-        warm: Dict[int, Tuple[OutlierVerifier, List[int]]] = {}
-        for request in reqs:
-            if request.starting_context is not None:
-                continue
-            if not request.spec.needs_starting_context():
-                continue
-            if not self.dataset.has_record(request.record_id):
-                continue
-            verifier = self.verifier_for(request.spec.build_detector())
-            entry = warm.setdefault(id(verifier), (verifier, []))
-            entry[1].append(self.dataset.record_bits(request.record_id))
-        if not warm:
-            return
-        warmed = sum(len(bits) for _, bits in warm.values())
-        with self._phase("warm_profiles", tasks=warmed):
-            for verifier, bits in warm.values():
-                verifier.profiles(bits)
 
     # ------------------------------------------------------------- internals
 
@@ -714,17 +671,14 @@ class ReleaseEngine:
             raise
 
     def _outcome(
-        self,
-        request: ReleaseRequest,
-        gen: np.random.Generator,
-        in_batch: bool = False,
+        self, request: ReleaseRequest, gen: np.random.Generator
     ) -> Union[PCORResult, ReproError]:
         """One batch task: the release, or the
         :class:`~repro.exceptions.ReproError` it raised.  Every backend runs
         its tasks through this, so one failed request never discards the
         releases batched alongside it."""
         try:
-            return self._execute(request, gen, in_batch)
+            return self._execute(request, gen)
         except ReproError as exc:
             return exc
 
@@ -732,15 +686,12 @@ class ReleaseEngine:
         self,
         request: ReleaseRequest,
         gen: Optional[np.random.Generator] = None,
-        in_batch: bool = False,
     ) -> PCORResult:
         """The release core (Definition 3.2 end to end) — shared by every
         entry point, so identical seeds release identical contexts whether
         they arrive via ``submit``, ``PCOR.release``, a ``ReleaseSession``
         or an execution-backend task.  ``gen`` overrides the request seed
-        with a pre-planned per-task substream (the batch fan-out path), and
-        ``in_batch`` says the release is one of a batch of several records
-        (see :meth:`execute_many`); a lone release is not."""
+        with a pre-planned per-task substream (the batch fan-out path)."""
         spec = request.spec
         record_id = request.record_id
         if gen is None:
@@ -750,52 +701,45 @@ class ReleaseEngine:
         # sampling profiler is live (GET /v1/debug/profile) stacks from
         # this thread carry the innermost span's name as a synthetic frame.
         trace = request.trace
-        verifier = None
         with span("engine.execute", trace, record_id=record_id) as execute:
-            try:
-                with span("engine.starting_context", trace):
-                    verifier = self.verifier_for(spec.build_detector())
-                    sampler = spec.build_sampler()
-                    # Thread-local so concurrent releases on one verifier
-                    # (HTTP handler threads) don't attribute each other's
-                    # detector runs, nor see each other's batch flag.
-                    fm_before = verifier.local_fm_evaluations
-                    verifier.in_batch = in_batch
-                    starting_bits = self._resolve_starting_bits(
-                        verifier, sampler, request, gen
-                    )
-                    utility = spec.build_utility(verifier, record_id, starting_bits)
+            with span("engine.starting_context", trace):
+                verifier = self.verifier_for(spec.build_detector())
+                sampler = spec.build_sampler()
+                # Thread-local so concurrent releases on one verifier (HTTP
+                # handler threads) don't attribute each other's detector runs.
+                fm_before = verifier.local_fm_evaluations
+                starting_bits = self._resolve_starting_bits(
+                    verifier, sampler, request, gen
+                )
+                utility = spec.build_utility(verifier, record_id, starting_bits)
 
-                with span("engine.sample", trace) as sample:
-                    eps1 = epsilon_one_for(
-                        sampler.accounting_name, spec.epsilon, sampler.n_samples
-                    )
-                    mechanism = ExponentialMechanism(
-                        eps1,
-                        sensitivity=utility.sensitivity or 1.0,
-                        half_sensitivity=spec.half_sensitivity,
-                    )
-                    run = sampler.sample(
-                        verifier, utility, record_id, starting_bits, mechanism, gen
-                    )
-                    sample.attrs["n_candidates"] = len(run.candidates)
-                if not run.candidates:
-                    raise SamplingError(
-                        f"sampler {sampler.name!r} collected no candidates "
-                        f"for record {record_id}"
-                    )
+            with span("engine.sample", trace) as sample:
+                eps1 = epsilon_one_for(
+                    sampler.accounting_name, spec.epsilon, sampler.n_samples
+                )
+                mechanism = ExponentialMechanism(
+                    eps1,
+                    sensitivity=utility.sensitivity or 1.0,
+                    half_sensitivity=spec.half_sensitivity,
+                )
+                run = sampler.sample(
+                    verifier, utility, record_id, starting_bits, mechanism, gen
+                )
+                sample.attrs["n_candidates"] = len(run.candidates)
+            if not run.candidates:
+                raise SamplingError(
+                    f"sampler {sampler.name!r} collected no candidates "
+                    f"for record {record_id}"
+                )
 
-                with span("engine.select", trace):
-                    # At the release's last dataset version: a candidate an
-                    # append mid-release made non-matching scores -inf, so
-                    # it cannot win.
-                    scores = utility.scores(run.candidates)
-                    run.stats.mechanism_invocations += 1
-                    chosen, idx = mechanism.select(run.candidates, scores, gen)
-                fm_evaluations = verifier.local_fm_evaluations - fm_before
-            finally:
-                if verifier is not None:
-                    verifier.in_batch = False
+            with span("engine.select", trace):
+                # At the release's last dataset version: a candidate an
+                # append mid-release made non-matching scores -inf, so it
+                # cannot win.
+                scores = utility.scores(run.candidates)
+                run.stats.mechanism_invocations += 1
+                chosen, idx = mechanism.select(run.candidates, scores, gen)
+            fm_evaluations = verifier.local_fm_evaluations - fm_before
             execute.attrs["fm_evaluations"] = fm_evaluations
             execute.attrs["pid"] = os.getpid()
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.direct import DirectPCOR
+from repro.core.direct import DirectPCOR, DirectSampler
 from repro.core.utility import PopulationSizeUtility
 from repro.exceptions import SamplingError
 from repro.mechanisms.accounting import epsilon_one_for
+from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
 
 class TestRelease:
@@ -56,3 +57,32 @@ class TestRelease:
         assert result.utility_name == "population_size"
         assert result.wall_time_s > 0
         assert result.stats.mechanism_invocations == 1
+
+
+class TestBatch:
+    def test_process_batch_equals_serial_batch(self, mini_dataset, mini_reference):
+        """A batch of direct releases ships to process workers, since the
+        sampler's public configuration is ``limit`` alone, and two workers
+        release what the serial loop releases."""
+        spec = PipelineSpec(
+            detector="zscore",
+            detector_kwargs={"z_threshold": 2.5, "min_population": 8},
+            sampler=DirectSampler(),
+            epsilon=0.5,
+        )
+        requests = [
+            ReleaseRequest(rid, spec, seed=i)
+            for i, rid in enumerate(mini_reference.outlier_records()[:3])
+        ]
+
+        def run(backend, workers=None):
+            engine = ReleaseEngine(mini_dataset, backend=backend, workers=workers)
+            try:
+                return [
+                    (r.record_id, r.context.bits, r.utility_value, r.n_candidates)
+                    for r in engine.execute_many(requests)
+                ]
+            finally:
+                engine.close()
+
+        assert run("process", workers=2) == run("serial")

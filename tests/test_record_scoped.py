@@ -1,13 +1,11 @@
 """Record-scoped verdicts: ``f_M`` for one record from its metric-order window.
 
 For a detector with a finite ``locality`` (LOF), a record-bound read that
-misses the store scores only the record's window of the population.  Its
-verdict must be the full profile's for every finite input, whichever path
-computes it: record-scoped, or a full profile because the release runs in
-a batch of several records.
+misses the store scores only the record's window of the population, in a
+lone release and in a batch alike.  Its verdict must be the full profile's
+for every finite input.
 """
 
-import threading
 import tracemalloc
 
 import numpy as np
@@ -89,20 +87,18 @@ def truth(full: OutlierVerifier, bits, rid) -> bool:
 
 
 class TestRecordScopedVerdicts:
-    @given(case=lof_cases(), in_batch=st.booleans(), data=st.data())
+    @given(case=lof_cases(), data=st.data())
     @settings(
         max_examples=60,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    def test_equal_full_profile_membership(self, case, in_batch, data):
+    def test_equal_full_profile_membership(self, case, data):
         dataset, detector = case
         full = OutlierVerifier(dataset, detector)
         records = probe_records(dataset, data)
         batched = OutlierVerifier(dataset, detector, mask_index=full.masks)
         scalar = OutlierVerifier(dataset, detector, mask_index=full.masks)
-        for verifier in (batched, scalar):
-            verifier.in_batch = in_batch
         for rid in records:
             want = np.array([truth(full, bits, rid) for bits in ALL_CONTEXTS])
             got = batched.is_matching_many(ALL_CONTEXTS, rid)
@@ -121,26 +117,34 @@ class TestRecordScopedVerdicts:
 
     @pytest.mark.parametrize("in_batch", [False, True])
     def test_batch_flag_decides_the_key_kind(self, mini_dataset, in_batch):
-        """In a batch every record-bound miss is a full profile, stored
-        under its bits; outside one every miss is record-scoped.  Either
-        way each counts one run, and the flag is per thread."""
-        detector = LOFDetector(k=4, threshold=1.3, min_population=8)
-        verifier = OutlierVerifier(mini_dataset, detector)
-        verifier.in_batch = in_batch
-        seen = []
-        other = threading.Thread(target=lambda: seen.append(verifier.in_batch))
-        other.start()
-        other.join()
-        assert seen == [False]
-        rid = int(mini_dataset.ids[2])
-        rbits = mini_dataset.record_bits(rid)
-        containing = [b for b in ALL_CONTEXTS if (rbits & b) == rbits]
-        verifier.is_matching_many(containing[1:], rid)
-        verifier.is_matching(containing[0], rid)
+        """LOF releases of several records answer every miss record-scoped
+        whether they run as one ``execute_many`` batch or one ``execute``
+        at a time: the store holds no full profile, and each entry counts
+        one run charged to its release."""
+        lof = {"k": 4, "threshold": 1.3, "min_population": 8}
+        probe = OutlierVerifier(mini_dataset, LOFDetector(**lof))
+        records = [
+            rid
+            for rid in map(int, mini_dataset.ids)
+            if probe.is_matching(mini_dataset.record_bits(rid), rid)
+        ][:3]
+        assert len(records) == 3
+        spec = PipelineSpec(
+            detector="lof", detector_kwargs=lof, sampler="bfs",
+            n_samples=6, epsilon=0.5,
+        )
+        engine = ReleaseEngine(mini_dataset, backend="serial")
+        requests = [ReleaseRequest(rid, spec, seed=rid) for rid in records]
+        if in_batch:
+            results = engine.execute_many(requests)
+        else:
+            results = [engine.execute(request) for request in requests]
+        verifier = engine.verifier_for(spec.build_detector())
         store = verifier.profile_store
-        assert all((bits in store) == in_batch for bits in containing)
-        assert len(store) == len(containing)
-        assert verifier.fm_evaluations == len(containing)
+        assert len(store) > 0
+        assert not any(bits in store for bits in ALL_CONTEXTS)
+        assert len(store) == verifier.fm_evaluations
+        assert sum(r.fm_evaluations for r in results) == verifier.fm_evaluations
 
 
 class TestStore:

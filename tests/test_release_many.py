@@ -8,6 +8,8 @@ from repro.core.profiles import ProfileStore
 from repro.core.sampling import BFSSampler
 from repro.exceptions import SamplingError
 from repro.outliers import LOFDetector
+from repro.runtime import plan_task_rngs, rng_from_token
+from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
 LOF_KWARGS = {"k": 5, "threshold": 1.3, "min_population": 8}
 
@@ -31,9 +33,8 @@ def outlier_ids(mini_reference):
 
 @pytest.fixture(scope="module")
 def lof_outlier_ids(mini_dataset):
-    """Six LOF exact-context outliers with pairwise distinct exact contexts,
-    so only the batch's full profiles (not the warm pass) can share
-    verdicts."""
+    """Six LOF exact-context outliers with pairwise distinct exact
+    contexts."""
     probe = make_pcor(mini_dataset, LOFDetector(**LOF_KWARGS))
     ids, seen = [], set()
     for rid in map(int, mini_dataset.ids):
@@ -94,60 +95,71 @@ class TestReleaseMany:
         with pytest.raises(SamplingError, match="entries for"):
             pcor.release_many(outlier_ids, starting_contexts=[None], seed=3)
 
-    @pytest.mark.parametrize("case", ["zscore", "lof"])
     def test_amortises_detector_runs_vs_fresh_instances(
-        self, request, mini_dataset, mini_detector, case
+        self, mini_dataset, mini_detector, outlier_ids
     ):
-        """The acceptance property: one release_many does strictly fewer
-        uncached detector runs than the same releases on fresh instances.
-
-        For LOF (a ``locality`` detector) a lone release stores
-        record-scoped verdicts no other record can read; the batch shares
-        only because its releases run ``in_batch``, where the verifier
-        computes full profiles the other records can read."""
-        if case == "zscore":
-            detector, ids = mini_detector, request.getfixturevalue("outlier_ids")
-        else:
-            detector = LOFDetector(**LOF_KWARGS)
-            ids = request.getfixturevalue("lof_outlier_ids")
-        batched = make_pcor(mini_dataset, detector)
-        batched.release_many(ids, seed=7)
+        """One zscore release_many does strictly fewer uncached detector
+        runs than releasing the same records on fresh instances: zscore
+        declares no ``locality``, so every verdict is a full profile that
+        the other records' releases read from the shared store."""
+        batched = make_pcor(mini_dataset, mini_detector)
+        batched.release_many(outlier_ids, seed=7)
         amortised = batched.verifier.fm_evaluations
 
         fresh_total = 0
-        for rid in ids:
-            fresh = make_pcor(mini_dataset, detector)
+        for rid in outlier_ids:
+            fresh = make_pcor(mini_dataset, mini_detector)
             fresh.release(rid, seed=7)
             fresh_total += fresh.verifier.fm_evaluations
         assert amortised < fresh_total
 
-    def test_process_workers_receive_the_batch_flag(
-        self, mini_dataset, lof_outlier_ids, monkeypatch
+    @pytest.mark.parametrize("case", ["zscore", "lof"])
+    def test_serial_batch_is_a_loop_of_lone_releases(
+        self, request, mini_dataset, case
     ):
-        """LOF release_many on two process workers equals the serial batch,
-        and every release task ships the batch's ``in_batch`` flag."""
+        """Every result of a batch equals a lone release with the same
+        planned token, run in order on an identical fresh engine, and
+        charges every ``f_M`` run its release made: the results' counts
+        add up to the verifier's total.  Process workers release the same
+        contexts; their counts depend on each worker's own store."""
+        if case == "zscore":
+            kwargs = {"z_threshold": 2.5, "min_population": 8}
+            ids = request.getfixturevalue("outlier_ids")
+        else:
+            kwargs = LOF_KWARGS
+            ids = request.getfixturevalue("lof_outlier_ids")
+        spec = PipelineSpec(
+            detector=case, detector_kwargs=kwargs,
+            sampler="bfs", n_samples=8, epsilon=0.2,
+        )
+        requests = [ReleaseRequest(rid, spec, seed=30 + i) for i, rid in enumerate(ids)]
+        engine = ReleaseEngine(mini_dataset)
+        try:
+            results = engine.submit_many(requests)
+            total = engine.verifier_for(spec.build_detector()).fm_evaluations
+        finally:
+            engine.close()
+
+        alone = ReleaseEngine(mini_dataset, backend="serial")
+        tokens = plan_task_rngs([r.seed for r in requests])
+        lone = [alone._outcome(r, rng_from_token(t)) for r, t in zip(requests, tokens)]
+        assert [release_key(r) for r in results] == [release_key(r) for r in lone]
+        if engine.backend.parallel:
+            return
+        assert [r.fm_evaluations for r in results] == [r.fm_evaluations for r in lone]
+        assert sum(r.fm_evaluations for r in results) == total
+
+    def test_process_batch_equals_serial_batch(self, mini_dataset, lof_outlier_ids):
+        """LOF release_many on two process workers equals the serial batch."""
         detector = LOFDetector(**LOF_KWARGS)
         serial = make_pcor(mini_dataset, detector, backend="serial")
         expected = serial.release_many(lof_outlier_ids, seed=7)
         pcor = make_pcor(mini_dataset, detector, backend="process", workers=2)
-        backend = pcor.engine.backend
-        shipped = []
-        build = backend._release_payloads
-
-        def capture(*args):
-            payloads = build(*args)
-            shipped.extend(payloads)
-            return payloads
-
-        monkeypatch.setattr(backend, "_release_payloads", capture)
         try:
             results = pcor.release_many(lof_outlier_ids, seed=7)
         finally:
             pcor.close()
         assert [release_key(r) for r in results] == [release_key(r) for r in expected]
-        tasks = [p for p in shipped if "record_id" in p]
-        assert [p["record_id"] for p in tasks] == list(lof_outlier_ids)
-        assert all(p["in_batch"] is True for p in tasks)
 
     def test_share_profiles_spans_instances(self, mini_dataset, mini_detector):
         """Two share_profiles instances use one store; the second benefits."""

@@ -349,16 +349,6 @@ class TestEngineMetricsPhases:
         finally:
             engine.close()
 
-    def test_serial_batch_records_warm_phase(self, mini_dataset, mini_outlier):
-        engine = ReleaseEngine(mini_dataset, backend="serial")
-        gen = np.random.default_rng(9)
-        engine.submit_many(
-            [ReleaseRequest(mini_outlier, spec_for("bfs"), seed=gen) for _ in range(2)]
-        )
-        metrics = engine.metrics()
-        assert metrics.phase_tasks.get("warm_profiles") == 2
-        assert metrics.phase_tasks.get("release") == 2
-
 
 class TestPCORFacadeBackends:
     def test_release_many_matches_serial(

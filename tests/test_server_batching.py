@@ -272,9 +272,9 @@ class TestStreamedCompletion:
         done_at_start = []
         task = engine._outcome
 
-        def watched(request, gen, in_batch=False):
+        def watched(request, gen):
             done_at_start.append([f.done() for f in futures])
-            return task(request, gen, in_batch)
+            return task(request, gen)
 
         engine._outcome = watched
         assert coalescer.flush_now() == n
@@ -303,10 +303,10 @@ class TestStreamedCompletion:
         answered = {}
         task = engine._outcome
 
-        def watched(request, gen, in_batch=False):
+        def watched(request, gen):
             if request is batch[2]:  # the task after the doomed one
                 answered["doomed"] = futures[1].done() and futures[1].exception()
-            return task(request, gen, in_batch)
+            return task(request, gen)
 
         engine._outcome = watched
         assert coalescer.flush_now() == 4
@@ -333,13 +333,10 @@ class TestStreamedCompletion:
             parallel = True
 
             def run_releases(self, engine, requests, tokens, report):
-                in_batch = engine._in_batch(requests)
                 for index in range(2):
                     report(
                         index,
-                        worker._outcome(
-                            requests[index], rng_from_token(tokens[index]), in_batch
-                        ),
+                        worker._outcome(requests[index], rng_from_token(tokens[index])),
                     )
                 raise ExecutionError("lost a worker process mid-task")
 
@@ -709,11 +706,11 @@ class TestCoalescedHTTP:
             engine = server.registry.get("salary").engine
             task = engine._outcome
 
-            def watched(request, gen, in_batch=False):
+            def watched(request, gen):
                 answered_first.append(None)
                 if len(answered_first) == 2:
                     answered_first[-1] = responded.wait(timeout=10.0)
-                return task(request, gen, in_batch)
+                return task(request, gen)
 
             engine._outcome = watched
 
