@@ -450,10 +450,13 @@ def test_release_many_amortisation(emit):
     a 20-record LOF ``release_many`` is a loop of lone releases, so every
     uncached detector run (``fm_evaluations``) is charged to the release
     that made it and the results' counts add up to the verifier's total.
-    LOF answers each record-bound miss record-scoped, so the batch's
-    records share no verdicts and its total need not undercut the fresh
-    instances'.  Both totals are deterministic seeded counters, not
-    wall-clock, so the check cannot flake on a loaded runner.
+    The fresh instances replay the batch's planned RNG substreams (one
+    child spawned per record, in order, from the batch seed), so both
+    sides release the same contexts.  LOF answers each record-bound miss
+    record-scoped, so the batch's records share no verdicts: its total
+    equals the fresh instances' exactly.  Both totals are deterministic
+    seeded counters, not wall-clock, so the check cannot flake on a loaded
+    runner.
     """
     dataset = salary_reduced(n_records=2_000, seed=7)
     detector = LOFDetector(**DETECTOR_KWARGS["lof"])
@@ -476,10 +479,11 @@ def test_release_many_amortisation(emit):
     charged = sum(r.fm_evaluations for r in results)
 
     t0 = time.perf_counter()
-    fresh_total = 0
+    gen = np.random.default_rng(11)
+    fresh_total, fresh_contexts = 0, []
     for rid in record_ids:
         fresh = PCOR(dataset, detector, epsilon=0.2, sampler=sampler)
-        fresh.release(rid, seed=11)
+        fresh_contexts.append(fresh.release(rid, seed=gen.spawn(1)[0]).context)
         fresh_total += fresh.verifier.fm_evaluations
     t_fresh = time.perf_counter() - t0
 
@@ -504,6 +508,8 @@ def test_release_many_amortisation(emit):
         ],
     )
     assert charged == amortised
+    assert fresh_contexts == [r.context for r in results]
+    assert fresh_total == amortised
 
 
 def test_exponential_mechanism_kernel(benchmark, bench_env):

@@ -3,7 +3,7 @@
 from repro.core.direct import DirectPCOR
 from repro.core.enumeration import COEEnumerator
 from repro.core.pcor import PCOR
-from repro.core.profiles import ContextProfile, ProfileStore, shared_profile_store
+from repro.core.profiles import ContextProfile, ProfileStore
 from repro.core.reference import ReferenceFile
 from repro.core.result import PCORResult
 from repro.core.sampling import (
@@ -39,7 +39,6 @@ __all__ = [
     "PCOR",
     "ContextProfile",
     "ProfileStore",
-    "shared_profile_store",
     "PCORResult",
     "DirectPCOR",
     "OutlierVerifier",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from repro.context.context import Context
-from repro.core.profiles import ProfileStore, detector_fingerprint, shared_profile_store
+from repro.core.profiles import detector_fingerprint
 from repro.core.result import PCORResult
 from repro.core.sampling.base import Sampler
 from repro.core.sampling.bfs import BFSSampler
@@ -44,23 +44,22 @@ class PCOR:
 
     Parameters
     ----------
+    verifier:
+        The :class:`~repro.core.verification.OutlierVerifier` to release
+        against, built over ``dataset`` for an equally configured
+        ``detector``; by default a fresh one with a private profile store.
+        Instances given verifiers on one
+        :class:`~repro.core.profiles.ProfileStore`
+        (``OutlierVerifier(dataset, detector, profile_store=store)``) share
+        detector work instead of each rebuilding the cache from scratch.
+        Sharing only skips recomputation of deterministic profiles; it
+        never changes a released context.
     utility_needs_starting_context:
         Explicit needs-a-starting-context flag for *callable* utility specs
         (named specs answer from registry metadata).  A callable may instead
         carry a truthy ``needs_starting_context`` attribute.  Without either,
         callables are assumed start-free — the engine then passes
         ``starting_bits=None`` unless the sampler searched anyway.
-    share_profiles:
-        When true (and no explicit ``verifier`` is given), the verifier's
-        context-profile memo is the process-wide
-        :func:`~repro.core.profiles.shared_profile_store` for this
-        ``(dataset, detector)`` pair, so every ``PCOR`` instance built over
-        the same data amortises detector runs instead of rebuilding the
-        cache from scratch.  Sharing only skips recomputation of
-        deterministic profiles; it never changes a released context.
-    profile_store:
-        Explicit :class:`~repro.core.profiles.ProfileStore` for the
-        verifier's memo (overrides ``share_profiles``).
     backend / workers:
         Execution backend for :meth:`release_many` fan-out (``"serial"``,
         ``"process"``, or an
@@ -80,8 +79,6 @@ class PCOR:
         sampler: Optional[Sampler] = None,
         half_sensitivity: bool = False,
         verifier: Optional[OutlierVerifier] = None,
-        share_profiles: bool = False,
-        profile_store: Optional[ProfileStore] = None,
         utility_needs_starting_context: Optional[bool] = None,
         backend=None,
         workers: Optional[int] = None,
@@ -93,16 +90,7 @@ class PCOR:
         self.sampler = sampler if sampler is not None else BFSSampler(n_samples=50)
         self.half_sensitivity = bool(half_sensitivity)
         if verifier is None:
-            store = profile_store
-            if store is None and share_profiles:
-                store = shared_profile_store(dataset, detector)
-            verifier = OutlierVerifier(dataset, detector, profile_store=store)
-        elif profile_store is not None or share_profiles:
-            raise SamplingError(
-                "pass either an explicit verifier or profile_store/"
-                "share_profiles, not both: the verifier already carries "
-                "its own profile store"
-            )
+            verifier = OutlierVerifier(dataset, detector)
         self.verifier = verifier
         if self.verifier.dataset is not dataset:
             raise SamplingError("verifier was built for a different dataset")

@@ -1,16 +1,12 @@
-"""Shared, bounded storage for context profiles.
+"""Bounded storage for context profiles.
 
 A *context profile* — population size plus the full set of outlier record
 ids — is the unit of work the verifier memoises: computing one costs a
 population-mask pass plus an uncached detector run, the dominant cost of the
-whole pipeline (the paper's ``f_M`` query).  This module provides
-
-* :class:`ProfileStore` — a bounded LRU map with hit/miss/eviction counters
-  for the experiment harness, and
-* :func:`shared_profile_store` — a process-wide registry handing out one
-  store per ``(dataset, detector)`` pair, so any number of ``PCOR``
-  instances (and their verifiers) built over the same data share detector
-  work instead of each rebuilding the cache from scratch.
+whole pipeline (the paper's ``f_M`` query).  :class:`ProfileStore` is a
+bounded LRU map with hit/miss/eviction counters for the experiment harness.
+It has one counting read, :meth:`ProfileStore.get_many`, and one write,
+:meth:`ProfileStore.put_many`; a scalar read is a batch of one.
 
 A store holds two kinds of entry, in one LRU order and under one capacity:
 
@@ -21,28 +17,26 @@ A store holds two kinds of entry, in one LRU order and under one capacity:
   size plus ``{record_id}`` if that record is an outlier there, else the
   empty set.  The verifier writes them for detectors with a finite
   ``locality`` (see :mod:`repro.core.verification`); they answer only
-  their own record, through :meth:`ProfileStore.get_for_record` and
-  :meth:`ProfileStore.get_many` with a ``record_id``, which also read a
-  full profile of the same context.  Record-free reads
-  (:meth:`ProfileStore.get`, ``get_many`` without a record, ``in``,
+  their own record, through :meth:`ProfileStore.get_many` with a
+  ``record_id``, which also reads a full profile of the same context.
+  Record-free reads (``get_many`` without a record, ``in``,
   :meth:`ProfileStore.peek`) never see them.
 
-Sharing is read-or-extend only — profiles are immutable values keyed by
-context (and record) — so cross-instance sharing cannot change any computed
-answer, only skip recomputation.  Registry entries are dropped automatically
-when their dataset is garbage-collected.
+Several verifiers over the same dataset and detector may share one store
+(pass it as ``OutlierVerifier(profile_store=...)``): profiles are immutable
+values keyed by context (and record), so sharing cannot change any computed
+answer, only skip recomputation.  :func:`detector_fingerprint` tells which
+detector instances may share one.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.data.table import Dataset
 from repro.outliers.base import OutlierDetector
 
 #: (population size, frozenset of outlier record ids)
@@ -64,8 +58,8 @@ class ProfileStore:
     engine callers (HTTP handler threads and a coalescer's flusher in
     particular) can never corrupt the LRU order, overshoot the capacity
     bound, or lose counter updates.  Profiles are immutable values keyed
-    by context bitmask, so the worst a get/put race can do is recompute a
-    profile both threads then agree on.
+    by context bitmask, so the worst a read/write race can do is recompute
+    a profile both threads then agree on.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -78,47 +72,22 @@ class ProfileStore:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0  # profiles dropped by targeted invalidation
-        self.stale_puts = 0  # puts rejected for carrying an old version
+        self.stale_puts = 0  # writes rejected for carrying an old version
         self._version = 0
 
     # ------------------------------------------------------------------ core
 
-    def get(self, bits: int) -> Optional[ContextProfile]:
-        """Cached full profile of ``bits`` or ``None``; counts the hit/miss."""
-        with self._lock:
-            profile = self._profiles.get(bits)
-            if profile is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._profiles.move_to_end(bits)
-            return profile
-
-    def get_for_record(self, bits: int, record_id: int) -> Optional[ContextProfile]:
-        """A profile answering whether ``record_id`` is an outlier in
-        ``bits``: the full profile if cached, else the record-scoped one,
-        else ``None``.  Counts one hit or one miss."""
-        with self._lock:
-            key: ProfileKey = bits
-            profile = self._profiles.get(key)
-            if profile is None:
-                key = (bits, record_id)
-                profile = self._profiles.get(key)
-                if profile is None:
-                    self.misses += 1
-                    return None
-            self.hits += 1
-            self._profiles.move_to_end(key)
-            return profile
-
     def get_many(
         self, keys: Sequence[int], record_id: Optional[int] = None
     ) -> List[Optional[ContextProfile]]:
-        """:meth:`get` of every key of a batch under one lock acquisition,
-        or :meth:`get_for_record` of every key with ``record_id``; ``None``
-        marks a miss.  Counts one hit per key answered and one miss per
-        *distinct* key missed, so a key repeated in the batch costs one
-        miss however often it repeats."""
+        """The cached profile of every context of a batch, ``None`` for a
+        miss, under one lock acquisition.
+
+        Without ``record_id`` only full profiles answer.  With it the read
+        is record-bound: a full profile of the context answers, else the
+        record's own record-scoped one.  Counts one hit per key answered
+        and one miss per *distinct* key missed, so a key repeated in the
+        batch costs one miss however often it repeats."""
         out: List[Optional[ContextProfile]] = []
         missed = set()
         hits = 0
@@ -141,40 +110,43 @@ class ProfileStore:
         return out
 
     def peek(self, bits: int) -> Optional[ContextProfile]:
-        """Like :meth:`get` but without touching counters or LRU order."""
+        """The cached full profile of ``bits`` or ``None``, without touching
+        counters or LRU order."""
         with self._lock:
             return self._profiles.get(bits)
 
-    def put(
+    def put_many(
         self,
-        bits: int,
-        profile: ContextProfile,
+        entries: Iterable[Tuple[int, ContextProfile]],
         version: Optional[int] = None,
         record_id: Optional[int] = None,
     ) -> None:
-        """Insert (or refresh) a profile, evicting the LRU entry if full.
+        """Insert (or refresh) ``(bits, profile)`` entries in order under one
+        lock acquisition, evicting the LRU entries beyond the capacity.
 
-        With ``record_id`` the profile is record-scoped: stored under
+        With ``record_id`` the profiles are record-scoped: stored under
         ``(bits, record_id)`` and readable only by that record's reads
-        (:meth:`get_for_record`, :meth:`get_many` with ``record_id``).
+        (:meth:`get_many` with ``record_id``).
 
-        ``version`` is the dataset version the profile was computed against
-        (see :meth:`invalidate_matching`); a put stamped with a version
-        older than the store's current one is silently dropped — the
-        profile describes a dataset that no longer exists, and caching it
-        would let a release that raced an append poison the store for
-        every later caller.  Unstamped puts (``None``) always land, for
-        callers on immutable datasets.
+        ``version`` is the dataset version the profiles were computed
+        against (see :meth:`invalidate_matching`); entries stamped with a
+        version other than the store's current one are dropped and counted
+        in ``stale_puts`` — they describe a dataset that no longer exists,
+        and caching them would let a release that raced an append poison
+        the store for every later caller.  Unstamped entries (``None``)
+        always land, for callers on immutable datasets.
         """
         with self._lock:
             if version is not None and version != self._version:
-                self.stale_puts += 1
+                self.stale_puts += sum(1 for _ in entries)
                 return
-            key: ProfileKey = bits if record_id is None else (bits, record_id)
-            self._profiles[key] = profile
-            self._profiles.move_to_end(key)
-            while len(self._profiles) > self.capacity:
-                self._profiles.popitem(last=False)
+            profiles = self._profiles
+            for bits, profile in entries:
+                key: ProfileKey = bits if record_id is None else (bits, record_id)
+                profiles[key] = profile
+                profiles.move_to_end(key)
+            while len(profiles) > self.capacity:
+                profiles.popitem(last=False)
                 self.evictions += 1
 
     @property
@@ -201,7 +173,7 @@ class ProfileStore:
         ``object`` array of Python ints, because contexts may be wider.
 
         Returns the number of profiles dropped.  Also fences late writers:
-        any in-flight :meth:`put` stamped with the pre-append version is
+        any in-flight :meth:`put_many` stamped with the pre-append version is
         rejected once this returns.
         """
         records = [int(b) for b in record_bits_seq]
@@ -264,18 +236,14 @@ class ProfileStore:
         )
 
 
-# ------------------------------------------------------------------ registry
-
-_SHARED_STORES: Dict[Tuple[int, object], ProfileStore] = {}
-
-
 class _IdentityKey:
-    """Registry-key wrapper hashing by wrapped-object identity.
+    """Fingerprint wrapper hashing by wrapped-object identity.
 
     Used for configuration values with no value-like representation
     (callables, arbitrary objects).  It holds a strong reference, so while
-    the registry entry lives the object's id cannot be recycled by another
-    allocation — identity comparison stays sound.
+    a fingerprint lives (as a key of a release engine's verifier map, say)
+    the object's id cannot be recycled by another allocation — identity
+    comparison stays sound.
     """
 
     __slots__ = ("obj",)
@@ -321,27 +289,3 @@ def detector_fingerprint(detector: OutlierDetector) -> Tuple:
     )
     return (type(detector).__module__, type(detector).__qualname__, params)
 
-
-def shared_profile_store(
-    dataset: Dataset,
-    detector: OutlierDetector,
-    capacity: int = DEFAULT_CAPACITY,
-) -> ProfileStore:
-    """The process-wide store for one ``(dataset, detector)`` pair.
-
-    Keyed by dataset *identity* (datasets are immutable, so identity implies
-    equal contents) and detector *configuration*.  The registry entry is
-    removed when the dataset is garbage-collected.
-
-    ``capacity`` only applies when this call *creates* the store; later
-    callers for the same pair get the existing store back with its original
-    bound (first caller wins).  Pass an explicit :class:`ProfileStore` to
-    consumers that need their own bound.
-    """
-    key = (id(dataset), detector_fingerprint(detector))
-    store = _SHARED_STORES.get(key)
-    if store is None:
-        store = ProfileStore(capacity=capacity)
-        _SHARED_STORES[key] = store
-        weakref.finalize(dataset, _SHARED_STORES.pop, key, None)
-    return store

@@ -10,8 +10,8 @@ its answers in a :class:`ProfileStore`, in one of two forms:
   question and every record-free read (:meth:`OutlierVerifier.context_profile`,
   :meth:`~OutlierVerifier.outlier_ids`, the reference file).  This mirrors
   the paper's reference-file trick (Section 6.2) at the granularity of a
-  run (private store) or a whole process (shared store, see
-  :func:`repro.core.profiles.shared_profile_store`).
+  run (a private store, the default) or of every verifier handed the same
+  :class:`~repro.core.profiles.ProfileStore`.
 * a **record-scoped profile** — population size plus ``{V}`` or nothing —
   for detectors that declare a finite
   :attr:`~repro.outliers.base.OutlierDetector.locality` ``s``.  A
@@ -50,11 +50,13 @@ order, read off the metric-ordered mask layout, when the detector is
 ``sorted_input``, so it never sorts them — or once per read for
 record-scoped ones.  :meth:`is_matching_many` layers the paper's
 matching-context test on top, short-circuiting non-containing contexts with
-pure bit tests so they never touch the detector.  The scalar APIs
-(``context_profile``, ``is_matching`` ...) are thin wrappers over the batch
-kernels.  Misses are always computed inline, on the thread that asks: an
-execution backend (:mod:`repro.runtime`) runs whole releases in parallel,
-never the profiles inside one.
+pure bit tests so they never touch the detector.  The scalar reads
+(:meth:`~OutlierVerifier.context_profile`, :meth:`~OutlierVerifier.is_matching`
+and the helpers on top of them) are batch-of-one calls of these two, so every
+question reaches the store through one read and one write and counts the same
+whichever API asks it.  Misses are always computed inline, on the thread that
+asks: an execution backend (:mod:`repro.runtime`) runs whole releases in
+parallel, never the profiles inside one.
 
 The profile also powers both utility functions for free: population size is
 the first profile component, and outlier-membership is a set lookup.
@@ -87,7 +89,6 @@ class OutlierVerifier:
         mask_index: Optional[PredicateMaskIndex] = None,
         profile_store: Optional[ProfileStore] = None,
     ):
-        self.dataset = dataset
         self.detector = detector
         self.masks = mask_index if mask_index is not None else PredicateMaskIndex(dataset)
         if self.masks.dataset is not dataset:
@@ -109,6 +110,12 @@ class OutlierVerifier:
         releases' runs to each other.
         """
         return getattr(self._local, "fm_evaluations", 0)
+
+    @property
+    def dataset(self) -> Dataset:
+        """The dataset the mask index currently serves, read at each access:
+        it follows every append the index commits, at once."""
+        return self.masks.dataset
 
     @property
     def schema(self):
@@ -176,11 +183,11 @@ class OutlierVerifier:
         else:
             self._count_runs(len(misses))
             computed = self._profile_chunk(misses)
-        store = self.profile_store
-        for bits, profile in zip(misses, computed):
-            store.put(
-                bits, profile, version=version, record_id=record_id if scoped else None
-            )
+        self.profile_store.put_many(
+            zip(misses, computed),
+            version=version,
+            record_id=record_id if scoped else None,
+        )
         return computed
 
     def _profile_chunk(self, misses: List[int]) -> List[ContextProfile]:
@@ -260,17 +267,9 @@ class OutlierVerifier:
         ]
 
     def context_profile(self, bits: int) -> ContextProfile:
-        """Population size and outlier record ids of context ``bits`` (cached).
-
-        Fast scalar path: a store hit costs one dict lookup (no batch
-        plumbing); only misses fall through to the batch compute kernel.
-        """
-        bits = int(bits)
-        cached = self.profile_store.get(bits)
-        if cached is not None:
-            return cached
-        version = self.masks.dataset_version
-        return self._answer_misses([bits], None, version)[0]
+        """Population size and outlier record ids of context ``bits``: a
+        batch-of-one :meth:`profiles` read."""
+        return self.profiles([bits])[0]
 
     def population_size(self, bits: int) -> int:
         return self.context_profile(bits)[0]
@@ -290,9 +289,10 @@ class OutlierVerifier:
         bits_list = [int(b) for b in bits_seq]
         with self._counter_lock:
             self.fm_queries += len(bits_list)
-        if not self.dataset.has_record(record_id):
+        dataset = self.dataset
+        if not dataset.has_record(record_id):
             raise VerificationError(f"record {record_id} not in dataset")
-        record_bits = self.dataset.record_bits(record_id)
+        record_bits = dataset.record_bits(record_id)
         containing = [
             i for i, bits in enumerate(bits_list)
             if (record_bits & bits) == record_bits
@@ -308,70 +308,24 @@ class OutlierVerifier:
         return out
 
     def is_matching(self, bits: int, record_id: int) -> bool:
-        """The paper's matching-context test: ``V in D_C`` and ``f_M = true``.
-
-        Same semantics as a batch-of-one :meth:`is_matching_many`, minus the
-        batch allocations — the starting-context search, the one scalar loop
-        left (enumerations of the context space go through
-        :meth:`is_matching_many` in chunks), calls this once per context, so
-        cache hits must stay a couple of dict lookups.
-        """
-        with self._counter_lock:
-            self.fm_queries += 1
-        if not self.dataset.has_record(record_id):
-            raise VerificationError(f"record {record_id} not in dataset")
-        record_bits = self.dataset.record_bits(record_id)
-        if (record_bits & bits) != record_bits:
-            return False
-        bits, rid = int(bits), int(record_id)
-        profile = self.profile_store.get_for_record(bits, rid)
-        if profile is None:
-            version = self.masks.dataset_version
-            profile = self._answer_misses([bits], rid, version)[0]
-        return rid in profile[1]
+        """The paper's matching-context test: ``V in D_C`` and ``f_M = true``,
+        as a batch-of-one :meth:`is_matching_many`."""
+        return bool(self.is_matching_many([bits], record_id)[0])
 
     # --------------------------------------------------------------- plumbing
-
-    def rebind(self, dataset: Dataset) -> None:
-        """Point the verifier at the grown dataset after an index append.
-
-        The caller (the release engine) must have already invalidated the
-        profile store via :meth:`ProfileStore.invalidate_matching` with the
-        new version, and ``dataset`` must be the one the shared mask index
-        now serves — this only swaps the reference used for record lookups
-        and containment tests.
-        """
-        if self.masks.dataset is not dataset:
-            raise VerificationError(
-                "rebind target does not match the mask index's dataset"
-            )
-        self.dataset = dataset
-
-    def cache_size(self) -> int:
-        return len(self.profile_store)
 
     def reset_counters(self) -> None:
         """Zero this verifier's counters plus the mask/store counters.
 
-        When the verifier is backed by a *shared* profile store, the store's
-        hit/miss/eviction counters are process-wide state: resetting here
-        resets them for every other verifier on the same store.
+        A store handed to several verifiers keeps one set of hit/miss/
+        eviction counters: resetting here resets them for every verifier
+        on that store.
         """
         self.fm_evaluations = 0
         self.fm_queries = 0
         self._local.fm_evaluations = 0  # calling thread's slice only
         self.masks.reset_counters()
         self.profile_store.reset_counters()
-
-    def clear_cache(self) -> None:
-        """Drop all memoised profiles.
-
-        With a shared profile store this clears the cache for every PCOR
-        instance sharing it — use a private store (the default) for
-        measurement runs that clear between repetitions.
-        """
-        self.profile_store.clear()
-
 
 def _centred_windows(
     packed: np.ndarray,

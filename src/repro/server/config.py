@@ -164,6 +164,16 @@ class DatasetConfig:
             object.__setattr__(self, "backend", key)
         if self.workers is not None and int(self.workers) < 1:
             raise SpecError(f"dataset {self.name!r}: workers must be >= 1")
+        capacity = self.profile_capacity
+        if capacity is not None:
+            if isinstance(capacity, float) and capacity.is_integer():
+                capacity = int(capacity)
+            if type(capacity) is not int or capacity < 1:
+                raise SpecError(
+                    f"dataset {self.name!r}: profile_capacity must be an "
+                    f"integer >= 1, got {self.profile_capacity!r}"
+                )
+            object.__setattr__(self, "profile_capacity", capacity)
         object.__setattr__(self, "max_batch", int(self.max_batch))
         if self.max_batch < 1:
             raise SpecError(

@@ -205,7 +205,13 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         # Drain the body before anything else, even for requests that will
         # 404 or 503: unread body bytes left in rfile would be parsed as
         # the next request line, desyncing the keep-alive connection.
-        raw = self._read_body()
+        try:
+            raw = self._read_body()
+        except _BadRequest as exc:
+            # No usable Content-Length: where the body ends is unknown, so
+            # the stream cannot be resynced.  Answer, then close it.
+            self._respond_error(exc, headers={"Connection": "close"})
+            return
         exempt = urlparse(self.path).path == HEALTH_PATH
         try:
             app.drain.begin(exempt=exempt)
@@ -234,7 +240,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         return tenant
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        value = (self.headers.get("Content-Length") or "0").strip()
+        if not (value.isascii() and value.isdigit()):
+            raise _BadRequest(
+                f"Content-Length must be a non-negative integer, got {value!r}"
+            )
+        length = int(value)
         return self.rfile.read(length) if length > 0 else b""
 
     @staticmethod
@@ -279,7 +290,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
         self._app()._count(status)
 
-    def _respond_error(self, exc: Exception) -> None:
+    def _respond_error(
+        self, exc: Exception, headers: Optional[Mapping[str, str]] = None
+    ) -> None:
         status = status_for(exc)
         if status == 500:
             logger.exception("unhandled error serving %s", self.path)
@@ -298,7 +311,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 "status": status,
             }
         }
-        headers = {}
+        headers = dict(headers or {})
         if status == 503:
             # Every 503 is transient (drain or a dead shard): tell clients
             # when to come back.  PCORClient honors this for GETs only.

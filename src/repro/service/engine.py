@@ -326,8 +326,9 @@ class ReleaseEngine:
 
         Requests whose detector fingerprint matches ``verifier.detector``
         will run against it — how the :class:`~repro.core.pcor.PCOR` facade
-        keeps its explicit-verifier and ``share_profiles`` semantics while
-        delegating execution here.
+        delegates execution here while keeping its verifier, whether
+        private or passed in (and so sharing that verifier's profile store
+        with whoever else holds it).
         """
         if verifier.dataset is not self.dataset:
             raise VerificationError("verifier was built for a different dataset")
@@ -378,8 +379,6 @@ class ReleaseEngine:
                 )
             new_dataset = masks.commit_append(pending)
             self.dataset = new_dataset
-            for verifier in verifiers:
-                verifier.rebind(new_dataset)
             with self._lock:
                 self._dataset_version = pending.version
                 self._appends += 1

@@ -8,6 +8,10 @@ test can compare sampled behaviour against exhaustively computed truth.
 
 from __future__ import annotations
 
+import json
+import socket
+from urllib.parse import urlparse
+
 import numpy as np
 import pytest
 
@@ -90,3 +94,31 @@ def tiny_dataset():
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def raw_post():
+    """POST over a bare socket with a verbatim ``Content-Length`` header.
+
+    Returns ``(status, headers, payload)`` of the one response the server
+    sends before closing the connection; a server that keeps it open
+    instead times the read out.
+    """
+
+    def post(url: str, path: str, content_length: str, body: bytes):
+        where = urlparse(url)
+        with socket.create_connection((where.hostname, where.port), timeout=10) as sock:
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                "X-PCOR-Tenant: raw-socket\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n".encode() + body
+            )
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        head, _, payload = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        return int(status_line.split()[1]), headers, json.loads(payload)
+
+    return post

@@ -262,6 +262,16 @@ class TestRouterProxy:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 404
 
+    def test_malformed_content_length_is_400_and_closes(self, router, raw_post):
+        """The router shares the server's request handler: a Content-Length
+        that is not a non-negative integer gets a typed 400, then the
+        connection closes."""
+        status, headers, payload = raw_post(
+            router.url, "/v1/datasets/salary/release", "abc", b'{"record_id": 1}'
+        )
+        assert status == 400 and headers["Connection"] == "close"
+        assert payload["error"]["type"] == "SpecError"
+
     def test_control_channel_rejects_unknown_path(self, router):
         request = urllib.request.Request(
             router.url + "/control/v1/nope", method="POST", data=b"{}"

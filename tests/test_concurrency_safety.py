@@ -235,8 +235,8 @@ class TestProfileStoreUnderContention:
             barrier.wait()
             for _ in range(OPS_PER_THREAD):
                 bits = int(rng.integers(0, 512))
-                if store.get(bits) is None:
-                    store.put(bits, (bits % 7, frozenset({bits})))
+                if store.get_many([bits]) == [None]:
+                    store.put_many([(bits, (bits % 7, frozenset({bits})))])
                 assert len(store) <= 64
 
         with ThreadPoolExecutor(N_THREADS) as pool:
@@ -269,12 +269,12 @@ class TestProfileStoreUnderContention:
                     store.invalidate_matching([1 << int(rng.integers(0, 8))], version=0)
                     continue
                 reads += 1
-                profile = store.get_for_record(bits, rid)
+                profile = store.get_many([bits], record_id=rid)[0]
                 if profile is None:
                     full = rng.random() < 0.3
                     owner = -1 if full else rid
-                    store.put(
-                        bits, (bits, frozenset({owner})),
+                    store.put_many(
+                        [(bits, (bits, frozenset({owner})))],
                         record_id=None if full else rid,
                     )
                 elif profile[0] != bits or not profile[1] <= {-1, rid}:
@@ -293,35 +293,42 @@ class TestProfileStoreUnderContention:
         assert stats["hits"] + stats["misses"] == reads
 
     def test_values_never_torn(self):
-        """Concurrent put/get of immutable profiles returns whole values."""
+        """Concurrent writes and reads of immutable profiles return whole
+        values, and the writes land.  A thread that raises fails the test:
+        its exception is re-raised by its future's ``result()``."""
         store = ProfileStore(capacity=16)
         stop = threading.Event()
         errors = []
 
-        def writer() -> None:
+        def writer() -> int:
             i = 0
             while not stop.is_set():
-                store.put(i % 32, (i, frozenset({i})))
+                store.put_many([(i % 32, (i, frozenset({i})))])
                 i += 1
+            return i
 
         def reader() -> None:
             while not stop.is_set():
                 for bits in range(32):
-                    profile = store.peek(bits)
-                    if profile is not None and profile[0] not in profile[1]:
-                        errors.append(profile)
+                    for profile in (store.peek(bits), *store.get_many([bits])):
+                        if profile is not None and profile[0] not in profile[1]:
+                            errors.append(profile)
 
-        threads = [threading.Thread(target=writer) for _ in range(2)] + [
-            threading.Thread(target=reader) for _ in range(2)
-        ]
-        for t in threads:
-            t.start()
-        stop_timer = threading.Timer(0.3, stop.set)
-        stop_timer.start()
-        for t in threads:
-            t.join()
-        stop_timer.cancel()
+        with ThreadPoolExecutor(4) as pool:
+            writers = [pool.submit(writer) for _ in range(2)]
+            readers = [pool.submit(reader) for _ in range(2)]
+            stop.wait(0.3)
+            stop.set()
+            writes = [future.result(timeout=30) for future in writers]
+            for future in readers:
+                future.result(timeout=30)
         assert not errors
+        assert min(writes) > 0
+        assert len(store) == 16
+        for bits in range(32):
+            profile = store.peek(bits)
+            assert profile is None or profile == (profile[0], frozenset({profile[0]}))
+            assert profile is None or profile[0] % 32 == bits
 
 
 class TestAccountantUnderContention:

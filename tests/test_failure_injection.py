@@ -68,7 +68,7 @@ class TestDetectorFaults:
         with pytest.raises(RuntimeError):
             verifier.context_profile(bits)
         # The failed context must not be cached as "no outliers".
-        assert verifier.cache_size() == 0
+        assert len(verifier.profile_store) == 0
 
     def test_nondeterministic_detector_is_masked_by_cache(self, mini_dataset):
         """The verifier caches per context, so within one verifier even a

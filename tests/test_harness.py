@@ -36,7 +36,7 @@ class TestWorkbench:
         v2 = bench.fresh_verifier()
         assert v1 is not v2
         assert v1.masks is v2.masks
-        assert v1.cache_size() == 0
+        assert len(v1.profile_store) == 0
 
     def test_pick_outliers_deterministic(self, bench):
         a = bench.pick_outliers(5, np.random.default_rng(1))

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from repro.core.profiles import ProfileStore
+from repro.core.verification import OutlierVerifier
 from repro.data.generators import salary_reduced
 from repro.data.masks import PredicateMaskIndex
 from repro.exceptions import ContextError, DatasetError, SpecError
+from repro.outliers.zscore import ZScoreDetector
 from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
 ZSCORE_KWARGS = {"z_threshold": 2.5, "min_population": 8}
@@ -214,6 +216,20 @@ class TestIndexAppend:
         assert index.packed_matrix.shape[1] == 2
         assert np.array_equal(index.packed_matrix, rebuilt.packed_matrix)
 
+    def test_verifier_follows_the_index_commit(self):
+        """A verifier reads its dataset off its mask index: a committed
+        append is visible to it at once, appended records included."""
+        dataset = salary_reduced(n_records=30, seed=6)
+        index = PredicateMaskIndex(dataset)
+        detector = ZScoreDetector(z_threshold=1.0, min_population=4)
+        verifier = OutlierVerifier(dataset, detector, index)
+        grown = index.append(sample_rows(dataset, 2))
+        assert verifier.dataset is grown
+        fresh = OutlierVerifier(grown, detector)
+        for rid in map(int, grown.ids[-2:]):
+            bits = grown.record_bits(rid)
+            assert verifier.is_matching(bits, rid) == fresh.is_matching(bits, rid)
+
     def test_stale_base_commit_rejected(self):
         dataset = salary_reduced(n_records=30, seed=6)
         index = PredicateMaskIndex(dataset)
@@ -232,8 +248,7 @@ class TestProfileInvalidation:
         record_bits = 0b0011
         containing = 0b0111  # population could have grown
         disjoint = 0b0100  # cannot match the appended record
-        store.put(containing, (5, frozenset()))
-        store.put(disjoint, (3, frozenset()))
+        store.put_many([(containing, (5, frozenset())), (disjoint, (3, frozenset()))])
         dropped = store.invalidate_matching([record_bits], version=1)
         assert dropped == 1
         assert store.peek(containing) is None
@@ -244,10 +259,10 @@ class TestProfileInvalidation:
     def test_stale_put_fenced_out(self):
         store = ProfileStore(capacity=16)
         store.invalidate_matching([], version=1)
-        store.put(0b1, (2, frozenset()), version=0)  # raced the append
+        store.put_many([(0b1, (2, frozenset()))], version=0)  # raced the append
         assert store.peek(0b1) is None
         assert store.stale_puts == 1
-        store.put(0b1, (2, frozenset()), version=1)
+        store.put_many([(0b1, (2, frozenset()))], version=1)
         assert store.peek(0b1) == (2, frozenset())
 
     def test_version_never_goes_backwards(self):

@@ -1,53 +1,60 @@
-"""Unit tests for the bounded LRU profile store and its shared registry."""
+"""Unit tests for the bounded LRU profile store and store sharing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.profiles import ProfileStore, shared_profile_store
+from repro.core.profiles import ProfileStore, detector_fingerprint
 from repro.core.verification import OutlierVerifier
 from repro.outliers.zscore import ZScoreDetector
+from repro.service import ReleaseEngine
 
 
 class TestProfileStore:
     def test_get_put_roundtrip(self):
         store = ProfileStore(capacity=4)
-        assert store.get(1) is None
-        store.put(1, (10, frozenset({3})))
-        assert store.get(1) == (10, frozenset({3}))
+        assert store.get_many([1]) == [None]
+        store.put_many([(1, (10, frozenset({3})))])
+        assert store.get_many([1]) == [(10, frozenset({3}))]
 
     def test_hit_miss_counters(self):
         store = ProfileStore(capacity=4)
-        store.get(1)
-        store.put(1, (1, frozenset()))
-        store.get(1)
-        store.get(2)
+        store.get_many([1])
+        store.put_many([(1, (1, frozenset()))])
+        store.get_many([1])
+        store.get_many([2])
         assert store.misses == 2
         assert store.hits == 1
 
     def test_capacity_evicts_lru(self):
         store = ProfileStore(capacity=2)
-        store.put(1, (1, frozenset()))
-        store.put(2, (2, frozenset()))
-        store.get(1)  # refresh 1: now 2 is least recently used
-        store.put(3, (3, frozenset()))
+        store.put_many([(1, (1, frozenset())), (2, (2, frozenset()))])
+        store.get_many([1])  # refresh 1: now 2 is least recently used
+        store.put_many([(3, (3, frozenset()))])
         assert store.evictions == 1
         assert 2 not in store
         assert 1 in store and 3 in store
 
+    def test_put_many_evicts_in_write_order(self):
+        """One write of more entries than fit keeps the last ``capacity``
+        of them, as one write per entry would."""
+        store = ProfileStore(capacity=2)
+        store.put_many([(b, (b, frozenset())) for b in (1, 2, 3, 4)])
+        assert list(store._profiles) == [3, 4]
+        assert store.evictions == 2
+
     def test_peek_does_not_touch_state(self):
         store = ProfileStore(capacity=2)
-        store.put(1, (1, frozenset()))
-        store.put(2, (2, frozenset()))
+        store.put_many([(1, (1, frozenset())), (2, (2, frozenset()))])
         store.peek(1)  # no LRU refresh
-        store.put(3, (3, frozenset()))
+        store.put_many([(3, (3, frozenset()))])
         assert 1 not in store  # 1 stayed least recently used
         assert store.hits == 0 and store.misses == 0
 
     def test_stats_and_reset(self):
         store = ProfileStore(capacity=2)
-        store.get(1)
-        store.put(1, (1, frozenset()))
+        store.get_many([1])
+        store.put_many([(1, (1, frozenset()))])
         snap = store.stats()
         assert snap["size"] == 1
         assert snap["misses"] == 1
@@ -57,7 +64,7 @@ class TestProfileStore:
 
     def test_clear(self):
         store = ProfileStore(capacity=2)
-        store.put(1, (1, frozenset()))
+        store.put_many([(1, (1, frozenset()))])
         store.clear()
         assert len(store) == 0
 
@@ -115,7 +122,7 @@ class TestInvalidateMatching:
         fast, reference = ProfileStore(), ProfileStore()
         for store in (fast, reference):
             for i, (bits, record_id) in enumerate(keys):
-                store.put(bits, (i, frozenset()), record_id=record_id)
+                store.put_many([(bits, (i, frozenset()))], record_id=record_id)
         assert fast.invalidate_matching(records, 1) == loop_invalidate(
             reference, records, 1
         )
@@ -126,35 +133,36 @@ class TestInvalidateMatching:
     def test_contexts_wider_than_64_bits(self, t):
         store = ProfileStore()
         top = 1 << (t - 1)
-        store.put(top | 0b11, (1, frozenset()))  # contains the record
-        store.put(0b11, (1, frozenset()))
-        store.put(top | 0b01, (1, frozenset()), record_id=7)  # contains it
-        store.put(top | 0b10, (1, frozenset()), record_id=3)
+        store.put_many([(top | 0b11, (1, frozenset())), (0b11, (1, frozenset()))])
+        store.put_many([(top | 0b01, (1, frozenset()))], record_id=7)  # contains it
+        store.put_many([(top | 0b10, (1, frozenset()))], record_id=3)
         assert store.invalidate_matching([top | 0b01], 1) == 2
         assert list(store._profiles) == [0b11, (top | 0b10, 3)]
         assert store.invalidations == 2
         # A record wider than every key is contained in none of them.
         narrow = ProfileStore()
-        narrow.put(0b11, (1, frozenset()))
+        narrow.put_many([(0b11, (1, frozenset()))])
         assert narrow.invalidate_matching([top | 0b01], 1) == 0
         assert 0b11 in narrow
 
 
 class TestSharedRegistry:
+    """A release engine keeps one verifier, and so one store, per detector
+    configuration: equal configurations share it, distinct ones do not."""
+
     def test_same_pair_shares_store(self, mini_dataset):
-        a = shared_profile_store(mini_dataset, ZScoreDetector(z_threshold=2.0))
-        b = shared_profile_store(mini_dataset, ZScoreDetector(z_threshold=2.0))
-        assert a is b
+        a, b = ZScoreDetector(z_threshold=2.0), ZScoreDetector(z_threshold=2.0)
+        assert detector_fingerprint(a) == detector_fingerprint(b)
+        engine = ReleaseEngine(mini_dataset)
+        assert engine.verifier_for(a).profile_store is engine.verifier_for(b).profile_store
 
     def test_different_detector_config_separates(self, mini_dataset):
-        a = shared_profile_store(mini_dataset, ZScoreDetector(z_threshold=2.0))
-        b = shared_profile_store(mini_dataset, ZScoreDetector(z_threshold=3.0))
-        assert a is not b
-
-    def test_different_dataset_separates(self, mini_dataset, tiny_dataset):
-        det = ZScoreDetector(z_threshold=2.0)
-        assert shared_profile_store(mini_dataset, det) is not shared_profile_store(
-            tiny_dataset, det
+        a, b = ZScoreDetector(z_threshold=2.0), ZScoreDetector(z_threshold=3.0)
+        assert detector_fingerprint(a) != detector_fingerprint(b)
+        engine = ReleaseEngine(mini_dataset)
+        assert (
+            engine.verifier_for(a).profile_store
+            is not engine.verifier_for(b).profile_store
         )
 
     def test_verifiers_share_profiles_through_store(self, mini_dataset, mini_detector):
@@ -177,19 +185,20 @@ class TestDetectorFingerprint:
     def test_callable_configs_never_collide(self, mini_dataset):
         """Detectors configured with distinct callables (address-based reprs)
         must not share a store, even though their reprs could coincide."""
-        from repro.outliers.zscore import ZScoreDetector
 
         def make_detector(fn):
             det = ZScoreDetector(z_threshold=2.0)
             det.transform = fn  # user extension carrying a callable
             return det
 
-        a = shared_profile_store(mini_dataset, make_detector(lambda v: v))
-        b = shared_profile_store(mini_dataset, make_detector(lambda v: v + 1))
-        assert a is not b
+        a = make_detector(lambda v: v)
+        b = make_detector(lambda v: v + 1)
+        assert detector_fingerprint(a) != detector_fingerprint(b)
+        assert detector_fingerprint(a) == detector_fingerprint(make_detector(a.transform))
+        engine = ReleaseEngine(mini_dataset)
+        assert engine.verifier_for(a) is not engine.verifier_for(b)
 
     def test_ndarray_configs_compared_by_contents(self, mini_dataset):
-        from repro.outliers.zscore import ZScoreDetector
         import numpy as np
 
         def make_detector(arr):
@@ -200,9 +209,13 @@ class TestDetectorFingerprint:
         big = np.arange(5000, dtype=np.float64)
         tweaked = big.copy()
         tweaked[2500] = -1.0  # elided from repr() of a large array
-        assert shared_profile_store(
-            mini_dataset, make_detector(big)
-        ) is not shared_profile_store(mini_dataset, make_detector(tweaked))
-        assert shared_profile_store(
-            mini_dataset, make_detector(big)
-        ) is shared_profile_store(mini_dataset, make_detector(big.copy()))
+        assert detector_fingerprint(make_detector(big)) != detector_fingerprint(
+            make_detector(tweaked)
+        )
+        assert detector_fingerprint(make_detector(big)) == detector_fingerprint(
+            make_detector(big.copy())
+        )
+        engine = ReleaseEngine(mini_dataset)
+        verifier = engine.verifier_for(make_detector(big))
+        assert engine.verifier_for(make_detector(tweaked)) is not verifier
+        assert engine.verifier_for(make_detector(big.copy())) is verifier

@@ -161,10 +161,10 @@ class TestStore:
         # then prefers it.  One logical read counts one hit or one miss.
         full = verifier.context_profile(bits)
         assert (store.hits, store.misses) == (0, 1)
-        assert store.get_for_record(bits, rid) is full
-        assert store.get_for_record(bits, rid + 1) is full
+        assert store.get_many([bits], rid)[0] is full
+        assert store.get_many([bits], rid + 1)[0] is full
         assert (store.hits, store.misses) == (2, 1)
-        assert store.get_for_record(bits ^ 1, rid) is None
+        assert store.get_many([bits ^ 1], rid) == [None]
         assert (store.hits, store.misses) == (2, 2)
 
     def test_batched_reads_count_like_per_key_reads(self):
@@ -172,8 +172,8 @@ class TestStore:
         distinct missing key; record-free batches never see scoped
         entries."""
         store = ProfileStore()
-        store.put(0b001, (3, frozenset()))
-        store.put(0b011, (2, frozenset({5})), record_id=5)
+        store.put_many([(0b001, (3, frozenset()))])
+        store.put_many([(0b011, (2, frozenset({5})))], record_id=5)
         got = store.get_many([0b001, 0b011, 0b111, 0b001, 0b111], record_id=5)
         assert got == [(3, frozenset()), (2, frozenset({5})), None, (3, frozenset()), None]
         assert (store.hits, store.misses) == (3, 1)
@@ -183,22 +183,27 @@ class TestStore:
 
     def test_scoped_entry_answers_only_its_record(self):
         store = ProfileStore()
-        store.put(0b101, (4, frozenset({7})), record_id=7)
-        assert store.get_for_record(0b101, 7) == (4, frozenset({7}))
-        assert store.get_for_record(0b101, 8) is None
-        assert store.get(0b101) is None and 0b101 not in store
+        store.put_many([(0b101, (4, frozenset({7})))], record_id=7)
+        assert store.get_many([0b101], record_id=7) == [(4, frozenset({7}))]
+        assert store.get_many([0b101], record_id=8) == [None]
+        assert store.get_many([0b101]) == [None] and 0b101 not in store
 
     def test_invalidation_reads_the_bits_of_scoped_keys(self):
         store = ProfileStore()
-        store.put(0b011, (4, frozenset()), record_id=1)
-        store.put(0b110, (4, frozenset({2})), record_id=2)
-        store.put(0b011, (9, frozenset()))
+        store.put_many([(0b011, (4, frozenset()))], record_id=1)
+        store.put_many([(0b110, (4, frozenset({2})))], record_id=2)
+        store.put_many([(0b011, (9, frozenset()))])
         assert store.invalidate_matching([0b001], version=1) == 2
-        assert store.get_for_record(0b110, 2) == (4, frozenset({2}))
-        assert store.get_for_record(0b011, 1) is None
-        # The version fence applies to scoped puts too.
-        store.put(0b011, (4, frozenset()), version=0, record_id=1)
-        assert store.get_for_record(0b011, 1) is None and store.stale_puts == 1
+        assert store.get_many([0b110], record_id=2) == [(4, frozenset({2}))]
+        assert store.get_many([0b011], record_id=1) == [None]
+        # The version fence applies to scoped writes too, entry by entry.
+        store.put_many(
+            [(0b011, (4, frozenset())), (0b111, (5, frozenset()))],
+            version=0,
+            record_id=1,
+        )
+        assert store.get_many([0b011, 0b111], record_id=1) == [None, None]
+        assert store.stale_puts == 2
 
     def test_detectors_without_locality_store_full_profiles(self, mini_dataset):
         verifier = OutlierVerifier(mini_dataset, ZScoreDetector(z_threshold=2.5))

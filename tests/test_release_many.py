@@ -6,6 +6,7 @@ import pytest
 from repro.core.pcor import PCOR
 from repro.core.profiles import ProfileStore
 from repro.core.sampling import BFSSampler
+from repro.core.verification import OutlierVerifier
 from repro.exceptions import SamplingError
 from repro.outliers import LOFDetector
 from repro.runtime import plan_task_rngs, rng_from_token
@@ -99,18 +100,22 @@ class TestReleaseMany:
         self, mini_dataset, mini_detector, outlier_ids
     ):
         """One zscore release_many does strictly fewer uncached detector
-        runs than releasing the same records on fresh instances: zscore
-        declares no ``locality``, so every verdict is a full profile that
-        the other records' releases read from the shared store."""
+        runs than the same releases on fresh instances: zscore declares no
+        ``locality``, so every verdict is a full profile that the other
+        records' releases read from the shared store.  The fresh side
+        replays the batch's planned RNG substreams, so both sides release
+        the same contexts."""
         batched = make_pcor(mini_dataset, mini_detector)
-        batched.release_many(outlier_ids, seed=7)
+        results = batched.release_many(outlier_ids, seed=7)
         amortised = batched.verifier.fm_evaluations
 
-        fresh_total = 0
+        gen = np.random.default_rng(7)
+        fresh_total, fresh_contexts = 0, []
         for rid in outlier_ids:
             fresh = make_pcor(mini_dataset, mini_detector)
-            fresh.release(rid, seed=7)
+            fresh_contexts.append(fresh.release(rid, seed=gen.spawn(1)[0]).context)
             fresh_total += fresh.verifier.fm_evaluations
+        assert fresh_contexts == [r.context for r in results]
         assert amortised < fresh_total
 
     @pytest.mark.parametrize("case", ["zscore", "lof"])
@@ -161,17 +166,24 @@ class TestReleaseMany:
             pcor.close()
         assert [release_key(r) for r in results] == [release_key(r) for r in expected]
 
-    def test_share_profiles_spans_instances(self, mini_dataset, mini_detector):
-        """Two share_profiles instances use one store; the second benefits."""
+    def test_share_profiles_spans_instances(
+        self, mini_dataset, mini_detector, outlier_ids
+    ):
+        """Two instances whose verifiers share one store: the second's
+        release of the same request reads every profile the first's
+        computed, so it runs no detector and releases the same context."""
         store = ProfileStore()
-        first = make_pcor(mini_dataset, mini_detector, profile_store=store)
-        second = make_pcor(mini_dataset, mini_detector, profile_store=store)
-        assert first.verifier.profile_store is second.verifier.profile_store
 
-    def test_shared_registry_wires_same_store(self, mini_dataset, mini_detector):
-        a = make_pcor(mini_dataset, mini_detector, share_profiles=True)
-        b = make_pcor(mini_dataset, mini_detector, share_profiles=True)
-        assert a.verifier.profile_store is b.verifier.profile_store
+        def shared_pcor():
+            verifier = OutlierVerifier(mini_dataset, mini_detector, profile_store=store)
+            return make_pcor(mini_dataset, mini_detector, verifier=verifier)
+
+        first, second = shared_pcor(), shared_pcor()
+        assert first.verifier.profile_store is second.verifier.profile_store
+        a = first.release(outlier_ids[0], seed=5)
+        b = second.release(outlier_ids[0], seed=5)
+        assert a.fm_evaluations > 0 and b.fm_evaluations == 0
+        assert release_key(a) == release_key(b)
 
     def test_empty_batch(self, mini_dataset, mini_detector):
         pcor = make_pcor(mini_dataset, mini_detector)
@@ -185,12 +197,3 @@ class TestReleaseMany:
         a = make_pcor(mini_dataset, mini_detector).release_many(outlier_ids, seed=rng_a)
         b = make_pcor(mini_dataset, mini_detector).release_many(outlier_ids, seed=rng_b)
         assert [r.context for r in a] == [r.context for r in b]
-
-    def test_verifier_excludes_store_kwargs(self, mini_dataset, mini_detector, mini_verifier):
-        with pytest.raises(SamplingError, match="not both"):
-            make_pcor(mini_dataset, mini_detector, verifier=mini_verifier, share_profiles=True)
-        with pytest.raises(SamplingError, match="not both"):
-            make_pcor(
-                mini_dataset, mini_detector,
-                verifier=mini_verifier, profile_store=ProfileStore(),
-            )

@@ -56,6 +56,20 @@ class TestDatasetConfig:
         with pytest.raises(SpecError, match="slash-free"):
             DatasetConfig(name="a/b")
 
+    def test_bad_profile_capacity_rejected(self):
+        """A store bound below one entry would fail every admitted (and
+        already charged) release, so it is refused at load."""
+        for capacity in (0, -5, 2.5, "1000", True):
+            with pytest.raises(SpecError, match="profile_capacity"):
+                DatasetConfig(name="d", profile_capacity=capacity)
+        assert DatasetConfig(name="d", profile_capacity=1).profile_capacity == 1
+        # A whole float (JSON's ``1e6``) counts as an integer.
+        assert DatasetConfig(name="d", profile_capacity=1e6).profile_capacity == 1_000_000
+        with pytest.raises(SpecError, match="profile_capacity"):
+            ServerConfig.from_dict(
+                {"datasets": {"d": {"source": "salary_reduced", "profile_capacity": 0}}}
+            )
+
     def test_unknown_backend_rejected(self):
         for name in ("gpu", "thread"):
             with pytest.raises(SpecError, match="unknown backend"):

@@ -205,6 +205,27 @@ class TestTypedErrors:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("content_length", ["abc", "-3"])
+    def test_malformed_content_length_is_400_and_closes(
+        self, server, outlier_record, raw_post, content_length
+    ):
+        """A Content-Length that is not a non-negative integer leaves the
+        body's end unknown: a typed, counted 400, then the connection
+        closes instead of parsing the body bytes as the next request."""
+        with PCORClient(server.url, tenant="raw-socket") as client:
+            before = client.metrics()["server"]["responses_by_status"].get("4xx", 0)
+            body = json.dumps({"record_id": outlier_record, "spec": SPEC}).encode()
+            status, headers, payload = raw_post(
+                server.url, "/v1/datasets/salary/release", content_length, body
+            )
+            assert status == 400 and headers["Connection"] == "close"
+            assert payload["error"]["type"] == "SpecError"
+            assert "Content-Length" in payload["error"]["message"]
+            after = client.metrics()["server"]["responses_by_status"]["4xx"]
+            assert after == before + 1
+            spent = client.budget(dataset="salary")["datasets"]["salary"]["spent"]
+            assert spent == 0.0
+
     def test_unknown_body_field_is_400(self, server, outlier_record):
         client = PCORClient(server.url, tenant="x")
         with pytest.raises(SpecError, match="unknown release field"):

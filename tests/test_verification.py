@@ -69,16 +69,16 @@ class TestCaching:
 
     def test_cache_size_grows(self, mini_dataset, mini_detector):
         verifier = OutlierVerifier(mini_dataset, mini_detector)
-        assert verifier.cache_size() == 0
+        assert len(verifier.profile_store) == 0
         verifier.context_profile(0b111_111_111)
         verifier.context_profile(0b111_111_110)
-        assert verifier.cache_size() == 2
+        assert len(verifier.profile_store) == 2
 
     def test_clear_cache(self, mini_dataset, mini_detector):
         verifier = OutlierVerifier(mini_dataset, mini_detector)
         verifier.context_profile(0b111_111_111)
-        verifier.clear_cache()
-        assert verifier.cache_size() == 0
+        verifier.profile_store.clear()
+        assert len(verifier.profile_store) == 0
 
     def test_reset_counters(self, mini_dataset, mini_detector):
         verifier = OutlierVerifier(mini_dataset, mini_detector)
@@ -122,6 +122,53 @@ class TestIsMatching:
         verifier.is_matching(mini_dataset.schema.full_bits, rid)
         verifier.is_matching(mini_dataset.schema.full_bits, rid)
         assert verifier.fm_queries == 2
+
+
+class TestScalarReads:
+    """``is_matching`` and ``context_profile`` are batch-of-one calls of
+    ``is_matching_many`` and ``profiles``: one way into the store."""
+
+    @pytest.mark.parametrize("locality", [False, True])
+    def test_scalar_reads_route_through_the_batch_reads(
+        self, mini_dataset, mini_detector, locality
+    ):
+        from unittest import mock
+
+        from repro.outliers.lof import LOFDetector
+
+        detector = LOFDetector(k=4, min_population=8) if locality else mini_detector
+        verifier = OutlierVerifier(mini_dataset, detector)
+        rid = int(mini_dataset.ids[0])
+        bits = mini_dataset.record_bits(rid)
+        with mock.patch.object(
+            verifier, "is_matching_many", wraps=verifier.is_matching_many
+        ) as many, mock.patch.object(
+            verifier, "profiles", wraps=verifier.profiles
+        ) as profiles:
+            answer = verifier.is_matching(bits, rid)
+            many.assert_called_once_with([bits], rid)
+            profiles.assert_called_once_with([bits], record_id=rid)
+            assert isinstance(answer, bool)
+            profiles.reset_mock()
+            verifier.context_profile(bits)
+            profiles.assert_called_once_with([bits])
+
+    def test_scalar_reads_count_one_query_and_one_lookup(
+        self, mini_dataset, mini_detector
+    ):
+        verifier = OutlierVerifier(mini_dataset, mini_detector)
+        store = verifier.profile_store
+        rid = int(mini_dataset.ids[0])
+        bits = mini_dataset.record_bits(rid)
+        verifier.is_matching(bits, rid)
+        assert verifier.fm_queries == 1
+        assert (store.hits, store.misses) == (0, 1)
+        verifier.is_matching(bits, rid)
+        assert verifier.fm_queries == 2
+        assert (store.hits, store.misses) == (1, 1)
+        verifier.context_profile(bits)
+        assert verifier.fm_queries == 2  # a record-free read asks no f_M
+        assert (store.hits, store.misses) == (2, 1)
 
 
 class TestConstruction:
