@@ -13,7 +13,8 @@ table benches, which run whole experiments once):
 * Exponential-mechanism selection over a large candidate pool,
 * one full BFS release on a warmed verifier,
 * release_many vs fresh-instance releases (each detector run charged to
-  the release that made it).
+  the release that made it),
+* zscore full profiles from cell moments vs the per-population path.
 """
 
 import time
@@ -314,6 +315,98 @@ def test_record_scoped_verdicts(emit, monkeypatch):
         ],
     )
     assert speedup >= 2.0, f"window detector only {speedup:.2f}x faster than full"
+
+
+def test_zscore_full_profiles(emit, monkeypatch):
+    """zscore full profiles from cell moments vs the per-population path.
+
+    Pinned setting (ignores ``PCOR_BENCH_SCALE``): zscore with its default
+    ``z_threshold = 3`` and ``min_population = 10`` on the 20k-record
+    ``salary_reduced`` dataset, over 1,024 distinct fixed random valid
+    contexts, asked of a cold store in reads of 8 (served reads hold 1-11
+    contexts).  The moments path is ``ZScoreDetector`` as registered; the
+    per-population path is the same detector with ``std_cutoff = None``,
+    which runs ``outlier_positions`` on every population.  Profiles are
+    asserted identical before any timing.  A spy on ``outlier_positions``
+    counts the populations the moments path declines and the values each
+    path hands the detector: deterministic counts, gated tightly.  The
+    timings, best of three passes each in this process, are recorded and
+    gate nothing.
+    """
+    from repro.core.verification import OutlierVerifier
+    from repro.outliers import ZScoreDetector
+
+    class PerPopulation(ZScoreDetector):
+        std_cutoff = None
+
+    dataset = salary_reduced(n_records=20_000, seed=7)
+    index = PredicateMaskIndex(dataset)
+    space = ContextSpace(dataset.schema)
+    rng = np.random.default_rng(0)
+    contexts: dict = {}
+    while len(contexts) < 1024:
+        contexts[space.random_valid_context(rng).bits] = None
+    reads = [list(contexts)[i : i + 8] for i in range(0, len(contexts), 8)]
+    detectors = {"cutoff": ZScoreDetector(), "per_population": PerPopulation()}
+
+    def cold_pass(detector):
+        def run():
+            verifier = OutlierVerifier(dataset, detector, mask_index=index)
+            return [p for read in reads for p in verifier.profiles(read)]
+
+        return run
+
+    scanned = {}
+    profiles = {}
+    for name, detector in detectors.items():
+        seen = []
+        original = ZScoreDetector.outlier_positions
+
+        def spy(self, values, seen=seen, original=original):
+            seen.append(len(values))
+            return original(self, values)
+
+        monkeypatch.setattr(ZScoreDetector, "outlier_positions", spy)
+        profiles[name] = cold_pass(detector)()
+        monkeypatch.undo()
+        scanned[name] = (len(seen), int(sum(seen)))
+    assert profiles["cutoff"] == profiles["per_population"]
+    declined, values_cutoff = scanned["cutoff"]
+    runs, values_full = scanned["per_population"]
+
+    t_cutoff, _ = _best_of_three(cold_pass(detectors["cutoff"]))
+    t_full, _ = _best_of_three(cold_pass(detectors["per_population"]))
+    n = len(contexts)
+    cutoff_us, full_us = t_cutoff * 1e6 / n, t_full * 1e6 / n
+    harness = load_harness()
+    emit(
+        "bench_zscore_full_profiles",
+        f"zscore full profiles (n=20000 records, {n} contexts in reads of 8)\n"
+        f"  per-population path : {full_us:8.1f} us/profile "
+        f"({runs} detector runs, {values_full} values)\n"
+        f"  cell-moments path   : {cutoff_us:8.1f} us/profile "
+        f"({declined} declined, {values_cutoff} values)\n"
+        f"  speedup             : {t_full / t_cutoff:8.2f}x",
+        metrics=[
+            harness.metric("cutoff_us_per_profile", cutoff_us, "us"),
+            harness.metric("per_population_us_per_profile", full_us, "us"),
+            harness.metric("speedup", t_full / t_cutoff, "x"),
+            # Deterministic: fixed data, contexts and detector settings.
+            harness.metric(
+                "declined_populations", declined, "count",
+                direction="lower", tolerance=0.01,
+            ),
+            harness.metric(
+                "detector_values_cutoff", values_cutoff, "count",
+                direction="lower", tolerance=0.01,
+            ),
+            harness.metric(
+                "detector_values_per_population", values_full, "count",
+                direction="lower", tolerance=0.01,
+            ),
+            harness.metric("contexts", n, "count"),
+        ],
+    )
 
 
 def test_population_sizes_batch_vs_scalar(benchmark, emit):

@@ -73,6 +73,7 @@ BENCHES: Dict[str, Dict[str, Any]] = {
             "append_incremental",
             "detector_kernels",
             "record_scoped_verdicts",
+            "zscore_full_profiles",
         ],
     },
     "server_throughput": {

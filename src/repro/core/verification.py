@@ -41,6 +41,52 @@ both ask about, and the store holds one entry per (context, record) asked.
 Detectors without a locality (every one but LOF) compute full profiles,
 which every record reads.
 
+**Full profiles from cell moments.**  A detector that declares
+:attr:`~repro.outliers.base.OutlierDetector.std_cutoff` ``z`` (zscore)
+flags the members below ``mean - z * std`` or above ``mean + z * std``, so
+its full profiles need no population gathered.  A read's misses get:
+
+* their count, mean, centred sum of squares and largest magnitude
+  ``A = max|x|`` from the snapshot's
+  :class:`~repro.data.masks.CellTable`, through one containment matmul
+  (the population is the union of the cells its context contains);
+* their two cut-offs as metric ranks, by ``searchsorted`` on the
+  ascending metric;
+* their outliers: the members ranked beyond the cut-offs, read from each
+  population's metric-ordered mask row (on the served workload a mean
+  ~2,000 of the ~20,000 ranks per profile), never gathering its values.
+
+The detector computes its mean and deviation over the population in
+record order (NumPy's pairwise sums) and compares ``|x - mean| / std``
+with ``z``; the moments here come from other sums, so the two sides'
+cut-offs differ by rounding.  Every sum on either side adds at most ``n``
+values of magnitude at most ``A``, so for ``n <= 2**20`` records each
+side's mean lies within ``n * eps * A`` (1.2e-10 ``A``) of the exact one
+and its deviation within ``2 n eps A`` plus ``n eps`` of itself (the
+deviation is at most ``1.5 A``), up to a second-order term that rule 2
+below keeps negligible; the detector's subtraction, division and
+comparison add a few ulps of ``A + z * std``.  So the two sides' cut-offs
+agree to within ``8.2e-10 * (1 + z) * A``, inside the error band
+``1e-9 * (1 + z) * A``, which is widened in proportion beyond ``2**20``
+records.  A population goes to the detector
+(:meth:`~repro.outliers.base.OutlierDetector.outlier_positions` on its
+values in record order, exactly as for any other detector) when
+
+1. a member lies within the band of either cut-off, or
+2. its deviation is at most ``1e3`` times ``1e-9 * A``: there the
+   detector's own verdicts follow its rounding (a constant population's
+   computed mean need not equal its values), and so does the second-order
+   term the bound leaves out.  Zero, NaN (one member) and constant
+   populations all land here; or
+3. its deviation is at most ``1e-150`` or ``A`` at least ``1e150``, where
+   squares may underflow or sums of squares overflow (like LOF's reach
+   distance range).
+
+Every other member's verdict is then the detector's, so the profile is
+bit for bit the one :meth:`outlier_positions` gives.  On ordinary data
+no condition fires: none of the ~21k profiles the served zscore workload
+computes per run (seeds 1 and 2) goes to the detector.
+
 The core entry point is batched: :meth:`OutlierVerifier.profiles` partitions
 a batch of contexts into cached and uncached, evaluates all uncached
 population masks in one table-driven pass through the bit-packed
@@ -48,7 +94,9 @@ population masks in one table-driven pass through the bit-packed
 per distinct uncached full profile — on the population's values in metric
 order, read off the metric-ordered mask layout, when the detector is
 ``sorted_input``, so it never sorts them — or once per read for
-record-scoped ones.  :meth:`is_matching_many` layers the paper's
+record-scoped ones; a ``std_cutoff`` detector runs only on the populations
+its cut-offs cannot decide.  Each miss counts one ``f_M`` run whichever
+way it is answered.  :meth:`is_matching_many` layers the paper's
 matching-context test on top, short-circuiting non-containing contexts with
 pure bit tests so they never touch the detector.  The scalar reads
 (:meth:`~OutlierVerifier.context_profile`, :meth:`~OutlierVerifier.is_matching`
@@ -65,11 +113,11 @@ the first profile component, and outlier-membership is a set lookup.
 from __future__ import annotations
 
 import threading
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bitops import popcount_rows, popcount_words
+from repro.bitops import ints_to_bool_matrix, popcount_rows, popcount_words
 from repro.core.profiles import ContextProfile, ProfileStore
 from repro.data.masks import IndexSnapshot, PredicateMaskIndex
 from repro.data.table import Dataset
@@ -199,27 +247,44 @@ class OutlierVerifier:
         values all describe the same dataset even if an append commits
         mid-chunk."""
         snap = self.masks.snapshot()
-        ids = snap.dataset.ids
-        metric = snap.dataset.metric
-        n_records = len(snap.dataset)
-        # Detectors that sort their input get each population already in
-        # metric order, from the metric-ordered mask layout: its set bits
-        # are ranks, ascending, so they never sort per population.
-        ordered = self.detector.sorted_input
-        order = snap.dataset.metric_order() if ordered else None
+        dataset = snap.dataset
+        detector = self.detector
+        metric = dataset.metric
+        id_list = dataset.id_list()
+        z = detector.std_cutoff
+        # Populations come in the metric-ordered mask layout, whose set bits
+        # are ranks, ascending, when the detector sorts its input (so it
+        # never sorts per population) or reads cut-offs as ranks.
+        ordered = detector.sorted_input or z is not None
+        order = dataset.metric_order() if ordered else None
         packed = self.masks.population_masks(misses, snapshot=snap, metric_order=ordered)
+        pops = popcount_rows(packed)
+        ranked: List[Optional[np.ndarray]] = [None] * len(misses)
+        if z is not None:
+            cells = snap.cells()
+            ranked = _cutoff_ranks(
+                packed,
+                pops,
+                cells.moments(ints_to_bool_matrix(misses, dataset.schema.t)),
+                cells.sorted_metric,
+                z,
+                detector.min_population,
+            )
         computed: List[ContextProfile] = []
-        for row, pop in zip(packed, popcount_rows(packed)):
+        for row, pop, ranks in zip(packed, pops.tolist(), ranked):
             if pop == 0:
                 computed.append((0, frozenset()))
                 continue
-            positions = self.masks.positions_from_packed(row, n_records=n_records)
-            if order is not None:
-                positions = order[positions]
-            outlier_pos = self.detector.outlier_positions(metric[positions])
-            computed.append(
-                (int(pop), frozenset(ids[positions[outlier_pos]].tolist()))
-            )
+            if ranks is not None:
+                outliers = order[ranks]
+            else:
+                positions = self.masks.positions_from_packed(row, n_records=len(dataset))
+                if order is not None:
+                    positions = order[positions]
+                    if not detector.sorted_input:
+                        positions.sort()  # record order, as the detector asks
+                outliers = positions[detector.outlier_positions(metric[positions])]
+            computed.append((pop, frozenset(map(id_list.__getitem__, outliers.tolist()))))
         return computed
 
     def _record_chunk(
@@ -326,6 +391,88 @@ class OutlierVerifier:
         self._local.fm_evaluations = 0  # calling thread's slice only
         self.masks.reset_counters()
         self.profile_store.reset_counters()
+
+
+#: The error band around each cut-off is this many times ``(1 + z) *
+#: max|x|`` of the population: a member inside it sends the population to
+#: the detector.  The cut-offs from cell moments lie within 8.2e-10 of that
+#: scale of the detector's own, in the worst case (see the module
+#: docstring).
+_CUTOFF_MARGIN = 1e-9
+#: Beyond this many records the band grows in proportion, as the error
+#: bound of a sequential float sum does.
+_MARGIN_RECORDS = 1 << 20
+#: A population whose standard deviation is at most this many times
+#: ``_CUTOFF_MARGIN * max|x|`` goes to the detector too: zero and
+#: single-value populations among them.
+_STD_MARGINS = 1e3
+#: Deviations at most the lower bound, or magnitudes at least the upper one,
+#: go to the detector as well: outside this range a square may underflow
+#: or a sum of squares overflow (for populations of up to 4e7 records),
+#: where no relative error bound holds.
+_STD_MIN, _MAGNITUDE_MAX = 1e-150, 1e150
+
+
+def _cutoff_ranks(
+    packed: np.ndarray,
+    pops: np.ndarray,
+    moments: Tuple[np.ndarray, ...],
+    sorted_metric: np.ndarray,
+    z: float,
+    min_population: int,
+) -> List[Optional[np.ndarray]]:
+    """The ascending metric ranks of each population's outliers under a
+    detector with :attr:`~repro.outliers.base.OutlierDetector.std_cutoff`
+    ``z``, or ``None`` where only the detector can decide them exactly.
+
+    ``packed`` holds ``(B, W)`` population masks in the metric-ordered
+    layout, ``pops`` their sizes, and ``moments`` their ``(count, mean, m2,
+    absmax)`` from :meth:`~repro.data.masks.CellTable.moments`.  The two
+    ends of the error band around each cut-off ``mean -/+ z * std`` become
+    ranks by one ``searchsorted`` on the ascending metric.  The outliers
+    are the members ranked below the lower band or from the upper band on;
+    a member inside a band declines the population, as do the deviations
+    and magnitudes the module docstring lists.
+    """
+    count, mean, m2, absmax = moments
+    error = _CUTOFF_MARGIN * max(1.0, sorted_metric.size / _MARGIN_RECORDS) * absmax
+    std = np.sqrt(m2 / np.maximum(count - 1, 1))
+    decided = (
+        (std > _STD_MARGINS * error)
+        & (std > _STD_MIN)
+        & (absmax < _MAGNITUDE_MAX)
+    ).tolist()
+    spread, band = z * std, (1 + z) * error
+    ends = sorted_metric.searchsorted(
+        np.stack(
+            [
+                mean - spread - band,  # the lower cut-off's band
+                mean - spread + band,
+                mean + spread - band,  # the upper cut-off's band
+                mean + spread + band,
+            ],
+            axis=1,
+        )
+    ).tolist()
+    out: List[Optional[np.ndarray]] = []
+    for row, pop, ok, (low, low_in, high_in, high) in zip(
+        packed, pops.tolist(), decided, ends
+    ):
+        if pop < min_population:
+            out.append(np.empty(0, dtype=np.int64))
+            continue
+        if ok:
+            bits = np.unpackbits(row.view(np.uint8), bitorder="little").view(bool)
+            ok = not (
+                low < low_in and bits[low:low_in].any()
+                or high_in < high and bits[high_in:high].any()
+            )
+        out.append(
+            np.concatenate([bits[:low].nonzero()[0], bits[high:].nonzero()[0] + high])
+            if ok else None
+        )
+    return out
+
 
 def _centred_windows(
     packed: np.ndarray,

@@ -116,6 +116,7 @@ class Dataset:
         self._record_bits_cache: Optional[np.ndarray] = None
         self._metric_order: Optional[np.ndarray] = None
         self._metric_ranks: Optional[np.ndarray] = None
+        self._id_list: Optional[List[int]] = None
 
     # ------------------------------------------------------------ constructors
 
@@ -216,6 +217,19 @@ class Dataset:
         view = self._codes[attribute].view()
         view.flags.writeable = False
         return view
+
+    def id_list(self) -> List[int]:
+        """The record ids as one list of Python ints, aligned with row
+        positions (do not mutate it).
+
+        Built once per dataset and carried across :meth:`append`, which
+        extends a copy of it instead of converting every id again.  The
+        verifier builds every full profile's outlier set from these very
+        int objects, so dropping a profile frees no ints.
+        """
+        if self._id_list is None:
+            self._id_list = self._ids.tolist()
+        return self._id_list
 
     def position_of(self, record_id: int) -> int:
         """Row position of a stable record id."""
@@ -442,6 +456,9 @@ class Dataset:
         # Appended values land anywhere in the order: recompute on demand.
         out._metric_order = None
         out._metric_ranks = None
+        out._id_list = (
+            None if self._id_list is None else self._id_list + tail_ids.tolist()
+        )
         return out
 
     # ------------------------------------------------------------------- misc

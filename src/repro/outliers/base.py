@@ -16,6 +16,11 @@ side of it in metric order.  The verifier uses that to answer a
 record-bound question ("is V an outlier here?") from V's window of the
 population instead of the whole population, batching the windows of many
 populations into one :meth:`OutlierDetector.outlier_centres` call.
+
+A detector whose outliers are the values more than ``z`` standard
+deviations from the mean declares :attr:`OutlierDetector.std_cutoff`
+``z``: the verifier then profiles populations from their moments, without
+gathering their values.
 """
 
 from __future__ import annotations
@@ -56,6 +61,17 @@ class OutlierDetector(ABC):
     #: side of a value agree on that value.  ``None`` (the default): the
     #: verdict may depend on the whole population.
     locality: Optional[int] = None
+
+    #: ``z`` when the outliers of a population of at least ``min_population``
+    #: values whose sample standard deviation ``std`` (``ddof=1``) is
+    #: positive are exactly its values below ``mean - z * std`` or above
+    #: ``mean + z * std``, with the mean and deviation taken over the values
+    #: in record order.  The verifier then answers full profiles from cell
+    #: moments and cut-off ranks, and calls :meth:`outlier_positions` only
+    #: on the populations those cannot decide exactly (see
+    #: :mod:`repro.core.verification`).  ``None`` (the default): every full
+    #: profile runs :meth:`outlier_positions`.
+    std_cutoff: Optional[float] = None
 
     def __init__(self, min_population: int = 10):
         if min_population < 1:

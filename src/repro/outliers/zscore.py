@@ -2,9 +2,21 @@
 
 Not evaluated in the paper, but included to exercise the paper's claim that
 PCOR composes with *any* deterministic outlier detection algorithm.
+
+Its outliers are the values below ``mean - z * std`` or above
+``mean + z * std``, so it declares :attr:`ZScoreDetector.std_cutoff`: the
+verifier answers its full profiles from per-cell moments and reads only the
+members beyond the two cut-offs, and calls :meth:`outlier_positions` only
+on the populations it cannot decide exactly that way (a member within the
+error band of a cut-off, or a deviation not well above that band; see
+:mod:`repro.core.verification`).  A subclass that overrides
+``outlier_positions`` or ``_outlier_positions`` declares no cut-off, so its
+own method decides every population.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +33,18 @@ class ZScoreDetector(OutlierDetector):
         if z_threshold <= 0.0:
             raise ValueError(f"z_threshold must be positive, got {z_threshold}")
         self.z_threshold = float(z_threshold)
+
+    @property
+    def std_cutoff(self) -> Optional[float]:
+        """The cut-off in standard deviations, :attr:`z_threshold`; ``None``
+        for a subclass that overrides ``outlier_positions`` or
+        ``_outlier_positions``, whose verdicts the cut-offs need not give."""
+        for cls in type(self).__mro__:
+            if cls is ZScoreDetector:
+                return self.z_threshold
+            if "outlier_positions" in vars(cls) or "_outlier_positions" in vars(cls):
+                return None
+        return None  # pragma: no cover - ZScoreDetector is always in the MRO
 
     def _outlier_positions(self, values: np.ndarray) -> np.ndarray:
         dev, std = deviations_and_std(values)

@@ -29,6 +29,7 @@ loads from JSON or TOML via the shared
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
@@ -51,6 +52,23 @@ def _dataset_factories() -> Dict[str, Any]:
     from repro.experiments.harness import DATASET_FACTORIES
 
     return DATASET_FACTORIES
+
+
+def _integer(value: Any, what: str) -> int:
+    """``value`` as an ``int``: an integer, or a whole float such as JSON's
+    ``1e6``.  Bools, strings and fractions raise :class:`SpecError`."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value: Any, what: str) -> float:
+    """``value`` as a ``float``; bools and strings raise :class:`SpecError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -111,15 +129,25 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", str(self.name))
         object.__setattr__(self, "source", str(self.source))
-        object.__setattr__(self, "records", int(self.records))
-        object.__setattr__(self, "seed", int(self.seed))
+        if not self.name or "/" in self.name:
+            raise SpecError(f"dataset name {self.name!r} must be non-empty and slash-free")
+        where = f"dataset {self.name!r}:"
+        for key in ("records", "seed", "max_batch"):
+            object.__setattr__(self, key, _integer(getattr(self, key), f"{where} {key}"))
+        for key in ("workers", "profile_capacity"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _integer(getattr(self, key), f"{where} {key}"))
+        object.__setattr__(
+            self, "max_delay_ms", _number(self.max_delay_ms, f"{where} max_delay_ms")
+        )
         object.__setattr__(
             self,
             "tenant_budgets",
-            {str(k): float(v) for k, v in dict(self.tenant_budgets).items()},
+            {
+                str(k): _number(v, f"{where} tenant {str(k)!r} budget")
+                for k, v in dict(self.tenant_budgets).items()
+            },
         )
-        if not self.name or "/" in self.name:
-            raise SpecError(f"dataset name {self.name!r} must be non-empty and slash-free")
         if self.source == "csv":
             if not self.path:
                 raise SpecError(f"dataset {self.name!r}: csv source needs a 'path'")
@@ -139,7 +167,7 @@ class DatasetConfig:
             ("tenant_budget", self.tenant_budget),
         ):
             if value is not None:
-                value = float(value)
+                value = _number(value, f"{where} {label}")
                 object.__setattr__(self, label, value)
                 if not (value > 0.0 and math.isfinite(value)):
                     raise SpecError(
@@ -162,25 +190,18 @@ class DatasetConfig:
                     f"available: {available_backends()}"
                 )
             object.__setattr__(self, "backend", key)
-        if self.workers is not None and int(self.workers) < 1:
+        if self.workers is not None and self.workers < 1:
             raise SpecError(f"dataset {self.name!r}: workers must be >= 1")
-        capacity = self.profile_capacity
-        if capacity is not None:
-            if isinstance(capacity, float) and capacity.is_integer():
-                capacity = int(capacity)
-            if type(capacity) is not int or capacity < 1:
-                raise SpecError(
-                    f"dataset {self.name!r}: profile_capacity must be an "
-                    f"integer >= 1, got {self.profile_capacity!r}"
-                )
-            object.__setattr__(self, "profile_capacity", capacity)
-        object.__setattr__(self, "max_batch", int(self.max_batch))
+        if self.profile_capacity is not None and self.profile_capacity < 1:
+            raise SpecError(
+                f"dataset {self.name!r}: profile_capacity must be >= 1, "
+                f"got {self.profile_capacity}"
+            )
         if self.max_batch < 1:
             raise SpecError(
                 f"dataset {self.name!r}: max_batch must be >= 1 "
                 f"(1 disables coalescing), got {self.max_batch}"
             )
-        object.__setattr__(self, "max_delay_ms", float(self.max_delay_ms))
         if not (0.0 <= self.max_delay_ms <= 10_000.0):
             raise SpecError(
                 f"dataset {self.name!r}: max_delay_ms must be in [0, 10000], "
@@ -259,13 +280,9 @@ class ClusterConfig:
     manager: str = "process"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", int(self.workers))
-        object.__setattr__(
-            self, "heartbeat_interval_s", float(self.heartbeat_interval_s)
-        )
-        object.__setattr__(
-            self, "heartbeat_timeout_s", float(self.heartbeat_timeout_s)
-        )
+        object.__setattr__(self, "workers", _integer(self.workers, "cluster workers"))
+        for key in ("heartbeat_interval_s", "heartbeat_timeout_s"):
+            object.__setattr__(self, key, _number(getattr(self, key), f"cluster {key}"))
         object.__setattr__(self, "respawn", bool(self.respawn))
         object.__setattr__(self, "manager", str(self.manager).lower())
         if self.workers < 0:
@@ -340,10 +357,12 @@ class ObservabilityConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "enabled", bool(self.enabled))
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
-        object.__setattr__(self, "slow_request_ms", float(self.slow_request_ms))
+        for key in ("sample_rate", "slow_request_ms"):
+            object.__setattr__(self, key, _number(getattr(self, key), f"observability {key}"))
         object.__setattr__(self, "log_format", str(self.log_format).lower())
-        object.__setattr__(self, "events_buffer", int(self.events_buffer))
+        object.__setattr__(
+            self, "events_buffer", _integer(self.events_buffer, "observability events_buffer")
+        )
         if not (0.0 <= self.sample_rate <= 1.0):
             raise SpecError(
                 f"observability sample_rate must be in [0, 1], "
@@ -401,7 +420,7 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "host", str(self.host))
-        object.__setattr__(self, "port", int(self.port))
+        object.__setattr__(self, "port", _integer(self.port, "port"))
         object.__setattr__(self, "ledger", str(self.ledger).lower())
         object.__setattr__(self, "fsync", bool(self.fsync))
         coerced: Dict[str, DatasetConfig] = {}

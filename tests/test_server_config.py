@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.exceptions import SpecError
-from repro.server.config import DatasetConfig, ServerConfig
+from repro.server.config import ClusterConfig, DatasetConfig, ServerConfig
 
 
 def minimal() -> dict:
@@ -70,13 +70,88 @@ class TestDatasetConfig:
                 {"datasets": {"d": {"source": "salary_reduced", "profile_capacity": 0}}}
             )
 
+    @pytest.mark.parametrize(
+        "field", ["records", "seed", "max_batch", "workers", "profile_capacity"]
+    )
+    @pytest.mark.parametrize("value", ["four", "4", 2.5, True, None])
+    def test_integer_fields_are_typed(self, field, value):
+        """A non-integer is a typed SpecError at load, never a bare
+        ValueError out of ``int()`` (a traceback from ``pcor serve``) nor a
+        fraction stored as given."""
+        if value is None:
+            value = [4]
+        with pytest.raises(SpecError, match=f"{field} must be an integer"):
+            DatasetConfig(name="d", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["budget", "tenant_budget", "max_delay_ms"]
+    )
+    @pytest.mark.parametrize("value", ["five", "5", True, [5]])
+    def test_number_fields_are_typed(self, field, value):
+        with pytest.raises(SpecError, match=f"{field} must be a number"):
+            DatasetConfig(name="d", **{field: value})
+        with pytest.raises(SpecError, match="tenant 'a' budget must be a number"):
+            DatasetConfig(name="d", tenant_budgets={"a": value})
+
+    def test_whole_numbers_load_as_int(self):
+        cfg = DatasetConfig(name="d", records=300.0, max_batch=4.0, workers=2.0, seed=7)
+        assert (cfg.records, cfg.max_batch, cfg.workers, cfg.seed) == (300, 4, 2, 7)
+        assert all(
+            type(v) is int for v in (cfg.records, cfg.max_batch, cfg.workers, cfg.seed)
+        )
+        assert type(DatasetConfig(name="d", max_delay_ms=5).max_delay_ms) is float
+
+    def test_non_numeric_max_batch_from_toml_is_spec_error(self, tmp_path):
+        path = tmp_path / "server.toml"
+        path.write_text(
+            '[datasets.d]\nsource = "salary_reduced"\nmax_batch = "four"\n'
+        )
+        with pytest.raises(SpecError, match="max_batch must be an integer"):
+            ServerConfig.from_file(path)
+
     def test_unknown_backend_rejected(self):
         for name in ("gpu", "thread"):
             with pytest.raises(SpecError, match="unknown backend"):
                 DatasetConfig(name="d", backend=name)
 
 
+class TestClusterConfig:
+    @pytest.mark.parametrize("value", ["two", 2.5, True])
+    def test_workers_must_be_an_integer(self, value):
+        with pytest.raises(SpecError, match="cluster workers must be an integer"):
+            ClusterConfig(workers=value)
+
+    def test_workers_stored_as_checked_integer(self):
+        assert type(ClusterConfig(workers=2.0).workers) is int
+
+    @pytest.mark.parametrize("field", ["heartbeat_interval_s", "heartbeat_timeout_s"])
+    def test_heartbeats_must_be_numbers(self, field):
+        with pytest.raises(SpecError, match=f"cluster {field} must be a number"):
+            ClusterConfig(workers=1, **{field: "soon"})
+
+    def test_from_dict_surfaces_the_error(self):
+        body = minimal()
+        body["cluster"] = {"workers": "2"}
+        with pytest.raises(SpecError, match="cluster workers must be an integer"):
+            ServerConfig.from_dict(body)
+
+
 class TestServerConfig:
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("server", "port", "x", "port must be an integer"),
+            ("observability", "sample_rate", "all", "sample_rate must be a number"),
+            ("observability", "slow_request_ms", "1s", "slow_request_ms must be a number"),
+            ("observability", "events_buffer", 2.5, "events_buffer must be an integer"),
+        ],
+    )
+    def test_numeric_fields_are_typed(self, section, field, value, message):
+        body = minimal()
+        body.setdefault(section, {})[field] = value
+        with pytest.raises(SpecError, match=message):
+            ServerConfig.from_dict(body)
+
     def test_from_dict_minimal(self):
         config = ServerConfig.from_dict(minimal())
         assert config.port == 0
