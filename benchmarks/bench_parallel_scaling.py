@@ -97,7 +97,7 @@ def test_release_many_parallel_scaling(emit):
         # The bind is timed on its own: each spawned worker pays
         # `import repro` before it answers.
         t0 = time.perf_counter()
-        process.bind(dataset, masks)
+        process.bind(masks)
         bind_times.append(time.perf_counter() - t0)
         t, bits_process = run(process)
         process.close()

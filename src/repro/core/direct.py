@@ -42,8 +42,7 @@ class DirectSampler(Sampler):
     accounting_name = "direct"
     requires_starting_context = False
     #: Algorithm 1 has no sample quota, and the direct budget split ignores
-    #: this.  A class constant, not configuration, so ``limit`` alone ships
-    #: to process workers.
+    #: this, so it is a class constant, not configuration.
     n_samples = 1
 
     def __init__(self, limit: Optional[int] = DEFAULT_ENUMERATION_LIMIT):

@@ -1,19 +1,24 @@
 """The process backend: spawned worker pool over shared-memory datasets.
 
-On first use with a dataset, the backend writes the record codes, ids,
-metric column and the bit-packed mask matrix into one shared-memory segment
+On first use with a mask index, the backend writes one snapshot of it —
+the record codes, ids, metric column and the bit-packed mask matrix — into
+one shared-memory segment
 (:class:`~repro.runtime.sharing.SharedDatasetExport`) and spawns a
 ``spawn``-context :class:`~concurrent.futures.ProcessPoolExecutor` whose
 initializer attaches the segment and builds a per-worker serial engine.
-Tasks then carry only their own payload — a request spec rendered as data
-plus a picklable RNG substream token — so per-task IPC stays tiny however
-large the dataset is.
+Tasks then carry only their own payload — the request's
+:class:`~repro.service.spec.PipelineSpec`, pickled with the rest of the
+payload, plus a picklable RNG substream token — so per-task IPC stays tiny
+however large the dataset is.  Before anything is exported or spawned, each
+distinct spec of a batch is pickled once in the parent, so a spec that
+cannot be (a lambda utility, a class local to a function) fails the batch
+with a clear :class:`~repro.exceptions.ExecutionError`.
 
-Live datasets: when the bound mask index reappears with a *new* dataset
-snapshot (``ReleaseEngine.append`` committed between batches), the pool is
-kept — a fresh export is published and each task carries its handle, so
-workers re-attach lazily on their next task instead of paying a respawn.
-The initargs segment stays alive for late-spawning workers; superseded
+Live datasets: when the bound mask index holds a *new* snapshot
+(``ReleaseEngine.append`` committed between batches), the pool is kept — a
+fresh export is published and each task carries its handle, so workers
+re-attach lazily on their next task instead of paying a respawn.  The
+initargs segment stays alive for late-spawning workers; superseded
 intermediate segments are unlinked immediately.
 
 Release tasks are submitted one by one and each outcome is reported as its
@@ -41,7 +46,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.exceptions import ExecutionError
 from repro.runtime.base import ExecutionBackend, SeedToken
-from repro.runtime.sharing import SharedDatasetExport
+from repro.runtime.sharing import SharedDatasetExport, SharedDatasetHandle
 from repro.runtime import worker as worker_mod
 
 
@@ -72,28 +77,23 @@ class ProcessBackend(ExecutionBackend):
     # Even one process worker executes out-of-process, so tasks always ship.
     parallel = True
 
-    #: Bound on the validated-payload memo dict (FIFO eviction): a
-    #: long-lived service submitting many ad-hoc specs must not accumulate
-    #: entries (and pinned specs) without limit.
-    payload_cache_size = 64
-
     def __init__(self, workers: Optional[int] = None):
         super().__init__(workers)
-        # Guards the pool/export lifecycle and the payload memo so
-        # concurrent submitters cannot double-spawn (leaking a pool + shm
-        # segment) or unbind a pool out from under an in-flight map.
+        # Guards the pool/export lifecycle so concurrent submitters cannot
+        # double-spawn (leaking a pool + shm segment) or unbind a pool out
+        # from under an in-flight batch.
         self._lifecycle_lock = threading.RLock()
         self._export: Optional[SharedDatasetExport] = None
         self._pool: Optional[ProcessPoolExecutor] = None
-        # Strong reference to the bound dataset: identity is the bind key,
-        # and holding the object keeps a recycled id from silently aliasing
-        # a *different* dataset onto a stale shared-memory export.
-        self._dataset: Optional[Any] = None
-        # The mask index the pool was spawned against.  When the *same*
-        # index reappears with a *new* dataset (an append swapped the
-        # engine's snapshot), the pool is kept and only a fresh export is
-        # published — workers re-attach per task instead of respawning.
+        # The mask index the pool was spawned against, and the dataset of
+        # its snapshot the current export holds.  Identity is the bind key;
+        # holding the objects keeps a recycled id from silently aliasing a
+        # *different* index or dataset onto a stale shared-memory export.
+        # When the *same* index holds a *new* snapshot (an append
+        # committed), the pool is kept and only a fresh export is published
+        # — workers re-attach per task instead of respawning.
         self._mask_index: Optional[Any] = None
+        self._dataset: Optional[Any] = None
         # Export the pool's initargs name: it must outlive every rebind,
         # because a worker the executor spawns late still runs its
         # initializer against this segment before any task re-attaches it.
@@ -105,78 +105,72 @@ class ProcessBackend(ExecutionBackend):
         # finalizer so rebind-published segments are reclaimed too.
         self._live_exports: List[SharedDatasetExport] = []
         self._finalizer: Optional[weakref.finalize] = None
-        # spec -> validated payload; keyed by id with a strong reference to
-        # the spec so a recycled id can never alias a different spec.
-        self._spec_payloads: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
 
     # -------------------------------------------------------------- binding
 
-    def bind(self, dataset, mask_index=None, profile_capacity: Optional[int] = None) -> None:
-        """Export ``dataset`` and spawn the worker pool now (idempotent).
+    def bind(self, mask_index, profile_capacity: Optional[int] = None) -> None:
+        """Export ``mask_index``'s current snapshot and spawn the worker pool
+        now (idempotent).
 
         Binding otherwise happens lazily on the first pooled batch; call
-        this to pay the spawn + shared-memory export cost up front (e.g. at
-        service start) so the first batch runs at steady-state speed.
+        this with the engine's index (``engine.masks``) to pay the spawn +
+        shared-memory export cost up front (e.g. at service start) so the
+        first batch runs at steady-state speed.
         """
-        if mask_index is None:
-            from repro.data.masks import PredicateMaskIndex
-
-            mask_index = PredicateMaskIndex(dataset)
-        pool, _ = self._ensure_bound(dataset, mask_index, profile_capacity)
+        pool, _ = self._ensure_bound(mask_index, profile_capacity)
         # The executor spawns workers lazily on submission; pinging with one
         # short sleep per worker forces the whole pool (and every worker's
         # initializer) up now.
-        self._map(pool, worker_mod.ping_task, [0.05] * self.workers)
+        with self._shipping(pool):
+            list(pool.map(worker_mod.ping_task, [0.05] * self.workers))
 
-    def _current_shm_ref(self) -> Optional[Dict[str, Any]]:
+    def _current_handle(self) -> Optional[SharedDatasetHandle]:
         """Re-attach handle to ride on task payloads, or ``None`` while the
         current export is still the one the pool initargs carry (the common
         no-append case pays zero extra payload bytes).  Callers hold the
         lifecycle lock."""
-        if (
-            self._export is None
-            or self._export.handle.dataset_version == self._pool_version
-        ):
+        if self._export.handle.dataset_version == self._pool_version:
             return None
-        return {"handle": self._export.handle}
+        return self._export.handle
 
     def _ensure_bound(
-        self, dataset, mask_index, profile_capacity: Optional[int] = None
-    ) -> Tuple[ProcessPoolExecutor, Optional[Dict[str, Any]]]:
-        """Export ``dataset``, spawn or rebind the pool, and return the pool
-        *handle* the caller must ship its tasks through plus the shm
-        re-attach reference (``None`` unless a live append superseded the
-        segment the pool was spawned with).  Holding the pool handle (rather
-        than re-reading ``self._pool`` later) keeps a concurrent rebind to a
-        different dataset from silently swapping the pool under an in-flight
-        batch.
+        self, mask_index, profile_capacity: Optional[int] = None
+    ) -> Tuple[ProcessPoolExecutor, Optional[SharedDatasetHandle]]:
+        """Export ``mask_index``'s current snapshot, spawn or rebind the
+        pool, and return the pool *handle* the caller must ship its tasks
+        through plus the shm re-attach handle (``None`` unless a live append
+        superseded the segment the pool was spawned with).  Holding the pool
+        handle (rather than re-reading ``self._pool`` later) keeps a
+        concurrent rebind to a different index from silently swapping the
+        pool under an in-flight batch.
 
-        Rebind semantics: when the *same mask index* comes back carrying a
-        *new* dataset snapshot (``ReleaseEngine.append`` committed between
-        batches), the spawned workers are kept — only a fresh export is
-        published, and tasks carry its handle so each worker re-attaches
-        lazily on its next task.  Anything else (different dataset, different
-        index) is a cold rebind: tear down and respawn.
+        Rebind semantics: when the *same mask index* comes back holding a
+        snapshot of a *new* dataset (``ReleaseEngine.append`` committed
+        between batches), the spawned workers are kept — only a fresh export
+        is published, and tasks carry its handle so each worker re-attaches
+        lazily on its next task.  A different index is a cold rebind: tear
+        down and respawn.
         """
         with self._lifecycle_lock:
+            # Taken under the lock: binds are serialised and appends only
+            # move an index forward, so an export never goes back a version.
+            snapshot = mask_index.snapshot()
             if self._pool is not None and self._mask_index is mask_index:
-                if self._dataset is dataset:
-                    return self._pool, self._current_shm_ref()
-                if mask_index.dataset is dataset:
+                if self._dataset is not snapshot.dataset:
                     # Live append: publish the new snapshot, keep the pool.
-                    export = SharedDatasetExport(dataset, mask_index)
+                    export = SharedDatasetExport(snapshot)
                     superseded, self._export = self._export, export
-                    self._dataset = dataset
+                    self._dataset = snapshot.dataset
                     self._live_exports.append(export)
-                    if superseded is not None and superseded is not self._initial_export:
+                    if superseded is not self._initial_export:
                         # Intermediate generation: no future task ships its
                         # handle, and attached workers keep their own
                         # mapping alive — safe to unlink now.
                         superseded.close()
                         self._live_exports.remove(superseded)
-                    return self._pool, self._current_shm_ref()
+                return self._pool, self._current_handle()
             self._unbind()
-            export = SharedDatasetExport(dataset, mask_index)
+            export = SharedDatasetExport(snapshot)
             try:
                 pool = ProcessPoolExecutor(
                     max_workers=self.workers,
@@ -195,7 +189,7 @@ class ProcessBackend(ExecutionBackend):
             self._pool_version = export.handle.dataset_version
             self._live_exports = [export]
             self._pool = pool
-            self._dataset = dataset
+            self._dataset = snapshot.dataset
             self._mask_index = mask_index
             self._finalizer = weakref.finalize(
                 self, _release_resources, self._live_exports, pool
@@ -225,20 +219,8 @@ class ProcessBackend(ExecutionBackend):
 
     def close(self) -> None:
         self._unbind()
-        with self._lifecycle_lock:
-            self._spec_payloads.clear()
 
     # ------------------------------------------------------------ shipping
-
-    def _map(self, pool: Optional[ProcessPoolExecutor], fn, payloads: Sequence) -> List:
-        """Ordered map over ``pool`` with crash translation and teardown."""
-        if pool is None:
-            with self._lifecycle_lock:
-                pool = self._pool
-        if pool is None:
-            raise ExecutionError(f"{self.name} backend is not bound to a dataset")
-        with self._shipping(pool):
-            return list(pool.map(fn, payloads))
 
     @contextmanager
     def _shipping(self, pool: ProcessPoolExecutor) -> Iterator[None]:
@@ -268,51 +250,6 @@ class ProcessBackend(ExecutionBackend):
                 f"while a batch was in flight: {exc}"
             ) from exc
 
-    def _shippable_spec(self, spec) -> Dict[str, Any]:
-        cache = self._spec_payloads
-        with self._lifecycle_lock:
-            cached = cache.get(id(spec))
-            if cached is not None and cached[0] is spec:
-                return cached[1]
-        payload = worker_mod.spec_payload(spec)
-        self._validate_payload(payload, spec)
-        with self._lifecycle_lock:
-            while len(cache) >= self.payload_cache_size:
-                cache.pop(next(iter(cache)))
-            cache[id(spec)] = (spec, payload)
-        return payload
-
-    def _validate_payload(self, payload: Dict[str, Any], spec) -> None:
-        """Fail in the parent, with a clear error, before any task ships."""
-        try:
-            pickle.dumps(payload)
-        except Exception as exc:
-            raise ExecutionError(
-                f"spec {spec!r} cannot be shipped to {self.name} workers: "
-                f"{exc}; use registry-named components for process execution"
-            ) from None
-        rebuilt = worker_mod.rebuild_spec(payload)
-        from repro.core.profiles import detector_fingerprint
-
-        if detector_fingerprint(rebuilt.build_detector()) != detector_fingerprint(
-            spec.build_detector()
-        ):
-            raise ExecutionError(
-                f"detector {type(spec.build_detector()).__qualname__} does not "
-                "round-trip through its public configuration; register it "
-                f"(register_detector) to release via the {self.name} backend"
-            )
-        original_sampler = spec.build_sampler()
-        rebuilt_sampler = rebuilt.build_sampler()
-        if type(rebuilt_sampler) is not type(original_sampler) or vars(
-            rebuilt_sampler
-        ) != vars(original_sampler):
-            raise ExecutionError(
-                f"sampler {type(original_sampler).__qualname__} does not "
-                "round-trip through its public configuration; register it "
-                f"(register_sampler) to release via the {self.name} backend"
-            )
-
     # ------------------------------------------------------------- protocol
 
     def run_releases(
@@ -331,19 +268,28 @@ class ProcessBackend(ExecutionBackend):
         :class:`~repro.exceptions.ReproError` raised inside it, so one
         failed request never discards its co-batched results.  A sampled
         task's worker spans are folded into its request's trace before
-        the outcome is reported.  Failures of the pool itself (a dead
-        worker, an unshippable spec) raise once every outcome that did come
-        back has been reported; only the requests left without an outcome
-        are lost with the pool.
+        the outcome is reported.  A failure of the pool itself (a dead
+        worker) raises once every outcome that did come back has been
+        reported; only the requests left without an outcome are lost with
+        the pool.  A spec that cannot be pickled raises before any task
+        ships, and before anything is exported or spawned.
 
         ``engine`` is the :class:`~repro.service.engine.ReleaseEngine` the
-        batch was submitted to.  Each task ships as a self-contained
-        payload to a worker whose own engine runs it as a lone release.
+        batch was submitted to; the workers run on the current snapshot of
+        its mask index.  Each task ships as a self-contained payload to a
+        worker whose own engine runs it as a lone release.
         """
-        pool, shm_ref = self._ensure_bound(
-            engine.dataset, engine.masks, engine.profile_capacity
-        )
-        payloads = self._release_payloads(requests, tokens, shm_ref)
+        for spec in {id(r.spec): r.spec for r in requests}.values():
+            try:
+                pickle.dumps(spec)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ExecutionError(
+                    f"spec {spec!r} cannot be shipped to {self.name} workers: "
+                    f"{exc}; use registry names, or module-level classes and "
+                    "functions, for process execution"
+                ) from None
+        pool, handle = self._ensure_bound(engine.masks, engine.profile_capacity)
+        payloads = self._release_payloads(requests, tokens, handle)
         with self._shipping(pool):
             futures = {
                 pool.submit(worker_mod.run_release_task, payload): index
@@ -373,7 +319,7 @@ class ProcessBackend(ExecutionBackend):
         self,
         requests: Sequence,
         tokens: Sequence[SeedToken],
-        shm_ref: Optional[Dict[str, Any]],
+        handle: Optional[SharedDatasetHandle],
     ) -> List[Dict[str, Any]]:
         """One self-contained task payload per request, in request order."""
         payloads = []
@@ -386,7 +332,7 @@ class ProcessBackend(ExecutionBackend):
             payloads.append(
                 {
                     "record_id": request.record_id,
-                    "spec": self._shippable_spec(request.spec),
+                    "spec": request.spec,
                     "starting_bits": starting_bits,
                     "seed": token,
                     # Sampled traces ship id + clock origin so worker spans
@@ -397,7 +343,7 @@ class ProcessBackend(ExecutionBackend):
                         if trace is not None and trace.sampled
                         else None
                     ),
-                    "shm": shm_ref,
+                    "shm": handle,
                 }
             )
         return payloads

@@ -3,8 +3,9 @@
 The process backend must not pickle the dataset into every task: the record
 codes, ids, metric column and the bit-packed ``t x ceil(n/64)`` uint64
 predicate-mask matrix are written into **one**
-:class:`multiprocessing.shared_memory.SharedMemory` segment per dataset,
-once, at pool start.  Workers attach the segment in their initializer and
+:class:`multiprocessing.shared_memory.SharedMemory` segment per index
+snapshot: at pool start, and again after a live append.  Workers attach the
+segment in their initializer (or on the first task carrying a newer one) and
 rebuild a :class:`~repro.data.table.Dataset` plus a
 :class:`~repro.data.masks.PredicateMaskIndex` whose packed matrix is a
 zero-copy read-only view straight into the segment — the single largest
@@ -26,7 +27,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.data.masks import PredicateMaskIndex
+from repro.data.masks import IndexSnapshot, PredicateMaskIndex
 from repro.data.table import Dataset
 from repro.schema import Schema
 
@@ -55,20 +56,23 @@ def _codes_key(attr_name: str) -> str:
 
 
 class SharedDatasetExport:
-    """Parent-side owner of one dataset's shared-memory segment."""
+    """Parent-side owner of one index snapshot's shared-memory segment.
 
-    def __init__(self, dataset: Dataset, mask_index: PredicateMaskIndex):
+    Rows, packed matrix and version all come from the one ``snapshot``, so
+    an append committed after it was taken cannot pair new rows with an old
+    matrix or version, or old rows with a new one.
+    """
+
+    def __init__(self, snapshot: IndexSnapshot):
+        dataset = snapshot.dataset
         schema = dataset.schema
-        # One coherent (packed, version) pair: an append racing this export
-        # must not pair an old matrix with a new version stamp.
-        snap = mask_index.snapshot()
         arrays: Dict[str, np.ndarray] = {
             _codes_key(attr.name): dataset.codes(attr.name)
             for attr in schema.attributes
         }
         arrays["ids"] = dataset.ids
         arrays["metric"] = dataset.metric
-        arrays["masks"] = snap.packed
+        arrays["masks"] = snapshot.packed
 
         layout: Dict[str, ArraySpec] = {}
         offset = 0
@@ -87,7 +91,7 @@ class SharedDatasetExport:
             shm_name=self.shm.name,
             layout=layout,
             schema=schema,
-            dataset_version=snap.version,
+            dataset_version=snapshot.version,
         )
         self.nbytes = max(1, offset)
         self._closed = False

@@ -232,7 +232,7 @@ class ReleaseEngine:
         workers: Optional[int] = None,
         accountant: Optional[PrivacyAccountant] = None,
     ):
-        self.dataset = dataset
+        self._dataset = dataset
         if accountant is not None:
             if budget is not None:
                 raise PrivacyBudgetError(
@@ -268,6 +268,14 @@ class ReleaseEngine:
     # -------------------------------------------------------------- plumbing
 
     @property
+    def dataset(self) -> Dataset:
+        """The served dataset: the mask index's once the index exists, read
+        at each access, so it follows every append the index commits at
+        once; the constructor's dataset before that."""
+        masks = self._masks
+        return self._dataset if masks is None else masks.dataset
+
+    @property
     def masks(self) -> PredicateMaskIndex:
         """The dataset's predicate bitmap index, built on first use.
 
@@ -275,7 +283,7 @@ class ReleaseEngine:
         its own index) never pay the O(t*n) bit-pack pass twice.
         """
         if self._masks is None:
-            self._masks = PredicateMaskIndex(self.dataset)
+            self._masks = PredicateMaskIndex(self._dataset)
         return self._masks
 
     @property
@@ -378,7 +386,6 @@ class ReleaseEngine:
                     pending.record_bits, pending.version
                 )
             new_dataset = masks.commit_append(pending)
-            self.dataset = new_dataset
             with self._lock:
                 self._dataset_version = pending.version
                 self._appends += 1
@@ -578,9 +585,9 @@ class ReleaseEngine:
         place*; the caller dispatches on ``isinstance(outcome,
         ReproError)``.  Otherwise the first failed request's error, in
         request order, is raised.  A failure of the pool itself (a dead
-        process worker, a spec that cannot be shipped) raises either way,
-        after the outcomes that did finish were reported to
-        ``on_outcome``.
+        process worker) raises either way, after the outcomes that did
+        finish were reported to ``on_outcome``; a spec that cannot be
+        shipped to it raises before any request runs.
         """
         outcomes = self._execute_batch(self._accept(requests), on_outcome)
         return outcomes if return_exceptions else self._raise_first_failure(outcomes)

@@ -61,9 +61,9 @@ class TestRelease:
 
 class TestBatch:
     def test_process_batch_equals_serial_batch(self, mini_dataset, mini_reference):
-        """A batch of direct releases ships to process workers, since the
-        sampler's public configuration is ``limit`` alone, and two workers
-        release what the serial loop releases."""
+        """A batch of direct releases ships to process workers, its sampler
+        pickled with the spec, and two workers release what the serial loop
+        releases."""
         spec = PipelineSpec(
             detector="zscore",
             detector_kwargs={"z_threshold": 2.5, "min_population": 8},

@@ -11,16 +11,18 @@ process backend's live shared-memory rebind.
 
 import json
 from collections import ChainMap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.profiles import ProfileStore
+from repro.core.profiles import DEFAULT_CAPACITY, ProfileStore
 from repro.core.verification import OutlierVerifier
 from repro.data.generators import salary_reduced
 from repro.data.masks import PredicateMaskIndex
 from repro.exceptions import ContextError, DatasetError, SpecError
 from repro.outliers.zscore import ZScoreDetector
+from repro.runtime import ProcessBackend, plan_task_rngs
 from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
 ZSCORE_KWARGS = {"z_threshold": 2.5, "min_population": 8}
@@ -314,6 +316,29 @@ class TestEngineAppend:
         info = engine.append(sample_rows(mini_dataset, 1))
         assert 0 < info["invalidated_profiles"] <= cached_before
 
+    def test_unseen_detector_mid_append_serves_the_grown_dataset(
+        self, mini_dataset, monkeypatch
+    ):
+        """The engine's dataset is its index's: a verifier built right after
+        the index commits an append, before ``append`` returns, serves the
+        grown dataset."""
+        engine = ReleaseEngine(mini_dataset)
+        masks = engine.masks
+        commit = masks.commit_append
+        built = []
+
+        def commit_then_build(pending):
+            grown = commit(pending)
+            detector = ZScoreDetector(z_threshold=3.0, min_population=5)
+            built.append(engine.verifier_for(detector))
+            return grown
+
+        monkeypatch.setattr(masks, "commit_append", commit_then_build)
+        engine.append(sample_rows(mini_dataset, 4))
+        [verifier] = built
+        assert len(engine.dataset) == len(mini_dataset) + 4
+        assert verifier.dataset is engine.dataset
+
     def test_empty_append_is_a_noop(self, mini_dataset):
         engine = ReleaseEngine(mini_dataset)
         info = engine.append([])
@@ -515,3 +540,40 @@ class TestProcessBackendLiveRebind:
             engine.close()
         assert not segment_exists(initial_segment)
         assert not segment_exists(new_segment)
+
+    def test_workers_bind_one_index_snapshot(self, mini_dataset, mini_reference):
+        """Workers attach the rows, matrix and version of one snapshot of
+        the engine's index, even when a ``dataset`` attribute lags it."""
+        rows = sample_rows(mini_dataset, 4)
+        masks = PredicateMaskIndex(mini_dataset)
+        masks.append(rows)
+        lagging = SimpleNamespace(
+            dataset=mini_dataset, masks=masks, profile_capacity=DEFAULT_CAPACITY
+        )
+        serial = ReleaseEngine(mini_dataset, backend="serial")
+        serial.append(rows)
+        records = mini_reference.outlier_records()[:4]
+        backend = ProcessBackend(workers=2)
+        try:
+            for first_seed in (1, 11):  # the first batch binds, the next reuses
+                requests = [
+                    ReleaseRequest(rid, _spec(), seed=first_seed + i)
+                    for i, rid in enumerate(records)
+                ]
+                outcomes = [None] * len(requests)
+                backend.run_releases(
+                    lagging,
+                    requests,
+                    plan_task_rngs([r.seed for r in requests]),
+                    outcomes.__setitem__,
+                )
+                expected = serial.execute_many(requests)
+                assert [
+                    (r.record_id, r.context.bits, r.utility_value, r.dataset_version)
+                    for r in outcomes
+                ] == [
+                    (r.record_id, r.context.bits, r.utility_value, r.dataset_version)
+                    for r in expected
+                ]
+        finally:
+            backend.close()

@@ -1,23 +1,34 @@
 """Shared-memory transport tests: round-trip fidelity and leak-free cleanup.
 
-The process backend owns exactly one shared segment per bound dataset; it
-must be unlinked on ``close()`` — and on a worker crash — with no segment
-left behind.  Attachment must reproduce the dataset and the packed mask
-matrix exactly (the matrix as a zero-copy view).
+The process backend owns exactly one shared segment per bound index
+snapshot; it must be unlinked on ``close()`` — and on a worker crash — with
+no segment left behind.  Attachment must reproduce the dataset and the
+packed mask matrix exactly (the matrix as a zero-copy view).  Specs ship
+pickled; one that cannot be pickled is refused before anything is bound.
 """
 
 import numpy as np
 import pytest
 from multiprocessing import shared_memory
 
-from repro.core.verification import OutlierVerifier
+from repro.core.sampling import BFSSampler
 from repro.data.masks import PredicateMaskIndex
 from repro.exceptions import ContextError, ExecutionError
+from repro.outliers.zscore import ZScoreDetector
 from repro.runtime import ProcessBackend, SharedDatasetExport, attach_shared_dataset
 from repro.runtime import worker as worker_mod
 from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
 
 ZSCORE_KWARGS = {"z_threshold": 2.5, "min_population": 8}
+
+
+class DoubledThresholdZScore(ZScoreDetector):
+    """Stores an attribute its constructor does not accept, so it cannot be
+    rebuilt from its public attributes; pickle ships it as it is."""
+
+    def __init__(self, z_threshold=2.5):
+        super().__init__(z_threshold=z_threshold, min_population=8)
+        self.doubled_threshold = z_threshold * 2
 
 
 def _spec(**overrides) -> PipelineSpec:
@@ -41,9 +52,26 @@ def segment_exists(name: str) -> bool:
     return True
 
 
+def crash_a_worker(backend: ProcessBackend) -> None:
+    """Run the crash hook on the bound pool, the way a batch ships a task."""
+    pool = backend._pool
+    with backend._shipping(pool):
+        pool.submit(worker_mod.crash_task, None).result()
+
+
+def assert_refused_unbound(engine: ReleaseEngine, spec: PipelineSpec, mini_outlier):
+    """The batch is refused before any segment is exported or pool spawned."""
+    with pytest.raises(ExecutionError, match="cannot be shipped"):
+        engine.submit_many(
+            [ReleaseRequest(mini_outlier, spec, seed=s) for s in (1, 2)]
+        )
+    assert engine.backend._pool is None
+    assert engine.backend._export is None
+
+
 class TestExportAttachRoundTrip:
     def test_arrays_and_masks_survive(self, mini_dataset, mini_verifier):
-        export = SharedDatasetExport(mini_dataset, mini_verifier.masks)
+        export = SharedDatasetExport(mini_verifier.masks.snapshot())
         try:
             rebuilt, masks, shm = attach_shared_dataset(export.handle)
             try:
@@ -72,7 +100,7 @@ class TestExportAttachRoundTrip:
             export.close()
 
     def test_close_is_idempotent_and_unlinks(self, mini_dataset, mini_verifier):
-        export = SharedDatasetExport(mini_dataset, mini_verifier.masks)
+        export = SharedDatasetExport(mini_verifier.masks.snapshot())
         name = export.shm.name
         assert segment_exists(name)
         export.close()
@@ -108,11 +136,11 @@ class TestBackendCleanup:
     ):
         backend = ProcessBackend(workers=2)
         try:
-            backend._ensure_bound(mini_dataset, mini_verifier.masks)
+            backend._ensure_bound(mini_verifier.masks)
             name = backend._export.shm.name
             assert segment_exists(name)
             with pytest.raises(ExecutionError, match="process backend \\(2 workers\\)"):
-                backend._map(None, worker_mod.crash_task, [None])
+                crash_a_worker(backend)
             # The crash tore down the pool *and* the shared segment.
             assert not segment_exists(name)
             assert backend._pool is None
@@ -127,7 +155,7 @@ class TestBackendCleanup:
                 ReleaseRequest(mini_outlier, _spec(), seed=gen) for _ in range(2)
             ]
             before = engine.submit_many(requests)
-            engine.backend._map(None, worker_mod.crash_task, [None])
+            crash_a_worker(engine.backend)
         except ExecutionError:
             pass
         try:
@@ -141,13 +169,13 @@ class TestBackendCleanup:
             engine.close()
 
     def test_rebinding_another_dataset_releases_first_segment(
-        self, mini_dataset, mini_verifier, tiny_dataset
+        self, mini_verifier, tiny_dataset
     ):
         backend = ProcessBackend(workers=1)
         try:
-            backend._ensure_bound(mini_dataset, mini_verifier.masks)
+            backend._ensure_bound(mini_verifier.masks)
             first = backend._export.shm.name
-            backend._ensure_bound(tiny_dataset, PredicateMaskIndex(tiny_dataset))
+            backend._ensure_bound(PredicateMaskIndex(tiny_dataset))
             second = backend._export.shm.name
             assert first != second
             assert not segment_exists(first)
@@ -163,43 +191,41 @@ class TestShippability:
         factory = lambda verifier, record_id, starting_bits=None: (  # noqa: E731
             PopulationSizeUtility(verifier, record_id)
         )
-        spec = _spec(utility=factory)
         engine = ReleaseEngine(mini_dataset, backend="process", workers=2)
         try:
-            with pytest.raises(ExecutionError, match="cannot be shipped"):
-                engine.submit_many(
-                    [ReleaseRequest(mini_outlier, spec, seed=s) for s in (1, 2)]
-                )
+            assert_refused_unbound(engine, _spec(utility=factory), mini_outlier)
         finally:
             engine.close()
 
-    def test_detector_rebuilds_from_fingerprint_not_pickle(self):
-        """A spec's detector instance ships as class path + public params."""
-        from repro.core.profiles import detector_fingerprint
-        from repro.outliers import LOFDetector
+    def test_unpicklable_detector_rejected_before_binding(
+        self, mini_dataset, mini_outlier
+    ):
+        class LocalZScore(ZScoreDetector):
+            """Defined in a function, so pickle cannot name its class."""
 
-        spec = _spec(detector=LOFDetector(k=7), detector_kwargs={})
-        payload = worker_mod.spec_payload(spec)
-        assert payload["detector"][0] == "class"
-        rebuilt = worker_mod.rebuild_spec(payload).build_detector()
-        assert detector_fingerprint(rebuilt) == detector_fingerprint(LOFDetector(k=7))
-
-    def test_non_roundtrippable_detector_rejected(self, mini_dataset, mini_outlier):
-        from repro.outliers.zscore import ZScoreDetector
-
-        class SneakyDetector(ZScoreDetector):
-            """Stores config under a name its constructor does not accept."""
-
-            def __init__(self, z_threshold=2.5):
-                super().__init__(z_threshold=z_threshold, min_population=8)
-                self.derived_only = z_threshold * 2
-
-        spec = _spec(detector=SneakyDetector(), detector_kwargs={})
+        spec = _spec(detector=LocalZScore(**ZSCORE_KWARGS), detector_kwargs={})
         engine = ReleaseEngine(mini_dataset, backend="process", workers=2)
         try:
-            with pytest.raises(ExecutionError):
-                engine.submit_many(
-                    [ReleaseRequest(mini_outlier, spec, seed=s) for s in (1, 2)]
-                )
+            assert_refused_unbound(engine, spec, mini_outlier)
         finally:
             engine.close()
+
+    def test_instances_ship_as_they_are(self, mini_dataset, mini_reference):
+        """A detector that cannot be rebuilt from its public attributes, and
+        a sampler instance, release on two workers what serial releases."""
+        spec = PipelineSpec(
+            detector=DoubledThresholdZScore(),
+            sampler=BFSSampler(n_samples=4),
+            epsilon=0.5,
+        )
+        records = mini_reference.outlier_records()[:4]
+
+        def run(backend, workers=None):
+            with ReleaseEngine(mini_dataset, backend=backend, workers=workers) as engine:
+                results = engine.submit_many(
+                    [ReleaseRequest(rid, spec, seed=i) for i, rid in enumerate(records)]
+                )
+                assert engine.metrics().release_tasks == (4 if workers else 0)
+            return [(r.context.bits, r.utility_value, r.n_candidates) for r in results]
+
+        assert run("process", workers=2) == run("serial")

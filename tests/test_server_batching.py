@@ -79,8 +79,8 @@ def make_requests(outlier_record, n, first_seed=100):
 
 
 class SlowZScore(ZScoreDetector):
-    """A z-score detector that sleeps ``delay`` seconds per call.  Process
-    workers rebuild it from its class path and public parameters."""
+    """A z-score detector that sleeps ``delay`` seconds per call.  It
+    ships to process workers pickled, like every spec component."""
 
     def __init__(self, delay=0.0, **kwargs):
         super().__init__(**kwargs)
@@ -406,7 +406,7 @@ class TestStreamedCompletion:
         )
         [fast] = make_requests(outlier_record, 1)
         with ReleaseEngine(dataset, backend="process", workers=2) as engine:
-            engine.backend.bind(engine.dataset, engine.masks, engine.profile_capacity)
+            engine.backend.bind(engine.masks, engine.profile_capacity)
             coalescer = coalescer_over(engine)
             slow_future = coalescer.submit("t0", "slow", slow)
             fast_future = coalescer.submit("t1", "fast", fast)

@@ -363,7 +363,10 @@ def test_batch_releases_equal_the_per_population_path(
 ):
     """A ``submit_many`` batch on the configured backend (process workers
     build cell tables from their shared-memory snapshot) releases what a
-    serial engine on the per-population path releases."""
+    serial engine on the per-population path releases, and a serial batch
+    counts the ``f_M`` runs that path counts.  A process worker counts the
+    runs its own store misses, which depend on the tasks it ran before, so
+    its counts are not compared."""
     ref = ReleaseEngine(mini_dataset, backend="serial")
     records = mini_reference.outlier_records()[:4]
     assert len(records) == 4
@@ -377,8 +380,11 @@ def test_batch_releases_equal_the_per_population_path(
     requests = [ReleaseRequest(rid, spec, seed=i) for i, rid in enumerate(records)]
     with ReleaseEngine(mini_dataset) as engine:
         batch = engine.submit_many(requests)
+    with ReleaseEngine(mini_dataset, backend="serial") as engine:
+        serial_batch = engine.submit_many(requests)
     monkeypatch.setattr(ZScoreDetector, "std_cutoff", None)
     with ref:
         lone = [ref.submit(request) for request in requests]
     assert [r.context.bits for r in batch] == [r.context.bits for r in lone]
-    assert [r.fm_evaluations for r in batch] == [r.fm_evaluations for r in lone]
+    assert [r.context.bits for r in serial_batch] == [r.context.bits for r in lone]
+    assert [r.fm_evaluations for r in serial_batch] == [r.fm_evaluations for r in lone]
