@@ -448,7 +448,8 @@ def _announce(config, message: str, event: str, **fields) -> None:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """Host the release service until SIGINT/SIGTERM — single-process, or
-    (with ``--workers N`` / ``[cluster] workers``) a router + worker fleet."""
+    (with ``--workers N`` / ``[cluster] workers``) a router + worker fleet;
+    both run the same serve loop, signals and banners."""
     import signal
 
     config = ServerConfig.from_file(args.config)
@@ -476,9 +477,20 @@ def _run_serve(args: argparse.Namespace) -> int:
         # inherit the rewritten [observability] via a serialized copy.
         config_path = None
 
-    if config.cluster is not None and config.cluster.workers >= 1:
-        return _serve_cluster(args, config, config_path)
-    server = PCORServer(config, host=args.host, port=args.port)
+    datasets = sorted(config.datasets)
+    cluster = config.cluster
+    if cluster is not None and cluster.workers >= 1:
+        from repro.cluster import PCORRouter
+
+        service = PCORRouter(
+            config, host=args.host, port=args.port, config_path=config_path
+        )
+        role, stopped = "router", "fleet terminated"
+        detail = f"workers: {cluster.workers}, manager: {cluster.manager}; "
+        fields = {"workers": cluster.workers, "manager": cluster.manager}
+    else:
+        service = PCORServer(config, host=args.host, port=args.port)
+        role, stopped, detail, fields = "server", "ledgers closed", "", {}
 
     def _stop(signum, frame):  # pragma: no cover - signal plumbing
         raise KeyboardInterrupt
@@ -486,62 +498,21 @@ def _run_serve(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, _stop)
     _announce(
         config,
-        f"pcor server listening on {server.url} "
-        f"(datasets: {', '.join(server.registry.names())}; "
-        f"ledger: {config.ledger})",
+        f"pcor {role} listening on {service.url} ({detail}"
+        f"datasets: {', '.join(datasets)}; ledger: {config.ledger})",
         "serve_start",
-        url=server.url,
-        datasets=server.registry.names(),
+        url=service.url,
+        **fields,
+        datasets=datasets,
         ledger=config.ledger,
     )
     try:
-        server.serve_forever()
+        service.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
-        _announce(
-            config, "pcor server stopped; ledgers closed", "serve_stop"
-        )
-    return 0
-
-
-def _serve_cluster(args: argparse.Namespace, config, config_path) -> int:
-    """Router + fleet serving (``pcor serve --workers N``)."""
-    import signal
-
-    from repro.cluster import PCORRouter
-
-    router = PCORRouter(
-        config, host=args.host, port=args.port, config_path=config_path
-    )
-
-    def _stop(signum, frame):  # pragma: no cover - signal plumbing
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _stop)
-    _announce(
-        config,
-        f"pcor router listening on {router.url} "
-        f"(workers: {config.cluster.workers}, manager: {config.cluster.manager}; "
-        f"datasets: {', '.join(sorted(config.datasets))}; "
-        f"ledger: {config.ledger})",
-        "serve_start",
-        url=router.url,
-        workers=config.cluster.workers,
-        manager=config.cluster.manager,
-        datasets=sorted(config.datasets),
-        ledger=config.ledger,
-    )
-    try:
-        router.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        router.shutdown()
-        _announce(
-            config, "pcor router stopped; fleet terminated", "serve_stop"
-        )
+        service.shutdown()
+        _announce(config, f"pcor {role} stopped; {stopped}", "serve_stop")
     return 0
 
 

@@ -12,21 +12,26 @@ and proxies the existing ``/v1/*`` JSON API unchanged:
   typed error payloads (402 budget exhaustion, 400 validation, ...)
   survive untouched.
 * **Aggregate routes** (``/v1/datasets``, ``/v1/metrics``,
-  ``/v1/budget`` without a dataset) fan out to every live shard and merge
-  the per-dataset maps; shards with no live worker are reported in
-  ``unavailable_shards`` rather than silently omitted.
-  ``/v1/metrics/prometheus`` does the same for the text exposition,
-  stamping every worker sample with a ``shard`` label and appending the
-  router's own registry (proxy counters, per-shard latency histograms,
-  the ``pcor_unavailable_shards`` gauge).
+  ``/v1/budget`` without a dataset, ``/v1/metrics/prometheus``,
+  ``/v1/debug/profile``, ``/v1/debug/events``) go through one fan-out
+  that asks every live shard at once and merges the answers; shards with
+  no live worker, or that do not answer, are reported in
+  ``unavailable_shards`` rather than silently omitted.  The Prometheus
+  exposition stamps every worker sample with a ``shard`` label and
+  appends the router's own registry (proxy counters, per-shard latency
+  histograms, the ``pcor_unavailable_shards`` gauge).
+* **Control routes** (``/control/v1/register``, ``/control/v1/heartbeat``)
+  are the workers' loopback-only channel into the fleet.
+
+The listener, drain window, ``/healthz`` and the debug routes' dispatch
+are the serving shell in :mod:`repro.server.http`, shared with
+:class:`~repro.server.app.PCORServer`.
 
 Every proxied request carries a trace: the router adopts the client's
 ``X-PCOR-Trace`` header or mints one, forwards it to the worker, and —
 for sampled release responses — splices its own ``router.proxy`` span
 into the ``trace`` block of the response JSON, so one trace id covers
 the proxy hop, queue wait, admission, and engine execution.
-* **Control routes** (``/control/v1/register``, ``/control/v1/heartbeat``)
-  are the workers' loopback-only channel into the fleet.
 
 Proxy retry policy mirrors :class:`~repro.server.client.PCORClient`:
 a GET may be retried once on a fresh connection (reads are idempotent),
@@ -45,37 +50,25 @@ import json
 import logging
 import threading
 import time
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
-from repro import __version__
 from repro.exceptions import ServerError, ShardUnavailableError
 from repro.obs.export import merged_exposition
-from repro.obs.events import (
-    EventBufferHandler,
-    install_event_buffer,
-    uninstall_event_buffer,
-)
-from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from repro.obs.profiler import (
-    ProfileSessions,
-    ProfilerDisarmed,
     merge_folded,
     profiler_supported,
     render_folded,
     validate_profile_args,
 )
-from repro.obs.trace import TRACE_HEADER, process_rss_bytes, trace_for_request
-from repro.server.config import ObservabilityConfig, ServerConfig
+from repro.obs.trace import TRACE_HEADER
+from repro.server.config import ServerConfig
 from repro.server.http import (
-    HEALTH_PATH,
     TENANT_HEADER,
-    DrainState,
     JsonRequestHandler,
-    ThreadingJsonServer,
     _BadRequest,
-    _Draining,
-    query_number,
+    _JsonService,
 )
 from repro.cluster.fleet import WorkerFleet
 from repro.cluster.manager import WorkerManager, make_worker_manager
@@ -92,42 +85,17 @@ class _RouterHandler(JsonRequestHandler):
     """One request against a :class:`PCORRouter` (``self.server.app``)."""
 
     def _route_get(self, raw: bytes) -> None:
-        app: "PCORRouter" = self._app()
         url = urlparse(self.path)
-        if url.path == HEALTH_PATH:
-            self._respond(200, app.health())
-        elif url.path == "/v1/datasets":
-            self._respond(200, app.list_datasets())
-        elif url.path == "/v1/metrics":
-            self._respond(200, app.metrics())
-        elif url.path == "/v1/metrics/prometheus":
-            self._respond_raw(
-                200,
-                app.prometheus_metrics().encode("utf-8"),
-                content_type=PROMETHEUS_CONTENT_TYPE,
-            )
-        elif url.path == "/v1/debug/profile":
-            query = parse_qs(url.query)
-            self._respond(
-                200,
-                app.debug_profile(
-                    seconds=query_number(query, "seconds"),
-                    hz=query_number(query, "hz"),
-                ),
-            )
-        elif url.path == "/v1/debug/events":
-            query = parse_qs(url.query)
-            self._respond(200, app.debug_events(n=query_number(query, "n")))
-        elif url.path == "/v1/budget":
-            dataset = parse_qs(url.query).get("dataset", [None])[0]
-            if dataset is None:
-                self._respond(200, app.budget(self._tenant()))
-            else:
-                # Single-dataset budget: pass through to the owning shard
-                # verbatim (including 404s for unknown names).
-                self._passthrough(app, dataset, "GET", self.path)
+        if url.path != "/v1/budget":
+            return super()._route_get(raw)
+        app: "PCORRouter" = self._app()
+        dataset = parse_qs(url.query).get("dataset", [None])[0]
+        if dataset is None:
+            self._respond(200, app.budget(self._tenant()))
         else:
-            raise ServerError(f"no such route: GET {url.path}")
+            # Single-dataset budget: pass through to the owning shard
+            # verbatim (including 404s for unknown names).
+            self._passthrough(app, dataset, "GET", self.path)
 
     def _route_post(self, raw: bytes) -> None:
         app: "PCORRouter" = self._app()
@@ -187,8 +155,16 @@ class _RouterHandler(JsonRequestHandler):
             raise ServerError(f"no such route: POST {path}")
 
 
-class PCORRouter:
+class PCORRouter(_JsonService):
     """Sharded serving: a proxy front end plus a supervised worker fleet.
+
+    The listener, drain barrier, serve thread, ``/healthz`` and the debug
+    routes come from the shared serving shell
+    (:class:`~repro.server.http._JsonService`); this class adds the fleet,
+    the proxy and the fan-out behind the aggregate routes.  :meth:`start`
+    opens the listener, spawns the fleet and (by default) blocks until
+    every shard has registered; a start that times out shuts the router
+    and its fleet down before it raises.
 
     Parameters
     ----------
@@ -206,6 +182,12 @@ class PCORRouter:
         temp copy.
     """
 
+    thread_name = "pcor-router"
+    responses_family = (
+        "pcor_router_http_responses_total",
+        "Router HTTP responses by status class.",
+    )
+
     def __init__(
         self,
         config: Union[ServerConfig, Mapping],
@@ -222,40 +204,11 @@ class PCORRouter:
                 "PCORRouter needs [cluster] workers >= 1; "
                 "use PCORServer for single-process serving"
             )
-        self.config = config
+        super().__init__(config, host, port, _RouterHandler)
         self.cluster = cluster
-        bind = (
-            host if host is not None else config.host,
-            port if port is not None else config.port,
-        )
-        try:
-            self._httpd = ThreadingJsonServer(bind, _RouterHandler)
-        except OSError as exc:
-            raise ServerError(f"cannot bind {bind[0]}:{bind[1]}: {exc}") from None
-        self._httpd.app = self  # type: ignore[attr-defined]
-        self.drain = DrainState()
-        self._thread: Optional[threading.Thread] = None
-        self._started = time.monotonic()
-        self.obs = config.observability or ObservabilityConfig()
-        # Debug introspection mirrors the worker tier: the router samples
-        # its own stacks under the "router" prefix while fanning the
-        # profile out to every live shard, and keeps its own event ring
-        # (heartbeats, respawns, drains happen router-side only).
-        self._profiles = ProfileSessions()
-        self._events_handler: Optional[EventBufferHandler] = (
-            install_event_buffer(self.obs.events_buffer)
-            if self.obs.events_buffer > 0
-            else None
-        )
         # Router-side observability: registry-backed counters replace the
         # old hand-rolled dicts; the JSON ``/v1/metrics`` shapes are
         # derived views over these same children.
-        self.metrics_registry = MetricsRegistry()
-        self._responses = self.metrics_registry.counter(
-            "pcor_router_http_responses_total",
-            "Router HTTP responses by status class.",
-            labelnames=("status",),
-        )
         self._proxy_requests = self.metrics_registry.counter(
             "pcor_proxy_requests_total",
             "Requests proxied to each shard.",
@@ -291,83 +244,22 @@ class PCORRouter:
         # (handler threads die with their connection, taking these along).
         self._local = threading.local()
 
-    # ------------------------------------------------------------ lifecycle
+    def _health_fields(self) -> Dict[str, Any]:
+        return {
+            "role": "router",
+            "workers": self.cluster.workers,
+            "datasets": sorted(self.config.datasets),
+            "shards": self.fleet.snapshot(),
+        }
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
+    def _launch(self) -> None:
+        self.fleet.start()
 
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
+    def _wait_ready(self, timeout: float) -> None:
+        self.fleet.wait_ready(timeout=timeout)
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        return self.drain.draining
-
-    def start(self, wait_ready: bool = True, timeout: float = 30.0) -> "PCORRouter":
-        """Open the front door, spawn the fleet, optionally block until
-        every shard has registered."""
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="pcor-router",
-                daemon=True,
-            )
-            self._thread.start()
-            self.fleet.start()
-        if wait_ready:
-            self.fleet.wait_ready(timeout=timeout)
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` (CLI path).
-
-        The listener must accept before the fleet spawns (workers register
-        through it), so the serve loop runs in the background thread
-        either way and this just parks the caller.
-        """
-        self.start(wait_ready=False)
-        try:
-            while self._thread is not None and self._thread.is_alive():
-                self._thread.join(timeout=1.0)
-        except KeyboardInterrupt:
-            raise
-
-    def shutdown(self) -> None:
-        """Drain in-flight proxies, stop the fleet, close the listener."""
-        if self._thread is not None and self._thread.is_alive():
-            self._httpd.shutdown()
-        # Before the drain barrier: an in-flight fleet profile would park
-        # its handler in the drain window for the full sampling period.
-        self._profiles.disarm()
-        self.drain.drain()
+    def _close(self) -> None:
         self.fleet.stop()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self._events_handler is not None:
-            uninstall_event_buffer(self._events_handler)
-            self._events_handler = None
-
-    def __enter__(self) -> "PCORRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def _count(self, status: int) -> None:
-        self._responses.inc(labels=(f"{status // 100}xx",))
-
-    def trace_for(self, headers: Mapping[str, str]):
-        """Adopt the client's ``X-PCOR-Trace`` or mint one (None when
-        observability is disabled)."""
-        return trace_for_request(headers.get(TRACE_HEADER), self.obs)
 
     # ---------------------------------------------------------------- proxy
 
@@ -498,81 +390,101 @@ class PCORRouter:
         if error:
             self._proxy_errors.inc(labels=labels)
 
-    def _shard_json(
-        self,
-        shard: int,
-        url: str,
-        path: str,
-        tenant: str = "",
-        timeout: float = 30.0,
-    ):
-        """One aggregation fan-out call (returns None on a dead shard)."""
-        headers = {TENANT_HEADER: tenant} if tenant else {}
+    def _fetch(
+        self, url: str, path: str, tenant: str, timeout: float
+    ) -> Optional[Any]:
+        """One shard's 200 answer to ``GET path``: parsed JSON, or text for
+        any other content type (the Prometheus exposition); ``None`` when
+        the shard does not answer 200."""
         parsed = urlparse(url)
         conn = http.client.HTTPConnection(
             parsed.hostname, parsed.port, timeout=timeout
         )
         try:
-            conn.request("GET", path, headers=headers)
+            conn.request(
+                "GET", path, headers={TENANT_HEADER: tenant} if tenant else {}
+            )
             response = conn.getresponse()
             data = response.read()
             if response.status != 200:
                 return None
-            return json.loads(data.decode("utf-8"))
+            text = data.decode("utf-8")
+            if response.getheader("Content-Type") == "application/json":
+                return json.loads(text)
+            return text
         except (OSError, http.client.HTTPException, ValueError):
             return None
         finally:
             conn.close()
 
+    def _fan_out(
+        self,
+        path: str,
+        tenant: str = "",
+        timeout: float = 30.0,
+        local: Optional[Callable[[], Any]] = None,
+    ) -> Tuple[Dict[int, Any], List[int], Any]:
+        """``GET path`` on every live shard at once.
+
+        Returns ``(bodies, unavailable, own)``: each answering shard's body
+        in shard order, the sorted shards with no live worker or no 200
+        answer (also the ``pcor_unavailable_shards`` gauge), and what
+        ``local()`` returned.  ``local`` runs on the calling thread while
+        the shards answer, so a profile samples the router meanwhile.
+        """
+        live = self.fleet.live_urls()
+        results: Dict[int, Any] = {}
+
+        def fetch(shard: int, url: str) -> None:
+            results[shard] = self._fetch(url, path, tenant, timeout)
+
+        threads = [
+            threading.Thread(
+                target=fetch,
+                args=(shard, url),
+                name=f"pcor-fanout-shard{shard}",
+                daemon=True,
+            )
+            for shard, url in sorted(live.items())
+        ]
+        for thread in threads:
+            thread.start()
+        own = local() if local is not None else None
+        for thread in threads:
+            thread.join(timeout=timeout + 30.0)
+        results = dict(results)  # a fetch past its join may still write
+        bodies = {
+            shard: results[shard]
+            for shard in sorted(live)
+            if results.get(shard) is not None
+        }
+        failed = sorted(set(range(self.cluster.workers)) - set(bodies))
+        self._unavailable.set(float(len(failed)))
+        return bodies, failed, own
+
     # ------------------------------------------------------------ endpoints
 
-    def health(self) -> Dict[str, Any]:
-        return {
-            "status": "draining" if self.drain.draining else "ok",
-            "version": __version__,
-            "role": "router",
-            "workers": self.cluster.workers,
-            "datasets": sorted(self.config.datasets),
-            "shards": self.fleet.snapshot(),
-            "uptime_s": round(time.monotonic() - self._started, 3),
-            "rss_bytes": process_rss_bytes(),
-            "observability": {
-                "enabled": self.obs.enabled,
-                "sample_rate": self.obs.sample_rate,
-                "slow_request_ms": self.obs.slow_request_ms,
-                "log_format": self.obs.log_format,
-            },
+    def _aggregate(self, path: str, tenant: str = "") -> Dict[str, Any]:
+        """Every live shard's per-dataset map merged under ``"datasets"``;
+        shards that did not answer are listed under
+        ``"unavailable_shards"``, not silently dropped."""
+        bodies, failed, _ = self._fan_out(path, tenant=tenant)
+        out: Dict[str, Any] = {
+            "datasets": {
+                name: value
+                for body in bodies.values()
+                for name, value in body.get("datasets", {}).items()
+            }
         }
-
-    def _aggregate(
-        self, path: str, tenant: str = ""
-    ) -> Tuple[Dict[str, Any], list]:
-        """Merge the per-dataset map under ``"datasets"`` from every live
-        shard; dead shards are listed, not silently dropped."""
-        live = self.fleet.live_urls()
-        merged: Dict[str, Any] = {}
-        failed = sorted(set(range(self.cluster.workers)) - set(live))
-        for shard, url in sorted(live.items()):
-            body = self._shard_json(shard, url, path, tenant=tenant)
-            if body is None:
-                failed.append(shard)
-                continue
-            merged.update(body.get("datasets", {}))
-        return merged, sorted(failed)
+        if failed:
+            out["unavailable_shards"] = failed
+        return out
 
     def list_datasets(self) -> Dict[str, Any]:
-        merged, failed = self._aggregate("/v1/datasets")
-        out: Dict[str, Any] = {"datasets": merged}
-        if failed:
-            out["unavailable_shards"] = failed
-        return out
+        return self._aggregate("/v1/datasets")
 
     def budget(self, tenant: str) -> Dict[str, Any]:
-        merged, failed = self._aggregate("/v1/budget", tenant=tenant)
-        out: Dict[str, Any] = {"tenant": tenant, "datasets": merged}
-        if failed:
-            out["unavailable_shards"] = failed
-        return out
+        return {"tenant": tenant, **self._aggregate("/v1/budget", tenant=tenant)}
 
     def metrics(self) -> Dict[str, Any]:
         """Fleet-wide monotonic counters plus the router's own shard view
@@ -582,8 +494,7 @@ class PCORRouter:
         present (an empty list when every shard is live) so dashboards
         never have to treat a missing key as "healthy".
         """
-        merged, failed = self._aggregate("/v1/metrics")
-        self._unavailable.set(float(len(failed)))
+        merged = self._aggregate("/v1/metrics")
         responses = {key[0]: int(value) for key, value in self._responses.items()}
         shards = []
         for row in self.fleet.snapshot():
@@ -606,8 +517,8 @@ class PCORRouter:
         return {
             "server": {"responses_by_status": responses},
             "router": {"workers": self.cluster.workers, "shards": shards},
-            "datasets": merged,
-            "unavailable_shards": failed,
+            "datasets": merged["datasets"],
+            "unavailable_shards": merged.get("unavailable_shards", []),
         }
 
     def prometheus_metrics(self) -> str:
@@ -615,84 +526,51 @@ class PCORRouter:
         ``/v1/metrics/prometheus`` body with a ``shard`` label stamped on
         each sample, plus the router's registry (proxy counters, latency
         histograms, ``pcor_unavailable_shards``)."""
-        live = self.fleet.live_urls()
-        failed = set(range(self.cluster.workers)) - set(live)
-        shard_texts = []
-        for shard, url in sorted(live.items()):
-            text = self._shard_text(shard, url)
-            if text is None:
-                failed.add(shard)
-                continue
-            shard_texts.append((shard, text))
-        self._unavailable.set(float(len(failed)))
+        bodies, _, _ = self._fan_out("/v1/metrics/prometheus")
         return merged_exposition(
-            shard_texts, extra_families=self.metrics_registry.collect()
+            list(bodies.items()), extra_families=self.metrics_registry.collect()
         )
+
+    @staticmethod
+    def _by_source(own, bodies: Dict[int, Any]):
+        """``(source, body)`` pairs: the router's own first, then each
+        answering shard as ``shard<N>``."""
+        if own is not None:
+            yield "router", own
+        for shard, body in bodies.items():
+            yield f"shard{shard}", body
 
     def debug_profile(
         self, seconds: Optional[float] = None, hz: Optional[float] = None
     ) -> Dict[str, Any]:
         """One merged flamegraph for the whole fleet.
 
-        Fans ``/v1/debug/profile`` out to every live shard on parallel
-        threads while the router samples *itself* on the handler thread,
-        then merges the folded stacks under ``router;`` / ``shard<N>;``
-        roots.  Shards that die mid-scrape land in ``unavailable_shards``
-        — a partial profile renders rather than a 500.  Router shutdown
-        disarms the local session, so a fleet profile never stalls the
-        drain barrier.
+        Fans ``/v1/debug/profile`` out to every live shard while the router
+        samples *itself* on the handler thread, then merges the folded
+        stacks under ``router;`` / ``shard<N>;`` roots.  Shards that die
+        mid-scrape land in ``unavailable_shards`` — a partial profile
+        renders rather than a 500.  Router shutdown disarms the local
+        session, so a fleet profile never stalls the drain barrier.
         """
         try:
             seconds, hz = validate_profile_args(seconds, hz)
         except ValueError as exc:
             raise _BadRequest(str(exc)) from None
-        live = self.fleet.live_urls()
-        failed = set(range(self.cluster.workers)) - set(live)
-        path = f"/v1/debug/profile?seconds={seconds:g}&hz={hz:g}"
-        results: Dict[int, Optional[Dict[str, Any]]] = {}
-
-        def fetch(shard: int, url: str) -> None:
-            # The worker blocks for the full sampling window before it
-            # responds, so the fan-out timeout must exceed it.
-            results[shard] = self._shard_json(
-                shard, url, path, timeout=seconds + 30.0
-            )
-
-        threads = [
-            threading.Thread(
-                target=fetch,
-                args=(shard, url),
-                name=f"pcor-profile-shard{shard}",
-                daemon=True,
-            )
-            for shard, url in sorted(live.items())
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            own = self._profiles.run(seconds=seconds, hz=hz)
-        except ProfilerDisarmed as exc:
-            raise _Draining(str(exc)) from None
-        for thread in threads:
-            thread.join(timeout=seconds + 60.0)
-
+        # The workers block for the full sampling window before they
+        # respond, so the fan-out timeout must exceed it.
+        bodies, failed, own = self._fan_out(
+            f"/v1/debug/profile?seconds={seconds:g}&hz={hz:g}",
+            timeout=seconds + 30.0,
+            local=partial(super().debug_profile, seconds, hz),
+        )
         sources: Dict[str, Dict[str, Any]] = {}
-        profiles = [("router", own.get("folded") or {})]
-        for shard in sorted(live):
-            body = results.get(shard)
-            if body is None:
-                failed.add(shard)
-                continue
-            label = f"shard{shard}"
+        profiles = []
+        for label, body in self._by_source(own, bodies):
             profiles.append((label, body.get("folded") or {}))
             sources[label] = {
                 key: body.get(key)
                 for key in ("samples", "threads", "duration_s", "disarmed")
             }
-        sources["router"] = {
-            key: own.get(key)
-            for key in ("samples", "threads", "duration_s", "disarmed")
-        }
         folded = merge_folded(profiles)
         return {
             "supported": profiler_supported(),
@@ -703,10 +581,10 @@ class PCORRouter:
             "sources": sources,
             "folded": folded,
             "folded_text": render_folded(folded),
-            "unavailable_shards": sorted(failed),
+            "unavailable_shards": failed,
         }
 
-    def debug_events(self, n: Optional[float] = None) -> Dict[str, Any]:
+    def debug_events(self, n: Optional[int] = None) -> Dict[str, Any]:
         """The fleet's recent structured events, merged and time-sorted.
 
         Each event is stamped with its ``source`` (``router`` or
@@ -714,28 +592,17 @@ class PCORRouter:
         an operator can tell when a window is incomplete.  Dead shards go
         to ``unavailable_shards``.
         """
-        if n is not None and n < 0:
-            raise _BadRequest(f"n must be >= 0, got {n:g}")
-        limit = int(n) if n is not None else None
-        live = self.fleet.live_urls()
-        failed = set(range(self.cluster.workers)) - set(live)
+        bodies, failed, own = self._fan_out(
+            "/v1/debug/events" + (f"?n={n}" if n is not None else ""),
+            local=(
+                partial(super().debug_events, n)
+                if self._events_handler is not None
+                else None
+            ),
+        )
         sources: Dict[str, Dict[str, Any]] = {}
         events: list = []
-        if self._events_handler is not None:
-            snap = self._events_handler.buffer.snapshot(limit)
-            for event in snap.pop("events"):
-                event["source"] = "router"
-                events.append(event)
-            sources["router"] = snap
-        path = "/v1/debug/events" + (
-            f"?n={limit}" if limit is not None else ""
-        )
-        for shard, url in sorted(live.items()):
-            body = self._shard_json(shard, url, path)
-            if body is None:
-                failed.add(shard)
-                continue
-            label = f"shard{shard}"
+        for label, body in self._by_source(own, bodies):
             for event in body.get("events", []):
                 event["source"] = label
                 events.append(event)
@@ -744,31 +611,13 @@ class PCORRouter:
                 for key in ("capacity", "buffered", "total", "dropped")
             }
         events.sort(key=lambda e: (e.get("ts") or 0.0, str(e.get("source"))))
-        if limit is not None and len(events) > limit:
-            events = events[-limit:]
+        if n is not None and len(events) > n:
+            events = events[-n:]
         return {
             "events": events,
             "sources": sources,
-            "unavailable_shards": sorted(failed),
+            "unavailable_shards": failed,
         }
-
-    def _shard_text(self, shard: int, url: str) -> Optional[str]:
-        """One shard's Prometheus exposition (None on a dead shard)."""
-        parsed = urlparse(url)
-        conn = http.client.HTTPConnection(
-            parsed.hostname, parsed.port, timeout=30.0
-        )
-        try:
-            conn.request("GET", "/v1/metrics/prometheus")
-            response = conn.getresponse()
-            data = response.read()
-            if response.status != 200:
-                return None
-            return data.decode("utf-8")
-        except (OSError, http.client.HTTPException):
-            return None
-        finally:
-            conn.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -41,9 +41,11 @@ Analysts authenticate with the ``X-PCOR-Tenant`` header (required on
 ``{"error": {"type", "message", "status"}}``: budget exhaustion maps to
 402, validation to 400, unknown datasets/routes to 404, releases that fail
 mid-run to 422, shutdown drain to 503 (with ``Retry-After``) — and the
-client resurrects the original exception class from ``type``.  The wire
-dialect itself (handler core, drain window, error mapping) lives in
-:mod:`repro.server.http`, shared with the cluster router.
+client resurrects the original exception class from ``type``.  The
+serving shell (listener, drain window, serve thread, ``/healthz``, the
+debug routes) and the wire dialect (handler core, error mapping) live in
+:mod:`repro.server.http`, shared with the cluster router; this module
+holds what only a dataset-hosting server does.
 """
 
 from __future__ import annotations
@@ -55,39 +57,19 @@ import time
 from typing import Any, Dict, Mapping, Optional, Union
 from urllib.parse import parse_qs, urlparse
 
-from repro import __version__
 from repro.core.result import PCORResult
 from repro.exceptions import DatasetError, SchemaError, ServerError
 from repro.obs.logs import log_event
-from repro.obs.metrics import (
-    PROMETHEUS_CONTENT_TYPE,
-    MetricsRegistry,
-    render_text,
-)
+from repro.obs.metrics import render_text
 from repro.obs.export import dataset_families
-from repro.obs.events import (
-    EventBufferHandler,
-    install_event_buffer,
-    uninstall_event_buffer,
-)
-from repro.obs.profiler import ProfileSessions, ProfilerDisarmed
-from repro.obs.trace import (
-    TRACE_HEADER,
-    Trace,
-    process_rss_bytes,
-    span,
-    trace_for_request,
-)
+from repro.obs.trace import TRACE_HEADER, Trace, span
 from repro.server.batching import CoalescerClosed, ReleaseCoalescer
-from repro.server.config import ObservabilityConfig, ServerConfig
+from repro.server.config import ServerConfig
 from repro.server.http import (
     TENANT_HEADER,
-    DrainState,
     JsonRequestHandler,
-    ThreadingJsonServer,
     _BadRequest,
-    _Draining,
-    query_number,
+    _JsonService,
 )
 from repro.server.registry import DatasetRegistry
 from repro.service.engine import ReleaseRequest
@@ -103,40 +85,10 @@ class _Handler(JsonRequestHandler):
 
     def _route_get(self, raw: bytes) -> None:
         url = urlparse(self.path)
-        if url.path == "/healthz":
-            self._respond(200, self._app().health())
-        elif url.path == "/v1/datasets":
-            self._respond(200, self._app().list_datasets())
-        elif url.path == "/v1/budget":
-            query = parse_qs(url.query)
-            dataset = query.get("dataset", [None])[0]
-            self._respond(
-                200, self._app().budget(self._tenant(), dataset=dataset)
-            )
-        elif url.path == "/v1/metrics":
-            self._respond(200, self._app().metrics())
-        elif url.path == "/v1/metrics/prometheus":
-            self._respond_raw(
-                200,
-                self._app().prometheus_metrics().encode("utf-8"),
-                content_type=PROMETHEUS_CONTENT_TYPE,
-            )
-        elif url.path == "/v1/debug/profile":
-            query = parse_qs(url.query)
-            self._respond(
-                200,
-                self._app().debug_profile(
-                    seconds=query_number(query, "seconds"),
-                    hz=query_number(query, "hz"),
-                ),
-            )
-        elif url.path == "/v1/debug/events":
-            query = parse_qs(url.query)
-            self._respond(
-                200, self._app().debug_events(n=query_number(query, "n"))
-            )
-        else:
-            raise ServerError(f"no such route: GET {url.path}")
+        if url.path != "/v1/budget":
+            return super()._route_get(raw)
+        dataset = parse_qs(url.query).get("dataset", [None])[0]
+        self._respond(200, self._app().budget(self._tenant(), dataset=dataset))
 
     def _route_post(self, raw: bytes) -> None:
         url = urlparse(self.path)
@@ -157,8 +109,13 @@ class _Handler(JsonRequestHandler):
             raise ServerError(f"no such route: POST {url.path}")
 
 
-class PCORServer:
+class PCORServer(_JsonService):
     """The multi-tenant PCOR release service.
+
+    The listener, drain barrier, serve thread, ``/healthz`` and the debug
+    routes come from the shared serving shell
+    (:class:`~repro.server.http._JsonService`); this class adds the
+    hosted datasets — their registry, coalescers and release path.
 
     Parameters
     ----------
@@ -170,8 +127,12 @@ class PCORServer:
         Bind address overrides (``port=0`` binds an ephemeral port —
         read the real one off :attr:`port` after construction).
 
-    Use as a context manager, or call :meth:`start` /: :meth:`shutdown`
-    explicitly.  :meth:`serve_forever` blocks (the CLI path).
+    Use as a context manager, or call :meth:`start` / :meth:`shutdown`
+    explicitly.  :meth:`serve_forever` blocks (the CLI path).  Shutdown
+    drains in-flight requests, then the coalescers flush whatever is
+    still queued, and only then do the ledgers and the listener close.
+    Ledger stores fsync on every admitted charge, so shutdown never loses
+    recorded spend.
     """
 
     def __init__(
@@ -182,52 +143,20 @@ class PCORServer:
     ) -> None:
         if isinstance(config, DatasetRegistry):
             self.registry = config
-            server_config = config.config
         else:
             if not isinstance(config, ServerConfig):
                 config = ServerConfig.from_dict(config)
-            server_config = config
             self.registry = DatasetRegistry(config)
-        self.config = server_config
-        bind = (
-            host if host is not None else server_config.host,
-            port if port is not None else server_config.port,
-        )
         try:
-            self._httpd = ThreadingJsonServer(bind, _Handler)
-        except OSError as exc:
+            super().__init__(self.registry.config, host, port, _Handler)
+        except ServerError:
             self.registry.close()
-            raise ServerError(f"cannot bind {bind[0]}:{bind[1]}: {exc}") from None
-        self._httpd.app = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
+            raise
         self._lock = threading.Lock()
-        self._started = time.monotonic()
-        self.obs = server_config.observability or ObservabilityConfig()
-        # The typed registry behind both /v1/metrics JSON (derived view)
-        # and the /v1/metrics/prometheus exposition.
-        self.metrics_registry = MetricsRegistry()
-        self._responses = self.metrics_registry.counter(
-            "pcor_http_responses_total",
-            "HTTP responses by status class.",
-            labelnames=("status",),
-        )
         self._release_latency = self.metrics_registry.histogram(
             "pcor_release_latency_seconds",
             "End-to-end release latency as served (admission + execution).",
             labelnames=("dataset",),
-        )
-        # Shutdown drain: handler threads are daemonic and NOT joined by
-        # server_close(), so the ledger must not close until every request
-        # that entered a release path has left it.
-        self.drain = DrainState()
-        # Debug introspection: in-flight /v1/debug/profile sessions (so
-        # shutdown can disarm them before the drain barrier waits) and the
-        # bounded ring of recent structured events behind /v1/debug/events.
-        self._profiles = ProfileSessions()
-        self._events_handler: Optional[EventBufferHandler] = (
-            install_event_buffer(self.obs.events_buffer)
-            if self.obs.events_buffer > 0
-            else None
         )
         # One coalescer per dataset that opted in (max_batch > 1); the
         # engine_for thunk keeps dataset construction lazy.
@@ -248,133 +177,15 @@ class PCORServer:
         # PipelineSpec is frozen, so cached instances are safe to share.
         self._spec_cache: Dict[str, PipelineSpec] = {}
 
-    # ------------------------------------------------------------ lifecycle
+    def _health_fields(self) -> Dict[str, Any]:
+        return {"datasets": self.registry.names()}
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        """True once shutdown began (mirrored by ``/healthz`` as
-        ``"status": "draining"`` — worker heartbeats forward it)."""
-        return self.drain.draining
-
-    def start(self) -> "PCORServer":
-        """Serve in a background thread (idempotent); returns ``self``."""
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="pcor-server",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` (CLI path)."""
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        """Stop serving and release every engine and ledger (idempotent).
-
-        In-flight requests finish first — ``ThreadingHTTPServer`` uses
-        daemonic handler threads that ``server_close()`` does *not* join,
-        so a drain barrier waits for every request already inside a
-        handler (including those parked on coalescer futures), then the
-        coalescers flush whatever is still queued, and only then do the
-        listener and the ledgers close.  Ledger stores fsync on every
-        admitted charge, so shutdown never loses recorded spend.
-        """
-        # BaseServer.shutdown() blocks on serve_forever's exit event, which
-        # only a *running* serve loop ever sets — skip it for a server that
-        # was constructed (or already stopped) but never (re)started, e.g.
-        # an app used in-process via PCORServer.release() without start().
-        if self._thread is not None and self._thread.is_alive():
-            self._httpd.shutdown()
-        # Disarm BEFORE the drain barrier waits: an in-flight profile
-        # session would otherwise park its handler inside the drain window
-        # for up to MAX_SECONDS and stall (then time out) the drain.
-        self._profiles.disarm()
-        self.drain.drain()
+    def _close(self) -> None:
         for coalescer in self._coalescers.values():
             coalescer.close()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
         self.registry.close()
-        self._uninstall_events()
-
-    def abort(self) -> None:
-        """Tear the server down *without* draining (crash simulation).
-
-        Closes the listener and the registry immediately, abandoning any
-        in-flight request mid-handler — the closest an in-process worker
-        gets to ``kill -9``.  Ledgers fsync per admitted charge, so the
-        durable state an :meth:`abort` leaves behind is exactly what a
-        real crash would: every admitted charge present, nothing else.
-        """
-        if self._thread is not None and self._thread.is_alive():
-            self._httpd.shutdown()
-        self._profiles.disarm()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self.registry.close()
-        self._uninstall_events()
-
-    def _uninstall_events(self) -> None:
-        """Detach this server's event ring from the logger tree (idempotent)
-        so long-lived processes creating many servers don't leak handlers."""
-        if self._events_handler is not None:
-            uninstall_event_buffer(self._events_handler)
-            self._events_handler = None
-
-    def __enter__(self) -> "PCORServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def _count(self, status: int) -> None:
-        self._responses.inc(labels=(f"{status // 100}xx",))
-
-    def trace_for(self, headers: Mapping[str, str]) -> Optional[Trace]:
-        """The trace context for one incoming request: adopt the
-        ``X-PCOR-Trace`` header (router-minted) or mint fresh at this
-        edge; ``None`` when tracing is disabled."""
-        return trace_for_request(headers.get(TRACE_HEADER), self.obs)
 
     # ------------------------------------------------------------ endpoints
-
-    def health(self) -> Dict[str, Any]:
-        """Liveness + drain status.  Unlike every other route this is
-        answered even mid-shutdown: the router heartbeat (and any
-        orchestrator probe) distinguishes a *draining* worker — stop
-        routing to it, don't respawn it — from a dead one."""
-        return {
-            "status": "draining" if self.drain.draining else "ok",
-            "version": __version__,
-            "datasets": self.registry.names(),
-            "uptime_s": round(time.monotonic() - self._started, 3),
-            "rss_bytes": process_rss_bytes(),
-            "observability": {
-                "enabled": self.obs.enabled,
-                "sample_rate": self.obs.sample_rate,
-                "slow_request_ms": self.obs.slow_request_ms,
-                "log_format": self.obs.log_format,
-            },
-        }
 
     def list_datasets(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
@@ -451,37 +262,6 @@ class PCORServer:
         families = self.metrics_registry.collect()
         families.extend(dataset_families(self.metrics()["datasets"]))
         return render_text(families)
-
-    def debug_profile(
-        self, seconds: Optional[float] = None, hz: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Sample this process for ``seconds`` and return folded stacks.
-
-        Blocks the calling handler thread for the sampling window (the
-        server keeps serving on its other threads).  A shutdown arriving
-        mid-session disarms it: the session returns early with whatever
-        samples it gathered, flagged ``"disarmed": true``, and later
-        attempts get the same typed 503 + ``Retry-After`` as any other
-        drain-refused request.
-        """
-        try:
-            return self._profiles.run(seconds=seconds, hz=hz)
-        except ValueError as exc:
-            raise _BadRequest(str(exc)) from None
-        except ProfilerDisarmed as exc:
-            raise _Draining(str(exc)) from None
-
-    def debug_events(self, n: Optional[float] = None) -> Dict[str, Any]:
-        """The last ``n`` structured events from the in-memory ring."""
-        if self._events_handler is None:
-            raise ServerError(
-                "event ring is disabled (observability events_buffer = 0)"
-            )
-        if n is not None and n < 0:
-            raise _BadRequest(f"n must be >= 0, got {n:g}")
-        return self._events_handler.buffer.snapshot(
-            int(n) if n is not None else None
-        )
 
     def release(
         self,

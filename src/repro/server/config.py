@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
@@ -44,6 +45,11 @@ LEDGER_KINDS = ("jsonl", "memory")
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8320
+
+#: A dataset name is one URL path segment as it stands: RFC 3986's
+#: unreserved characters only, so ``/v1/datasets/{name}/release`` needs no
+#: escaping and no client splits it at ``?``, ``#`` or a space.
+_DATASET_NAME = re.compile(r"[A-Za-z0-9._~-]+")
 
 
 def _dataset_factories() -> Dict[str, Any]:
@@ -78,7 +84,9 @@ class DatasetConfig:
     Parameters
     ----------
     name:
-        Registry key — the ``{name}`` in ``/v1/datasets/{name}/release``.
+        Registry key — the ``{name}`` in ``/v1/datasets/{name}/release``:
+        letters, digits and ``- . _ ~`` (RFC 3986's unreserved
+        characters), but not ``.`` or ``..``.
     source:
         A built-in generator name (``salary_reduced``, ``homicide_reduced``,
         ``salary_full``, ``homicide_full``) or ``"csv"`` (then ``path`` and
@@ -129,8 +137,13 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", str(self.name))
         object.__setattr__(self, "source", str(self.source))
-        if not self.name or "/" in self.name:
-            raise SpecError(f"dataset name {self.name!r} must be non-empty and slash-free")
+        # "." and ".." are unreserved too, but clients such as curl
+        # collapse them as dot segments of the path.
+        if not _DATASET_NAME.fullmatch(self.name) or self.name in (".", ".."):
+            raise SpecError(
+                f"dataset name {self.name!r} must be non-empty and slash-free, "
+                "using only A-Z a-z 0-9 - . _ ~, and not '.' or '..'"
+            )
         where = f"dataset {self.name!r}:"
         for key in ("records", "seed", "max_batch"):
             object.__setattr__(self, key, _integer(getattr(self, key), f"{where} {key}"))

@@ -9,6 +9,7 @@ subprocess deployment path is covered by ``tests/test_cluster_smoke.py``.
 import http.client
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,6 +23,7 @@ from repro.cluster import (
     shard_config,
     stable_hash,
 )
+from repro.cluster.manager import WorkerHandle, WorkerManager, WorkerSpec
 from repro.exceptions import (
     PrivacyBudgetError,
     ServerError,
@@ -387,6 +389,107 @@ class TestCrashRespawn:
             assert "salary" not in survivors
             metrics = client.metrics()
             assert metrics["unavailable_shards"] == [shard]
+
+
+def get_json(url: str, path: str, tenant: str = "alice") -> dict:
+    """GET ``path`` and parse its body; fails on anything but a 200."""
+    request = urllib.request.Request(url + path, headers={"X-PCOR-Tenant": tenant})
+    with urllib.request.urlopen(request) as response:
+        assert response.status == 200
+        return json.loads(response.read())
+
+
+class TestFanOut:
+    def test_unanswering_shard_is_listed_on_every_aggregate_route(self):
+        """A shard still registered but no longer answering (killed, and
+        the monitor has not looked yet): every fan-out route lists it in
+        ``unavailable_shards`` and serves the live shard's share."""
+        body = cluster_config(respawn=False).to_dict()
+        # Long enough that the monitor never runs during the test.
+        body["cluster"].update(heartbeat_interval_s=30.0, heartbeat_timeout_s=60.0)
+        with PCORRouter(ServerConfig.from_dict(body)) as router:
+            shard = router.fleet.shard_for("salary")
+            router.fleet._shards[shard].handle.kill()
+            assert shard in router.fleet.live_urls()  # still registered
+            live = set(router.fleet._shards[1 - shard].datasets)
+
+            datasets = get_json(router.url, "/v1/datasets")
+            assert datasets["unavailable_shards"] == [shard]
+            assert set(datasets["datasets"]) == live
+            budget = get_json(router.url, "/v1/budget")
+            assert budget["unavailable_shards"] == [shard]
+            assert set(budget["datasets"]) == live
+            metrics = get_json(router.url, "/v1/metrics")
+            assert metrics["unavailable_shards"] == [shard]
+            assert set(metrics["datasets"]) == live
+            events = get_json(router.url, "/v1/debug/events")
+            assert events["unavailable_shards"] == [shard]
+            assert f"shard{shard}" not in events["sources"]
+            profile = get_json(router.url, "/v1/debug/profile?seconds=0.2&hz=50")
+            assert profile["unavailable_shards"] == [shard]
+            assert set(profile["sources"]) == {"router", f"shard{1 - shard}"}
+            exposition = PCORClient(router.url).prometheus_metrics()
+            assert "pcor_unavailable_shards 1" in exposition
+            assert f'shard="{shard}"' not in exposition
+            assert router.metrics()["server"]["responses_by_status"].get("5xx", 0) == 0
+
+
+class _SilentHandle(WorkerHandle):
+    """A worker that runs but never registers with the router."""
+
+    def __init__(self, spec: WorkerSpec) -> None:
+        self.spec, self.pid = spec, os.getpid()
+        self._stop = threading.Event()
+        self.thread = threading.Thread(
+            target=self._stop.wait, name=f"pcor-worker-{spec.worker_id}", daemon=True
+        )
+        self.thread.start()
+
+    def alive(self) -> bool:
+        return self.thread.is_alive()
+
+    def stop(self, timeout: float = 10.0) -> None:
+        self._stop.set()
+        self.thread.join(timeout)
+
+    kill = stop
+
+
+class _SilentManager(WorkerManager):
+    kind = "thread"
+
+    def __init__(self) -> None:
+        self.handles, self.closed = [], False
+
+    def spawn(self, spec: WorkerSpec) -> WorkerHandle:
+        self.handles.append(_SilentHandle(spec))
+        return self.handles[-1]
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestStartTimeout:
+    def test_timed_out_start_leaves_nothing_running(self):
+        """``start()`` timing out on the fleet shuts the router down before
+        it raises: no serve, monitor or worker thread survives, and the
+        manager is closed (``with`` never reaches ``__exit__`` here)."""
+        before = set(threading.enumerate())
+        manager = _SilentManager()
+        router = PCORRouter(cluster_config(), manager=manager)
+        with pytest.raises(ServerError, match="never registered"):
+            router.start(timeout=0.2)
+        survivors = [
+            t.name
+            for t in threading.enumerate()
+            if t not in before and t.is_alive() and t.name.startswith("pcor-")
+        ]
+        assert survivors == []
+        assert len(manager.handles) == 2
+        assert not any(handle.alive() for handle in manager.handles)
+        assert manager.closed
+        with pytest.raises(urllib.error.URLError):
+            urllib.request.urlopen(router.url + "/healthz", timeout=2)
 
 
 class TestTracePropagation:

@@ -7,6 +7,8 @@ and the drain-disarm bugfix: shutdown must wake in-flight profile
 sessions instead of letting them stall the drain barrier.
 """
 
+import json
+import logging
 import threading
 import time
 import urllib.error
@@ -464,6 +466,39 @@ class TestRouterDebugAggregation:
             assert f"shard{live}" in events["sources"]
             sources_seen = {e["source"] for e in events["events"]}
             assert f"shard{shard}" not in sources_seen
+
+
+@pytest.fixture(scope="module", params=["server", "router"])
+def service(request):
+    """A running server, or a thread-manager router over two workers."""
+    if request.param == "server":
+        with PCORServer(server_config()) as server:
+            yield server
+    else:
+        from repro.cluster import PCORRouter
+
+        with PCORRouter(cluster_config()) as router:
+            yield router
+
+
+class TestEventCountBound:
+    @pytest.mark.parametrize("n", ["nan", "inf", "-inf", "-1"])
+    def test_bad_n_is_typed_400(self, service, n):
+        """``?n=`` must be a finite number >= 0 on both tiers: NaN or an
+        infinity used to reach ``int()`` and answer 500."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"{service.url}/v1/debug/events?n={n}")
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == "SpecError"
+        assert "n must be" in error["message"]
+
+    def test_zero_and_fractional_n(self, service):
+        log_event(logging.getLogger("repro.test-ring"), "unit_test")
+        with urllib.request.urlopen(f"{service.url}/v1/debug/events?n=0") as r:
+            assert json.loads(r.read())["events"] == []
+        with urllib.request.urlopen(f"{service.url}/v1/debug/events?n=1.7") as r:
+            assert len(json.loads(r.read())["events"]) == 1
 
 
 class TestClientDebugHelpers:

@@ -56,6 +56,23 @@ class TestDatasetConfig:
         with pytest.raises(SpecError, match="slash-free"):
             DatasetConfig(name="a/b")
 
+    @pytest.mark.parametrize(
+        "name", ["", "x?y", "a b", "a#b", "a%20b", "tab\there", "é", ".", ".."]
+    )
+    def test_name_must_be_one_unescaped_path_segment(self, name):
+        """A name the HTTP API cannot address is refused at load: a ``?``
+        or ``#`` splits the URL, a space cannot be sent, ``%`` would be
+        decoded, and clients collapse the dot segments ``.``/``..``."""
+        with pytest.raises(SpecError, match="dataset name"):
+            DatasetConfig(name=name)
+        with pytest.raises(SpecError, match="dataset name"):
+            ServerConfig.from_dict({"datasets": {name: {"records": 10}}})
+
+    @pytest.mark.parametrize("name", ["ds-0", "a.b_c~d", "Salary2024"])
+    def test_unreserved_names_load(self, name):
+        config = ServerConfig.from_dict({"datasets": {name: {"records": 10}}})
+        assert list(config.datasets) == [name]
+
     def test_bad_profile_capacity_rejected(self):
         """A store bound below one entry would fail every admitted (and
         already charged) release, so it is refused at load."""
