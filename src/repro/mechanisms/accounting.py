@@ -117,8 +117,9 @@ class PrivacyAccountant:
       ledger *without* the budget check (and without notifying the sink),
       so a restarted service faithfully reconstructs its spend even when
       the replayed total exceeds a since-lowered budget; subsequent
-      charges are then rejected as over-budget.  This is what the
-      server's :class:`~repro.server.tenants.TenantBudgets` replay calls.
+      charges are then rejected as over-budget.  The server's
+      :class:`~repro.server.tenants.TenantBudgets` replays its
+      write-ahead ledger into running totals by the same rules.
     """
 
     budget: float

@@ -6,9 +6,10 @@ queries — made concrete, stdlib-only:
 
 * :mod:`repro.server.ledger` — durable, crash-replayable privacy ledgers
   (:class:`LedgerStore`, :class:`InMemoryLedgerStore`,
-  :class:`JsonlLedgerStore`).
+  :class:`JsonlLedgerStore`), the server's only per-charge record.
 * :mod:`repro.server.tenants` — :class:`TenantBudgets`, per-analyst quotas
-  admitted atomically against the dataset-global accountant.
+  and the dataset-global budget, admitted atomically as running totals
+  over the ledger.
 * :mod:`repro.server.registry` — :class:`DatasetRegistry`, names to
   lazily-built :class:`~repro.service.engine.ReleaseEngine`\\ s.
 * :mod:`repro.server.config` — :class:`ServerConfig` /

@@ -191,15 +191,13 @@ class PCORServer(_JsonService):
         out: Dict[str, Any] = {}
         for name in self.registry.names():
             entry = self.registry.get(name)
-            accountant = entry.accountant
+            totals = entry.tenants.totals()
             out[name] = {
                 "source": entry.config.source,
                 "built": entry.built,
-                "budget": accountant.budget if accountant is not None else None,
-                "spent": accountant.spent if accountant is not None else None,
-                "remaining": (
-                    accountant.remaining if accountant is not None else None
-                ),
+                "budget": totals["budget"],
+                "spent": totals["spent"],
+                "remaining": totals["remaining"],
                 "tenant_budget": entry.config.tenant_budget,
             }
         return {"datasets": out}
@@ -217,27 +215,15 @@ class PCORServer(_JsonService):
         datasets: Dict[str, Any] = {}
         for name in self.registry.names():
             entry = self.registry.get(name)
-            if entry.built:
-                m = entry.engine.metrics()
-                m.spend_by_tenant = entry.tenants.spend_by_tenant()
-                body = m.to_dict()
-            else:
-                accountant = entry.accountant
-                body = {
-                    "epsilon_spent": (
-                        accountant.spent if accountant is not None else 0.0
-                    ),
-                    "epsilon_budget": (
-                        accountant.budget if accountant is not None else None
-                    ),
-                    "epsilon_remaining": (
-                        accountant.remaining if accountant is not None else None
-                    ),
-                    "ledger_charges": (
-                        accountant.charge_count if accountant is not None else 0
-                    ),
-                    "spend_by_tenant": entry.tenants.spend_by_tenant(),
-                }
+            # The ledger figures come from the tenant ledger, built or not:
+            # the engine is unbudgeted and only executes admitted releases.
+            body = entry.engine.metrics().to_dict() if entry.built else {}
+            totals = entry.tenants.totals()
+            body["epsilon_spent"] = totals["spent"]
+            body["epsilon_budget"] = totals["budget"]
+            body["epsilon_remaining"] = totals["remaining"]
+            body["ledger_charges"] = totals["charges"]
+            body["spend_by_tenant"] = entry.tenants.spend_by_tenant()
             rejections = entry.tenants.rejections()
             body["tenant_rejections"] = rejections
             # Served releases are admitted by the tenant ledgers, never by
@@ -270,7 +256,8 @@ class PCORServer(_JsonService):
         body: Mapping[str, Any],
         trace: Optional[Trace] = None,
     ) -> Dict[str, Any]:
-        """Admit (both ledgers, atomically) then execute one release.
+        """Admit (tenant quota and dataset budget, atomically) then execute
+        one release.
 
         Datasets configured with ``max_batch > 1`` route through their
         :class:`~repro.server.batching.ReleaseCoalescer`: the handler
@@ -315,7 +302,7 @@ class PCORServer(_JsonService):
     def _admit_and_execute(
         self, dataset: str, entry, tenant: str, request: ReleaseRequest
     ) -> PCORResult:
-        """Admit ``request`` on both ledgers and run it: through the
+        """Admit ``request`` against both budgets and run it: through the
         dataset's coalescer when it has one, else directly."""
         epsilon = request.spec.epsilon
         # The version stamp lines each WAL charge up with the dataset

@@ -44,7 +44,8 @@ context a lone ``engine.submit`` with the same seed would.  Batching is a
 pure throughput lever; it is invisible in the results.
 
 **Privacy semantics are unchanged.**  Admission still happens through the
-same two-ledger :class:`~repro.server.tenants.TenantBudgets` path, charge
+same :class:`~repro.server.tenants.TenantBudgets` path (tenant quota and
+dataset budget), charge
 by charge, before any detector runs; coalescing only moves *when* the lock
 is taken and the fsync happens.  The parallel-composition caveat of
 ``release_many`` extends to coalesced batches: requests in one flush are
@@ -101,8 +102,9 @@ class ReleaseCoalescer:
     Parameters
     ----------
     tenants:
-        The dataset's two-ledger admission manager; every queued request is
-        admitted through :meth:`TenantBudgets.admit_many` at flush time.
+        The dataset's admission manager (tenant quotas and the dataset
+        budget); every queued request is admitted through
+        :meth:`TenantBudgets.admit_many` at flush time.
     engine_for:
         Zero-argument callable returning the dataset's
         :class:`~repro.service.engine.ReleaseEngine`.  Called on the first

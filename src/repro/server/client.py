@@ -154,8 +154,10 @@ class PCORClient:
         self, n: Optional[int] = None, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
         """The server's last ``n`` structured events
-        (``GET /v1/debug/events``; fleet-merged when aimed at a router)."""
-        path = "/v1/debug/events" + (f"?n={int(n)}" if n is not None else "")
+        (``GET /v1/debug/events``; fleet-merged when aimed at a router).
+        ``n`` is sent as given: the route checks it (finite, >= 0) and
+        answers a bad value with :class:`SpecError`."""
+        path = "/v1/debug/events" + (f"?n={n}" if n is not None else "")
         return self._request("GET", path, timeout=timeout)
 
     def release(

@@ -8,15 +8,17 @@ durability layer the server's :class:`~repro.server.tenants.TenantBudgets`
 writes through:
 
 * :class:`LedgerStore` — the tiny protocol: ``append`` one charge record,
-  ``replay`` them all, ``close``.
+  ``append_many`` a batch with one sync, ``replay`` them all, ``close``.
 * :class:`InMemoryLedgerStore` — process-lifetime only; for tests, examples
   and benchmarks where durability is out of scope.
 * :class:`JsonlLedgerStore` — an append-only JSONL write-ahead ledger.
-  Every ``append`` writes one JSON line and (by default) ``fsync``\\ s it
-  before returning, so an admitted charge survives a crash of the process
-  *and* the page cache.  ``open`` replays the file, and a torn final line
-  (the classic partial-write crash signature) is truncated away — a torn
-  record was never acknowledged, so dropping it under-counts nothing.
+  Every ``append_many`` writes its batch as JSON lines and (by default)
+  ``fsync``\\ s them before returning, so an admitted charge survives a
+  crash of the process *and* the page cache.  Opening scans the file once,
+  and a torn final line (the classic partial-write crash signature) is
+  truncated away — a torn record was never acknowledged, so dropping it
+  under-counts nothing.  The file is the store's only copy of its records:
+  ``replay`` streams them back from disk.
 
 Records are plain JSON objects.  The store is schema-agnostic except for
 one reserved key, ``"v"`` (record-format version, stamped on write); the
@@ -25,6 +27,7 @@ tenant/dataset/epsilon schema lives with :class:`TenantBudgets`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -32,6 +35,7 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -52,23 +56,23 @@ class LedgerStore(Protocol):
     """Append-only durable store of privacy-charge records."""
 
     def append(self, record: Mapping[str, Any]) -> None:
-        """Durably persist one charge record (called under the budget lock,
-        after the in-memory ledgers admitted the charge)."""
+        """Durably persist one charge record."""
         ...
 
     def append_many(self, records: Sequence[Mapping[str, Any]]) -> None:
         """Durably persist a batch of charge records, in order.
 
-        Optional protocol extension (callers fall back to per-record
-        :meth:`append` when a store lacks it): a store that can group-commit
-        should make the whole batch durable with *one* sync, because
-        fsync-per-charge is what caps a coalesced admission path.  Partial
-        persistence after a crash must only ever be a *prefix* of the batch
-        (append order), never a subset.
+        This is the call :class:`~repro.server.tenants.TenantBudgets`
+        writes through, once per admitted batch (under its lock, after the
+        running totals admitted the charges).  A store that can
+        group-commit should make the whole batch durable with *one* sync,
+        because fsync-per-charge is what caps a coalesced admission path.
+        Partial persistence after a crash must only ever be a *prefix* of
+        the batch (append order), never a subset.
         """
         ...
 
-    def replay(self) -> List[Dict[str, Any]]:
+    def replay(self) -> Iterable[Dict[str, Any]]:
         """Every record persisted so far, in append order."""
         ...
 
@@ -118,12 +122,16 @@ class JsonlLedgerStore:
     ----------
     path:
         The ledger file.  Created (along with parent directories) if
-        absent; an existing file is replayed on open.
+        absent; an existing file is checked on open.
     fsync:
-        ``True`` (the default) fsyncs after every appended line, so a
+        ``True`` (the default) fsyncs after every appended batch, so a
         charge acknowledged to the analyst is on stable storage before the
         release runs.  ``False`` trades that guarantee for throughput
         (flush-only) — acceptable for benchmarks, not for production.
+
+    The file is the store's only copy of its records: opening scans it
+    once and keeps just their count (``len``), and :meth:`replay` streams
+    them back from disk.
 
     Torn-tail handling: if the final line of an existing file lacks its
     newline terminator — the only state a crash mid-append can leave,
@@ -139,9 +147,8 @@ class JsonlLedgerStore:
         self.path = Path(path)
         self.fsync = bool(fsync)
         self._lock = threading.Lock()
-        self._records: List[Dict[str, Any]] = []
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._recover()
+        self._count = self._recover()
         try:
             self._fh = open(self.path, "ab")
         except OSError as exc:
@@ -149,47 +156,52 @@ class JsonlLedgerStore:
 
     # ----------------------------------------------------------- recovery
 
-    def _recover(self) -> None:
-        """Replay an existing file, truncating a torn final record."""
-        if not self.path.exists():
-            return
+    def _recover(self) -> int:
+        """Check an existing file line by line, truncating a torn final
+        record; returns the number of records it holds."""
+        count = good_end = 0
         try:
-            raw = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                for line in fh:
+                    if not line.endswith(b"\n"):
+                        # No trailing newline: the append never completed.
+                        # This is the *only* state a crashed single-write
+                        # append can leave behind (the newline is the last
+                        # byte of every write), so it is the only state
+                        # recovery may discard.
+                        break
+                    self._parse(line, count + 1)
+                    count += 1
+                    good_end += len(line)
+                else:
+                    return count
+        except FileNotFoundError:
+            return 0
         except OSError as exc:
             raise LedgerError(f"cannot read ledger {self.path}: {exc}") from None
-        good_end = 0
-        records: List[Dict[str, Any]] = []
-        torn = False
-        for line_end, line in _iter_lines(raw):
-            if line_end is None:
-                # No trailing newline: the append never completed.  This is
-                # the *only* state a crashed single-write append can leave
-                # behind (the newline is the last byte of every write), so
-                # it is the only state recovery may discard.
-                torn = True
-                break
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("not an object")
-            except ValueError:
-                # A complete, newline-terminated line that is not a valid
-                # record was fully written — and possibly acknowledged, so
-                # its release may have run.  Dropping it would under-count
-                # privacy spend; that is corruption, not a torn append.
-                raise LedgerError(
-                    f"ledger {self.path} record {len(records) + 1} is "
-                    f"corrupt: {line[:80]!r}; refusing to truncate recorded "
-                    "privacy spend"
-                ) from None
-            records.append(record)
-            good_end = line_end
-        if torn:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_end)
-                fh.flush()
-                os.fsync(fh.fileno())
-        self._records = records
+        with open(self.path, "r+b") as fh:
+            fh.truncate(good_end)
+            fh.flush()
+            os.fsync(fh.fileno())
+        return count
+
+    def _parse(self, line: bytes, number: int) -> Dict[str, Any]:
+        """Record ``number`` from its newline-terminated line."""
+        text = line[:-1].decode("utf-8", errors="replace")
+        try:
+            record = json.loads(text)
+            if not isinstance(record, dict):
+                raise ValueError("not an object")
+        except ValueError:
+            # A complete, newline-terminated line that is not a valid
+            # record was fully written — and possibly acknowledged, so its
+            # release may have run.  Dropping it would under-count privacy
+            # spend; that is corruption, not a torn append.
+            raise LedgerError(
+                f"ledger {self.path} record {number} is corrupt: "
+                f"{text[:80]!r}; refusing to truncate recorded privacy spend"
+            ) from None
+        return record
 
     # ---------------------------------------------------------- interface
 
@@ -201,23 +213,24 @@ class JsonlLedgerStore:
 
         A coalesced admission path charges many analysts per flush;
         syncing once per *flush* instead of once per charge is most of the
-        durable-path win.  A crash mid-write leaves a newline-terminated
-        prefix of the batch plus (at most) one torn final line — exactly
-        the state :meth:`_recover` already handles, and since nothing was
+        durable-path win.  Each record is serialized straight to its line
+        (``"v"`` stamped unless present, sorted keys, compact separators).
+        A crash mid-write leaves a newline-terminated prefix of the batch
+        plus (at most) one torn final line — exactly the state
+        :meth:`_recover` already handles, and since nothing was
         acknowledged, replaying the prefix only over-counts spend (the
         conservative direction).
         """
         if not records:
             return
-        payloads = []
-        for record in records:
-            payload = dict(record)
-            payload.setdefault("v", LEDGER_FORMAT_VERSION)
-            payloads.append(payload)
         data = b"".join(
-            json.dumps(p, separators=(",", ":"), sort_keys=True).encode("utf-8")
+            json.dumps(
+                {"v": LEDGER_FORMAT_VERSION, **record},
+                separators=(",", ":"),
+                sort_keys=True,
+            ).encode("utf-8")
             + b"\n"
-            for p in payloads
+            for record in records
         )
         with self._lock:
             if self._fh.closed:
@@ -231,11 +244,17 @@ class JsonlLedgerStore:
                 raise LedgerError(
                     f"failed to persist charge to {self.path}: {exc}"
                 ) from None
-            self._records.extend(payloads)
+            self._count += len(records)
 
-    def replay(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [dict(r) for r in self._records]
+    def replay(self) -> Iterator[Dict[str, Any]]:
+        """Every record appended before this call, in append order, read
+        back from the file one line at a time."""
+        return self._stream(len(self))
+
+    def _stream(self, count: int) -> Iterator[Dict[str, Any]]:
+        with open(self.path, "rb") as fh:
+            for number, line in enumerate(itertools.islice(fh, count), 1):
+                yield self._parse(line, number)
 
     def close(self) -> None:
         with self._lock:
@@ -244,7 +263,7 @@ class JsonlLedgerStore:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return self._count
 
     def __enter__(self) -> "JsonlLedgerStore":
         return self
@@ -257,16 +276,3 @@ class JsonlLedgerStore:
             f"JsonlLedgerStore(path={str(self.path)!r}, records={len(self)}, "
             f"fsync={self.fsync})"
         )
-
-
-def _iter_lines(raw: bytes) -> Iterator[tuple]:
-    """Yield ``(end_offset_or_None, text)`` per line; ``None`` marks a line
-    missing its newline terminator (a torn tail)."""
-    start = 0
-    while start < len(raw):
-        idx = raw.find(b"\n", start)
-        if idx == -1:
-            yield None, raw[start:].decode("utf-8", errors="replace")
-            return
-        yield idx + 1, raw[start:idx].decode("utf-8", errors="replace")
-        start = idx + 1

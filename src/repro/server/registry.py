@@ -2,14 +2,16 @@
 
 One PCOR server hosts many datasets, each with its own
 :class:`~repro.service.engine.ReleaseEngine` (mask index, profile caches,
-execution backend), its own dataset-global
-:class:`~repro.mechanisms.accounting.PrivacyAccountant`, and its own
-:class:`~repro.server.tenants.TenantBudgets` over a durable
-:class:`~repro.server.ledger.LedgerStore`.  Engines are built on first
-use — a server hosting twenty datasets starts instantly and only pays the
-bit-pack/detector costs of the datasets analysts actually query — but the
-*ledger* of a durable entry is replayed eagerly at registration, because
-budget truth must exist before any request is admitted.
+execution backend) and its own :class:`~repro.server.tenants.TenantBudgets`
+— the dataset budget and the tenant quotas — over a durable
+:class:`~repro.server.ledger.LedgerStore`.  The engine is built
+unbudgeted: the server admits every release through the entry's
+``TenantBudgets`` and then only asks the engine to ``execute`` it.
+Engines are built on first use — a server hosting twenty datasets starts
+instantly and only pays the bit-pack/detector costs of the datasets
+analysts actually query — but the *ledger* of a durable entry is replayed
+eagerly at registration, because budget truth must exist before any
+request is admitted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.exceptions import ServerError
-from repro.mechanisms.accounting import PrivacyAccountant
 from repro.server.config import DatasetConfig, ServerConfig
 from repro.server.ledger import InMemoryLedgerStore, JsonlLedgerStore, LedgerStore
 from repro.server.tenants import TenantBudgets
@@ -33,7 +34,6 @@ class DatasetEntry:
 
     config: DatasetConfig
     tenants: TenantBudgets
-    accountant: Optional[PrivacyAccountant]
     _engine: Optional[ReleaseEngine] = None
     _lock: threading.RLock = None  # type: ignore[assignment]
 
@@ -62,7 +62,6 @@ class DatasetEntry:
                     kwargs["profile_capacity"] = cfg.profile_capacity
                 self._engine = ReleaseEngine(
                     cfg.build_dataset(),
-                    accountant=self.accountant,
                     backend=cfg.backend,
                     workers=cfg.workers,
                     **kwargs,
@@ -92,14 +91,10 @@ class DatasetRegistry:
         self.config = config
         self._entries: Dict[str, DatasetEntry] = {}
         for name, cfg in config.datasets.items():
-            accountant = (
-                PrivacyAccountant(cfg.budget) if cfg.budget is not None else None
-            )
             self._entries[name] = DatasetEntry(
                 config=cfg,
-                accountant=accountant,
                 tenants=TenantBudgets(
-                    accountant=accountant,
+                    cfg.budget,
                     default_budget=cfg.tenant_budget,
                     budgets=cfg.tenant_budgets,
                     store=self._make_store(name),

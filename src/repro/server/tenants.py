@@ -1,30 +1,30 @@
-"""Per-analyst budgets layered on the dataset-global accountant.
+"""Per-analyst quotas and the dataset-global budget, kept as running totals.
 
 The paper's deployment model (Sections 1, 6.3) is a data owner answering
-repeated budgeted queries from analysts.  Two ledgers govern every query:
+repeated budgeted queries from analysts.  Two budgets govern every query:
 
-* the **dataset-global** :class:`~repro.mechanisms.accounting.PrivacyAccountant`
-  — the formal OCDP guarantee of the dataset, shared with the
-  :class:`~repro.service.engine.ReleaseEngine` so engine-side views
-  (``/v1/budget``, ``EngineMetrics``) and admission can never disagree;
-* a **per-tenant** accountant — the owner's quota policy, bounding how much
-  of the global budget any single analyst may burn.
+* the **dataset-global** budget — the formal OCDP guarantee of the dataset;
+* a **per-tenant** quota — the owner's policy, bounding how much of the
+  global budget any single analyst may burn.
 
-:class:`TenantBudgets` admits a charge against *both atomically or
-neither*: all tenant-path mutations are serialised under one manager lock,
-the tenant ledger is pre-checked there, the global accountant (which other
-threads may charge directly) is charged through its own atomic
-check-then-append, and only then is the tenant ledger appended — a global
-rejection therefore leaves the tenant ledger untouched, and a tenant
-rejection happens before the global ledger is touched at all.
+The durable :class:`~repro.server.ledger.LedgerStore` (the write-ahead
+ledger, WAL) is the only per-charge record.  :class:`TenantBudgets` keeps
+running totals beside it — each tenant's spend, the dataset's total and
+its charge count — under one lock, and admits a charge against *both*
+budgets or neither: both checks and the update run in one critical
+section, with the arithmetic of the library's accountant
+(:mod:`repro.mechanisms.accounting`): running sums, the same ``1e-9``
+float-dust tolerance, the same refusal texts.  A tenant enters the totals
+only when one of its charges is admitted or replayed, so refused or
+probing names allocate nothing.
 
-Durability: every admitted charge is appended to the
-:class:`~repro.server.ledger.LedgerStore` *before* :meth:`admit` returns
-(fsync-per-charge with the JSONL store), and a fresh manager replays the
-store on construction — so a restarted server resumes with every tenant
-exactly as exhausted as it was.  The charge is persisted before the
-release executes; a release that subsequently fails still consumed its
-epsilon (the conservative direction — an aborted mechanism run may leak).
+Durability: every admitted charge is appended to the store *before*
+:meth:`admit` returns (one fsync per batch with the JSONL store), and a
+fresh manager replays the store on construction — so a restarted server
+resumes with every tenant exactly as exhausted as it was.  The charge is
+persisted before the release executes; a release that subsequently fails
+still consumed its epsilon (the conservative direction — an aborted
+mechanism run may leak).
 """
 
 from __future__ import annotations
@@ -34,27 +34,26 @@ import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import LedgerError, PrivacyBudgetError
-from repro.mechanisms.accounting import PrivacyAccountant
 from repro.server.ledger import InMemoryLedgerStore, LedgerStore
 
 
 class TenantBudgets:
-    """Atomic two-ledger admission with a durable write-ahead store.
+    """Atomic admission against tenant quotas and the dataset budget, over
+    a durable write-ahead store.
 
     Parameters
     ----------
-    accountant:
-        The dataset-global accountant (usually the engine's own; ``None``
-        leaves the dataset globally unbudgeted and only tenant quotas
-        apply).
+    budget:
+        The dataset-global OCDP budget (``None`` leaves the dataset
+        globally unbudgeted and only tenant quotas apply).
     default_budget:
         Budget granted to any tenant not named in ``budgets``.  ``None``
-        means unnamed tenants are only bounded by the global ledger.
+        means unnamed tenants are only bounded by the global budget.
     budgets:
         Per-tenant overrides, ``{tenant: budget}``.
     store:
-        Durable charge store.  Existing records are replayed into both
-        ledgers on construction (without re-checking budgets — the store
+        Durable charge store.  Existing records are replayed into the
+        totals on construction (without re-checking budgets — the store
         is authoritative).  Defaults to a fresh in-memory store.
     dataset:
         Name stamped into persisted records (one store may be shared by
@@ -63,36 +62,35 @@ class TenantBudgets:
 
     def __init__(
         self,
-        accountant: Optional[PrivacyAccountant] = None,
+        budget: Optional[float] = None,
         default_budget: Optional[float] = None,
         budgets: Optional[Mapping[str, float]] = None,
         store: Optional[LedgerStore] = None,
         dataset: str = "default",
     ) -> None:
-        if default_budget is not None and not (
-            default_budget > 0.0 and math.isfinite(default_budget)
-        ):
-            raise PrivacyBudgetError(
-                f"default tenant budget must be positive and finite, "
-                f"got {default_budget}"
-            )
-        self.accountant = accountant
+        self.budget = budget
         self.default_budget = default_budget
+        self._budgets = {str(k): float(v) for k, v in dict(budgets or {}).items()}
+        for what, value in (
+            ("budget", budget),
+            ("default tenant budget", default_budget),
+            *((f"tenant {k!r} budget", v) for k, v in self._budgets.items()),
+        ):
+            if value is not None and not (value > 0.0 and math.isfinite(value)):
+                raise PrivacyBudgetError(
+                    f"{what} must be positive and finite, got {value}"
+                )
         self.dataset = str(dataset)
         self.store = store if store is not None else InMemoryLedgerStore()
-        self._budgets = {str(k): float(v) for k, v in dict(budgets or {}).items()}
-        self._tenants: Dict[str, PrivacyAccountant] = {}
-        # Spend of quota-less tenants (no accountant to ask), kept so the
-        # metrics breakdown still covers them.
-        self._unbounded_spend: Dict[str, float] = {}
+        self._spent: Dict[str, float] = {}
+        self._total = 0.0
+        self._charges = 0
         self._rejections: Dict[str, int] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._replay()
 
-    # ------------------------------------------------------------- replay
-
     def _replay(self) -> None:
-        """Reconstruct both ledgers from the durable store."""
+        """Rebuild the running totals from the durable store."""
         for record in self.store.replay():
             try:
                 tenant = str(record["tenant"])
@@ -102,44 +100,30 @@ class TenantBudgets:
                 raise LedgerError(
                     f"unreplayable ledger record {record!r}: {exc}"
                 ) from None
-            if self.accountant is not None:
-                self.accountant.restore([(label, epsilon)])
-            ledger = self._tenant_ledger(tenant)
-            if ledger is not None:
-                ledger.restore([(label, epsilon)])
-            else:
-                self._unbounded_spend[tenant] = (
-                    self._unbounded_spend.get(tenant, 0.0) + epsilon
+            # A corrupt replay record is an error, not a spend.
+            if epsilon < 0.0 or not math.isfinite(epsilon):
+                raise PrivacyBudgetError(
+                    f"replayed charge {label!r} must be finite and >= 0, "
+                    f"got {epsilon}"
                 )
+            self._add(tenant, epsilon)
 
-    # ------------------------------------------------------------ ledgers
+    def _add(self, tenant: str, epsilon: float) -> None:
+        self._spent[tenant] = self._spent.get(tenant, 0.0) + epsilon
+        self._total += epsilon
+        self._charges += 1
 
     def budget_for(self, tenant: str) -> Optional[float]:
         """The quota this tenant is entitled to (``None`` = unbounded)."""
         return self._budgets.get(str(tenant), self.default_budget)
 
-    def _tenant_ledger(self, tenant: str) -> Optional[PrivacyAccountant]:
-        """The tenant's accountant, created lazily (``None`` if unbounded).
-
-        Only ever mutated under ``self._lock`` — that exclusivity is what
-        makes the pre-check in :meth:`admit` sound.
-        """
-        budget = self.budget_for(tenant)
-        if budget is None:
-            return None
-        ledger = self._tenants.get(tenant)
-        if ledger is None:
-            ledger = PrivacyAccountant(budget)
-            self._tenants[tenant] = ledger
-        return ledger
-
     # ---------------------------------------------------------- admission
 
     def admit(self, tenant: str, label: str, epsilon: float) -> None:
-        """Atomically charge ``epsilon`` to the tenant *and* global ledgers.
+        """Atomically charge ``epsilon`` to the tenant *and* the dataset.
 
         Raises :class:`PrivacyBudgetError` — and charges nothing anywhere —
-        if either ledger lacks room.  On success the charge is durably
+        if either budget lacks room.  On success the charge is durably
         persisted before returning.
         """
         [error] = self.admit_many([(tenant, label, epsilon)])
@@ -152,79 +136,63 @@ class TenantBudgets:
         """Admit a batch of ``(tenant, label, epsilon)`` charges at once.
 
         Admission is *per charge* all-or-nothing, exactly as
-        :meth:`admit` — but the whole batch holds the manager lock once and
-        the admitted charges reach the durable store in one group-commit
+        :meth:`admit` — but the whole batch holds the lock once and the
+        admitted charges reach the durable store in one group-commit
         ``append_many`` (a single fsync with the JSONL store), which is
         what makes a coalesced admission front end worth having.
 
         Returns one entry per charge, in order: ``None`` for an admitted
         charge, the :class:`PrivacyBudgetError` it would have raised
-        otherwise.  One exhausted tenant therefore cannot reject the
-        strangers batched alongside it, and every admitted charge is
-        persisted exactly once — before this method returns.
+        otherwise (counted in :meth:`rejections`).  One exhausted tenant
+        therefore cannot reject the strangers batched alongside it, and
+        every admitted charge is persisted exactly once — before this
+        method returns.
         """
         outcomes: List[Optional[PrivacyBudgetError]] = []
         records: List[dict] = []
         with self._lock:
             for tenant, label, epsilon in charges:
-                tenant = str(tenant)
-                epsilon = float(epsilon)
-                error = self._admit_one_locked(tenant, str(label), epsilon)
+                tenant, label, epsilon = str(tenant), str(label), float(epsilon)
+                error = self._refusal(tenant, label, epsilon)
                 outcomes.append(error)
-                if error is None:
-                    records.append(
-                        {
-                            "tenant": tenant,
-                            "dataset": self.dataset,
-                            "label": str(label),
-                            "epsilon": epsilon,
-                        }
-                    )
+                if error is not None:
+                    self._rejections[tenant] = self._rejections.get(tenant, 0) + 1
+                    continue
+                self._add(tenant, epsilon)
+                records.append(
+                    {
+                        "tenant": tenant,
+                        "dataset": self.dataset,
+                        "label": label,
+                        "epsilon": epsilon,
+                    }
+                )
             if records:
-                append_many = getattr(self.store, "append_many", None)
-                if append_many is not None:
-                    append_many(records)
-                else:  # minimal LedgerStore implementations
-                    for record in records:
-                        self.store.append(record)
+                self.store.append_many(records)
         return outcomes
 
-    def _admit_one_locked(
+    def _refusal(
         self, tenant: str, label: str, epsilon: float
     ) -> Optional[PrivacyBudgetError]:
-        """Charge both in-memory ledgers for one admission (caller holds
-        the lock and owns durable persistence); returns the rejection
-        instead of raising so batch callers can keep going."""
+        """Why ``epsilon`` cannot be charged to ``tenant`` now (``None`` if
+        it can); the caller holds the lock."""
         if not (epsilon > 0.0 and math.isfinite(epsilon)):
-            self._rejections[tenant] = self._rejections.get(tenant, 0) + 1
             return PrivacyBudgetError(
                 f"charge must be positive and finite, got {epsilon}"
             )
-        ledger = self._tenant_ledger(tenant)
-        # Pre-check the tenant ledger: exclusively managed under this
-        # lock, so a passing check cannot be invalidated before the
-        # append below.
-        if ledger is not None and not ledger.can_charge(epsilon):
-            self._rejections[tenant] = self._rejections.get(tenant, 0) + 1
+        quota = self.budget_for(tenant)
+        spent = self._spent.get(tenant, 0.0)
+        if quota is not None and spent + epsilon > quota * (1.0 + 1e-9):
             return PrivacyBudgetError(
                 f"tenant {tenant!r} charge of {epsilon:.6g} exceeds its "
-                f"remaining budget {ledger.remaining:.6g} "
-                f"(quota {ledger.budget:.6g})"
+                f"remaining budget {quota - spent:.6g} (quota {quota:.6g})"
             )
-        # The global accountant may be charged concurrently by callers
-        # outside the tenant layer, so go through its own atomic
-        # check-then-append rather than trusting a pre-check.
-        if self.accountant is not None:
-            try:
-                self.accountant.charge(label, epsilon)
-            except PrivacyBudgetError as exc:
-                self._rejections[tenant] = self._rejections.get(tenant, 0) + 1
-                return exc
-        if ledger is not None:
-            ledger.charge(label, epsilon)  # cannot fail: pre-checked
-        else:
-            self._unbounded_spend[tenant] = (
-                self._unbounded_spend.get(tenant, 0.0) + epsilon
+        if self.budget is not None and (
+            self._total + epsilon > self.budget * (1.0 + 1e-9)
+        ):
+            return PrivacyBudgetError(
+                f"charge {label!r} of {epsilon:.6g} exceeds remaining budget "
+                f"{self.budget - self._total:.6g} (total {self.budget:.6g})"
             )
         return None
 
@@ -232,35 +200,19 @@ class TenantBudgets:
 
     def spent(self, tenant: str) -> float:
         """Epsilon this tenant has spent so far."""
-        tenant = str(tenant)
         with self._lock:
-            ledger = self._tenants.get(tenant)
-            if ledger is None:
-                return self._unbounded_spend.get(tenant, 0.0)
-        return ledger.spent
+            return self._spent.get(str(tenant), 0.0)
 
     def remaining(self, tenant: str) -> Optional[float]:
-        """Tenant quota still unspent (``None`` = unbounded).
-
-        Read-only: probing an unseen tenant (anyone can put any name in the
-        header) must not allocate ledger state, or a scraper could grow the
-        tenant table — and the metrics breakdown — without bound.
-        """
-        tenant = str(tenant)
-        budget = self.budget_for(tenant)
-        if budget is None:
-            return None
-        with self._lock:
-            ledger = self._tenants.get(tenant)
-        return budget if ledger is None else ledger.remaining
+        """Tenant quota still unspent (``None`` = unbounded)."""
+        quota = self.budget_for(tenant)
+        return None if quota is None else quota - self.spent(tenant)
 
     def spend_by_tenant(self) -> Dict[str, float]:
-        """``{tenant: epsilon_spent}`` across every tenant seen so far."""
+        """``{tenant: epsilon_spent}`` over every tenant with an admitted
+        or replayed charge."""
         with self._lock:
-            out = dict(self._unbounded_spend)
-            for tenant, ledger in self._tenants.items():
-                out[tenant] = ledger.spent
-        return out
+            return dict(self._spent)
 
     def rejections(self) -> Dict[str, int]:
         """``{tenant: admission_rejections}`` (monotonic)."""
@@ -271,19 +223,33 @@ class TenantBudgets:
         """Every tenant with recorded spend, sorted."""
         return sorted(self.spend_by_tenant())
 
+    def totals(self) -> Dict[str, Any]:
+        """The dataset's figures: its ``budget``, the ``spent`` total of
+        every charge, the ``remaining`` budget (both ``None`` without a
+        global budget) and the number of ``charges``."""
+        with self._lock:
+            spent, charges = self._total, self._charges
+        remaining = None if self.budget is None else self.budget - spent
+        return {
+            "budget": self.budget,
+            "spent": spent,
+            "remaining": remaining,
+            "charges": charges,
+        }
+
     def describe(self, tenant: str) -> Dict[str, Any]:
         """JSON-able budget snapshot for one tenant (the ``/v1/budget`` body)."""
-        quota = self.budget_for(tenant)
         snapshot: Dict[str, Any] = {
             "tenant": str(tenant),
-            "budget": quota,
+            "budget": self.budget_for(tenant),
             "spent": self.spent(tenant),
             "remaining": self.remaining(tenant),
         }
-        if self.accountant is not None:
-            snapshot["dataset_budget"] = self.accountant.budget
-            snapshot["dataset_spent"] = self.accountant.spent
-            snapshot["dataset_remaining"] = self.accountant.remaining
+        if self.budget is not None:
+            totals = self.totals()
+            snapshot["dataset_budget"] = totals["budget"]
+            snapshot["dataset_spent"] = totals["spent"]
+            snapshot["dataset_remaining"] = totals["remaining"]
         return snapshot
 
     def close(self) -> None:
@@ -291,7 +257,7 @@ class TenantBudgets:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TenantBudgets(dataset={self.dataset!r}, "
-            f"tenants={len(self._tenants)}, default={self.default_budget}, "
+            f"TenantBudgets(dataset={self.dataset!r}, budget={self.budget}, "
+            f"tenants={len(self._spent)}, default={self.default_budget}, "
             f"store={type(self.store).__name__})"
         )

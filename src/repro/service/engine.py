@@ -131,9 +131,10 @@ class EngineMetrics:
     fanned out, one task each.
 
     The ledger breakdown (``epsilon_budget`` / ``epsilon_remaining`` /
-    ``ledger_charges``) mirrors the engine's accountant; ``spend_by_tenant``
-    is filled by a tenant-layered caller (the HTTP server) — the engine
-    itself does not know analysts.  Batching counters (``batch_*``)
+    ``ledger_charges``) mirrors the engine's accountant.  The HTTP server
+    builds its engines unbudgeted and overwrites these fields, and fills
+    ``spend_by_tenant``, from its own tenant ledger — the engine itself
+    does not know analysts.  Batching counters (``batch_*``)
     describe a request coalescer layered in front of the engine (the HTTP
     server's :class:`~repro.server.batching.ReleaseCoalescer`); like
     ``spend_by_tenant`` they are filled by that caller — the engine itself
@@ -200,11 +201,10 @@ class ReleaseEngine:
         ``f_M`` evaluation.  ``None`` runs unbudgeted (the caller accounts).
     accountant:
         A pre-built :class:`PrivacyAccountant` *instance* to charge instead
-        of constructing one from ``budget`` (mutually exclusive with it).
-        This is how the HTTP server layers durable, replayed, per-tenant
-        ledgers onto an engine: the server and the engine share one
-        accountant object, so ``/v1/budget`` and ``submit`` admission can
-        never disagree.
+        of constructing one from ``budget`` (mutually exclusive with it),
+        so that several engines, or an engine and its embedder, can draw on
+        one budget.  Give it a ``sink`` to make its charges durable, and
+        ``restore`` it from that record on restart.
     profile_capacity:
         LRU bound of each per-detector profile store.
     mask_index:
@@ -483,12 +483,11 @@ class ReleaseEngine:
         """Run one release whose budget was already admitted externally.
 
         Identical to :meth:`submit` except that the engine's own accountant
-        is *not* charged — for callers that performed admission against a
-        richer ledger sharing this engine's accountant (the HTTP server's
-        tenant-layered :class:`~repro.server.tenants.TenantBudgets` charges
-        the engine's global accountant and the per-tenant ledger in one
-        atomic step, then executes here).  Calling this without external
-        admission runs the release unaccounted — don't.
+        (if any) is *not* charged — for callers that performed admission
+        against their own ledger (the HTTP server admits each release
+        through the dataset's :class:`~repro.server.tenants.TenantBudgets`,
+        then executes here on an unbudgeted engine).  Calling this without
+        external admission runs the release unaccounted — don't.
         """
         request = self._coerce(request)
         with self._lock:
@@ -547,8 +546,8 @@ class ReleaseEngine:
         """Run a batch of releases whose budgets were already admitted.
 
         The batch counterpart of :meth:`execute`: the engine's own
-        accountant is *not* charged — the caller performed admission against
-        a richer ledger sharing this accountant (the HTTP server's request
+        accountant (if any) is *not* charged — the caller performed
+        admission against its own ledger (the HTTP server's request
         coalescer admits each queued request through
         :class:`~repro.server.tenants.TenantBudgets` before flushing the
         admitted set here).  Calling this without external admission runs

@@ -388,11 +388,11 @@ class TestAccountantUnderContention:
 
 
 class TestTenantBudgetsUnderContention:
-    """The tenant-layered admission path: two ledgers, one atomic decision."""
+    """The tenant-layered admission path: two budgets, one atomic decision."""
 
     def test_tenant_room_for_exactly_one_admits_exactly_one(self):
         """N threads race a tenant quota with room for exactly one release."""
-        tenants = TenantBudgets(PrivacyAccountant(10.0), default_budget=0.1)
+        tenants = TenantBudgets(10.0, default_budget=0.1)
         barrier = threading.Barrier(N_THREADS)
         outcomes = []
 
@@ -409,7 +409,7 @@ class TestTenantBudgetsUnderContention:
 
         assert outcomes.count("ok") == 1
         assert tenants.spent("alice") == pytest.approx(0.1)
-        assert tenants.accountant.spent == pytest.approx(0.1)
+        assert tenants.totals()["spent"] == pytest.approx(0.1)
         assert len(tenants.store.replay()) == 1
         assert tenants.rejections()["alice"] == N_THREADS - 1
 
@@ -417,7 +417,7 @@ class TestTenantBudgetsUnderContention:
         """Distinct tenants (all with quota to spare) race a global budget
         with room for one: one admitted, and every rejected tenant's own
         ledger stays untouched — neither-ledger semantics."""
-        tenants = TenantBudgets(PrivacyAccountant(0.1), default_budget=1.0)
+        tenants = TenantBudgets(0.1, default_budget=1.0)
         barrier = threading.Barrier(N_THREADS)
         outcomes = {}
 
@@ -434,7 +434,7 @@ class TestTenantBudgetsUnderContention:
 
         winners = [w for w, o in outcomes.items() if o == "ok"]
         assert len(winners) == 1
-        assert tenants.accountant.spent == pytest.approx(0.1)
+        assert tenants.totals()["spent"] == pytest.approx(0.1)
         for worker in range(N_THREADS):
             expected = 0.1 if worker in winners else 0.0
             assert tenants.spent(f"t{worker}") == pytest.approx(expected)
@@ -456,8 +456,8 @@ class TestTenantBudgetsUnderContention:
             epsilon=0.1,
             n_samples=3,
         )
-        engine = ReleaseEngine(mini_dataset, budget=10.0)
-        tenants = TenantBudgets(engine.accountant, default_budget=0.1)
+        engine = ReleaseEngine(mini_dataset)
+        tenants = TenantBudgets(10.0, default_budget=0.1)
         barrier = threading.Barrier(N_THREADS)
         released, rejected = [], []
 
@@ -478,7 +478,7 @@ class TestTenantBudgetsUnderContention:
             list(pool.map(racer, range(N_THREADS)))
 
         assert len(released) == 1 and len(rejected) == N_THREADS - 1
-        assert engine.spent == pytest.approx(0.1)
+        assert tenants.totals()["spent"] == pytest.approx(0.1)
         assert engine.metrics().releases_completed == 1
         engine.close()
 

@@ -45,11 +45,10 @@ class TestRegistry:
         with DatasetRegistry(config()) as registry:
             a, b = registry.get("a"), registry.get("b")
             a.tenants.admit("alice", "q", 0.5)
-            assert a.accountant.spent == pytest.approx(0.5)
-            assert b.accountant.spent == 0.0
-            # The engine charges the *same* accountant object.
-            assert a.engine.accountant is a.accountant
-            assert a.engine.spent == pytest.approx(0.5)
+            assert a.tenants.totals()["spent"] == pytest.approx(0.5)
+            assert b.tenants.totals()["spent"] == 0.0
+            # The engine is unbudgeted: the entry's tenant ledger admits.
+            assert a.engine.accountant is None
 
     def test_memory_ledger_by_default(self):
         with DatasetRegistry(config()) as registry:
@@ -68,8 +67,8 @@ class TestRegistry:
         # A fresh registry on the same dir replays the spend.
         with DatasetRegistry(config(tmp_path)) as registry:
             assert registry.get("a").tenants.spent("alice") == pytest.approx(0.25)
-            assert registry.get("a").accountant.spent == pytest.approx(0.25)
-            assert registry.get("b").accountant.spent == 0.0
+            assert registry.get("a").tenants.totals()["spent"] == pytest.approx(0.25)
+            assert registry.get("b").tenants.totals()["spent"] == 0.0
 
     def test_close_is_idempotent(self):
         registry = DatasetRegistry(config())

@@ -493,6 +493,14 @@ class TestEventCountBound:
         assert error["type"] == "SpecError"
         assert "n must be" in error["message"]
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), -1])
+    def test_client_sends_n_unconverted(self, service, n):
+        """``PCORClient.debug_events`` passes ``n`` to the route as given,
+        so a bad value comes back as the route's typed error rather than
+        a ``ValueError`` or ``OverflowError`` raised in the client."""
+        with pytest.raises(SpecError, match="n must be"):
+            PCORClient(service.url).debug_events(n=n)
+
     def test_zero_and_fractional_n(self, service):
         log_event(logging.getLogger("repro.test-ring"), "unit_test")
         with urllib.request.urlopen(f"{service.url}/v1/debug/events?n=0") as r:

@@ -66,7 +66,7 @@ class TestJsonlLedgerStore:
         # Appends continue after the replayed tail.
         reopened.append(charge(label="r5"))
         reopened.close()
-        assert len(JsonlLedgerStore(path).replay()) == 6
+        assert len(list(JsonlLedgerStore(path).replay())) == 6
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "nested" / "dir" / "d.ledger.jsonl"
@@ -110,7 +110,7 @@ class TestJsonlLedgerStore:
         path = tmp_path / "d.ledger.jsonl"
         path.write_bytes(b'{"never finis')
         store = JsonlLedgerStore(path)
-        assert store.replay() == []
+        assert list(store.replay()) == []
         store.close()
         assert path.read_bytes() == b""
 
@@ -152,7 +152,7 @@ class TestJsonlLedgerStore:
         for t in threads:
             t.join()
         store.close()
-        replayed = JsonlLedgerStore(path).replay()
+        replayed = list(JsonlLedgerStore(path).replay())
         assert len(replayed) == 200
         # Every line is whole (no interleaved writes).
         assert {r["label"] for r in replayed} == {

@@ -199,7 +199,7 @@ def test_sigterm_drains_inflight_requests_and_closes_ledger_cleanly(tmp_path):
     records = [json.loads(line) for line in raw.splitlines()]
     assert all(r["epsilon"] == 0.1 for r in records)
     store = JsonlLedgerStore(ledger)
-    assert len(store.replay()) == len(records) == sum(successes)
+    assert len(list(store.replay())) == len(records) == sum(successes)
     store.close()
 
 

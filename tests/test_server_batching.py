@@ -520,29 +520,31 @@ class TestPartialBatchAdmission:
         assert tenants.spent("a") == pytest.approx(0.2)
         assert tenants.spent("b") == pytest.approx(0.2)
 
-    def test_admit_many_falls_back_without_append_many(self):
-        class MinimalStore:
-            """Only the original LedgerStore surface: no append_many."""
+    def test_admitted_batch_is_one_append_many_call(self):
+        """``append_many`` is the one write path: a batch's admitted
+        charges reach the store in a single call, refusals not at all."""
 
+        class CallLog(InMemoryLedgerStore):
             def __init__(self):
-                self.records = []
+                super().__init__()
+                self.batches = []
 
             def append(self, record):
-                self.records.append(dict(record))
+                raise AssertionError("admission writes through append_many")
 
-            def replay(self):
-                return [dict(r) for r in self.records]
+            def append_many(self, records):
+                self.batches.append([r["tenant"] for r in records])
+                super().append_many(records)
 
-            def close(self):
-                pass
-
-        store = MinimalStore()
-        tenants = TenantBudgets(store=store, dataset="d")
-        assert tenants.admit_many([("a", "q1", 0.1), ("b", "q2", 0.2)]) == [
-            None,
-            None,
-        ]
-        assert [r["tenant"] for r in store.records] == ["a", "b"]
+        store = CallLog()
+        tenants = TenantBudgets(default_budget=0.15, store=store, dataset="d")
+        outcomes = tenants.admit_many(
+            [("a", "q1", 0.1), ("a", "q2", 0.1), ("b", "q3", 0.1)]
+        )
+        assert [o is None for o in outcomes] == [True, False, True]
+        assert store.batches == [["a", "b"]]
+        assert tenants.admit_many([("a", "q4", 0.1)])[0] is not None
+        assert store.batches == [["a", "b"]]
 
 
 class TestDrainOnClose:

@@ -326,6 +326,52 @@ class TestMetrics:
         assert body["spend_by_tenant"] == {}
 
 
+class TestUnbudgetedSpend:
+    def test_unbudgeted_dataset_reports_its_ledger(
+        self, tmp_path, outlier_record
+    ):
+        """A dataset with tenant quotas but no global budget reports the
+        spend its ledger holds, built and (after a restart) unbuilt;
+        ``budget`` and ``remaining`` stay null and ``/v1/budget`` keeps its
+        shape."""
+        config = server_config(tmp_path, tenant_budget=1.0, budget=None)
+
+        def check(server, built):
+            client = PCORClient(server.url, tenant="alice")
+            body = client.metrics()["datasets"]["salary"]
+            assert body["epsilon_spent"] == 0.75
+            assert body["ledger_charges"] == 2
+            assert body["epsilon_budget"] is None
+            assert body["epsilon_remaining"] is None
+            assert body["spend_by_tenant"] == {"alice": 0.75}
+            text = client.prometheus_metrics()
+            assert 'pcor_epsilon_spent_total{dataset="salary"} 0.75' in text
+            assert 'pcor_ledger_charges_total{dataset="salary"} 2' in text
+            listed = client.datasets()["salary"]
+            assert listed["built"] is built
+            assert listed["spent"] == 0.75
+            assert listed["budget"] is None and listed["remaining"] is None
+            assert client.budget(dataset="salary")["datasets"]["salary"] == {
+                "tenant": "alice",
+                "budget": 1.0,
+                "spent": 0.75,
+                "remaining": 0.25,
+            }
+
+        with PCORServer(config) as server:
+            client = PCORClient(server.url, tenant="alice")
+            for seed, epsilon in ((1, 0.25), (2, 0.5)):
+                client.release(
+                    "salary",
+                    record_id=outlier_record,
+                    spec={**SPEC, "epsilon": epsilon},
+                    seed=seed,
+                )
+            check(server, built=True)
+        with PCORServer(config) as server:
+            check(server, built=False)
+
+
 class TestRestartDurability:
     def test_exhausted_tenant_stays_exhausted_across_restart(
         self, tmp_path, outlier_record

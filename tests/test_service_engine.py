@@ -337,7 +337,7 @@ class TestBudget:
 
 
 class TestAccountantInjection:
-    """The server's hooks: a shared accountant and the execute() path."""
+    """Embedder hooks: an injected accountant and the execute() path."""
 
     def test_injected_accountant_is_charged_by_submit(
         self, mini_dataset, mini_outlier
