@@ -1,4 +1,4 @@
-"""Design-choice ablations (DESIGN.md section 4, beyond the paper's sweeps).
+"""Design-choice ablations (repro.experiments.ablations, beyond the paper's sweeps).
 
 * starting-context quality: min vs random vs max population seeds,
 * random-walk restart-on-stuck extension,

@@ -10,7 +10,8 @@ O(n t) contexts.  At laptop scale the absolute times shrink but the
 the reproducible shape, alongside BFS's high utility retention.
 """
 
-from repro.experiments.harness import Workbench, run_direct_experiment, run_pcor_experiment
+from repro.core.direct import DirectSampler
+from repro.experiments.harness import Workbench, run_pcor_experiment
 from repro.experiments.reporting import render_table
 from repro.experiments.tables import DETECTOR_KWARGS
 
@@ -22,12 +23,14 @@ def test_headline_direct_vs_bfs(benchmark, scale, emit):
         bench = Workbench.get(
             "salary_reduced", scale.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
         )
-        direct = run_direct_experiment(
+        direct = run_pcor_experiment(
             bench,
+            lambda n: DirectSampler(),
             epsilon=0.2,
             repetitions=min(5, scale.repetitions),
             n_outlier_records=min(5, scale.n_outlier_records),
             rng=0,
+            min_matching_contexts=20,
         )
         bfs = run_pcor_experiment(
             bench,

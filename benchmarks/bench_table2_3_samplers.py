@@ -9,7 +9,8 @@ Paper shapes to check against (51k records, 200 reps):
 At laptop scale the performance ordering reproduces cleanly (uniform pays
 the 2^t rejection cost, the walk is the cheapest); the utility separation
 compresses because population gaps — the search's steering signal — shrink
-with dataset size.  See EXPERIMENTS.md.
+with dataset size.  ROADMAP.md (the headline-claim item) records the scales at
+which this bench's ordering assertions fail.
 """
 
 from repro.experiments.tables import table_2_3

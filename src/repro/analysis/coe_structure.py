@@ -12,8 +12,8 @@ The graph samplers explore the subgraph of the hypercube induced by
 
 :func:`analyze_coe` quantifies both effects for one record; aggregated over
 records it explains (and predicts) when BFS/DFS approach the direct
-approach's utility and when they cannot — the laptop-scale deviations
-documented in EXPERIMENTS.md were diagnosed with exactly this tool.
+approach's utility and when they cannot, which makes it the tool for
+diagnosing laptop-scale deviations from the paper's utility figures.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def coe_structure_report(
     """Aggregate COE-structure statistics over a set of records.
 
     Returns summary metrics that calibrate expectations for the utility
-    experiments (see EXPERIMENTS.md):
+    experiments (:mod:`repro.experiments.tables`):
 
     * ``connected_fraction`` — records whose COE is a single component,
     * ``mean_components`` / ``mean_coverage`` — fragmentation measures,

@@ -32,12 +32,15 @@ class ReleaseSession:
     """A sequence of PCOR releases under one total privacy budget.
 
     Internally this is a budgeted :class:`ReleaseEngine` sharing the
-    pipeline's verifier (and thus its profile cache), plus a log of results.
+    pipeline's verifier (and thus its profile cache and mask index), plus a
+    log of results.
     """
 
     def __init__(self, pcor: PCOR, total_budget: float):
         self.pcor = pcor
-        self.engine = ReleaseEngine(pcor.dataset, budget=total_budget)
+        self.engine = ReleaseEngine(
+            pcor.dataset, budget=total_budget, mask_index=pcor.verifier.masks
+        )
         self.engine.adopt_verifier(pcor.verifier)
         self._results: List[PCORResult] = []
 

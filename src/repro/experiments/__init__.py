@@ -12,7 +12,6 @@ from repro.experiments.harness import (
     RepetitionResult,
     RunSummary,
     Workbench,
-    run_direct_experiment,
     run_pcor_experiment,
 )
 from repro.experiments.locality import locality_experiment, locality_table
@@ -37,7 +36,6 @@ __all__ = [
     "RepetitionResult",
     "RunSummary",
     "run_pcor_experiment",
-    "run_direct_experiment",
     "UtilitySummary",
     "RuntimeSummary",
     "summarize_utilities",

@@ -17,75 +17,13 @@ Three choices the paper fixes implicitly are isolated here:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from functools import partial
+from typing import Sequence
 
-import numpy as np
-
-from repro.core.pcor import PCOR
-from repro.core.sampling import BFSSampler, RandomWalkSampler
-from repro.core.starting import starting_context_from_reference
+from repro.core.sampling import RandomWalkSampler
 from repro.experiments.config import ExperimentScale, get_scale
-from repro.experiments.harness import RepetitionResult, RunSummary, Workbench
-from repro.experiments.tables import DETECTOR_KWARGS, TableResult
-from repro.experiments.tables import _row_seed
-from repro.rng import RngLike, ensure_rng, spawn
-
-
-def _run_variant(
-    bench: Workbench,
-    sampler_factory,
-    starting_mode: str,
-    epsilon: float,
-    n_samples: int,
-    repetitions: int,
-    n_outlier_records: int,
-    rng,
-    label: str,
-    half_sensitivity: bool = False,
-) -> RunSummary:
-    """One ablation arm under the shared repetition protocol."""
-    gen = ensure_rng(rng)
-    outliers = bench.pick_outliers(n_outlier_records, gen, min_matching_contexts=100)
-    rep_rngs = spawn(gen, repetitions)
-    summary = RunSummary(
-        label=label,
-        algorithm=label,
-        detector=bench.detector_name,
-        utility="population_size",
-        epsilon=epsilon,
-        n_samples=n_samples,
-    )
-    for i in range(repetitions):
-        rep_rng = rep_rngs[i]
-        record_id = outliers[i % len(outliers)]
-        starting = starting_context_from_reference(
-            bench.reference, record_id, rep_rng, mode=starting_mode
-        )
-        pcor = PCOR(
-            bench.dataset,
-            bench.detector,
-            utility="population_size",
-            epsilon=epsilon,
-            sampler=sampler_factory(n_samples),
-            half_sensitivity=half_sensitivity,
-            verifier=bench.fresh_verifier(),
-        )
-        result = pcor.release(record_id, starting_context=starting, seed=rep_rng)
-        max_utility = bench.reference.max_population_utility(record_id)
-        summary.repetitions.append(
-            RepetitionResult(
-                record_id=record_id,
-                utility_value=result.utility_value,
-                max_utility=max_utility,
-                utility_ratio=(
-                    result.utility_value / max_utility if max_utility > 0 else 1.0
-                ),
-                wall_time_s=result.wall_time_s,
-                fm_evaluations=result.fm_evaluations,
-                contexts_examined=result.stats.contexts_examined,
-            )
-        )
-    return summary
+from repro.experiments.tables import TableResult, _run_arms, _salary_bench
+from repro.rng import RngLike
 
 
 def starting_context_ablation(
@@ -94,24 +32,15 @@ def starting_context_ablation(
     modes: Sequence[str] = ("min", "random", "max"),
 ) -> TableResult:
     """BFS utility as a function of starting-context quality."""
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
-    row_seed = _row_seed(seed)
-    bench = Workbench.get(
-        "salary_reduced", cfg.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
+    cfg = get_scale(scale)
+    summaries = _run_arms(
+        cfg,
+        seed,
+        {mode: {"starting_mode": mode} for mode in modes},
+        bench=_salary_bench(cfg.salary_records),
+        sampler="bfs",
+        epsilon=0.2,
     )
-    summaries: Dict[str, RunSummary] = {}
-    for mode in modes:
-        summaries[mode] = _run_variant(
-            bench,
-            lambda n: BFSSampler(n_samples=n),
-            starting_mode=mode,
-            epsilon=0.2,
-            n_samples=cfg.n_samples,
-            repetitions=cfg.repetitions,
-            n_outlier_records=cfg.n_outlier_records,
-            rng=np.random.default_rng(row_seed),
-            label=f"start={mode}",
-        )
     rows = [
         [mode, *s.utility_summary().as_row(), f"{s.mean_fm_evaluations():.0f}"]
         for mode, s in summaries.items()
@@ -132,25 +61,17 @@ def random_walk_restart_ablation(
     seed: RngLike = 0,
 ) -> TableResult:
     """Algorithm 3 with and without restart-on-stuck."""
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
-    row_seed = _row_seed(seed)
-    bench = Workbench.get(
-        "salary_reduced", cfg.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
+    cfg = get_scale(scale)
+    summaries = _run_arms(
+        cfg,
+        seed,
+        {
+            label: {"sampler": partial(RandomWalkSampler, restart_on_stuck=restart)}
+            for label, restart in (("paper (stop)", False), ("restart", True))
+        },
+        bench=_salary_bench(cfg.salary_records),
+        epsilon=0.2,
     )
-    summaries: Dict[str, RunSummary] = {}
-    for restart in (False, True):
-        label = "restart" if restart else "paper (stop)"
-        summaries[label] = _run_variant(
-            bench,
-            lambda n, r=restart: RandomWalkSampler(n_samples=n, restart_on_stuck=r),
-            starting_mode="random",
-            epsilon=0.2,
-            n_samples=cfg.n_samples,
-            repetitions=cfg.repetitions,
-            n_outlier_records=cfg.n_outlier_records,
-            rng=np.random.default_rng(row_seed),
-            label=label,
-        )
     rows = [
         [label, *s.utility_summary().as_row(), f"{s.mean_fm_evaluations():.0f}"]
         for label, s in summaries.items()
@@ -171,29 +92,19 @@ def mechanism_parameterisation_ablation(
     seed: RngLike = 0,
 ) -> TableResult:
     """Paper weights exp(eps1*u) vs textbook exp(eps*u/(2*Delta_u))."""
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
-    row_seed = _row_seed(seed)
-    bench = Workbench.get(
-        "salary_reduced", cfg.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
+    cfg = get_scale(scale)
+    summaries = _run_arms(
+        cfg,
+        seed,
+        {
+            "paper exp(eps1*u)": {"half_sensitivity": False},
+            "textbook exp(eps1*u/2)": {"half_sensitivity": True},
+        },
+        bench=_salary_bench(cfg.salary_records),
+        sampler="bfs",
+        epsilon=0.2,
     )
-    summaries: Dict[str, RunSummary] = {}
-    for half, label in ((False, "paper exp(eps1*u)"), (True, "textbook exp(eps1*u/2)")):
-        summaries[label] = _run_variant(
-            bench,
-            lambda n: BFSSampler(n_samples=n),
-            starting_mode="random",
-            epsilon=0.2,
-            n_samples=cfg.n_samples,
-            repetitions=cfg.repetitions,
-            n_outlier_records=cfg.n_outlier_records,
-            rng=np.random.default_rng(row_seed),
-            label=label,
-            half_sensitivity=half,
-        )
-    rows = [
-        [label, *s.utility_summary().as_row()]
-        for label, s in summaries.items()
-    ]
+    rows = [[label, *s.utility_summary().as_row()] for label, s in summaries.items()]
     return TableResult(
         "A3",
         "Ablation: Exponential-mechanism parameterisation (BFS, LOF, eps=0.2)",

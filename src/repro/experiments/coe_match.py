@@ -106,7 +106,7 @@ def _coe_match_table(
     seed: RngLike,
     deltas: Sequence[int],
 ) -> TableResult:
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
+    cfg = get_scale(scale)
     gen = ensure_rng(seed)
     n_records = (
         cfg.salary_reduced_records

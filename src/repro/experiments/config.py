@@ -4,8 +4,9 @@ The paper ran on a 132-core / 1 TB machine with 51k-110k-record datasets and
 200 repetitions; every table here regenerates on a laptop by scaling record
 counts and repetitions down while keeping the schemas (and thus the context
 spaces) identical.  The *shape* results — which algorithm wins, by what
-factor, where the knees are — are scale-stable; EXPERIMENTS.md records the
-measured numbers next to the paper's.
+factor, where the knees are — are meant to be scale-stable; the README's
+"Reproducing Section 6" section says how to regenerate each table, and
+ROADMAP.md records where a bench's shape assertion fails at a scale.
 
 Scales
 ------
@@ -94,11 +95,14 @@ SCALES = {
 }
 
 
-def get_scale(name: str) -> ExperimentScale:
-    """Look up a scale preset by name."""
+def get_scale(scale: str | ExperimentScale) -> ExperimentScale:
+    """Look up a scale preset by name; an :class:`ExperimentScale` passes
+    through unchanged."""
+    if isinstance(scale, ExperimentScale):
+        return scale
     try:
-        return SCALES[name]
+        return SCALES[scale]
     except KeyError:
         raise ExperimentError(
-            f"unknown scale {name!r}; available: {sorted(SCALES)}"
+            f"unknown scale {scale!r}; available: {sorted(SCALES)}"
         ) from None

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.config import ExperimentScale, get_scale
-from repro.experiments.harness import RunSummary, Workbench, run_pcor_experiment
+from repro.experiments.harness import RunSummary, run_pcor_experiment
 from repro.experiments.reporting import render_histogram
 from repro.experiments.stats import histogram_series
-from repro.experiments.tables import DETECTOR_KWARGS, table_2_3, table_8_9, table_10_11
+from repro.experiments.tables import _salary_bench, table_2_3, table_8_9, table_10_11
 from repro.rng import RngLike, ensure_rng
 
 
@@ -105,16 +105,14 @@ def figure_2(
     epsilon: float = 0.1,
 ) -> FigureResult:
     """DFS/BFS histograms under the overlap utility (paper caption: eps=0.1)."""
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
+    cfg = get_scale(scale)
     gen = ensure_rng(seed)
-    bench = Workbench.get(
-        "salary_reduced", cfg.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
-    )
+    bench = _salary_bench(cfg.salary_records)
     summaries: Dict[str, RunSummary] = {}
     for name, label in [("dfs", "DFS"), ("bfs", "BFS")]:
         summaries[label] = run_pcor_experiment(
             bench,
-            sampler_name=name,
+            sampler=name,
             utility_name="overlap",
             epsilon=epsilon,
             n_samples=cfg.n_samples,
@@ -136,20 +134,13 @@ def figure_3(
     epsilon: float = 0.1,
 ) -> FigureResult:
     """Grubbs/Histogram histograms with BFS (paper caption: eps=0.1)."""
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
+    cfg = get_scale(scale)
     gen = ensure_rng(seed)
     summaries: Dict[str, RunSummary] = {}
     for det, label in [("grubbs", "Grubbs"), ("histogram", "Histogram")]:
-        bench = Workbench.get(
-            "salary_reduced",
-            cfg.salary_reduced_records,
-            7,
-            det,
-            DETECTOR_KWARGS[det],
-        )
         summaries[label] = run_pcor_experiment(
-            bench,
-            sampler_name="bfs",
+            _salary_bench(cfg.salary_reduced_records, det),
+            sampler="bfs",
             utility_name="population_size",
             epsilon=epsilon,
             n_samples=cfg.n_samples,

@@ -15,9 +15,9 @@ from the reference file.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.core.reference import ReferenceFile
 from repro.core.sampling import Sampler
 from repro.core.sampling import make_sampler as _registry_make_sampler
 from repro.core.starting import starting_context_from_reference
-from repro.core.utility import OverlapUtility, make_utility
+from repro.core.utility import make_utility
 from repro.core.verification import OutlierVerifier
 from repro.data.generators import (
     homicide_reduced,
@@ -137,9 +137,10 @@ class Workbench:
         The paper evaluates "random outliers"; requiring a floor on
         ``|COE_M(D, V)|`` keeps rejection-based samplers runnable at bench
         scale and reproduces the paper's large-COE regime (see
-        EXPERIMENTS.md).  If no record meets the floor — possible on very
-        small smoke datasets — the floor is halved until some do, so tiny
-        configurations degrade gracefully instead of erroring.
+        :func:`run_pcor_experiment`).  If no record meets the floor —
+        possible on very small smoke datasets — the floor is halved until
+        some do, so tiny configurations degrade gracefully instead of
+        erroring.
         """
         gen = ensure_rng(rng)
         floor = max(1, int(min_matching_contexts))
@@ -218,7 +219,7 @@ class RunSummary:
 
 def run_pcor_experiment(
     bench: Workbench,
-    sampler_name: str,
+    sampler: Union[str, Callable[[int], Sampler]],
     utility_name: str = "population_size",
     epsilon: float = 0.2,
     n_samples: int = 50,
@@ -228,28 +229,39 @@ def run_pcor_experiment(
     label: Optional[str] = None,
     half_sensitivity: bool = False,
     min_matching_contexts: int = 100,
+    starting_mode: str = "random",
 ) -> RunSummary:
     """Repeat PCOR releases and collect utility ratios + runtimes.
 
+    ``sampler`` is a registry name or a factory ``n_samples -> Sampler``;
+    ``lambda n: DirectSampler()`` is Algorithm 1.
+
     Per repetition: pick an outlier (cycling through a fixed random pool, as
-    the paper repeats each experiment over random outliers), pick a random
-    matching starting context from the reference, run one release on a fresh
+    the paper repeats each experiment over random outliers), pick a matching
+    starting context from the reference (``starting_mode``, see
+    :func:`starting_context_from_reference`), run one release on a fresh
     verifier, and normalise the released utility by the reference maximum.
+    A repetition's time is its release's ``wall_time_s``: the engine's
+    ``engine.execute`` span.
 
     ``min_matching_contexts`` restricts the outlier pool to records whose
     ``COE_M`` is reasonably large.  At the paper's scale (t = 25, 51k
     records) every evaluated outlier implicitly lives in that regime — its
     uniform sampler collected 50 matching draws from a 2^25 space, so COE
     sizes were enormous; the floor reproduces the same regime at laptop
-    scale (see EXPERIMENTS.md).
+    scale.
     """
+    if isinstance(sampler, str):
+        make, algorithm = partial(make_sampler, sampler), sampler
+    else:
+        make, algorithm = sampler, sampler(n_samples).name
     gen = ensure_rng(rng)
     outliers = bench.pick_outliers(n_outlier_records, gen, min_matching_contexts)
     rep_rngs = spawn(gen, repetitions)
 
     summary = RunSummary(
-        label=label or f"{sampler_name}/{utility_name}",
-        algorithm=sampler_name,
+        label=label or f"{algorithm}/{utility_name}",
+        algorithm=algorithm,
         detector=bench.detector_name,
         utility=utility_name,
         epsilon=epsilon,
@@ -260,27 +272,19 @@ def run_pcor_experiment(
         rep_rng = rep_rngs[i]
         record_id = outliers[i % len(outliers)]
         starting = starting_context_from_reference(
-            bench.reference, record_id, rep_rng
+            bench.reference, record_id, rep_rng, mode=starting_mode
         )
-
-        verifier = bench.fresh_verifier()
-        sampler = make_sampler(sampler_name, n_samples)
         pcor = PCOR(
             bench.dataset,
             bench.detector,
             utility=utility_name,
             epsilon=epsilon,
-            sampler=sampler,
+            sampler=make(n_samples),
             half_sensitivity=half_sensitivity,
-            verifier=verifier,
+            verifier=bench.fresh_verifier(),
         )
-        t0 = time.perf_counter()
         result = pcor.release(record_id, starting_context=starting, seed=rep_rng)
-        elapsed = time.perf_counter() - t0
-
-        max_utility = _max_utility(
-            bench, utility_name, record_id, starting.bits, verifier
-        )
+        max_utility = _max_utility(bench, utility_name, record_id, starting.bits)
         ratio = result.utility_value / max_utility if max_utility > 0 else 1.0
         summary.repetitions.append(
             RepetitionResult(
@@ -288,7 +292,7 @@ def run_pcor_experiment(
                 utility_value=result.utility_value,
                 max_utility=max_utility,
                 utility_ratio=ratio,
-                wall_time_s=elapsed,
+                wall_time_s=result.wall_time_s,
                 fm_evaluations=result.fm_evaluations,
                 contexts_examined=result.stats.contexts_examined,
             )
@@ -297,11 +301,7 @@ def run_pcor_experiment(
 
 
 def _max_utility(
-    bench: Workbench,
-    utility_name: str,
-    record_id: int,
-    starting_bits: int,
-    verifier: OutlierVerifier,
+    bench: Workbench, utility_name: str, record_id: int, starting_bits: int
 ) -> float:
     """Maximum achievable utility for the repetition's normalisation."""
     if utility_name == "population_size":
@@ -311,60 +311,3 @@ def _max_utility(
         utility_name, bench.reference_verifier, record_id, starting_bits
     )
     return bench.reference.max_utility(record_id, utility)
-
-
-def run_direct_experiment(
-    bench: Workbench,
-    utility_name: str = "population_size",
-    epsilon: float = 0.2,
-    repetitions: int = 5,
-    n_outlier_records: int = 5,
-    rng: RngLike = None,
-) -> RunSummary:
-    """The direct approach (Algorithm 1) under the same protocol.
-
-    Kept separate because its cost profile is enumeration-dominated; used by
-    the headline-claim benchmark (direct vs BFS runtime ratio).
-    """
-    from repro.core.direct import DirectPCOR  # local import avoids cycle
-
-    gen = ensure_rng(rng)
-    outliers = bench.pick_outliers(n_outlier_records, gen)
-    rep_rngs = spawn(gen, repetitions)
-
-    summary = RunSummary(
-        label=f"direct/{utility_name}",
-        algorithm="direct",
-        detector=bench.detector_name,
-        utility=utility_name,
-        epsilon=epsilon,
-        n_samples=0,
-    )
-    for i in range(repetitions):
-        rep_rng = rep_rngs[i]
-        record_id = outliers[i % len(outliers)]
-        starting = starting_context_from_reference(
-            bench.reference, record_id, rep_rng
-        )
-        verifier = bench.fresh_verifier()
-        direct = DirectPCOR(verifier, epsilon=epsilon)
-        utility = make_utility(utility_name, verifier, record_id, starting.bits)
-        t0 = time.perf_counter()
-        result = direct.release(utility, record_id, rng=rep_rng)
-        elapsed = time.perf_counter() - t0
-        max_utility = _max_utility(
-            bench, utility_name, record_id, starting.bits, verifier
-        )
-        ratio = result.utility_value / max_utility if max_utility > 0 else 1.0
-        summary.repetitions.append(
-            RepetitionResult(
-                record_id=record_id,
-                utility_value=result.utility_value,
-                max_utility=max_utility,
-                utility_ratio=ratio,
-                wall_time_s=elapsed,
-                fm_evaluations=result.fm_evaluations,
-                contexts_examined=result.stats.contexts_examined,
-            )
-        )
-    return summary

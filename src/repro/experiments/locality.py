@@ -53,7 +53,7 @@ def locality_experiment(
     n_centers: int = 10,
 ) -> List[LocalityResult]:
     """Measure the locality profile for each detector on the salary data."""
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
+    cfg = get_scale(scale)
     gen = ensure_rng(seed)
     results: List[LocalityResult] = []
     for det_name in detectors:

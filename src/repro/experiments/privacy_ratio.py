@@ -103,7 +103,7 @@ def privacy_ratio_experiment(
     dataset_name: str = "salary_reduced",
 ) -> PrivacyRatioResult:
     """Reproduce the Section 6.7 (ii) measurement on one dataset."""
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
+    cfg = get_scale(scale)
     gen = ensure_rng(seed)
     n_records = (
         cfg.salary_reduced_records

@@ -24,16 +24,6 @@ from repro.experiments.reporting import render_table
 from repro.rng import RngLike, ensure_rng
 
 
-def _row_seed(seed: RngLike) -> int:
-    """A fixed seed shared by every row of one table.
-
-    Each row (sampler / detector / epsilon / n) runs with its own fresh
-    ``default_rng(_row_seed(seed))``, so all rows see the SAME outlier pool,
-    starting contexts and repetition streams — a paired comparison, which is
-    what the paper's per-configuration tables imply.
-    """
-    return int(ensure_rng(seed).integers(0, 2**63 - 1))
-
 #: Detector parameters used throughout the evaluation.  The histogram floor
 #: of 2 records keeps the paper's sparse-bin rule meaningful at laptop-scale
 #: populations (see the module docstring of repro.outliers.histogram).
@@ -42,6 +32,13 @@ DETECTOR_KWARGS: Dict[str, Dict] = {
     "grubbs": {"alpha": 0.05},
     "histogram": {"frequency_fraction": 2.5e-3, "min_count_floor": 2.0},
 }
+
+
+def _salary_bench(n_records: int, detector: str = "lof") -> Workbench:
+    """The salary workbench the Section 6 experiments run on."""
+    return Workbench.get(
+        "salary_reduced", n_records, 7, detector, DETECTOR_KWARGS[detector]
+    )
 
 
 @dataclass
@@ -61,59 +58,69 @@ class TableResult:
         )
 
 
-# ----------------------------------------------------------- generic builder
+# ---------------------------------------------------------- shared builders
 
 
-def _performance_row(label: str, summary: RunSummary, trailer: Sequence[str]) -> List[str]:
-    rt = summary.runtime_summary()
-    return [label, *rt.as_row(), f"{summary.mean_fm_evaluations():.0f}", *trailer]
+def _run_arms(
+    cfg: ExperimentScale, seed: RngLike, arms: Dict[str, Dict], **common
+) -> Dict[str, RunSummary]:
+    """One :func:`run_pcor_experiment` per labelled arm.
 
-
-def _utility_row(label: str, summary: RunSummary, trailer: Sequence[str]) -> List[str]:
-    us = summary.utility_summary()
-    return [label, *us.as_row(), *trailer]
-
-
-PERF_HEADERS = ["Algorithm", "Tmin", "Tmax", "Tavg", "f_M runs"]
-UTIL_HEADERS = ["Algorithm", "Utility", "CI (90%)"]
+    ``arms`` maps each row label to the arguments that set its arm apart,
+    and ``common`` holds the ones every arm shares; both override the
+    scale's sample count, repetitions and outlier pool.  ``seed`` yields one
+    row seed, and each arm runs with its own fresh ``default_rng`` of it, so
+    all arms see the SAME outlier pool, starting contexts and repetition
+    streams — a paired comparison, which is what the paper's
+    per-configuration tables imply.
+    """
+    row_seed = int(ensure_rng(seed).integers(0, 2**63 - 1))
+    scaled = {
+        "n_samples": cfg.n_samples,
+        "repetitions": cfg.repetitions,
+        "n_outlier_records": cfg.n_outlier_records,
+    }
+    return {
+        label: run_pcor_experiment(
+            **{**scaled, **common, **arm},
+            rng=np.random.default_rng(row_seed),
+            label=label,
+        )
+        for label, arm in arms.items()
+    }
 
 
 def _paired_tables(
-    perf_id: str,
-    util_id: str,
-    perf_title: str,
-    util_title: str,
+    ids: Tuple[str, str],
+    titles: Tuple[str, str],
+    first_header: str,
+    trailer: Dict[str, str],
     summaries: Dict[str, RunSummary],
-    trailer_fn,
     notes: str,
 ) -> Tuple[TableResult, TableResult]:
+    """The performance and utility tables of one experiment.
+
+    One row per arm, headed by its label under ``first_header``; the
+    ``trailer`` columns (header -> the value every row shows) close each
+    row.
+    """
+    tail = list(trailer.values())
     perf_rows = [
-        _performance_row(label, s, trailer_fn(s)) for label, s in summaries.items()
+        [label, *s.runtime_summary().as_row(), f"{s.mean_fm_evaluations():.0f}", *tail]
+        for label, s in summaries.items()
     ]
     util_rows = [
-        _utility_row(label, s, trailer_fn(s)) for label, s in summaries.items()
+        [label, *s.utility_summary().as_row(), *tail] for label, s in summaries.items()
     ]
-    trailer_headers = ["epsilon", "Outlier"]
-    perf = TableResult(
-        perf_id,
-        perf_title,
-        PERF_HEADERS + trailer_headers,
-        perf_rows,
-        notes,
-        summaries,
+    perf_headers = [first_header, "Tmin", "Tmax", "Tavg", "f_M runs", *trailer]
+    util_headers = [first_header, "Utility", "CI (90%)", *trailer]
+    return (
+        TableResult(ids[0], titles[0], perf_headers, perf_rows, notes, summaries),
+        TableResult(ids[1], titles[1], util_headers, util_rows, notes, summaries),
     )
-    util = TableResult(
-        util_id,
-        util_title,
-        UTIL_HEADERS + trailer_headers,
-        util_rows,
-        notes,
-        summaries,
-    )
-    return perf, util
 
 
-# -------------------------------------------------------------- Tables 2 & 3
+# ------------------------------------------------------------------- tables
 
 
 def table_2_3(
@@ -124,43 +131,31 @@ def table_2_3(
     Uniform / RandomWalk / DFS / BFS with LOF, population-size utility,
     epsilon = 0.2, n = scale.n_samples.
     """
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
-    row_seed = _row_seed(seed)
-    bench = Workbench.get(
-        "salary_reduced", cfg.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
+    cfg = get_scale(scale)
+    samplers = [
+        ("Uniform", "uniform"),
+        ("Random Walk", "random_walk"),
+        ("DFS", "dfs"),
+        ("BFS", "bfs"),
+    ]
+    summaries = _run_arms(
+        cfg,
+        seed,
+        {label: {"sampler": name} for label, name in samplers},
+        bench=_salary_bench(cfg.salary_records),
+        epsilon=0.2,
     )
-    summaries: Dict[str, RunSummary] = {}
-    for name, label in [
-        ("uniform", "Uniform"),
-        ("random_walk", "Random Walk"),
-        ("dfs", "DFS"),
-        ("bfs", "BFS"),
-    ]:
-        summaries[label] = run_pcor_experiment(
-            bench,
-            sampler_name=name,
-            utility_name="population_size",
-            epsilon=0.2,
-            n_samples=cfg.n_samples,
-            repetitions=cfg.repetitions,
-            n_outlier_records=cfg.n_outlier_records,
-            rng=np.random.default_rng(row_seed),
-            label=label,
-        )
     return _paired_tables(
-        "2",
-        "3",
-        "Sampling Methods Comparison - Performance",
-        "Sampling Methods Comparison - Utility",
+        ("2", "3"),
+        ("Sampling Methods Comparison - Performance",
+         "Sampling Methods Comparison - Utility"),
+        "Algorithm",
+        {"epsilon": "0.2", "Outlier": "LOF"},
         summaries,
-        lambda s: [f"{s.epsilon:g}", "LOF"],
         f"scale={cfg.name}: salary dataset n={cfg.salary_records}, "
         f"{cfg.repetitions} repetitions, {cfg.n_samples} samples "
         "(paper: 51k records, 200 reps, n=50)",
     )
-
-
-# -------------------------------------------------------------- Tables 4 & 5
 
 
 def table_4_5(
@@ -171,37 +166,25 @@ def table_4_5(
     DFS vs BFS under the overlap-with-starting-context utility, LOF,
     epsilon = 0.2.
     """
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
-    row_seed = _row_seed(seed)
-    bench = Workbench.get(
-        "salary_reduced", cfg.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
+    cfg = get_scale(scale)
+    summaries = _run_arms(
+        cfg,
+        seed,
+        {"DFS": {"sampler": "dfs"}, "BFS": {"sampler": "bfs"}},
+        bench=_salary_bench(cfg.salary_records),
+        utility_name="overlap",
+        epsilon=0.2,
     )
-    summaries: Dict[str, RunSummary] = {}
-    for name, label in [("dfs", "DFS"), ("bfs", "BFS")]:
-        summaries[label] = run_pcor_experiment(
-            bench,
-            sampler_name=name,
-            utility_name="overlap",
-            epsilon=0.2,
-            n_samples=cfg.n_samples,
-            repetitions=cfg.repetitions,
-            n_outlier_records=cfg.n_outlier_records,
-            rng=np.random.default_rng(row_seed),
-            label=label,
-        )
     return _paired_tables(
-        "4",
-        "5",
-        "Intersection Overlap Utility - Performance",
-        "Intersection Overlap Utility - Utility",
+        ("4", "5"),
+        ("Intersection Overlap Utility - Performance",
+         "Intersection Overlap Utility - Utility"),
+        "Algorithm",
+        {"epsilon": "0.2", "Outlier": "LOF"},
         summaries,
-        lambda s: [f"{s.epsilon:g}", "LOF"],
         f"scale={cfg.name}: utility = |D_C intersect D_C_V|, "
         f"salary dataset n={cfg.salary_records}, {cfg.repetitions} repetitions",
     )
-
-
-# -------------------------------------------------------------- Tables 6 & 7
 
 
 def table_6_7(
@@ -213,61 +196,29 @@ def table_6_7(
     14 attribute values), BFS sampling, population-size utility,
     epsilon = 0.2.
     """
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
-    row_seed = _row_seed(seed)
-    summaries: Dict[str, RunSummary] = {}
-    for det, label in [("grubbs", "Grubbs"), ("histogram", "Histogram")]:
-        bench = Workbench.get(
-            "salary_reduced",
-            cfg.salary_reduced_records,
-            7,
-            det,
-            DETECTOR_KWARGS[det],
-        )
-        summaries[label] = run_pcor_experiment(
-            bench,
-            sampler_name="bfs",
-            utility_name="population_size",
-            epsilon=0.2,
-            n_samples=cfg.n_samples,
-            repetitions=cfg.repetitions,
-            n_outlier_records=cfg.n_outlier_records,
-            rng=np.random.default_rng(row_seed),
-            label=label,
-        )
-    perf_rows = [
-        _performance_row(label, s, [f"{s.epsilon:g}", "BFS"])
-        for label, s in summaries.items()
-    ]
-    util_rows = [
-        _utility_row(label, s, [f"{s.epsilon:g}", "BFS"])
-        for label, s in summaries.items()
-    ]
-    notes = (
+    cfg = get_scale(scale)
+    detectors = {"Grubbs": "grubbs", "Histogram": "histogram"}
+    summaries = _run_arms(
+        cfg,
+        seed,
+        {
+            label: {"bench": _salary_bench(cfg.salary_reduced_records, det)}
+            for label, det in detectors.items()
+        },
+        sampler="bfs",
+        epsilon=0.2,
+    )
+    return _paired_tables(
+        ("6", "7"),
+        ("Outlier Detection Algorithms - Performance",
+         "Outlier Detection Algorithms - Utility"),
+        "Algorithm",
+        {"epsilon": "0.2", "Sampling": "BFS"},
+        summaries,
         f"scale={cfg.name}: reduced salary dataset "
         f"n={cfg.salary_reduced_records}, 14 attribute values "
-        "(paper: 11k records)"
+        "(paper: 11k records)",
     )
-    perf = TableResult(
-        "6",
-        "Outlier Detection Algorithms - Performance",
-        ["Algorithm", "Tmin", "Tmax", "Tavg", "f_M runs", "epsilon", "Sampling"],
-        perf_rows,
-        notes,
-        summaries,
-    )
-    util = TableResult(
-        "7",
-        "Outlier Detection Algorithms - Utility",
-        ["Algorithm", "Utility", "CI (90%)", "epsilon", "Sampling"],
-        util_rows,
-        notes,
-        summaries,
-    )
-    return perf, util
-
-
-# -------------------------------------------------------------- Tables 8 & 9
 
 
 def table_8_9(
@@ -279,57 +230,24 @@ def table_8_9(
 
     BFS + LOF, population-size utility, n = scale.n_samples.
     """
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
-    row_seed = _row_seed(seed)
-    bench = Workbench.get(
-        "salary_reduced", cfg.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
+    cfg = get_scale(scale)
+    summaries = _run_arms(
+        cfg,
+        seed,
+        {f"{eps:g}": {"epsilon": eps} for eps in epsilons},
+        bench=_salary_bench(cfg.salary_records),
+        sampler="bfs",
     )
-    summaries: Dict[str, RunSummary] = {}
-    for eps in epsilons:
-        label = f"{eps:g}"
-        summaries[label] = run_pcor_experiment(
-            bench,
-            sampler_name="bfs",
-            utility_name="population_size",
-            epsilon=eps,
-            n_samples=cfg.n_samples,
-            repetitions=cfg.repetitions,
-            n_outlier_records=cfg.n_outlier_records,
-            rng=np.random.default_rng(row_seed),
-            label=label,
-        )
-    perf_rows = [
-        [label, *s.runtime_summary().as_row(), f"{s.mean_fm_evaluations():.0f}", "BFS", "LOF"]
-        for label, s in summaries.items()
-    ]
-    util_rows = [
-        [label, *s.utility_summary().as_row(), "BFS", "LOF"]
-        for label, s in summaries.items()
-    ]
-    notes = (
+    return _paired_tables(
+        ("8", "9"),
+        ("Effect of privacy parameter on performance",
+         "Effect of privacy parameter on utility"),
+        "epsilon",
+        {"Sampling": "BFS", "Outlier": "LOF"},
+        summaries,
         f"scale={cfg.name}: n={cfg.n_samples} samples, salary dataset "
-        f"n={cfg.salary_records}, {cfg.repetitions} repetitions"
+        f"n={cfg.salary_records}, {cfg.repetitions} repetitions",
     )
-    perf = TableResult(
-        "8",
-        "Effect of privacy parameter on performance",
-        ["epsilon", "Tmin", "Tmax", "Tavg", "f_M runs", "Sampling", "Outlier"],
-        perf_rows,
-        notes,
-        summaries,
-    )
-    util = TableResult(
-        "9",
-        "Effect of privacy parameter on utility",
-        ["epsilon", "Utility", "CI (90%)", "Sampling", "Outlier"],
-        util_rows,
-        notes,
-        summaries,
-    )
-    return perf, util
-
-
-# ------------------------------------------------------------ Tables 10 & 11
 
 
 def table_10_11(
@@ -341,55 +259,25 @@ def table_10_11(
 
     BFS + LOF, population-size utility, epsilon = 0.2.
     """
-    cfg = get_scale(scale) if isinstance(scale, str) else scale
-    row_seed = _row_seed(seed)
-    bench = Workbench.get(
-        "salary_reduced", cfg.salary_records, 7, "lof", DETECTOR_KWARGS["lof"]
+    cfg = get_scale(scale)
+    summaries = _run_arms(
+        cfg,
+        seed,
+        {str(n): {"n_samples": n} for n in sample_sizes},
+        bench=_salary_bench(cfg.salary_records),
+        sampler="bfs",
+        epsilon=0.2,
     )
-    summaries: Dict[str, RunSummary] = {}
-    for n in sample_sizes:
-        label = str(n)
-        summaries[label] = run_pcor_experiment(
-            bench,
-            sampler_name="bfs",
-            utility_name="population_size",
-            epsilon=0.2,
-            n_samples=n,
-            repetitions=cfg.repetitions,
-            n_outlier_records=cfg.n_outlier_records,
-            rng=np.random.default_rng(row_seed),
-            label=label,
-        )
-    perf_rows = [
-        [label, *s.runtime_summary().as_row(), f"{s.mean_fm_evaluations():.0f}", "BFS", "LOF"]
-        for label, s in summaries.items()
-    ]
-    util_rows = [
-        [label, *s.utility_summary().as_row(), "BFS", "LOF"]
-        for label, s in summaries.items()
-    ]
-    notes = (
+    return _paired_tables(
+        ("10", "11"),
+        ("Effect of # of samples on performance", "Effect of # of samples on utility"),
+        "# Samples",
+        {"Sampling": "BFS", "Outlier": "LOF"},
+        summaries,
         f"scale={cfg.name}: epsilon=0.2, salary dataset "
         f"n={cfg.salary_records}, {cfg.repetitions} repetitions; "
-        "epsilon_1 = 0.2/(2n+2) shrinks as n grows"
+        "epsilon_1 = 0.2/(2n+2) shrinks as n grows",
     )
-    perf = TableResult(
-        "10",
-        "Effect of # of samples on performance",
-        ["# Samples", "Tmin", "Tmax", "Tavg", "f_M runs", "Sampling", "Outlier"],
-        perf_rows,
-        notes,
-        summaries,
-    )
-    util = TableResult(
-        "11",
-        "Effect of # of samples on utility",
-        ["# Samples", "Utility", "CI (90%)", "Sampling", "Outlier"],
-        util_rows,
-        notes,
-        summaries,
-    )
-    return perf, util
 
 
 #: Table id -> callable returning the (perf, util) pair that contains it.

@@ -412,6 +412,26 @@ class ObservabilityConfig:
         return out
 
 
+def _section(
+    cls, value: Any, section: str, not_mapping: Optional[str] = None, **fixed: Any
+) -> Any:
+    """``value`` as the ``cls`` config of ``[section]``: an instance passes
+    through, a mapping must name only ``cls``'s fields (``fixed`` ones are
+    set here and dropped from it), and anything else raises
+    :class:`SpecError`, worded by ``not_mapping`` when given."""
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, Mapping):
+        wording = not_mapping or f"'{section}' must be a mapping of {section} options"
+        raise SpecError(f"{wording}, got {type(value).__name__}")
+    body = {key: item for key, item in value.items() if key not in fixed}
+    known = sorted({f.name for f in fields(cls)} - set(fixed))
+    bad = sorted(set(body) - set(known))
+    if bad:
+        raise SpecError(f"unknown [{section}] field(s) {bad}; known: {known}")
+    return cls(**body, **fixed)
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Everything one ``pcor serve`` process hosts.
@@ -432,24 +452,28 @@ class ServerConfig:
     observability: Optional[ObservabilityConfig] = None
 
     def __post_init__(self) -> None:
+        for section, cls in (
+            ("cluster", ClusterConfig),
+            ("observability", ObservabilityConfig),
+        ):
+            value = getattr(self, section)
+            if value is not None:
+                object.__setattr__(self, section, _section(cls, value, section))
         object.__setattr__(self, "host", str(self.host))
         object.__setattr__(self, "port", _integer(self.port, "port"))
         object.__setattr__(self, "ledger", str(self.ledger).lower())
         object.__setattr__(self, "fsync", bool(self.fsync))
-        coerced: Dict[str, DatasetConfig] = {}
-        for name, cfg in dict(self.datasets).items():
-            if isinstance(cfg, DatasetConfig):
-                coerced[str(name)] = cfg
-            elif isinstance(cfg, Mapping):
-                body = dict(cfg)
-                body.pop("name", None)
-                coerced[str(name)] = DatasetConfig(name=str(name), **body)
-            else:
-                raise SpecError(
-                    f"dataset {name!r} config must be a mapping, "
-                    f"got {type(cfg).__name__}"
-                )
-        object.__setattr__(self, "datasets", coerced)
+        datasets = {
+            str(name): _section(
+                DatasetConfig,
+                cfg,
+                f"datasets.{name}",
+                f"dataset {name!r} config must be a mapping",
+                name=str(name),
+            )
+            for name, cfg in dict(self.datasets).items()
+        }
+        object.__setattr__(self, "datasets", datasets)
         if not (0 <= self.port <= 65535):
             raise SpecError(f"port must be in [0, 65535], got {self.port}")
         if self.ledger not in LEDGER_KINDS:
@@ -458,24 +482,6 @@ class ServerConfig:
             )
         if self.ledger == "jsonl" and not self.ledger_dir:
             raise SpecError("ledger = 'jsonl' needs a 'ledger_dir'")
-        if self.cluster is not None and not isinstance(self.cluster, ClusterConfig):
-            if not isinstance(self.cluster, Mapping):
-                raise SpecError(
-                    "'cluster' must be a mapping of cluster options, "
-                    f"got {type(self.cluster).__name__}"
-                )
-            object.__setattr__(self, "cluster", ClusterConfig(**self.cluster))
-        if self.observability is not None and not isinstance(
-            self.observability, ObservabilityConfig
-        ):
-            if not isinstance(self.observability, Mapping):
-                raise SpecError(
-                    "'observability' must be a mapping of observability "
-                    f"options, got {type(self.observability).__name__}"
-                )
-            object.__setattr__(
-                self, "observability", ObservabilityConfig(**self.observability)
-            )
 
     # -------------------------------------------------------- serialization
 
@@ -523,40 +529,10 @@ class ServerConfig:
             raise SpecError("'datasets' must map names to dataset configs")
         if not datasets:
             raise SpecError("server config hosts no datasets")
-        cluster = data.get("cluster")
-        if cluster is not None:
-            if not isinstance(cluster, Mapping):
-                raise SpecError(
-                    "'cluster' must be a mapping of cluster options, "
-                    f"got {type(cluster).__name__}"
-                )
-            bad = sorted(set(cluster) - {f.name for f in fields(ClusterConfig)})
-            if bad:
-                raise SpecError(
-                    f"unknown [cluster] field(s) {bad}; known: "
-                    f"{sorted(f.name for f in fields(ClusterConfig))}"
-                )
-            cluster = ClusterConfig(**cluster)
-        observability = data.get("observability")
-        if observability is not None:
-            if not isinstance(observability, Mapping):
-                raise SpecError(
-                    "'observability' must be a mapping of observability "
-                    f"options, got {type(observability).__name__}"
-                )
-            bad = sorted(
-                set(observability) - {f.name for f in fields(ObservabilityConfig)}
-            )
-            if bad:
-                raise SpecError(
-                    f"unknown [observability] field(s) {bad}; known: "
-                    f"{sorted(f.name for f in fields(ObservabilityConfig))}"
-                )
-            observability = ObservabilityConfig(**observability)
         return cls(
             datasets=datasets,
-            cluster=cluster,
-            observability=observability,
+            cluster=data.get("cluster"),
+            observability=data.get("observability"),
             **server,
         )
 

@@ -8,7 +8,9 @@ from repro.analysis.session import ReleaseSession
 from repro.core.pcor import PCOR
 from repro.core.sampling import BFSSampler
 from repro.core.starting import starting_context_from_reference
+from repro.data.generators import salary_reduced
 from repro.exceptions import EnumerationError, PrivacyBudgetError
+from repro.outliers.lof import LOFDetector
 
 
 class TestAnalyzeCOE:
@@ -128,6 +130,18 @@ class TestReleaseSession:
         with pytest.raises(PrivacyBudgetError, match="remains"):
             session.release(mini_outlier, starting_context=start, seed=3)
         assert len(session.results) == 2  # third never happened
+
+    def test_engine_shares_the_pipeline_mask_index(self):
+        """The session's engine reads the pipeline's index, so it builds no
+        second one and can append through it."""
+        dataset = salary_reduced(n_records=300, seed=7)
+        pcor = PCOR(dataset, LOFDetector(k=5), sampler=BFSSampler(n_samples=5))
+        session = ReleaseSession(pcor, total_budget=1.0)
+        assert session.engine.masks is pcor.verifier.masks
+        rows = [dataset.record(int(rid)) for rid in dataset.ids[:2]]
+        summary = session.engine.append(rows)
+        assert summary["n_records"] == len(dataset) + 2
+        assert len(session.engine.dataset) == len(dataset) + 2
 
     def test_ledger_report(self, session, mini_reference, mini_outlier):
         start = starting_context_from_reference(mini_reference, mini_outlier, 0)

@@ -1,5 +1,7 @@
 """Unit tests for experiment scale presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import ExperimentError
@@ -13,6 +15,10 @@ class TestScales:
 
     def test_get_scale(self):
         assert get_scale("small").name == "small"
+
+    def test_scale_passes_through(self):
+        custom = dataclasses.replace(SCALES["smoke"], name="custom", repetitions=2)
+        assert get_scale(custom) is custom
 
     def test_unknown_scale(self):
         with pytest.raises(ExperimentError, match="unknown scale"):

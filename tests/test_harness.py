@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.direct import DirectPCOR, DirectSampler
+from repro.core.pcor import PCOR
+from repro.core.starting import starting_context_from_reference
+from repro.core.utility import make_utility
 from repro.exceptions import ExperimentError
-from repro.experiments.harness import (
-    Workbench,
-    make_sampler,
-    run_direct_experiment,
-    run_pcor_experiment,
-)
+from repro.experiments.harness import Workbench, make_sampler, run_pcor_experiment
+from repro.rng import ensure_rng, spawn
 
 BENCH_ARGS = ("salary_reduced", 400, 7, "lof", {"k": 5, "threshold": 1.5})
 
@@ -77,7 +77,7 @@ class TestRunExperiment:
     def test_summary_structure(self, bench):
         summary = run_pcor_experiment(
             bench,
-            sampler_name="bfs",
+            sampler="bfs",
             epsilon=0.2,
             n_samples=8,
             repetitions=4,
@@ -126,8 +126,9 @@ class TestRunExperiment:
         assert summary.mean_fm_evaluations() > 0
 
     def test_direct_experiment(self, bench):
-        summary = run_direct_experiment(
-            bench, repetitions=2, n_outlier_records=2, rng=4
+        summary = run_pcor_experiment(
+            bench, lambda n: DirectSampler(), repetitions=2, n_outlier_records=2,
+            rng=4, min_matching_contexts=20,
         )
         assert summary.algorithm == "direct"
         assert len(summary.repetitions) == 2
@@ -135,3 +136,73 @@ class TestRunExperiment:
         # is the mechanism's own accuracy - high for decisive populations.
         for rep in summary.repetitions:
             assert rep.utility_ratio > 0.0
+
+    def test_repetition_time_is_the_release_span(self, bench, monkeypatch):
+        """One clock: a repetition's time is its release's ``wall_time_s``
+        (the engine's ``engine.execute`` span), not a second timer."""
+        released = []
+        release = PCOR.release
+
+        def spy(self, *args, **kwargs):
+            released.append(release(self, *args, **kwargs))
+            return released[-1]
+
+        monkeypatch.setattr(PCOR, "release", spy)
+        summary = run_pcor_experiment(
+            bench, "bfs", repetitions=3, n_samples=6, n_outlier_records=2, rng=6
+        )
+        assert len(released) == 3
+        assert summary.wall_times == [r.wall_time_s for r in released]
+
+
+def _direct_pcor_loop(bench, utility_name, repetitions, n_outlier_records, seed):
+    """Algorithm 1 under the Section 6 protocol, through ``DirectPCOR``: an
+    outlier floor of 20 matching contexts, and per repetition a starting
+    context drawn from the reference (it anchors the overlap utility)."""
+    gen = ensure_rng(seed)
+    outliers = bench.pick_outliers(n_outlier_records, gen, min_matching_contexts=20)
+    rows = []
+    for i, rep_rng in enumerate(spawn(gen, repetitions)):
+        record_id = outliers[i % len(outliers)]
+        start = starting_context_from_reference(bench.reference, record_id, rep_rng)
+        verifier = bench.fresh_verifier()
+        utility = make_utility(utility_name, verifier, record_id, start.bits)
+        result = DirectPCOR(verifier, epsilon=0.2).release(
+            utility, record_id, rng=rep_rng
+        )
+        if utility_name == "population_size":
+            best = bench.reference.max_population_utility(record_id)
+        else:
+            best = bench.reference.max_utility(
+                record_id,
+                make_utility(
+                    utility_name, bench.reference_verifier, record_id, start.bits
+                ),
+            )
+        rows.append((record_id, result.utility_value, best, result.fm_evaluations))
+    return rows
+
+
+class TestDirectThroughTheLoop:
+    """Algorithm 1 is ``run_pcor_experiment`` with a ``DirectSampler``
+    factory: the same records, utilities, maxima and ``f_M`` runs as
+    releasing through ``DirectPCOR``."""
+
+    @pytest.mark.parametrize("utility_name", ["population_size", "overlap"])
+    def test_matches_direct_pcor(self, bench, utility_name):
+        expected = _direct_pcor_loop(bench, utility_name, 3, 2, seed=11)
+        summary = run_pcor_experiment(
+            bench,
+            lambda n: DirectSampler(),
+            utility_name=utility_name,
+            repetitions=3,
+            n_outlier_records=2,
+            rng=11,
+            min_matching_contexts=20,
+        )
+        got = [
+            (r.record_id, r.utility_value, r.max_utility, r.fm_evaluations)
+            for r in summary.repetitions
+        ]
+        assert got == expected
+        assert summary.label == f"direct/{utility_name}"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.exceptions import SpecError
 from repro.server.config import ClusterConfig, DatasetConfig, ServerConfig
 
@@ -189,6 +190,39 @@ class TestServerConfig:
         body["server"]["tls"] = True
         with pytest.raises(SpecError, match=r"unknown \[server\] field"):
             ServerConfig.from_dict(body)
+
+    def test_unknown_dataset_field_is_one_error_line(self, tmp_path, capsys):
+        body = minimal()
+        body["datasets"]["salary"]["bogus"] = 1
+        message = r"unknown \[datasets\.salary\] field\(s\) \['bogus'\]; known: \["
+        with pytest.raises(SpecError, match=message):
+            ServerConfig.from_dict(body)
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps(body))
+        assert main(["serve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown [datasets.salary] field(s) ['bogus']")
+        assert "'source'" in err and "'name'" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("section", ["cluster", "observability"])
+    def test_constructor_checks_section_fields(self, section):
+        datasets = minimal()["datasets"]
+        unknown = rf"unknown \[{section}\] field\(s\) \['bogus'\]"
+        with pytest.raises(SpecError, match=unknown):
+            ServerConfig(datasets=datasets, **{section: {"bogus": 1}})
+        not_mapping = f"'{section}' must be a mapping of {section} options, got int"
+        with pytest.raises(SpecError, match=not_mapping):
+            ServerConfig(datasets=datasets, **{section: 3})
+
+    def test_constructor_checks_dataset_fields(self):
+        unknown = r"unknown \[datasets\.s\] field\(s\) \['bogus'\]"
+        with pytest.raises(SpecError, match=unknown):
+            ServerConfig(datasets={"s": {"source": "salary_reduced", "bogus": 1}})
+        with pytest.raises(SpecError, match="dataset 's' config must be a mapping"):
+            ServerConfig(datasets={"s": 3})
+        named = ServerConfig(datasets={"s": {"name": "other", "records": 300}})
+        assert named.datasets["s"].name == "s"
 
     def test_jsonl_ledger_needs_dir(self):
         body = minimal()

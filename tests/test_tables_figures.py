@@ -1,7 +1,7 @@
 """Smoke tests for the table/figure regeneration harness (micro scale).
 
 These verify structure and invariants of every paper-table runner; the
-bench-scale numbers live in benchmarks/ and EXPERIMENTS.md.
+bench-scale runs live in benchmarks/ (see the README's "Reproducing Section 6").
 """
 
 import pytest
