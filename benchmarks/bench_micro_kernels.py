@@ -14,7 +14,8 @@ table benches, which run whole experiments once):
 * one full BFS release on a warmed verifier,
 * release_many vs fresh-instance releases (each detector run charged to
   the release that made it),
-* zscore full profiles from cell moments vs the per-population path.
+* zscore record-free and record-bound reads from cell moments vs the
+  per-population path.
 """
 
 import time
@@ -318,20 +319,28 @@ def test_record_scoped_verdicts(emit, monkeypatch):
 
 
 def test_zscore_full_profiles(emit, monkeypatch):
-    """zscore full profiles from cell moments vs the per-population path.
+    """zscore reads from cell moments vs the per-population path.
 
     Pinned setting (ignores ``PCOR_BENCH_SCALE``): zscore with its default
     ``z_threshold = 3`` and ``min_population = 10`` on the 20k-record
-    ``salary_reduced`` dataset, over 1,024 distinct fixed random valid
-    contexts, asked of a cold store in reads of 8 (served reads hold 1-11
-    contexts).  The moments path is ``ZScoreDetector`` as registered; the
-    per-population path is the same detector with ``std_cutoff = None``,
-    which runs ``outlier_positions`` on every population.  Profiles are
-    asserted identical before any timing.  A spy on ``outlier_positions``
-    counts the populations the moments path declines and the values each
-    path hands the detector: deterministic counts, gated tightly.  The
-    timings, best of three passes each in this process, are recorded and
-    gate nothing.
+    ``salary_reduced`` dataset, both read kinds on a cold store.  The
+    moments path is ``ZScoreDetector`` as registered; the per-population
+    path is the same detector with ``std_cutoff = None``, which runs
+    ``outlier_positions`` on every population.
+
+    * Record-free: 1,024 distinct fixed random valid contexts, asked in
+      reads of 8 (served reads hold 1-11 contexts).  Profiles are asserted
+      identical before any timing.
+    * Record-bound: 128 records drawn with a fixed seed, each asked
+      ``is_matching_many`` about 8 fixed random contexts that contain it,
+      as a BFS expansion asks.  Verdicts are asserted identical before any
+      timing.
+
+    Spies count, per arm, the populations the moments path declines and
+    the values each path hands the detector (``outlier_positions``), and
+    the record-bound arm's ``population_masks`` calls: deterministic
+    counts, gated tightly.  The timings, best of three passes each in this
+    process, are recorded and gate nothing.
     """
     from repro.core.verification import OutlierVerifier
     from repro.outliers import ZScoreDetector
@@ -347,6 +356,11 @@ def test_zscore_full_profiles(emit, monkeypatch):
     while len(contexts) < 1024:
         contexts[space.random_valid_context(rng).bits] = None
     reads = [list(contexts)[i : i + 8] for i in range(0, len(contexts), 8)]
+    draw = np.random.default_rng(1)
+    asks = []
+    for rid in draw.choice(dataset.id_list(), 128, replace=False).tolist():
+        rbits = dataset.record_bits(rid)
+        asks.append((rid, [space.random_containing(rbits, draw).bits for _ in range(8)]))
     detectors = {"cutoff": ZScoreDetector(), "per_population": PerPopulation()}
 
     def cold_pass(detector):
@@ -356,28 +370,51 @@ def test_zscore_full_profiles(emit, monkeypatch):
 
         return run
 
-    scanned = {}
-    profiles = {}
-    for name, detector in detectors.items():
-        seen = []
-        original = ZScoreDetector.outlier_positions
+    def bound_pass(detector):
+        def run():
+            verifier = OutlierVerifier(dataset, detector, mask_index=index)
+            return [verifier.is_matching_many(bits, rid).tolist() for rid, bits in asks]
 
-        def spy(self, values, seen=seen, original=original):
+        return run
+
+    def spied(run):
+        """``run()``'s result, the detector's runs and the values they got,
+        and the ``population_masks`` calls."""
+        seen, masks_seen = [], []
+        positions, population_masks = (
+            ZScoreDetector.outlier_positions, PredicateMaskIndex.population_masks
+        )
+
+        def spy(self, values):
             seen.append(len(values))
-            return original(self, values)
+            return positions(self, values)
+
+        def spy_masks(self, bits_seq, *args, **kwargs):
+            masks_seen.append(len(bits_seq))
+            return population_masks(self, bits_seq, *args, **kwargs)
 
         monkeypatch.setattr(ZScoreDetector, "outlier_positions", spy)
-        profiles[name] = cold_pass(detector)()
+        monkeypatch.setattr(PredicateMaskIndex, "population_masks", spy_masks)
+        out = run()
         monkeypatch.undo()
-        scanned[name] = (len(seen), int(sum(seen)))
-    assert profiles["cutoff"] == profiles["per_population"]
-    declined, values_cutoff = scanned["cutoff"]
-    runs, values_full = scanned["per_population"]
+        return out, len(seen), int(sum(seen)), len(masks_seen)
+
+    free = {name: spied(cold_pass(d)) for name, d in detectors.items()}
+    bound = {name: spied(bound_pass(d)) for name, d in detectors.items()}
+    assert free["cutoff"][0] == free["per_population"][0]
+    assert bound["cutoff"][0] == bound["per_population"][0]
+    _, declined, values_cutoff, _ = free["cutoff"]
+    _, runs, values_full, _ = free["per_population"]
+    _, bound_declined, _, bound_mask_passes = bound["cutoff"]
+    per_population_mask_passes = bound["per_population"][3]
 
     t_cutoff, _ = _best_of_three(cold_pass(detectors["cutoff"]))
     t_full, _ = _best_of_three(cold_pass(detectors["per_population"]))
+    t_bound, _ = _best_of_three(bound_pass(detectors["cutoff"]))
+    t_bound_full, _ = _best_of_three(bound_pass(detectors["per_population"]))
     n = len(contexts)
     cutoff_us, full_us = t_cutoff * 1e6 / n, t_full * 1e6 / n
+    bound_us, bound_full_us = t_bound * 1e6 / len(asks), t_bound_full * 1e6 / len(asks)
     harness = load_harness()
     emit(
         "bench_zscore_full_profiles",
@@ -386,7 +423,13 @@ def test_zscore_full_profiles(emit, monkeypatch):
         f"({runs} detector runs, {values_full} values)\n"
         f"  cell-moments path   : {cutoff_us:8.1f} us/profile "
         f"({declined} declined, {values_cutoff} values)\n"
-        f"  speedup             : {t_full / t_cutoff:8.2f}x",
+        f"  speedup             : {t_full / t_cutoff:8.2f}x\n"
+        f"zscore record-bound reads ({len(asks)} records x 8 containing contexts)\n"
+        f"  per-population path : {bound_full_us:8.1f} us/read "
+        f"({per_population_mask_passes} mask passes)\n"
+        f"  cut-off path        : {bound_us:8.1f} us/read "
+        f"({bound_mask_passes} mask passes, {bound_declined} declined)\n"
+        f"  speedup             : {t_bound_full / t_bound:8.2f}x",
         metrics=[
             harness.metric("cutoff_us_per_profile", cutoff_us, "us"),
             harness.metric("per_population_us_per_profile", full_us, "us"),
@@ -405,6 +448,21 @@ def test_zscore_full_profiles(emit, monkeypatch):
                 direction="lower", tolerance=0.01,
             ),
             harness.metric("contexts", n, "count"),
+            harness.metric("record_bound_cutoff_us_per_read", bound_us, "us"),
+            harness.metric(
+                "record_bound_per_population_us_per_read", bound_full_us, "us"
+            ),
+            harness.metric("record_bound_speedup", t_bound_full / t_bound, "x"),
+            # Deterministic, as above: fixed records and contexts.
+            harness.metric(
+                "record_bound_mask_passes", bound_mask_passes, "count",
+                direction="lower", tolerance=0.01,
+            ),
+            harness.metric(
+                "record_bound_declined_populations", bound_declined, "count",
+                direction="lower", tolerance=0.01,
+            ),
+            harness.metric("record_bound_reads", len(asks), "count"),
         ],
     )
 

@@ -8,24 +8,36 @@ bounded LRU map with hit/miss/eviction counters for the experiment harness.
 It has one counting read, :meth:`ProfileStore.get_many`, and one write,
 :meth:`ProfileStore.put_many`; a scalar read is a batch of one.
 
-A store holds two kinds of entry, in one LRU order and under one capacity:
+A store holds three kinds of entry, in one LRU order and under one
+capacity:
 
-* **full profiles**, keyed by the context bitmask ``bits``: every outlier
-  of the population, so they answer any record's question and every
-  record-free read;
+* **full profiles** ``(population, outlier ids)``, keyed by the context
+  bitmask ``bits``: every outlier of the population, so they answer any
+  record's question and every record-free read;
+* **cut-offs** ``(population, low, high)`` (:data:`CutoffProfile`), keyed
+  by ``bits``: a member whose metric value is below ``low`` or at least
+  ``high`` is an outlier.  The verifier writes them for detectors that
+  declare ``std_cutoff`` (zscore), on every population their cell moments
+  decide; they hold no dataset, snapshot or id set.  Any record's read
+  answers from them, with the record's containment and metric value, and
+  a record-free read turns them into outlier ids from the population's
+  mask row (see :mod:`repro.core.verification`);
 * **record-scoped profiles**, keyed ``(bits, record_id)``: the population
   size plus ``{record_id}`` if that record is an outlier there, else the
   empty set.  The verifier writes them for detectors with a finite
   ``locality`` (see :mod:`repro.core.verification`); they answer only
   their own record, through :meth:`ProfileStore.get_many` with a
-  ``record_id``, which also reads a full profile of the same context.
+  ``record_id``, which also reads an entry keyed ``bits`` of the same
+  context.
   Record-free reads (``get_many`` without a record, ``in``,
   :meth:`ProfileStore.peek`) never see them.
 
-Several verifiers over the same dataset and detector may share one store
-(pass it as ``OutlierVerifier(profile_store=...)``): profiles are immutable
-values keyed by context (and record), so sharing cannot change any computed
-answer, only skip recomputation.  :func:`detector_fingerprint` tells which
+The store returns entries as they were written; the verifier turns
+cut-offs into the profiles its callers see.  Several verifiers over the
+same dataset and detector may share one store (pass it as
+``OutlierVerifier(profile_store=...)``): entries are immutable values keyed
+by context (and record), so sharing cannot change any computed answer, only
+skip recomputation.  :func:`detector_fingerprint` tells which
 detector instances may share one.
 """
 
@@ -41,18 +53,23 @@ from repro.outliers.base import OutlierDetector
 
 #: (population size, frozenset of outlier record ids)
 ContextProfile = Tuple[int, FrozenSet[int]]
+#: (population size, low, high): a member whose metric value is below
+#: ``low`` or at least ``high`` is an outlier.
+CutoffProfile = Tuple[int, float, float]
+#: What the store holds under a key: a profile or a population's cut-offs.
+StoredProfile = Union[ContextProfile, CutoffProfile]
 #: ``bits`` for a full profile, ``(bits, record_id)`` for a record-scoped one.
 ProfileKey = Union[int, Tuple[int, int]]
 
-#: Default bound on profiles kept per store.  A profile is a couple of
-#: machine words plus a (usually tiny) frozenset, so the default allows
-#: multi-hundred-MB caches before eviction starts — far beyond any of the
-#: paper's workloads, while still bounding a long-lived server process.
+#: Default bound on profiles kept per store.  An entry is a couple of
+#: machine words plus at most a (usually tiny) frozenset, so the default
+#: allows multi-hundred-MB caches before eviction starts — far beyond any of
+#: the paper's workloads, while still bounding a long-lived server process.
 DEFAULT_CAPACITY = 1_000_000
 
 
 class ProfileStore:
-    """Bounded LRU map from :data:`ProfileKey` to :data:`ContextProfile`.
+    """Bounded LRU map from :data:`ProfileKey` to :data:`StoredProfile`.
 
     Thread-safe: every operation holds the store's lock, so concurrent
     engine callers (HTTP handler threads and a coalescer's flusher in
@@ -66,7 +83,7 @@ class ProfileStore:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._profiles: "OrderedDict[ProfileKey, ContextProfile]" = OrderedDict()
+        self._profiles: "OrderedDict[ProfileKey, StoredProfile]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -79,16 +96,17 @@ class ProfileStore:
 
     def get_many(
         self, keys: Sequence[int], record_id: Optional[int] = None
-    ) -> List[Optional[ContextProfile]]:
-        """The cached profile of every context of a batch, ``None`` for a
+    ) -> List[Optional[StoredProfile]]:
+        """The cached entry of every context of a batch, ``None`` for a
         miss, under one lock acquisition.
 
-        Without ``record_id`` only full profiles answer.  With it the read
-        is record-bound: a full profile of the context answers, else the
-        record's own record-scoped one.  Counts one hit per key answered
-        and one miss per *distinct* key missed, so a key repeated in the
-        batch costs one miss however often it repeats."""
-        out: List[Optional[ContextProfile]] = []
+        Without ``record_id`` only entries keyed ``bits`` (full profiles
+        and cut-offs) answer.  With it the read is record-bound: an entry
+        keyed ``bits`` answers, else the record's own record-scoped one.
+        Counts one hit per key answered and one miss per *distinct* key
+        missed, so a key repeated in the batch costs one miss however often
+        it repeats."""
+        out: List[Optional[StoredProfile]] = []
         missed = set()
         hits = 0
         with self._lock:
@@ -109,15 +127,15 @@ class ProfileStore:
             self.misses += len(missed)
         return out
 
-    def peek(self, bits: int) -> Optional[ContextProfile]:
-        """The cached full profile of ``bits`` or ``None``, without touching
-        counters or LRU order."""
+    def peek(self, bits: int) -> Optional[StoredProfile]:
+        """The cached entry keyed ``bits`` (a full profile or cut-offs) or
+        ``None``, without touching counters or LRU order."""
         with self._lock:
             return self._profiles.get(bits)
 
     def put_many(
         self,
-        entries: Iterable[Tuple[int, ContextProfile]],
+        entries: Iterable[Tuple[int, StoredProfile]],
         version: Optional[int] = None,
         record_id: Optional[int] = None,
     ) -> None:

@@ -17,8 +17,6 @@ construction and each check is a single ``f_M`` call.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.context.context import Context
 from repro.core.reference import ReferenceFile
 from repro.core.verification import OutlierVerifier

@@ -25,7 +25,7 @@ release, not tuned per-dataset, or the edges themselves leak.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

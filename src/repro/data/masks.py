@@ -394,23 +394,29 @@ class PredicateMaskIndex:
         """Population size of every context in ``bits_seq`` (int64 array)."""
         return popcount_rows(self._evaluate(bits_seq, self._state, False))
 
-    def _evaluate(
-        self, bits_seq: Sequence[int], snap: IndexSnapshot, metric_order: bool
-    ) -> np.ndarray:
-        """Range check, count and evaluate a batch against ``snap``'s table
-        of the asked layout."""
+    def selection(self, bits_seq: Sequence[int]) -> np.ndarray:
+        """The ``(B, t)`` boolean predicate matrix of a batch of context
+        bitmasks; a context with a bit outside ``t`` (or negative) raises
+        :class:`~repro.exceptions.ContextError`."""
         bits_list = [int(b) for b in bits_seq]
         for b in bits_list:
             if b < 0 or b >> self.t:
                 raise ContextError(
                     f"context bits {b:#x} out of range for t={self.t}"
                 )
+        return ints_to_bool_matrix(bits_list, self.t)
+
+    def _evaluate(
+        self, bits_seq: Sequence[int], snap: IndexSnapshot, metric_order: bool
+    ) -> np.ndarray:
+        """Range check, count and evaluate a batch against ``snap``'s table
+        of the asked layout."""
+        selection = self.selection(bits_seq)
         # The index is shared by every verifier, which concurrent engine
         # callers read at once: the counter update must not lose
         # increments.
         with self._counter_lock:
-            self.population_evaluations += len(bits_list)
-        selection = ints_to_bool_matrix(bits_list, self.t)  # (B, t)
+            self.population_evaluations += selection.shape[0]
         return snap.or_table(metric_order).and_of_or(selection)
 
     def population_mask(self, bits: int) -> np.ndarray:

@@ -9,7 +9,7 @@ datasets for ``COE_M(D, V)`` to be defined on both sides).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import DatasetError, SchemaError
+from repro.exceptions import DatasetError
 from repro.schema import Schema
 
 

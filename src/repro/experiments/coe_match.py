@@ -21,7 +21,6 @@ from repro.core.verification import OutlierVerifier
 from repro.data.neighbors import remove_random_records
 from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.harness import Workbench
-from repro.experiments.reporting import render_table
 from repro.experiments.tables import DETECTOR_KWARGS, TableResult
 from repro.mechanisms.ocdp import set_match_fraction
 from repro.rng import RngLike, ensure_rng, spawn

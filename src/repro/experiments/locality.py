@@ -16,7 +16,7 @@ while uniform sampling needs O(2^t / N) draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

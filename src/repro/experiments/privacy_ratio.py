@@ -13,9 +13,7 @@ reference files, no sampling noise involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 from repro.core.reference import ReferenceFile
 from repro.core.verification import OutlierVerifier

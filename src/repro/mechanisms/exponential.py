@@ -20,7 +20,7 @@ Implementation notes
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, TypeVar
+from typing import Sequence, Tuple, TypeVar
 
 import numpy as np
 

@@ -19,8 +19,8 @@ populations into one :meth:`OutlierDetector.outlier_centres` call.
 
 A detector whose outliers are the values more than ``z`` standard
 deviations from the mean declares :attr:`OutlierDetector.std_cutoff`
-``z``: the verifier then profiles populations from their moments, without
-gathering their values.
+``z``: the verifier then answers from the populations' moments and
+cut-offs, without gathering their values.
 """
 
 from __future__ import annotations
@@ -66,11 +66,14 @@ class OutlierDetector(ABC):
     #: values whose sample standard deviation ``std`` (``ddof=1``) is
     #: positive are exactly its values below ``mean - z * std`` or above
     #: ``mean + z * std``, with the mean and deviation taken over the values
-    #: in record order.  The verifier then answers full profiles from cell
-    #: moments and cut-off ranks, and calls :meth:`outlier_positions` only
-    #: on the populations those cannot decide exactly (see
-    #: :mod:`repro.core.verification`).  ``None`` (the default): every full
-    #: profile runs :meth:`outlier_positions`.
+    #: in record order.  The verifier then stores each population the cell
+    #: moments decide as its two cut-offs, with no mask evaluated: a
+    #: record-bound read answers from them with a containment test and two
+    #: comparisons of the record's value, and a record-free read reads the
+    #: members beyond them off the population's mask row.  It calls
+    #: :meth:`outlier_positions` only on the populations the cut-offs
+    #: cannot decide exactly (see :mod:`repro.core.verification`).  ``None``
+    #: (the default): every full profile runs :meth:`outlier_positions`.
     std_cutoff: Optional[float] = None
 
     def __init__(self, min_population: int = 10):

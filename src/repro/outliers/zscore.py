@@ -5,8 +5,9 @@ PCOR composes with *any* deterministic outlier detection algorithm.
 
 Its outliers are the values below ``mean - z * std`` or above
 ``mean + z * std``, so it declares :attr:`ZScoreDetector.std_cutoff`: the
-verifier answers its full profiles from per-cell moments and reads only the
-members beyond the two cut-offs, and calls :meth:`outlier_positions` only
+verifier stores each population's two cut-offs, computed from per-cell
+moments, answers a record's verdict from them and reads only the members
+beyond them for a full profile, and calls :meth:`outlier_positions` only
 on the populations it cannot decide exactly that way (a member within the
 error band of a cut-off, or a deviation not well above that band; see
 :mod:`repro.core.verification`).  A subclass that overrides

@@ -9,7 +9,7 @@ explicitly so that every experiment is reproducible from a single seed.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

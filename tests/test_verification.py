@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.verification import OutlierVerifier
+from repro.data.generators import salary_reduced
 from repro.data.masks import PredicateMaskIndex
 from repro.exceptions import VerificationError
+from repro.outliers import available_detectors, make_detector
 from repro.outliers.zscore import ZScoreDetector
 
 
@@ -116,6 +118,22 @@ class TestIsMatching:
         with pytest.raises(VerificationError, match="not in dataset"):
             mini_verifier.is_matching(mini_dataset.schema.full_bits, 10_000)
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
+    @pytest.mark.parametrize("name", available_detectors())
+    def test_record_bound_read_of_unknown_record_raises(self, name, cached):
+        """``profiles(..., record_id=)`` checks the record before it reads
+        the store or counts a run, for every detector, and also when every
+        context it asks about is cached."""
+        dataset = salary_reduced(n_records=300, seed=7)
+        verifier = OutlierVerifier(dataset, make_detector(name))
+        full = (1 << dataset.schema.t) - 1
+        if cached:
+            verifier.profiles([full])
+        runs, size = verifier.fm_evaluations, len(verifier.profile_store)
+        with pytest.raises(VerificationError, match="not in dataset"):
+            verifier.profiles([full], record_id=10**9)
+        assert (verifier.fm_evaluations, len(verifier.profile_store)) == (runs, size)
+
     def test_queries_counted(self, mini_dataset, mini_detector):
         verifier = OutlierVerifier(mini_dataset, mini_detector)
         rid = int(mini_dataset.ids[0])
@@ -140,18 +158,23 @@ class TestScalarReads:
         verifier = OutlierVerifier(mini_dataset, detector)
         rid = int(mini_dataset.ids[0])
         bits = mini_dataset.record_bits(rid)
+        # Both batch reads reach the store through one ``_read``; the
+        # matching test checks its record itself, so it skips ``profiles``.
         with mock.patch.object(
             verifier, "is_matching_many", wraps=verifier.is_matching_many
         ) as many, mock.patch.object(
             verifier, "profiles", wraps=verifier.profiles
-        ) as profiles:
+        ) as profiles, mock.patch.object(
+            verifier, "_read", wraps=verifier._read
+        ) as read:
             answer = verifier.is_matching(bits, rid)
             many.assert_called_once_with([bits], rid)
-            profiles.assert_called_once_with([bits], record_id=rid)
+            assert [c.args[:2] for c in read.call_args_list] == [([bits], rid)]
             assert isinstance(answer, bool)
-            profiles.reset_mock()
+            read.reset_mock()
             verifier.context_profile(bits)
             profiles.assert_called_once_with([bits])
+            assert [c.args[:2] for c in read.call_args_list] == [([bits], None)]
 
     def test_scalar_reads_count_one_query_and_one_lookup(
         self, mini_dataset, mini_detector

@@ -1,11 +1,14 @@
-"""Full zscore profiles from cell moments, pinned to the per-population path.
+"""zscore verdicts from cell moments, pinned to the per-population path.
 
-A detector declaring ``std_cutoff`` (zscore) gets its full profiles from
-the snapshot's cell table and cut-off ranks, and runs ``outlier_positions``
-only on the populations whose verdicts those cannot decide exactly (see
-:mod:`repro.core.verification`).  Every test here compares against the
-per-population path: the same detector with ``std_cutoff`` set to ``None``,
-which runs ``outlier_positions`` on every population in record order.
+A detector declaring ``std_cutoff`` (zscore) stores each population its
+cell moments decide as the population's cut-offs, and runs
+``outlier_positions`` only on the populations those cannot decide exactly
+(see :mod:`repro.core.verification`).  Record-bound reads answer from the
+cut-offs with a containment test and two comparisons; record-free reads
+turn them into outlier ids from the population's mask row.  Every test
+here compares against the per-population path: the same detector with
+``std_cutoff`` set to ``None``, which runs ``outlier_positions`` on every
+population in record order.
 Hypothesis draws small datasets built to reach the exactness fallback:
 duplicate-heavy and constant populations, extreme magnitudes, large
 offsets, populations around ``min_population``, contexts wider than 64
@@ -25,6 +28,7 @@ from repro.core.verification import OutlierVerifier
 from repro.data import masks
 from repro.data.masks import PredicateMaskIndex
 from repro.data.table import Dataset
+from repro.exceptions import ContextError
 from repro.outliers import LOFDetector, ZScoreDetector
 from repro.schema import CategoricalAttribute, MetricAttribute, Schema
 from repro.service import PipelineSpec, ReleaseEngine, ReleaseRequest
@@ -46,6 +50,22 @@ class PerPopulation(ZScoreDetector):
 
 def reference(dataset, z, min_population):
     return OutlierVerifier(dataset, PerPopulation(z, min_population))
+
+
+def verdicts(verifier, contexts, bound):
+    """The record-free profiles of ``contexts``, or with ``bound`` every
+    record's record-bound reads of them as ``(population, is an outlier)``
+    pairs, record after record on one store: the first read computes the
+    misses and the later ones answer from the store."""
+    if not bound:
+        return verifier.profiles(contexts)
+    return [
+        [
+            (pop, rid in outliers)
+            for pop, outliers in verifier.profiles(contexts, record_id=rid)
+        ]
+        for rid in verifier.dataset.id_list()
+    ]
 
 
 def make_dataset(sizes, codes, metric, ids=None):
@@ -155,6 +175,173 @@ def test_profiles_equal_after_appends(data, z, floor, batches):
         assert got == reference(grown, z, floor).profiles(contexts)
 
 
+def assert_record_bound_reads_agree(verifier, ref, contexts):
+    """Every record's record-bound reads equal the reference's populations
+    and its membership in the reference's outliers: ``profiles`` on a
+    fresh store per record (every context a miss), ``is_matching_many``
+    on ``verifier``'s store (misses, then cut-off entries)."""
+    want = ref.profiles(contexts)
+    dataset = verifier.dataset
+    for rid in dataset.id_list():
+        expected = [rid in outliers for _, outliers in want]
+        fresh = OutlierVerifier(
+            dataset, verifier.detector, mask_index=verifier.masks
+        ).profiles(contexts, record_id=rid)
+        assert [p[0] for p in fresh] == [p[0] for p in want]
+        assert [rid in outliers for _, outliers in fresh] == expected
+        assert verifier.is_matching_many(contexts, rid).tolist() == expected
+
+
+@given(
+    data=datasets(max_records=40),
+    z=st.sampled_from([0.5, 1.0, 2.5, 3.0]),
+    floor=st.integers(1, 12),
+)
+@PROP
+def test_record_bound_reads_equal_the_per_population_path(data, z, floor):
+    dataset, gen = data
+    contexts = draw_contexts(gen, dataset, 8)
+    assert_record_bound_reads_agree(
+        OutlierVerifier(dataset, ZScoreDetector(z, floor)),
+        reference(dataset, z, floor),
+        contexts,
+    )
+
+
+@given(
+    data=datasets(max_records=30),
+    z=st.sampled_from([1.0, 2.5]),
+    floor=st.integers(1, 8),
+    batches=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+)
+@PROP
+def test_record_bound_reads_equal_after_appends(data, z, floor, batches):
+    """Appends go through the engine's protocol (invalidate, then commit),
+    so the store keeps the cut-off entries of every context no appended
+    record falls in, and appended records are asked about too."""
+    dataset, gen = data
+    if len(dataset) == 0:
+        return
+    index = PredicateMaskIndex(dataset)
+    verifier = OutlierVerifier(dataset, ZScoreDetector(z, floor), mask_index=index)
+    contexts = draw_contexts(gen, dataset, 6)
+    for rid in dataset.id_list():
+        verifier.is_matching_many(contexts, rid)
+    for k in batches:
+        picks = gen.integers(0, len(index.dataset), k)
+        rows = []
+        for i in picks.tolist():
+            row = index.dataset.record(int(index.dataset.ids[i]))
+            row["M"] = float(row["M"]) + float(gen.normal(0.0, 5.0))
+            rows.append(row)
+        pending = index.prepare_append(rows)
+        verifier.profile_store.invalidate_matching(pending.record_bits, pending.version)
+        index.commit_append(pending)
+        assert_record_bound_reads_agree(
+            verifier, reference(index.dataset, z, floor), contexts
+        )
+        assert verifier.profiles(contexts) == reference(index.dataset, z, floor).profiles(
+            contexts
+        )
+
+
+@pytest.mark.parametrize("bound_first", [True, False])
+def test_one_store_serves_both_kinds_of_read(mini_dataset, bound_first):
+    """Record-bound reads then record-free ones on one store, and the
+    reverse: the record-free reads return the reference's outlier sets and
+    the record-bound ones its verdicts, whichever read filled the store."""
+    contexts = [int(b) for b in mini_dataset.all_record_bits()[:40]] + [511, 73, 0]
+    verifier = OutlierVerifier(mini_dataset, ZScoreDetector(2.5, 8))
+    ref = reference(mini_dataset, 2.5, 8)
+    want = ref.profiles(contexts)
+    assert any(outliers for _, outliers in want)
+
+    def bound_reads():
+        assert verdicts(verifier, contexts, True) == verdicts(ref, contexts, True)
+
+    def free_reads():
+        assert verifier.profiles(contexts) == want
+
+    first, second = (bound_reads, free_reads) if bound_first else (free_reads, bound_reads)
+    first()
+    second()
+    first()
+    assert verifier.fm_evaluations == len(set(contexts))
+
+
+def test_record_bound_misses_of_decided_populations_evaluate_no_mask(
+    mini_dataset, monkeypatch
+):
+    """Decided populations are stored as cut-offs without a mask pass: a
+    record-bound read (``profiles`` and ``is_matching_many``) makes no
+    ``population_masks`` call; a record-free read of the same store then
+    makes one, for the outlier ids."""
+    contexts = [int(b) for b in mini_dataset.all_record_bits()[:40]] + [511, 73]
+    calls = []
+    original = PredicateMaskIndex.population_masks
+
+    def spy(self, bits_seq, *args, **kwargs):
+        calls.append(list(bits_seq))
+        return original(self, bits_seq, *args, **kwargs)
+
+    monkeypatch.setattr(PredicateMaskIndex, "population_masks", spy)
+    verifier = OutlierVerifier(mini_dataset, ZScoreDetector(2.5, 8))
+    seen = spy_on_detector(monkeypatch)
+    rids = mini_dataset.id_list()
+    got = [verifier.profiles(contexts, record_id=rid) for rid in rids[:3]]
+    matching = [verifier.is_matching_many(contexts, rid) for rid in rids]
+    assert calls == [] and seen == []
+    monkeypatch.undo()
+    want = reference(mini_dataset, 2.5, 8).profiles(contexts)
+    assert got == [
+        [
+            (pop, frozenset((rid,)) if rid in outliers else frozenset())
+            for pop, outliers in want
+        ]
+        for rid in rids[:3]
+    ]
+    assert [m.tolist() for m in matching] == [
+        [rid in outliers for _, outliers in want] for rid in rids
+    ]
+    monkeypatch.setattr(PredicateMaskIndex, "population_masks", spy)
+    assert verifier.profiles(contexts) == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["record_free", "record_bound"])
+def test_contexts_out_of_range_raise_on_the_cut_off_path(mini_dataset, bound):
+    """The cut-off path range-checks its contexts as a mask pass does."""
+    verifier = OutlierVerifier(mini_dataset, ZScoreDetector(2.5, 8))
+    rid = int(mini_dataset.ids[0])
+    wide = mini_dataset.record_bits(rid) | 1 << mini_dataset.schema.t
+    with pytest.raises(ContextError, match="out of range"):
+        verifier.profiles([wide], record_id=rid if bound else None)
+    assert wide not in verifier.profile_store
+
+
+def test_a_cut_off_entry_from_another_version_goes_to_the_detector(mini_dataset):
+    """A record-free read that meets a cut-off entry whose population
+    differs from its own snapshot's (an append the store was not told
+    about, as when an append races the read) runs the detector on the
+    snapshot's population, counted as one run, instead of mixing the
+    entry's cut-offs with the grown population."""
+    index = PredicateMaskIndex(mini_dataset)
+    verifier = OutlierVerifier(mini_dataset, ZScoreDetector(2.5, 8), mask_index=index)
+    rid = int(mini_dataset.ids[0])
+    bits = (1 << mini_dataset.schema.t) - 1  # every record
+    verifier.profiles([bits], record_id=rid)
+    entry = verifier.profile_store.peek(bits)
+    assert len(entry) == 3
+    row = mini_dataset.record(rid)
+    row[mini_dataset.schema.metric.name] = 1e6  # an outlier of the grown population
+    index.append([row])
+    runs = verifier.fm_evaluations
+    got = verifier.profiles([bits])
+    assert got == reference(index.dataset, 2.5, 8).profiles([bits])
+    assert max(got[0][1]) == int(index.dataset.ids[-1])
+    assert verifier.fm_evaluations == runs + 1
+
+
 def spy_on_detector(monkeypatch):
     """Record the values of every ``outlier_positions`` call."""
     seen = []
@@ -169,6 +356,12 @@ def spy_on_detector(monkeypatch):
 
 
 class TestDeclines:
+    """Each case is asked record-free here and record-bound (every record
+    of the dataset in turn) in :class:`TestDeclinesRecordBound`: the
+    detector sees exactly the declined populations either way, once each."""
+
+    bound = False
+
     def test_member_on_a_cut_off_declines(self, monkeypatch):
         # Nine zeros and a one: the one's z-score is the threshold itself,
         # so it sits on the upper cut-off and only the detector can say
@@ -178,25 +371,27 @@ class TestDeclines:
         z = float(np.abs(dev[-1]) / np.sqrt(np.add.reduce(dev * dev) / 9))
         dataset = make_dataset([2], [np.zeros(10, dtype=int)], values)
         seen = spy_on_detector(monkeypatch)
-        got = OutlierVerifier(dataset, ZScoreDetector(z, 5)).profiles([1])
+        got = verdicts(OutlierVerifier(dataset, ZScoreDetector(z, 5)), [1], self.bound)
         assert len(seen) == 1 and seen[0].tolist() == values.tolist()
-        assert got == reference(dataset, z, 5).profiles([1])
-        assert got == [(10, frozenset())]
+        monkeypatch.undo()
+        assert got == verdicts(reference(dataset, z, 5), [1], self.bound)
+        assert got == ([[(10, False)]] * 10 if self.bound else [(10, frozenset())])
 
     @pytest.mark.parametrize("value", [0.1, 0.0, 1e300, -7.25])
     def test_constant_population_declines(self, monkeypatch, value):
         dataset = make_dataset([2], [np.zeros(12, dtype=int)], np.full(12, value))
         seen = spy_on_detector(monkeypatch)
-        got = OutlierVerifier(dataset, ZScoreDetector(2.0, 3)).profiles([1, 3])
+        got = verdicts(OutlierVerifier(dataset, ZScoreDetector(2.0, 3)), [1, 3], self.bound)
         assert len(seen) == 2  # context 3 selects the same records
-        assert got == reference(dataset, 2.0, 3).profiles([1, 3])
+        monkeypatch.undo()
+        assert got == verdicts(reference(dataset, 2.0, 3), [1, 3], self.bound)
 
     def test_single_member_population_declines(self, monkeypatch):
         dataset = make_dataset([2], [np.array([0, 1, 1])], [5.0, 1.0, 2.0])
         seen = spy_on_detector(monkeypatch)
-        got = OutlierVerifier(dataset, ZScoreDetector(1.0, 1)).profiles([1])
+        got = verdicts(OutlierVerifier(dataset, ZScoreDetector(1.0, 1)), [1], self.bound)
         assert [v.tolist() for v in seen] == [[5.0]]
-        assert got == [(1, frozenset())]
+        assert got == ([[(1, False)]] * 3 if self.bound else [(1, frozenset())])
 
     @pytest.mark.parametrize("offset, scale", [(1e7, 50.0), (0.0, 1e160)])
     def test_narrow_or_huge_population_declines(self, monkeypatch, offset, scale):
@@ -206,9 +401,10 @@ class TestDeclines:
         values = offset + scale * np.random.default_rng(8).normal(1.0, 0.1, 50)
         dataset = make_dataset([2], [np.zeros(50, dtype=int)], values)
         seen = spy_on_detector(monkeypatch)
-        got = OutlierVerifier(dataset, ZScoreDetector(2.0, 5)).profiles([1])
+        got = verdicts(OutlierVerifier(dataset, ZScoreDetector(2.0, 5)), [1], self.bound)
         assert len(seen) == 1
-        assert got == reference(dataset, 2.0, 5).profiles([1])
+        monkeypatch.undo()
+        assert got == verdicts(reference(dataset, 2.0, 5), [1], self.bound)
 
     def test_wide_band_declines_every_population(self, monkeypatch):
         """With the band as wide as the data, every population with a
@@ -222,10 +418,17 @@ class TestDeclines:
         monkeypatch.setattr(verification, "_CUTOFF_MARGIN", 1.0)
         monkeypatch.setattr(verification, "_STD_MARGINS", 0.0)
         seen = spy_on_detector(monkeypatch)
-        got = OutlierVerifier(dataset, ZScoreDetector(2.0, 5)).profiles(contexts)
-        assert len(seen) == len({b for b, p in zip(contexts, got) if p[0] >= 5}) > 0
+        got = verdicts(OutlierVerifier(dataset, ZScoreDetector(2.0, 5)), contexts, self.bound)
         monkeypatch.undo()
-        assert got == reference(dataset, 2.0, 5).profiles(contexts)
+        want = reference(dataset, 2.0, 5).profiles(contexts)
+        assert len(seen) == len({b for b, p in zip(contexts, want) if p[0] >= 5}) > 0
+        assert got == verdicts(reference(dataset, 2.0, 5), contexts, self.bound)
+
+
+class TestDeclinesRecordBound(TestDeclines):
+    """The cases of :class:`TestDeclines`, asked record-bound."""
+
+    bound = True
 
 
 class TestDetectorRunsOnlyOnDeclines:
